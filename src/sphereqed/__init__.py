@@ -28,6 +28,7 @@ from .microsphere import (
     Resonance,
     SphereSystem,
     collective_rate,
+    collective_rates,
     find_resonances,
     mie_coefficient,
     permittivity,
@@ -68,6 +69,7 @@ __all__ = [
     "amplitude_volterra",
     "assemble_density",
     "collective_rate",
+    "collective_rates",
     "concurrence_oracle",
     "concurrence_closed_form",
     "entanglement_check",

@@ -53,6 +53,13 @@ class SweepPointError(RuntimeError):
     """Physics failure at a specific sweep point."""
 
 
+# failures of the physics and numerics (UndecayedTrajectoryError is a
+# ValueError); anything else is a bug and keeps its traceback
+NUMERICAL_ERRORS = (ms.NonConvergenceError, ms.PoleError, ArithmeticError, ValueError)
+
+DRIVE_PLACEMENTS = ("site_of_a", "equidistant", "explicit")
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -70,19 +77,36 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_map(fn, values, threads: int):
-    def guarded(args):
-        index, value = args
-        try:
-            return fn(value)
-        except Exception as exc:
-            raise SweepPointError(f"sweep point {index} (value {value!r}): {exc}") from exc
+def _sweep_map(fn, values, threads: int) -> list:
+    """fn over consecutive blocks of ms.BLOCK sweep values, each call
+    returning one item per value; the items in sweep order.
 
-    items = list(enumerate(values))
+    Threads take whole blocks, and the blocks are the same for any thread
+    count, so the output is too.  A numerical failure is reported at its
+    sweep point, found by redoing the failed block one point at a time.
+    """
+
+    def block_items(start):
+        block = values[start : start + ms.BLOCK]
+        try:
+            return fn(block)
+        except NUMERICAL_ERRORS:
+            for offset, value in enumerate(block):
+                try:
+                    fn(block[offset : offset + 1])
+                except NUMERICAL_ERRORS as exc:
+                    raise SweepPointError(
+                        f"sweep point {start + offset} (value {value!r}): {exc}"
+                    ) from exc
+            raise
+
+    starts = range(0, len(values), ms.BLOCK)
     if threads <= 1:
-        return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(guarded, items))
+        blocks = [block_items(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(block_items, starts))
+    return [item for block in blocks for item in block]
 
 
 def _sphere_system(cfg: dict) -> ms.SphereSystem:
@@ -128,6 +152,23 @@ def _replace_system(sys0: ms.SphereSystem, axis: str, value: float, omega: float
     return sys0, value
 
 
+def _sweep_points(sys0: ms.SphereSystem, axis: str, values, omega: float):
+    """(r, omega, theta) lists for the sweep points `values`; every point's
+    system is built, so its geometry is validated."""
+    points = [_replace_system(sys0, axis, value, omega) for value in values]
+    return (
+        [sys_v.r for sys_v, _ in points],
+        [om for _, om in points],
+        [sys_v.theta for sys_v, _ in points],
+    )
+
+
+def _rates_at(sys0: ms.SphereSystem, r, omega, theta):
+    """(Gamma_AA, Gamma_AB) arrays of the block kernel at the given points."""
+    cos_theta = [math.cos(t) for t in theta]
+    return ms.collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+
+
 def cmd_resonances(cfg: dict, out: str, threads: int) -> None:
     """Locate field resonances in a frequency window for a range of orders."""
     sys0 = _sphere_system(cfg)
@@ -138,10 +179,10 @@ def cmd_resonances(cfg: dict, out: str, threads: int) -> None:
     if l_lo < 1 or l_hi < l_lo:
         raise ConfigError("need 1 <= resonance.l_lo <= resonance.l_hi")
 
-    def one(l):
-        return ms.find_resonances(sys0, omega_lo, omega_hi, [l])
+    def orders(ls):
+        return [ms.find_resonances(sys0, omega_lo, omega_hi, [l]) for l in ls]
 
-    chunks = _sweep_map(one, range(l_lo, l_hi + 1), threads)
+    chunks = _sweep_map(orders, range(l_lo, l_hi + 1), threads)
     resonances = sorted(
         (r for chunk in chunks for r in chunk), key=lambda r: (r.omega_c, r.l)
     )
@@ -157,13 +198,11 @@ def cmd_rates(cfg: dict, out: str, threads: int) -> None:
     if axis != "omega" and omega <= 0:
         raise ConfigError("rates.omega must be set (> 0) when sweeping theta or delta_r")
 
-    def one(value):
-        sys_v, om = _replace_system(sys0, axis, value, omega)
-        gaa = ms.collective_rate(sys_v, om, same_atom=True)
-        gab = ms.collective_rate(sys_v, om, same_atom=False)
-        return value, gaa, gab, gaa + gab, gaa - gab
+    def block(values):
+        gaa, gab = _rates_at(sys0, *_sweep_points(sys0, axis, values, omega))
+        return list(zip(values, gaa, gab, gaa + gab, gaa - gab))
 
-    rows = _sweep_map(one, values, threads)
+    rows = _sweep_map(block, values, threads)
     write_csv(
         out,
         _meta(cfg),
@@ -184,20 +223,29 @@ def _coupling_from_cfg(cfg: dict) -> dyn.CouplingParams:
     )
 
 
-def _drive_from_cfg(cfg: dict, p: dyn.CouplingParams) -> dyn.DriveSpec:
-    placement = get_choice(
-        cfg, "drive.placement", ("site_of_a", "equidistant", "explicit"), "site_of_a"
-    )
+def _drive_from_cfg(cfg: dict, p: dyn.CouplingParams, unit: float = 1.0,
+                    gamma_ad: float | None = None) -> dyn.DriveSpec:
+    """Drive preparation from the drive.* keys.
+
+    Rates read from the config are divided by unit (sphere-mode entangle
+    reads them in Gamma_0 units).  gamma_ad, when given, is the cross rate
+    gamma_AD = gamma_BD of an equidistant atom D; sphere mode computes it
+    from the sphere instead of reading drive.gamma_ad.
+    """
+    placement = get_choice(cfg, "drive.placement", DRIVE_PLACEMENTS, "site_of_a")
     if placement == "site_of_a":
         rates = (p.gamma31_aa, p.gamma31_aa, p.gamma31_ab)
     elif placement == "equidistant":
-        gx = get_float(cfg, "drive.gamma_ad")
-        rates = (get_float(cfg, "drive.gamma_dd", p.gamma31_aa), gx, gx)
+        if gamma_ad is None:
+            gamma_ad = get_float(cfg, "drive.gamma_ad") / unit
+        gamma_dd = p.gamma31_aa
+        if "drive.gamma_dd" in cfg:
+            gamma_dd = get_float(cfg, "drive.gamma_dd") / unit
+        rates = (gamma_dd, gamma_ad, gamma_ad)
     else:
-        rates = (
-            get_float(cfg, "drive.gamma_dd"),
-            get_float(cfg, "drive.gamma_ad"),
-            get_float(cfg, "drive.gamma_bd"),
+        rates = tuple(
+            get_float(cfg, key) / unit
+            for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd")
         )
     return dyn.prepare_drive(rates, p.delta_omega_c)
 
@@ -231,49 +279,6 @@ def cmd_dynamics(cfg: dict, out: str, threads: int) -> None:
         ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"],
         rows,
     )
-
-
-def _entangle_sphere_point(cfg: dict, sys_v: ms.SphereSystem, omega31: float,
-                           resonance: ms.Resonance) -> tuple[dyn.CouplingParams, dyn.DriveSpec]:
-    """Resolve one sphere-mode sweep point into dynamics-unit parameters."""
-    anchor_a = get_float(cfg, "anchor.gamma32_aa_over_gamma0")
-    anchor_b = get_float(cfg, "anchor.gamma0_over_omega_t")
-    if anchor_a <= 0 or anchor_b <= 0:
-        raise ConfigError("anchors must be > 0")
-    s31aa = ms.collective_rate(sys_v, omega31, same_atom=True)
-    s31ab = ms.collective_rate(sys_v, omega31, same_atom=False)
-    if "weak.omega32" in cfg:
-        om32 = get_float(cfg, "weak.omega32")
-        ratio32 = ms.collective_rate(sys_v, om32, same_atom=False) / ms.collective_rate(
-            sys_v, om32, same_atom=True
-        )
-    else:
-        ratio32 = get_float(cfg, "weak.gamma32_ratio")
-    p = dyn.CouplingParams(
-        gamma31_aa=s31aa / anchor_a,
-        gamma31_ab=s31ab / anchor_a,
-        gamma32_aa=1.0,
-        gamma32_ab=ratio32,
-        delta_omega_c=resonance.delta_omega_c / (anchor_a * anchor_b),
-        detuning_delta=(resonance.omega_c - omega31) / (anchor_a * anchor_b),
-        dipole_shift=get_float(cfg, "dynamics.dipole_shift", 0.0),
-    )
-    placement = get_choice(
-        cfg, "drive.placement", ("site_of_a", "equidistant", "explicit"), "site_of_a"
-    )
-    if placement == "site_of_a":
-        rates = (p.gamma31_aa, p.gamma31_aa, p.gamma31_ab)
-    elif placement == "equidistant":
-        half = ms.SphereSystem(sys_v.params, sys_v.radius, sys_v.atom_distance, sys_v.theta / 2.0)
-        gx = ms.collective_rate(half, omega31, same_atom=False) / anchor_a
-        rates = (p.gamma31_aa, gx, gx)
-    else:
-        rates = (
-            get_float(cfg, "drive.gamma_dd") / anchor_a,
-            get_float(cfg, "drive.gamma_ad") / anchor_a,
-            get_float(cfg, "drive.gamma_bd") / anchor_a,
-        )
-    return p, dyn.prepare_drive(rates, p.delta_omega_c)
 
 
 def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
@@ -331,27 +336,36 @@ def cmd_entangle(cfg: dict, out: str, threads: int) -> None:
         base = _coupling_from_cfg(cfg)
         _drive_from_cfg(cfg, base)  # surface missing drive keys as config errors
 
-        def one(value):
-            p = dyn.CouplingParams(
-                gamma31_aa=base.gamma31_aa,
-                gamma31_ab=base.gamma31_ab,
-                gamma32_aa=base.gamma32_aa,
-                gamma32_ab=base.gamma32_ab,
-                delta_omega_c=value,
-                detuning_delta=base.detuning_delta,
-                dipole_shift=base.dipole_shift,
-            )
-            d = _drive_from_cfg(cfg, p)
-            return _steady_row(value, p, d)
+        def block(values):
+            rows = []
+            for value in values:
+                p = dyn.CouplingParams(
+                    gamma31_aa=base.gamma31_aa,
+                    gamma31_ab=base.gamma31_ab,
+                    gamma32_aa=base.gamma32_aa,
+                    gamma32_ab=base.gamma32_ab,
+                    delta_omega_c=value,
+                    detuning_delta=base.detuning_delta,
+                    dipole_shift=base.dipole_shift,
+                )
+                rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p)))
+            return rows
 
     else:
         sys0 = _sphere_system(cfg)
         axis, values = _sweep_values(cfg, SWEEP_AXES)
         # fail on missing keys before any sweep work starts
-        for key in ("anchor.gamma32_aa_over_gamma0", "anchor.gamma0_over_omega_t"):
-            get_float(cfg, key)
-        if "weak.omega32" not in cfg:
-            get_float(cfg, "weak.gamma32_ratio")
+        anchor_a = get_float(cfg, "anchor.gamma32_aa_over_gamma0")
+        anchor_b = get_float(cfg, "anchor.gamma0_over_omega_t")
+        if anchor_a <= 0 or anchor_b <= 0:
+            raise ConfigError("anchors must be > 0")
+        omega32 = get_float(cfg, "weak.omega32") if "weak.omega32" in cfg else None
+        if omega32 is None:
+            ratio32 = get_float(cfg, "weak.gamma32_ratio")
+        equidistant = (
+            get_choice(cfg, "drive.placement", DRIVE_PLACEMENTS, "site_of_a") == "equidistant"
+        )
+        dipole_shift = get_float(cfg, "dynamics.dipole_shift", 0.0)
         omega_lo = get_float(cfg, "resonance.omega_lo")
         omega_hi = get_float(cfg, "resonance.omega_hi")
         l_lo = get_int(cfg, "resonance.l_lo")
@@ -373,13 +387,36 @@ def cmd_entangle(cfg: dict, out: str, threads: int) -> None:
                     f"strong.omega31 must be a number or 'auto', got {strong_raw!r}"
                 ) from exc
             resonance = min(resonances, key=lambda r: abs(r.omega_c - omega31_base))
+        rate_unit = anchor_a * anchor_b
 
-        def one(value):
-            sys_v, om31 = _replace_system(sys0, axis, value, omega31_base)
-            p, d = _entangle_sphere_point(cfg, sys_v, om31, resonance)
-            return _steady_row(value, p, d)
+        def block(values):
+            # in Gamma_0 units: Gamma31 at omega31, the Gamma32 ratio at
+            # omega32, and the equidistant drive's cross rate at theta / 2
+            r, omega31, theta = _sweep_points(sys0, axis, values, omega31_base)
+            s31aa, s31ab = _rates_at(sys0, r, omega31, theta)
+            if omega32 is not None:
+                s32aa, s32ab = _rates_at(sys0, r, omega32, theta)
+                ratios = (s32ab / s32aa).tolist()
+            else:
+                ratios = [ratio32] * len(values)
+            if equidistant:
+                s_half = _rates_at(sys0, r, omega31, [t / 2.0 for t in theta])[1].tolist()
+            rows = []
+            for k, value in enumerate(values):
+                p = dyn.CouplingParams(
+                    gamma31_aa=float(s31aa[k]) / anchor_a,
+                    gamma31_ab=float(s31ab[k]) / anchor_a,
+                    gamma32_aa=1.0,
+                    gamma32_ab=ratios[k],
+                    delta_omega_c=resonance.delta_omega_c / rate_unit,
+                    detuning_delta=(resonance.omega_c - omega31[k]) / rate_unit,
+                    dipole_shift=dipole_shift,
+                )
+                gamma_ad = s_half[k] / anchor_a if equidistant else None
+                rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p, anchor_a, gamma_ad)))
+            return rows
 
-    rows = _sweep_map(one, values, threads)
+    rows = _sweep_map(block, values, threads)
     write_csv(out, _meta(cfg, {"sweep.resolved_axis": axis}), _ENTANGLE_HEADER, rows)
 
 
@@ -392,14 +429,13 @@ def _figure_sweep(cfg: dict, out: str, threads: int, axis: str, lo: float, hi: f
     count = get_int(cfg, "sweep.count", count)
     values = np.linspace(lo, hi, count)
 
-    def one(value):
-        sys_v, om = _replace_system(sys0, axis, value, omega)
+    def block(values):
+        gaa, gab = _rates_at(sys0, *_sweep_points(sys0, axis, values, omega))
         if columns == "gamma_ab":
-            return value, ms.collective_rate(sys_v, om, same_atom=False)
-        gp, gm = ms.rates_pm(sys_v, om)
-        return value, gp, gm
+            return list(zip(values, gab))
+        return list(zip(values, gaa + gab, gaa - gab))
 
-    rows = _sweep_map(one, values, threads)
+    rows = _sweep_map(block, values, threads)
     header = [axis, "gamma_ab"] if columns == "gamma_ab" else [axis, "gamma_plus", "gamma_minus"]
     write_csv(out, _meta(cfg), header, rows)
 
@@ -483,7 +519,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # numerical / physics failures
+    except (SweepPointError, *NUMERICAL_ERRORS) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -28,6 +28,13 @@ from .special import (
 # adaptive series truncation: stop after this many consecutive negligible terms
 _TAIL_RUN = 5
 _TAIL_RTOL = 1e-12
+# orders per window of the geometric tail bound at the l = L_MAX_SUPPORTED cap
+_TAIL_WIDTH = 12
+
+# sweep points that collective_rates evaluates together.  A constant, so a
+# point's value never depends on how a caller groups its points; small, so
+# the (orders x points) work arrays stay a few hundred kB.
+BLOCK = 32
 
 
 class NonConvergenceError(RuntimeError):
@@ -107,18 +114,19 @@ class Resonance:
             raise ValueError("kind must be 'SG' or 'WG'")
 
 
-def permittivity(p: DrudeLorentzParams, omega: complex) -> complex:
-    """Drude-Lorentz permittivity eps(omega) = 1 + omega_p^2/(1 - omega^2 - i omega gamma)."""
+def permittivity(p: DrudeLorentzParams, omega):
+    """Drude-Lorentz permittivity eps(omega) = 1 + omega_p^2/(1 - omega^2 - i omega gamma),
+    elementwise for an array omega."""
     return 1.0 + p.omega_p**2 / (1.0 - omega * omega - 1j * omega * p.gamma)
 
 
-def refractive_index(p: DrudeLorentzParams, omega: complex) -> complex:
+def refractive_index(p: DrudeLorentzParams, omega):
     """Principal sqrt of the permittivity with Im >= 0 (decaying field inside
-    the absorbing medium)."""
-    n = np.sqrt(complex(permittivity(p, omega)))
-    if n.imag < 0:
-        n = -n
-    return n
+    the absorbing medium), elementwise for an array omega."""
+    n = np.sqrt(permittivity(p, omega))
+    if np.ndim(n):
+        return np.where(n.imag < 0, -n, n)
+    return -n if n.imag < 0 else n
 
 
 def size_parameter(omega: complex, length: float) -> complex:
@@ -126,21 +134,30 @@ def size_parameter(omega: complex, length: float) -> complex:
     return 2.0 * math.pi * omega * length
 
 
-def _mie_arrays(sys: SphereSystem, lmax: int, omega: complex):
+def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
     """Numerator/denominator arrays of the TM scattering coefficient for
-    l = 0..lmax at frequency omega (complex allowed)."""
-    eps = permittivity(sys.params, omega)
-    n2 = refractive_index(sys.params, omega)
-    z1 = size_parameter(omega, sys.radius)
+    l = 0..lmax at frequency omega (complex allowed); an array omega gives
+    one column per frequency."""
+    eps = permittivity(params, omega)
+    n2 = refractive_index(params, omega)
+    z1 = size_parameter(omega, radius)
     z2 = n2 * z1
-    j1 = sph_jn_all(lmax, z1)
-    h1 = sph_h1n_all(lmax, z1)
+    # num = eps j2 rj1 - j1 rj2 and den = eps j2 rh1 - h1 rj2, built in
+    # place so that few (orders x frequencies) arrays are alive at once
     j2 = sph_jn_all(lmax, z2)
-    rj1 = riccati_deriv_all(j1, z1)
     rj2 = riccati_deriv_all(j2, z2)
-    rh1 = riccati_deriv_all(h1, z1)
-    num = eps * j2 * rj1 - j1 * rj2
-    den = eps * j2 * rh1 - h1 * rj2
+    j2 *= eps
+    j1 = sph_jn_all(lmax, z1)
+    num = riccati_deriv_all(j1, z1)
+    num *= j2
+    j1 *= rj2
+    num -= j1
+    del j1
+    h1 = sph_h1n_all(lmax, z1)
+    den = riccati_deriv_all(h1, z1)
+    den *= j2
+    h1 *= rj2
+    den -= h1
     return num, den
 
 
@@ -153,105 +170,202 @@ def mie_coefficient(sys: SphereSystem, l: int, omega: complex) -> complex:
         raise ValueError(f"l={l} exceeds supported maximum {L_MAX_SUPPORTED}")
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    num, den = _mie_arrays(sys, l, omega)
+    num, den = _mie_arrays(sys.params, sys.radius, l, omega)
     if abs(den[l]) < 1e-300:
         raise PoleError(f"Mie denominator vanishes at l={l}, omega={omega}")
     return complex(-num[l] / den[l])
 
 
-def _rate_terms(sys: SphereSystem, omega: float, theta_eff: float, lmax: int):
-    """Per-order contributions to Gamma/Gamma_0 for l = 1..lmax, plus the two
-    Legendre-free envelopes used by the truncation logic.
+def _shared(values: np.ndarray):
+    """The single value that every entry of values holds, or values itself.
+    A shared value is evaluated once, and through the scalar recurrences,
+    which are faster for one argument."""
+    return values[0] if np.all(values == values[0]) else values
 
-    env_re = weight * |Re h(j + Bh)| bounds each term (|P_l| <= 1) but beats
-    through zero as the scattered phase rotates; env_mag = weight *
-    (j^2 + |B h| |h|) is monotone in the tail and supplies a clean geometric
-    decay rate.  |B h^2| is assembled as |B h| * |h| to stay clear of h^2
-    overflow.
+
+def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
+                 omega: np.ndarray, lmax: int):
+    """Per-order contributions to Gamma_AA/Gamma_0 for l = 0..lmax (rows) at
+    each point (columns), and a Legendre-free magnitude envelope.
+
+    The cross rate Gamma_AB differs only by the factor P_l(cos theta), and
+    the single-atom rate has P_l(1) = 1.  |terms| = weight * |Re h(j + Bh)|
+    bounds each cross-rate term (|P_l| <= 1) but beats through zero as the
+    scattered phase rotates; env_mag = weight * (j^2 + |B h| |h|) is
+    monotone in the tail and supplies a clean geometric decay rate.
+    |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.  A
+    frequency (or k r) shared by the whole block is evaluated once, so a
+    delta_r sweep builds its Mie arrays once and a theta sweep everything
+    but the Legendre factor.
     """
-    kr = 2.0 * math.pi * omega * sys.r
-    jr = sph_jn_all(lmax, kr)
-    hr = sph_h1n_all(lmax, kr)
-    num, den = _mie_arrays(sys, lmax, omega)
-    bl = np.zeros(lmax + 1, dtype=complex)
-    mask = np.abs(den) > 0
-    bl[mask] = -num[mask] / den[mask]
-    pl = legendre_all(lmax, math.cos(theta_eff))
-    ls = np.arange(lmax + 1, dtype=float)
-    weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
+    shape = (lmax + 1, -1)
+    bl, den = (np.reshape(a, shape) for a in _mie_arrays(params, radius, lmax, _shared(omega)))
+    # B_l = -num/den, and 0 where the denominator vanishes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bl /= den
+    bl[~(np.abs(den) > 0)] = 0.0
+    del den
+    np.negative(bl, out=bl)
+    kr = _shared(2.0 * math.pi * omega * r)
+    hr = np.reshape(sph_h1n_all(lmax, kr), shape)
     scattered = bl * hr
-    core = (hr * (jr + scattered)).real
-    terms = weight * core * pl
-    if not np.all(np.isfinite(terms)):
+    del bl
+    env_mag = np.abs(scattered)
+    env_mag *= np.abs(hr)
+    jr = np.reshape(sph_jn_all(lmax, kr), shape)
+    env_mag += np.abs(jr) ** 2
+    # h (j + B h), the scattered part already holding B h
+    scattered += jr
+    del jr
+    scattered *= hr
+    ls = np.arange(lmax + 1, dtype=float)[:, None]
+    weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
+    full = (lmax + 1, len(omega))
+    return (np.broadcast_to(weight * scattered.real, full),
+            np.broadcast_to(weight * env_mag, full))
+
+
+def _five_term_sums(terms: np.ndarray, env: np.ndarray):
+    """Per column: the partial sum at the order where _TAIL_RUN consecutive
+    envelopes first fall below _TAIL_RTOL of the running total (with a
+    Gamma_0 floor), whether that happened, and the sum of every term."""
+    total = np.cumsum(terms, axis=0)
+    small = env < _TAIL_RTOL * (np.abs(total) + 1.0)
+    count = len(small) - _TAIL_RUN + 1
+    run = small[:count].copy()
+    for k in range(1, _TAIL_RUN):
+        run &= small[k : k + count]
+    columns = np.arange(terms.shape[1])
+    first = np.argmax(run, axis=0)
+    return total[first + _TAIL_RUN - 1, columns], run[first, columns], total[-1]
+
+
+def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
+    """Per column: a geometric bound on the orders beyond the cap, or inf
+    where the magnitude envelope does not decay.  The decay rate comes from
+    the monotone magnitude envelope, the amplitude from the recent |Re|
+    maxima (the dissipative fraction of the evanescent response only shrinks
+    with l, so this anchors a conservative geometric tail)."""
+    width = _TAIL_WIDTH
+    m1 = env_mag[-2 * width : -width].max(axis=0)
+    m2 = env_mag[-width:].max(axis=0)
+    amp = env_re[-2 * width :].max(axis=0)
+    decays = (m1 > 0) & (m2 < m1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (m2 / m1) ** (1.0 / width)  # per-order geometric factor
+        bound = amp * q / (1.0 - q)
+    return np.where(decays, bound, np.inf)
+
+
+def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
+                 omega: np.ndarray, cos_theta: np.ndarray):
+    """collective_rates for one block of points.
+
+    The block starts at one lmax for all its points; points whose Gamma_AA
+    or Gamma_AB has not settled there are redone once, at the cap."""
+    scale = np.maximum(
+        2.0 * math.pi * omega * r,
+        np.abs(refractive_index(params, omega)) * 2.0 * math.pi * omega * radius,
+    )
+    lmax = min(L_MAX_SUPPORTED, int(scale.max()) + 60)
+    rates = np.full((2, len(omega)), np.nan)
+    done = np.zeros((2, len(omega)), dtype=bool)
+    failure = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        while True:
+            todo = np.flatnonzero(~done.all(axis=0))
+            terms, env_mag = _rate_orders(params, radius, r[todo], omega[todo], lmax)
+            p_l = np.reshape(legendre_all(lmax, _shared(cos_theta[todo])), (lmax + 1, -1))
+            # order 0 carries no weight and is not part of the series
+            terms, env_mag, p_l = terms[1:], env_mag[1:], p_l[1:]
+            env_re = np.abs(terms)
+            at_cap = lmax == L_MAX_SUPPORTED
+            bound = _tail_bound(env_re, env_mag) if at_cap else None
+            for which, series in enumerate((terms, terms * p_l)):
+                settled_sum, settled, full_sum = _five_term_sums(series, env_re)
+                new = settled & ~done[which, todo]
+                rates[which, todo[new]] = settled_sum[new]
+                done[which, todo[new]] = True
+                if not at_cap:
+                    continue
+                # 1e-5 Gamma_0 absolute floor, far below any resolvable
+                # feature of the near-surface sweeps this cap serves
+                rest = ~done[which, todo]
+                accept = rest & (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0))
+                rates[which, todo[accept]] = full_sum[accept]
+                refused = rest & ~accept
+                for k, total in zip(todo[refused], full_sum[refused]):
+                    failure.setdefault(k, "did not settle" if np.isfinite(total) else "overflow")
+            if at_cap or done.all():
+                break
+            # free this pass's arrays before the larger pass at the cap
+            del terms, env_mag, p_l, env_re, series
+            lmax = L_MAX_SUPPORTED
+    for k in np.flatnonzero(~np.isfinite(rates).all(axis=0)):
+        failure.setdefault(k, "overflow")
+    if failure:
+        k = min(failure)
+        om = float(omega[k])
+        if failure[k] == "overflow":
+            raise NonConvergenceError(
+                f"multipole term overflow at omega={om} (resonant order beyond float64 range)"
+            )
         raise NonConvergenceError(
-            f"multipole term overflow at omega={omega} (resonant order beyond float64 range)"
+            f"multipole series did not settle by l={L_MAX_SUPPORTED} at "
+            f"omega={om} (atoms too close to the surface)"
         )
-    env_re = weight * np.abs(core)
-    env_mag = weight * (np.abs(jr) ** 2 + np.abs(scattered) * np.abs(hr))
-    return terms[1:], env_re[1:], env_mag[1:]
+    return rates
+
+
+def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_theta):
+    """(Gamma_AA, Gamma_AB)/Gamma_0 of two radial dipoles at radial position
+    r outside a sphere of the given radius, at frequency omega, with
+    cos(theta) between the dipole directions.  r, omega and cos_theta
+    broadcast against each other; both results have the broadcast shape.
+
+    Points are evaluated BLOCK at a time: the Bessel, Mie and Legendre
+    recurrences loop over the order l and run for every point of a block at
+    once, and the per-order terms are shared by Gamma_AA and Gamma_AB.  Each
+    multipole sum stops once five consecutive term envelopes fall below
+    1e-12 of the running total.  Close to the surface the scattered part
+    only decays geometrically as (R/r)^{2l}; if the l = 300 cap is reached
+    first, the remaining tail is bounded geometrically and accepted when
+    below 1e-5 of the total (with a 1 Gamma_0 floor).  Beyond that the
+    geometry needs orders that overflow float64 and NonConvergenceError is
+    raised, naming the frequency of the first point that failed.
+    """
+    r, omega, cos_theta = np.broadcast_arrays(
+        np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
+        np.asarray(cos_theta, dtype=float),
+    )
+    if np.any(omega <= 0):
+        raise ValueError("omega must be > 0")
+    if np.any(r <= radius):
+        raise ValueError("atoms must sit strictly outside the sphere (r > radius)")
+    shape = omega.shape
+    r, omega, cos_theta = r.ravel(), omega.ravel(), cos_theta.ravel()
+    rates = np.empty((2, omega.size))
+    for start in range(0, omega.size, BLOCK):
+        block = slice(start, start + BLOCK)
+        rates[:, block] = _block_rates(params, radius, r[block], omega[block], cos_theta[block])
+    return rates[0].reshape(shape), rates[1].reshape(shape)
 
 
 def collective_rate(sys: SphereSystem, omega: float, same_atom: bool = False) -> float:
-    """Collective decay rate Gamma_{A'A''}/Gamma_0 for radial dipoles.
+    """Collective decay rate Gamma_{A'A''}/Gamma_0 for radial dipoles: one
+    point of collective_rates.
 
     same_atom selects the single-atom rate (theta_eff = 0); otherwise the
-    cross rate at the system's dipole angle.  The multipole sum stops once
-    five consecutive term envelopes fall below 1e-12 of the running total.
-    Close to the surface the scattered part only decays geometrically as
-    (R/r)^{2l}; if the l = 300 cap is reached first, the remaining tail is
-    bounded geometrically and accepted when below 1e-5 of the total (with a
-    1 Gamma_0 floor).  Beyond that the geometry needs orders that overflow
-    float64 and an error is raised.
+    cross rate at the system's dipole angle.
     """
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    theta_eff = 0.0 if same_atom else sys.theta
-    scale = max(
-        2.0 * math.pi * omega * sys.r,
-        abs(refractive_index(sys.params, omega)) * 2.0 * math.pi * omega * sys.radius,
-    )
-    lmax = min(L_MAX_SUPPORTED, int(scale) + 60)
-    while True:
-        terms, env_re, env_mag = _rate_terms(sys, omega, theta_eff, lmax)
-        total = 0.0
-        run = 0
-        for t, e in zip(terms, env_re):
-            total += t
-            if e < _TAIL_RTOL * (abs(total) + 1.0):
-                run += 1
-                if run >= _TAIL_RUN:
-                    return float(total)
-            else:
-                run = 0
-        if lmax >= L_MAX_SUPPORTED:
-            total = float(np.sum(terms))
-            # decay rate from the monotone magnitude envelope; amplitude from
-            # the recent |Re| maxima (the dissipative fraction of the
-            # evanescent response only shrinks with l, so this anchors a
-            # conservative geometric tail)
-            width = 12
-            m1 = float(np.max(env_mag[-2 * width : -width]))
-            m2 = float(np.max(env_mag[-width:]))
-            amp = float(np.max(env_re[-2 * width :]))
-            if m1 > 0 and m2 < m1:
-                q = (m2 / m1) ** (1.0 / width)  # per-order geometric factor
-                bound = amp * q / (1.0 - q)
-                # 1e-5 Gamma_0 absolute floor, far below any resolvable
-                # feature of the near-surface sweeps this cap serves
-                if bound < 1e-5 * max(abs(total), 1.0):
-                    return total
-            raise NonConvergenceError(
-                f"multipole series did not settle by l={L_MAX_SUPPORTED} at "
-                f"omega={omega} (atoms too close to the surface)"
-            )
-        lmax = min(L_MAX_SUPPORTED, 2 * lmax)
+    cos_theta = 1.0 if same_atom else math.cos(sys.theta)
+    return float(collective_rates(sys.params, sys.radius, sys.r, omega, cos_theta)[1])
 
 
 def rates_pm(sys: SphereSystem, omega: float) -> tuple[float, float]:
     """(Gamma_+, Gamma_-) = Gamma_AA +/- Gamma_AB in Gamma_0 units."""
-    gaa = collective_rate(sys, omega, same_atom=True)
-    gab = collective_rate(sys, omega, same_atom=False)
-    return gaa + gab, gaa - gab
+    gaa, gab = collective_rates(sys.params, sys.radius, sys.r, omega, math.cos(sys.theta))
+    return float(gaa + gab), float(gaa - gab)
 
 
 def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False) -> float:
@@ -260,17 +374,19 @@ def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False)
     Near a sharp resonance this term carries essentially the whole rate; far
     from resonance it carries no approximation guarantee.
     """
-    theta_eff = 0.0 if same_atom else sys.theta
-    terms, _, _ = _rate_terms(sys, res.omega_c, theta_eff, res.l)
-    return float(terms[res.l - 1])
+    cos_theta = 1.0 if same_atom else math.cos(sys.theta)
+    terms, _ = _rate_orders(sys.params, sys.radius, np.array([sys.r]),
+                            np.array([res.omega_c]), res.l)
+    return float(terms[res.l, 0] * legendre_all(res.l, cos_theta)[res.l])
 
 
 def _denominator(sys: SphereSystem, l: int, omega: complex) -> complex:
-    return complex(_mie_arrays(sys, l, omega)[1][l])
+    return complex(_mie_arrays(sys.params, sys.radius, l, omega)[1][l])
 
 
-def _denominator_balance(sys: SphereSystem, l: int, omega: float) -> float:
-    """|t1 - t2| / (|t1| + |t2|) for the two denominator terms.
+def _denominator_balance(sys: SphereSystem, l: int, omega):
+    """|t1 - t2| / (|t1| + |t2|) for the two denominator terms, elementwise
+    for an array omega.
 
     The raw denominator rides an exponential envelope in omega (through
     j_l(z2) inside the gap); the normalized cancellation ratio is O(1) away
@@ -288,9 +404,10 @@ def _denominator_balance(sys: SphereSystem, l: int, omega: float) -> float:
     t1 = eps * j2[l] * rh1[l]
     t2 = h1[l] * rj2[l]
     denom = abs(t1) + abs(t2)
-    if denom == 0.0:
-        return 1.0
-    return abs(t1 - t2) / denom
+    if np.ndim(denom) == 0:
+        return 1.0 if denom == 0.0 else abs(t1 - t2) / denom
+    with np.errstate(invalid="ignore"):
+        return np.where(denom == 0.0, 1.0, abs(t1 - t2) / denom)
 
 
 def _newton_root(sys: SphereSystem, l: int, omega0: float) -> complex | None:
@@ -357,7 +474,10 @@ def find_resonances(
     for l in l_range:
         if l < 1 or l > L_MAX_SUPPORTED:
             raise ValueError(f"l={l} outside 1..{L_MAX_SUPPORTED}")
-        vals = np.array([_denominator_balance(sys, l, om) for om in grid])
+        # the grid in blocks keeps the (orders x points) arrays small
+        vals = np.concatenate(
+            [_denominator_balance(sys, l, grid[i : i + BLOCK]) for i in range(0, npts, BLOCK)]
+        )
         minima = [
             i
             for i in range(1, npts - 1)

@@ -5,6 +5,12 @@ downward (Miller) recurrence, which is stable because j is the minimal
 solution as l grows; h_l^(1) is generated upward, where it is the dominant
 solution.  Riccati derivatives [z f_l(z)]' are obtained from the standard
 derivative recurrence so Mie coefficients never need explicit f_l'.
+
+`sph_jn_all`, `sph_h1n_all`, `riccati_deriv_all` and `legendre_all` also
+take a 1-D array of arguments and return an (lmax + 1, N) array, one column
+per argument: the recurrences still loop over l, and numpy does each step
+for all columns at once.  A scalar argument keeps the scalar loop, which is
+faster for a single point.
 """
 
 from __future__ import annotations
@@ -23,21 +29,34 @@ def _check_order(l: int) -> None:
         raise ValueError(f"multipole order l={l} outside supported range 0..{L_MAX_SUPPORTED}")
 
 
-def sph_jn_all(lmax: int, z: complex) -> np.ndarray:
+def _is_array(x) -> bool:
+    """True for a 1-D array of arguments, which takes the column path;
+    scalars and 0-d arrays keep the scalar loop."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _miller_start(lmax: int, size):
+    # start far enough above max(l, |z|) that seed contamination by the
+    # dominant solution decays below ~1e-12 by the time we reach lmax
+    return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
+
+
+def sph_jn_all(lmax: int, z) -> np.ndarray:
     """j_l(z) for l = 0..lmax, complex z, by downward recurrence.
 
     The raw downward pass is normalized against whichever of j_0, j_1 has
     the larger magnitude; the two have no common zeros, so the scale is
     always well conditioned (normalizing at j_0 alone fails near sin z = 0).
+    For a 1-D array z the result has one column per argument.
     """
+    if _is_array(z):
+        return _sph_jn_columns(lmax, np.asarray(z, dtype=complex))
     z = complex(z)
     if z == 0:
         out = np.zeros(lmax + 1, dtype=complex)
         out[0] = 1.0
         return out
-    # start far enough above max(l, |z|) that seed contamination by the
-    # dominant solution decays below ~1e-12 by the time we reach lmax
-    nstart = max(lmax, int(abs(z))) + 60 + int(2.0 * abs(z) ** 0.5)
+    nstart = _miller_start(lmax, abs(z))
     raw = np.zeros(nstart + 1, dtype=complex)
     jp = 0.0 + 0.0j
     j = 1e-30 + 0.0j
@@ -63,9 +82,60 @@ def sph_jn_all(lmax: int, z: complex) -> np.ndarray:
     return out
 
 
-def sph_h1n_all(lmax: int, z: complex) -> np.ndarray:
+def _sph_jn_columns(lmax: int, z: np.ndarray) -> np.ndarray:
+    """sph_jn_all for a 1-D array z: each column starts at its own order
+    and is normalized as the scalar loop would do it."""
+    zero = z == 0
+    z = np.where(zero, 1.0, z)
+    starts = [_miller_start(lmax, size) for size in np.abs(z).tolist()]
+    top = max(starts)
+    # raw[n] holds j_n up to a per-column scale; the row above the top is
+    # the zero that the first step reads as j_{n+1}
+    raw = np.zeros((top + 2, len(z)), dtype=complex)
+    factor = np.empty_like(z)
+    seeds = {}
+    for column, n in enumerate(starts):
+        seeds.setdefault(n, []).append(column)
+    # a step multiplies the largest |raw| by at most 1 + |factor|: look for
+    # entries to rescale only when 50 decades of growth may have built up
+    # since the last look, instead of at every step as the scalar loop does
+    steps = np.log10(1.0 + np.arange(1, 2 * top + 2, 2.0) / np.abs(z).min())
+    grown = 0.0
+    for n in range(top, 0, -1):
+        seeded = seeds.get(n)
+        if seeded is not None:
+            raw[n, seeded] = 1e-30
+        if grown + steps[n] > 50.0:
+            grown = 0.0
+            state = np.abs(raw[n : n + 2].view(float)).max(axis=0)
+            big = (state > _RESCALE).reshape(-1, 2).any(axis=1)
+            np.divide(raw[n:], np.where(big, _RESCALE, 1.0), out=raw[n:])
+        grown += steps[n]
+        row = raw[n - 1]
+        np.divide(2 * n + 1, z, out=factor)
+        np.multiply(factor, raw[n], out=row)
+        row -= raw[n + 1]
+    sin, cos = np.sin(z), np.cos(z)
+    j0 = sin / z
+    j1 = sin / z**2 - cos / z
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    raw *= np.where(use_j0, j0, j1) / np.where(use_j0, raw[0], raw[1])
+    out = raw[: lmax + 1]
+    out[:, zero] = 0.0
+    out[0, zero] = 1.0
+    return out
+
+
+def sph_h1n_all(lmax: int, z) -> np.ndarray:
     """h_l^(1)(z) for l = 0..lmax by upward recurrence from the closed forms
-    h_0 = -i e^{iz}/z and h_1 = -e^{iz}(z + i)/z^2."""
+    h_0 = -i e^{iz}/z and h_1 = -e^{iz}(z + i)/z^2.
+
+    For a 1-D array z the result has one column per argument, and a column
+    that overflows is left non-finite instead of raising, so one argument
+    cannot fail the others; callers check the entries they use.
+    """
+    if _is_array(z):
+        return _sph_h1n_columns(lmax, np.asarray(z, dtype=complex))
     z = complex(z)
     if z == 0:
         raise ValueError("h_l^(1) diverges at z = 0")
@@ -79,6 +149,24 @@ def sph_h1n_all(lmax: int, z: complex) -> np.ndarray:
             out[n + 1] = (2 * n + 1) / z * out[n] - out[n - 1]
     if not np.all(np.isfinite(out.view(float))):
         raise OverflowError(f"spherical h recurrence overflowed for lmax={lmax}, z={z}")
+    return out
+
+
+def _sph_h1n_columns(lmax: int, z: np.ndarray) -> np.ndarray:
+    if np.any(z == 0):
+        raise ValueError("h_l^(1) diverges at z = 0")
+    out = np.empty((lmax + 1, len(z)), dtype=complex)
+    eiz = np.exp(1j * z)
+    out[0] = -1j * eiz / z
+    if lmax >= 1:
+        out[1] = -eiz * (z + 1j) / z**2
+    factor = np.empty_like(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, lmax):
+            row = out[n + 1]
+            np.divide(2 * n + 1, z, out=factor)
+            np.multiply(factor, out[n], out=row)
+            row -= out[n - 1]
     return out
 
 
@@ -99,33 +187,51 @@ def sph_yn_all(lmax: int, z: complex) -> np.ndarray:
     return out
 
 
-def riccati_deriv_all(farr: np.ndarray, z: complex) -> np.ndarray:
+def riccati_deriv_all(farr: np.ndarray, z) -> np.ndarray:
     """[z f_l(z)]' for every order of a spherical-Bessel-family array.
 
     Uses f_l' = f_{l-1} - (l+1) f_l / z, so [z f_l]' = z f_{l-1} - l f_l
-    for l >= 1 and [z f_0]' = f_0 - z f_1.
+    for l >= 1 and [z f_0]' = f_0 - z f_1.  An (lmax + 1, N) array takes a
+    1-D array z of its N arguments.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex) if _is_array(z) else complex(z)
     lmax = len(farr) - 1
     out = np.empty_like(farr)
     if lmax == 0:
         raise ValueError("need at least orders 0..1 to form the derivative")
     out[0] = farr[0] - z * farr[1]
-    ls = np.arange(1, lmax + 1)
+    ls = np.arange(1, lmax + 1).reshape((-1,) + (1,) * (farr.ndim - 1))
     out[1:] = z * farr[:-1] - ls * farr[1:]
     return out
 
 
-def legendre_all(lmax: int, x: float) -> np.ndarray:
-    """P_l(x) for l = 0..lmax by the three-term recurrence; requires |x| <= 1."""
-    if abs(x) > 1.0:
+def legendre_all(lmax: int, x) -> np.ndarray:
+    """P_l(x) for l = 0..lmax by the three-term recurrence; requires |x| <= 1.
+    For a 1-D array x the result has one column per argument."""
+    if np.any(np.abs(x) > 1.0):
         raise ValueError(f"Legendre argument x={x} outside [-1, 1]")
+    if _is_array(x):
+        return _legendre_columns(lmax, np.asarray(x, dtype=float))
     out = np.zeros(lmax + 1)
     out[0] = 1.0
     if lmax >= 1:
         out[1] = x
     for l in range(1, lmax):
         out[l + 1] = ((2 * l + 1) * x * out[l] - l * out[l - 1]) / (l + 1)
+    return out
+
+
+def _legendre_columns(lmax: int, x: np.ndarray) -> np.ndarray:
+    out = np.zeros((lmax + 1, len(x)))
+    out[0] = 1.0
+    if lmax >= 1:
+        out[1] = x
+    odd_x = np.arange(1, 2 * lmax, 2.0)[:, None] * x
+    for l in range(1, lmax):
+        row = out[l + 1]
+        np.multiply(odd_x[l], out[l], out=row)
+        row -= l * out[l - 1]
+        row /= l + 1
     return out
 
 

@@ -69,6 +69,48 @@ class TestExitCodes:
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run_cli(["rates", "--config", tmp_path / "nope.cfg"]) == 1
 
+    def test_bug_is_not_a_numerical_error(self, tmp_path, monkeypatch):
+        import sphereqed.microsphere as ms
+
+        def broken(*args, **kwargs):
+            raise IndexError("bug in block slicing")
+
+        monkeypatch.setattr(ms, "collective_rates", broken)
+        cfg = tmp_path / "free.cfg"
+        cfg.write_text(
+            "rates.omega = 1.0\n"
+            "sweep.axis = theta\nsweep.lo = 0\nsweep.hi = 3\nsweep.count = 2\n"
+        )
+        with pytest.raises(IndexError):
+            run_cli(["rates", "--config", cfg, "--out", tmp_path / "out.csv"])
+
+    def test_failing_point_in_second_block_is_named(self, tmp_path, capsys):
+        # near the surface-mode accumulation frequency the series overflows
+        # the l = 300 cap; the first failing point lies in the second block
+        from sphereqed.microsphere import (
+            BLOCK,
+            DrudeLorentzParams,
+            NonConvergenceError,
+            SphereSystem,
+            rates_pm,
+        )
+
+        omegas = np.linspace(1.04, 1.0545, 40)
+        sys0 = SphereSystem(DrudeLorentzParams(0.5, 1e-6), 10.0, 0.14, math.pi)
+        failing = []
+        for k, om in enumerate(omegas):
+            try:
+                rates_pm(sys0, om)
+            except (NonConvergenceError, ArithmeticError):
+                failing.append(k)
+        assert failing and BLOCK <= failing[0] < len(omegas)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(
+            "sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.0545\nsweep.count = 40\n"
+        )
+        assert run_cli(["rates", "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
+        assert f"sweep point {failing[0]} " in capsys.readouterr().err
+
     def test_numerical_error_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "close.cfg"
         # atoms far too close to the surface for the l <= 300 multipole sum
@@ -120,8 +162,9 @@ class TestRates:
         cfg = tmp_path / "free.cfg"
         cfg.write_text(
             "sphere.omega_p = 0\nsphere.radius = 1\nsphere.atom_distance = 1\n"
-            "sweep.axis = omega\nsweep.lo = 0.5\nsweep.hi = 1.5\nsweep.count = 9\n"
+            "sweep.axis = omega\nsweep.lo = 0.5\nsweep.hi = 1.5\nsweep.count = 70\n"
         )
+        # 70 points span three blocks of the sphere kernel
         serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
         assert run_cli(["rates", "--config", cfg, "--out", serial]) == 0
         assert run_cli(["rates", "--config", cfg, "--out", pooled, "--threads", 4]) == 0

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sphereqed.microsphere import (
+    BLOCK,
     DrudeLorentzParams,
     NonConvergenceError,
     Resonance,
     SphereSystem,
     collective_rate,
+    collective_rates,
     find_resonances,
     mie_coefficient,
     permittivity,
@@ -137,6 +139,40 @@ class TestCollectiveRate:
         lmax = int(2 * math.pi * om * (radius + dr)) + 40
         want = mp_collective_rate(omega_p, gamma, radius, dr, theta, om, lmax)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+class TestBlockKernel:
+    def test_block_invariance_across_distance_sweep(self, fig2_system):
+        # 40 points cross a block boundary and mix near-surface points, whose
+        # series need the l = 300 cap, with far ones that settle early
+        dr = np.linspace(0.05, 3.0, 40)
+        assert len(dr) > BLOCK
+        sys0 = fig2_system
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.radius + dr, 1.0501, -1.0)
+        assert gaa.shape == gab.shape == dr.shape
+        for k, d in enumerate(dr):
+            one = SphereSystem(sys0.params, sys0.radius, d, sys0.theta)
+            want_aa = collective_rate(one, 1.0501, same_atom=True)
+            want_ab = collective_rate(one, 1.0501, same_atom=False)
+            assert abs(gaa[k] - want_aa) <= 1e-9 * (abs(want_aa) + 1.0)
+            assert abs(gab[k] - want_ab) <= 1e-9 * (abs(want_ab) + 1.0)
+
+    def test_arguments_broadcast(self, fig2_system):
+        sys0 = fig2_system
+        omega = np.array([[0.97], [1.0501]])
+        cos_theta = np.cos(np.array([0.0, 1.0, math.pi]))
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.r, omega, cos_theta)
+        assert gaa.shape == gab.shape == (2, 3)
+        # theta = 0 puts both dipoles at one site: Gamma_AB = Gamma_AA
+        assert np.all(gab[:, 0] == gaa[:, 0])
+        assert np.all(gaa == gaa[:, :1])
+
+    def test_domain_errors(self, fig2_system):
+        sys0 = fig2_system
+        with pytest.raises(ValueError):
+            collective_rates(sys0.params, sys0.radius, sys0.r, [1.0, 0.0], 1.0)
+        with pytest.raises(ValueError):
+            collective_rates(sys0.params, sys0.radius, sys0.radius, 1.0, 1.0)
 
 
 class TestRatesPm:

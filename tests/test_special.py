@@ -10,6 +10,7 @@ from sphereqed.special import (
     legendre_all,
     legendre_p,
     riccati_deriv,
+    riccati_deriv_all,
     spherical_h1,
     spherical_j,
     spherical_y,
@@ -145,6 +146,70 @@ class TestLegendre:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             legendre_p(3, 1.5)
+
+
+def neighbourhood_scale(values):
+    """max |f_{l-1}|, |f_l|, |f_{l+1}| per order: the scale a three-term
+    recurrence works at, which does not vanish where f_l nears a zero."""
+    m = np.abs(values)
+    scale = m.copy()
+    scale[1:] = np.maximum(scale[1:], m[:-1])
+    scale[:-1] = np.maximum(scale[:-1], m[1:])
+    return scale
+
+
+# arguments of the scalar tests above plus a spread over the hypothesis domains
+_RNG = np.random.default_rng(7)
+J_ARGS = np.concatenate([
+    [1.0, 1e-4, 10 + 0.1j, 2 + 30j, 6 * math.pi, 3 + 0.5j, 120.0, 400 + 40j, 0.0],
+    _RNG.uniform(0.5, 200.0, 8),
+    _RNG.uniform(-60.0, 60.0, 8) + 1j * _RNG.uniform(-25.0, 25.0, 8),
+])
+H_ARGS = np.array(
+    [1.0, 66.0, 0.8 + 0.3j, 2.5, 55.0, 80.0, 45.0, 8 - 2j, 90 + 10j, 15 + 3j, 5 + 20j]
+)
+
+
+class TestArrayArguments:
+    """A 1-D argument array gives one column per argument, equal to the
+    scalar call's array to 1e-13 relative."""
+
+    @pytest.mark.parametrize("lmax", [1, 40, 150])
+    def test_sph_jn_columns(self, lmax):
+        cols = sph_jn_all(lmax, J_ARGS)
+        assert cols.shape == (lmax + 1, len(J_ARGS))
+        for k, z in enumerate(J_ARGS):
+            want = sph_jn_all(lmax, z)
+            assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * neighbourhood_scale(want))
+
+    @pytest.mark.parametrize("lmax", [1, 15, 60, 120])
+    def test_sph_h1n_columns(self, lmax):
+        cols = sph_h1n_all(lmax, H_ARGS)
+        assert cols.shape == (lmax + 1, len(H_ARGS))
+        for k, z in enumerate(H_ARGS):
+            want = sph_h1n_all(lmax, z)
+            assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * np.abs(want))
+
+    def test_sph_h1n_overflow_stays_in_its_column(self):
+        cols = sph_h1n_all(300, np.array([0.5, 66.0]))
+        assert not np.all(np.isfinite(cols[:, 0]))
+        assert np.all(np.abs(cols[:, 1] - sph_h1n_all(300, 66.0)) <= 1e-13 * np.abs(cols[:, 1]))
+
+    @pytest.mark.parametrize("kind", [sph_jn_all, sph_h1n_all])
+    def test_riccati_columns(self, kind):
+        z = H_ARGS
+        cols = riccati_deriv_all(kind(40, z), z)
+        for k, zk in enumerate(z):
+            want = riccati_deriv_all(kind(40, zk), zk)
+            assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * neighbourhood_scale(want))
+
+    def test_legendre_columns(self):
+        x = np.array([-1.0, -0.3, 0.0, 0.5, 0.9999, 1.0])
+        cols = legendre_all(200, x)
+        for k, xk in enumerate(x):
+            assert np.all(np.abs(cols[:, k] - legendre_all(200, xk)) <= 1e-13)
+        with pytest.raises(ValueError):
+            legendre_all(3, np.array([0.5, 1.5]))
 
 
 # property-based invariants
