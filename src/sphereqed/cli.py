@@ -283,8 +283,7 @@ def cmd_dynamics(cfg: dict, out: str, threads: int) -> None:
 
 def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
     t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-    traj = dyn.sample_closed(p, d, t_end, 2000)
-    state = ss.integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+    state = ss.decayed_steady_state(p, d, t_end, (p.gamma32_pm("+"), p.gamma32_pm("-")))
     conc = ss.concurrence_closed_form(state)
     return (
         value,

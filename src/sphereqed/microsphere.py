@@ -19,6 +19,7 @@ import numpy as np
 
 from .special import (
     L_MAX_SUPPORTED,
+    RecurrenceDomainError,
     legendre_all,
     riccati_deriv_all,
     sph_h1n_all,
@@ -411,13 +412,18 @@ def _denominator_balance(sys: SphereSystem, l: int, omega):
 
 
 def _newton_root(sys: SphereSystem, l: int, omega0: float) -> complex | None:
-    """Complex Newton iteration on the Mie denominator from a real start."""
+    """Complex Newton iteration on the Mie denominator from a real start;
+    None when it does not converge or an iterate leaves the region where
+    h_l^(1) is accurate."""
     om = complex(omega0)
     for _ in range(50):
         h = 1e-7 * abs(om)
-        d0 = _denominator(sys, l, om)
-        dp = _denominator(sys, l, om + h)
-        dm = _denominator(sys, l, om - h)
+        try:
+            d0 = _denominator(sys, l, om)
+            dp = _denominator(sys, l, om + h)
+            dm = _denominator(sys, l, om - h)
+        except RecurrenceDomainError:
+            return None
         deriv = (dp - dm) / (2.0 * h)
         if deriv == 0:
             return None

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AmplitudeTrajectory, CouplingParams, DriveSpec, amplitude_modes
+from .dynamics import (
+    BRANCHES,
+    AmplitudeTrajectory,
+    CouplingParams,
+    DriveSpec,
+    amplitude_closed,
+    amplitude_modes,
+)
 
 # computational two-qubit basis ordering used for every 4x4 matrix here
 BASIS_LABELS = ("11", "12", "21", "22")
@@ -98,6 +105,17 @@ def steady_state_from_params(
     return SteadyState(alpha_plus=alpha_plus, alpha_minus=alpha_minus, beta=complex(beta))
 
 
+def _require_decayed(endpoints) -> None:
+    """Raise UndecayedTrajectoryError unless |C| < 1e-6 at the end of every
+    (branch, C(T_end)) pair: the stationary integrals run to infinity, and
+    an amplitude still alive at T_end means the horizon is too short."""
+    for b, c_end in endpoints:
+        if abs(c_end) >= 1e-6:
+            raise UndecayedTrajectoryError(
+                f"|C_{b}(T_end)| = {abs(c_end):.3e} >= 1e-6; extend the trajectory"
+            )
+
+
 def integrate_alpha_beta(
     traj: AmplitudeTrajectory, gamma32_pm: tuple[float, float]
 ) -> SteadyState:
@@ -107,13 +125,18 @@ def integrate_alpha_beta(
     branches); the integrals themselves are evaluated analytically from the
     exponential-mode expansion carried by traj.params and traj.drive.
     """
-    for b in ("+", "-"):
-        c = traj.branch(b)
-        if abs(c[-1]) >= 1e-6:
-            raise UndecayedTrajectoryError(
-                f"|C_{b}(T_end)| = {abs(c[-1]):.3e} >= 1e-6; extend the trajectory"
-            )
+    _require_decayed((b, traj.branch(b)[-1]) for b in BRANCHES)
     return steady_state_from_params(traj.params, traj.drive, gamma32_pm)
+
+
+def decayed_steady_state(
+    p: CouplingParams, d: DriveSpec, t_end: float, gamma32_pm: tuple[float, float]
+) -> SteadyState:
+    """Stationary state from the closed-form modes, once the closed-form
+    amplitudes have decayed at t_end (|C_pm(t_end)| < 1e-6): the guard of
+    integrate_alpha_beta, evaluated at t_end without sampling a trajectory."""
+    _require_decayed((b, amplitude_closed(p, d, b, t_end)) for b in BRANCHES)
+    return steady_state_from_params(p, d, gamma32_pm)
 
 
 def alpha_beta_regime(

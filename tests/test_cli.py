@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphereqed import cli, dynamics, steady_state
 from sphereqed.cli import main
 from sphereqed.config import ConfigError, parse_config
 
@@ -259,6 +260,31 @@ class TestEntangle:
         assert all(a >= 0.9 for a in alphas)
         # photon loss grows with resonance width along the sweep
         assert alphas == sorted(alphas, reverse=True)
+
+    @pytest.mark.parametrize("placement", ["site_of_a", "equidistant"])
+    def test_row_equals_row_from_sampled_trajectory(self, placement):
+        # the decay guard at t_end gives the row that a 2000-point closed-form
+        # trajectory and integrate_alpha_beta on its last sample gave
+        text = REGIME_A_EXPLICIT.replace("site_of_a", placement)
+        cfg = parse_config(text + "drive.gamma_ad = 9000.0\n")
+        base = cli._coupling_from_cfg(cfg)
+        for dwc in (0.01, 0.02, 0.03, 0.4):
+            p = dynamics.CouplingParams(
+                base.gamma31_aa, base.gamma31_ab, base.gamma32_aa, base.gamma32_ab, dwc
+            )
+            d = cli._drive_from_cfg(cfg, p)
+            t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
+            traj = dynamics.sample_closed(p, d, t_end, 2000)
+            state = steady_state.integrate_alpha_beta(
+                traj, (p.gamma32_pm("+"), p.gamma32_pm("-"))
+            )
+            want = (
+                dwc, p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,
+                p.detuning_delta, p.g_plus, p.g_minus, d.f_plus0.real, d.f_plus0.imag,
+                d.f_minus0.real, d.f_minus0.imag, state.alpha_plus, state.alpha_minus,
+                state.beta.real, state.beta.imag, steady_state.concurrence_closed_form(state),
+            )
+            assert cli._steady_row(dwc, p, d) == want
 
     def test_sphere_mode_pipeline(self, tmp_path):
         cfg = tmp_path / "sphere_ent.cfg"

@@ -17,7 +17,10 @@ from sphereqed.dynamics import (
     regime_classify,
     sample_closed,
     volterra_branch,
+    VOLTERRA_BLOCK,
 )
+
+from oracles import direct_volterra_branch
 
 
 def generic_params(**overrides):
@@ -159,6 +162,24 @@ class TestVolterra:
         for branch in "+-":
             dev = np.abs(traj.branch(branch) - amplitude_closed(p, d, branch, traj.times))
             assert np.max(dev) < 1e-6
+
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1, VOLTERRA_BLOCK - 1, VOLTERRA_BLOCK, VOLTERRA_BLOCK + 1, 5 * VOLTERRA_BLOCK + 3, 3001],
+    )
+    def test_matches_direct_history_sum(self, n_steps):
+        # step counts on both sides of the block boundaries, where the FFT
+        # tiles of the history start to feed the sums
+        p = generic_params()
+        d = DriveSpec(0.9 - 0.3j, 0.5 + 0.4j)
+        for branch in "+-":
+            step = stepsize(p)
+            t_max = (n_steps - 0.5) * step
+            t, c = volterra_branch(p, d, branch, t_max, step)
+            t_ref, c_ref = direct_volterra_branch(p, d, branch, t_max, step)
+            assert len(c) == n_steps + 1
+            assert np.array_equal(t, t_ref)
+            assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
 
     def test_step_precondition_enforced(self):
         p = generic_params()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphereqed import microsphere
 from sphereqed.microsphere import (
     BLOCK,
     DrudeLorentzParams,
@@ -18,7 +19,9 @@ from sphereqed.microsphere import (
     refractive_index,
     resonance_kind,
     single_term_rate,
+    size_parameter,
 )
+from sphereqed.special import H1_IM_MIN
 
 from oracles import free_space_cross_rate, mp_collective_rate, mp_mie_coefficient
 
@@ -201,6 +204,20 @@ class TestRatesPm:
         assert gm == pytest.approx(1.0, abs=0.2)
 
 
+@pytest.fixture
+def denominator_args(monkeypatch):
+    """Every omega at which the resonance search evaluates the Mie denominator."""
+    seen = []
+    denominator = microsphere._denominator
+
+    def spy(sys, l, omega):
+        seen.append(complex(omega))
+        return denominator(sys, l, omega)
+
+    monkeypatch.setattr(microsphere, "_denominator", spy)
+    return seen
+
+
 class TestFindResonances:
     def test_fig2_resonance_location(self, fig2_resonance):
         assert 1.0495 <= fig2_resonance.omega_c <= 1.0507
@@ -228,6 +245,18 @@ class TestFindResonances:
         assert found
         assert all(r.kind == "WG" for r in found)
         assert all(0.92 <= r.omega_c <= 0.93 and r.delta_omega_c > 0 for r in found)
+
+    def test_newton_drops_iterate_below_accurate_region(self, fig2_system, denominator_args):
+        # from omega = 0.3 the l = 1 iteration passes below Im(k R) = -5,
+        # where h_l^(1) is refused, and the candidate is dropped
+        assert microsphere._newton_root(fig2_system, 1, 0.3) is None
+        lowest = min(size_parameter(om, fig2_system.radius).imag for om in denominator_args)
+        assert lowest < H1_IM_MIN
+
+    def test_newton_iterates_of_demo_root_stay_near_axis(self, fig2_system, fig2_resonance,
+                                                        denominator_args):
+        assert find_resonances(fig2_system, 1.0495, 1.0507, [121]) == [fig2_resonance]
+        assert min(om.imag for om in denominator_args) > -1e-5
 
     def test_lorentzian_width_consistency(self, fig2_system, fig2_resonance):
         # a complex-pole fit to Gamma_AA(omega) must recover the root's width

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphereqed.special import (
+    H1_IM_MIN,
     L_MAX_SUPPORTED,
+    RecurrenceDomainError,
     legendre_all,
     legendre_p,
     riccati_deriv,
@@ -104,6 +106,36 @@ class TestSphericalH1:
     @pytest.mark.parametrize("l,z", [(60, 45.0), (15, 8.0 - 2.0j), (110, 90.0 + 10.0j)])
     def test_against_multiprecision(self, l, z):
         assert rel_err(spherical_h1(l, z), mp_spherical_h1(l, z)) < 1e-10
+
+
+class TestHankelBelowAxis:
+    """Below the real axis the upward recurrence loses about
+    eps * e^(2 |Im z|): it must stay accurate down to H1_IM_MIN and refuse
+    arguments beyond it instead of returning wrong values."""
+
+    @pytest.mark.parametrize("im", [-0.5, -2.0, H1_IM_MIN])
+    @pytest.mark.parametrize("re", [0.8, 8.0, 22.3, 59.7])
+    def test_against_multiprecision(self, re, im):
+        z = complex(re, im)
+        arr = sph_h1n_all(69, z)
+        cols = sph_h1n_all(69, np.array([z, re]))
+        for l in (0, 1, 10, 39, 69):
+            want = mp_spherical_h1(l, z)
+            assert rel_err(arr[l], want) < 1e-11
+            assert rel_err(cols[l, 0], want) < 1e-11
+
+    @pytest.mark.parametrize("l,z", [(39, 22.3 - 20.8j), (69, 59.7 - 13.6j)])
+    def test_refused_below_the_line(self, l, z):
+        with pytest.raises(RecurrenceDomainError):
+            spherical_h1(l, z)
+        with pytest.raises(RecurrenceDomainError):
+            riccati_deriv("H1", l, z)
+        # the column path leaves the refused column non-finite and computes
+        # the others as before
+        cols = sph_h1n_all(l, np.array([z, z.real, z.conjugate()]))
+        assert not np.any(np.isfinite(cols[:, 0]))
+        assert np.array_equal(cols[:, 1], sph_h1n_all(l, np.array([z.real]))[:, 0])
+        assert np.array_equal(cols[:, 2], sph_h1n_all(l, np.array([z.conjugate()]))[:, 0])
 
 
 class TestRiccatiDeriv:
@@ -255,6 +287,10 @@ def test_three_term_recurrence_j(z, l):
 @settings(max_examples=60, deadline=None)
 def test_three_term_recurrence_h(z, l):
     assume(abs(z) > 1.0)
+    if z.imag < H1_IM_MIN:
+        with pytest.raises(RecurrenceDomainError):
+            sph_h1n_all(l + 1, z)
+        return
     try:
         arr = sph_h1n_all(l + 1, z)
     except OverflowError:

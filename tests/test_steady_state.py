@@ -15,6 +15,7 @@ from sphereqed.steady_state import (
     assemble_density,
     concurrence_oracle,
     concurrence_closed_form,
+    decayed_steady_state,
     entanglement_check,
     integrate_alpha_beta,
     steady_state_from_params,
@@ -87,6 +88,17 @@ class TestIntegrateAlphaBeta:
         traj = sample_closed(p, d, 1.0)
         with pytest.raises(UndecayedTrajectoryError):
             integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+
+    def test_guard_at_t_end_rejects_undecayed(self):
+        p = generic_params()
+        d = DriveSpec(1.0, 0.5)
+        g32 = (p.gamma32_pm("+"), p.gamma32_pm("-"))
+        with pytest.raises(UndecayedTrajectoryError) as from_traj:
+            integrate_alpha_beta(sample_closed(p, d, 1.0), g32)
+        with pytest.raises(UndecayedTrajectoryError) as at_t_end:
+            decayed_steady_state(p, d, 1.0, g32)
+        assert str(at_t_end.value) == str(from_traj.value)
+        assert decayed_steady_state(p, d, horizon(p), g32) == steady_state_from_params(p, d, g32)
 
     def test_monotone_in_resonance_width(self):
         # wider resonance, more photon loss, smaller transferred population
