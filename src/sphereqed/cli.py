@@ -69,12 +69,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
-    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Metadata lines, the header and one line per row of the iterable
+    rows, each line written as soon as it is formatted."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {k} = {_fmt(v)}\n" for k, v in meta.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def _sweep_map(fn, values, threads: int) -> list:
@@ -263,10 +263,10 @@ def cmd_dynamics(cfg: dict, out: str, threads: int) -> None:
     else:
         step = get_float(cfg, "dynamics.step")
         traj = dyn.amplitude_volterra(p, d, t_max, step)
-    rows = [
+    rows = (
         (t, cp.real, cp.imag, cm.real, cm.imag)
         for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
-    ]
+    )
     resolved = {
         "resolved.f_plus0_re": d.f_plus0.real,
         "resolved.f_plus0_im": d.f_plus0.imag,

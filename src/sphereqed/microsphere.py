@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import (
+    H1_IM_MIN,
     L_MAX_SUPPORTED,
-    RecurrenceDomainError,
     legendre_all,
     riccati_deriv_all,
     sph_h1n_all,
@@ -135,30 +135,46 @@ def size_parameter(omega: complex, length: float) -> complex:
     return 2.0 * math.pi * omega * length
 
 
+def _interior_factors(params: DrudeLorentzParams, radius: float, lmax: int, omega):
+    """z1 = k R, and eps j_l(z2) and [z2 j_l(z2)]' at z2 = n k R for
+    l = 0..lmax: the interior-field factors that the numerator and the
+    denominator of the TM scattering coefficient share.  An array omega
+    gives one column per frequency."""
+    eps = permittivity(params, omega)
+    z1 = size_parameter(omega, radius)
+    z2 = refractive_index(params, omega) * z1
+    ej2 = sph_jn_all(lmax, z2)
+    rj2 = riccati_deriv_all(ej2, z2)
+    ej2 *= eps
+    return z1, ej2, rj2
+
+
+def _denominator_terms(z1, ej2, rj2):
+    """The two terms t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]'
+    of the TM Mie denominator t1 - t2, from _interior_factors; both are
+    built in place, in the arrays of h_l(z1) and [z1 h_l(z1)]'."""
+    t2 = sph_h1n_all(len(ej2) - 1, z1)
+    t1 = riccati_deriv_all(t2, z1)
+    t1 *= ej2
+    t2 *= rj2
+    return t1, t2
+
+
 def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
     """Numerator/denominator arrays of the TM scattering coefficient for
     l = 0..lmax at frequency omega (complex allowed); an array omega gives
     one column per frequency."""
-    eps = permittivity(params, omega)
-    n2 = refractive_index(params, omega)
-    z1 = size_parameter(omega, radius)
-    z2 = n2 * z1
-    # num = eps j2 rj1 - j1 rj2 and den = eps j2 rh1 - h1 rj2, built in
-    # place so that few (orders x frequencies) arrays are alive at once
-    j2 = sph_jn_all(lmax, z2)
-    rj2 = riccati_deriv_all(j2, z2)
-    j2 *= eps
+    z1, ej2, rj2 = _interior_factors(params, radius, lmax, omega)
+    # num = eps j2 rj1 - j1 rj2 and den = t1 - t2, built in place and in
+    # this order so that few (orders x frequencies) arrays are alive at once
     j1 = sph_jn_all(lmax, z1)
     num = riccati_deriv_all(j1, z1)
-    num *= j2
+    num *= ej2
     j1 *= rj2
     num -= j1
     del j1
-    h1 = sph_h1n_all(lmax, z1)
-    den = riccati_deriv_all(h1, z1)
-    den *= j2
-    h1 *= rj2
-    den -= h1
+    den, t2 = _denominator_terms(z1, ej2, rj2)
+    den -= t2
     return num, den
 
 
@@ -381,76 +397,133 @@ def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False)
     return float(terms[res.l, 0] * legendre_all(res.l, cos_theta)[res.l])
 
 
-def _denominator(sys: SphereSystem, l: int, omega: complex) -> complex:
-    return complex(_mie_arrays(sys.params, sys.radius, l, omega)[1][l])
+def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
+    """Row l of the denominator terms t1 and t2 at each frequency of the
+    1-D array omega, for the resonance refinement; a single point takes the
+    scalar loop.
+
+    Both are NaN at a point where k R lies below H1_IM_MIN, where h_l^(1)
+    is not accurate, so that the refinement drops it.  A recurrence that
+    overflows at any other point raises OverflowError, on both paths.
+    """
+    if np.iscomplexobj(omega):
+        inside = size_parameter(omega, sys.radius).imag >= H1_IM_MIN
+        if not inside.all():
+            t1 = np.full(len(omega), np.nan, dtype=complex)
+            t2 = t1.copy()
+            if inside.any():
+                t1[inside], t2[inside] = _order_terms(sys, l, omega[inside])
+            return t1, t2
+    if len(omega) == 1:
+        t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega[0]))
+        return t1[l : l + 1], t2[l : l + 1]
+    t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega))
+    # the column recurrences leave an overflow in place; the scalar ones raise
+    finite = np.isfinite(t1).all(axis=0) & np.isfinite(t2).all(axis=0)
+    if not finite.all():
+        raise OverflowError(
+            f"Mie denominator recurrences overflowed for l={l} at omega={omega[~finite][0]}"
+        )
+    return t1[l], t2[l]
 
 
-def _denominator_balance(sys: SphereSystem, l: int, omega):
-    """|t1 - t2| / (|t1| + |t2|) for the two denominator terms, elementwise
-    for an array omega.
+def _balance(t1, t2):
+    """|t1 - t2| / (|t1| + |t2|), and 1 where both terms vanish.
 
     The raw denominator rides an exponential envelope in omega (through
     j_l(z2) inside the gap); the normalized cancellation ratio is O(1) away
     from a resonance and dips sharply at one, which makes it the right
     quantity to bracket on a real-frequency grid.
     """
-    eps = permittivity(sys.params, omega)
-    n2 = refractive_index(sys.params, omega)
-    z1 = size_parameter(omega, sys.radius)
-    z2 = n2 * z1
-    j2 = sph_jn_all(l, z2)
-    h1 = sph_h1n_all(l, z1)
-    rj2 = riccati_deriv_all(j2, z2)
-    rh1 = riccati_deriv_all(h1, z1)
-    t1 = eps * j2[l] * rh1[l]
-    t2 = h1[l] * rj2[l]
-    denom = abs(t1) + abs(t2)
-    if np.ndim(denom) == 0:
-        return 1.0 if denom == 0.0 else abs(t1 - t2) / denom
+    denom = np.abs(t1) + np.abs(t2)
     with np.errstate(invalid="ignore"):
-        return np.where(denom == 0.0, 1.0, abs(t1 - t2) / denom)
+        return np.where(denom == 0.0, 1.0, np.abs(t1 - t2) / denom)
 
 
-def _newton_root(sys: SphereSystem, l: int, omega0: float) -> complex | None:
-    """Complex Newton iteration on the Mie denominator from a real start;
-    None when it does not converge or an iterate leaves the region where
-    h_l^(1) is accurate."""
-    om = complex(omega0)
+def _denominator(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
+    """The Mie denominator of order l at each frequency of the 1-D array
+    omega (see _order_terms)."""
+    t1, t2 = _order_terms(sys, l, omega)
+    return t1 - t2
+
+
+def _denominator_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
+    """The balance ratio of order l at each frequency of the 1-D array omega
+    (see _order_terms and _balance)."""
+    return _balance(*_order_terms(sys, l, omega))
+
+
+def _grid_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
+    """The balance ratio of order l at each point of a grid chunk, straight
+    from the column recurrences: a point where they overflow is NaN, which
+    is never a minimum."""
+    t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega))
+    return _balance(t1[l], t2[l])
+
+
+def _newton_root(sys: SphereSystem, l: int, omega0):
+    """Complex Newton iteration on the Mie denominator from real starts.
+
+    The iterates of all starts move together: each step makes one call
+    each at omega and omega +/- h over the iterates still active.  An
+    iterate converges when its step falls below 1e-12; it is dropped when
+    the derivative vanishes, when it leaves the region where h_l^(1) is
+    accurate, or after 50 steps.  Returns an array of roots, NaN where a
+    start was dropped; a scalar start gives its root or None.
+    """
+    om = np.array(omega0, dtype=complex, ndmin=1)
+    roots = np.full(len(om), np.nan, dtype=complex)
+    active = np.arange(len(om))
     for _ in range(50):
-        h = 1e-7 * abs(om)
-        try:
-            d0 = _denominator(sys, l, om)
-            dp = _denominator(sys, l, om + h)
-            dm = _denominator(sys, l, om - h)
-        except RecurrenceDomainError:
-            return None
-        deriv = (dp - dm) / (2.0 * h)
-        if deriv == 0:
-            return None
-        step = d0 / deriv
-        om -= step
-        if abs(step) < 1e-12:
-            return om
-    return None
+        d0 = _denominator(sys, l, om[active])
+        inside = ~np.isnan(d0)
+        active, d0 = active[inside], d0[inside]
+        if not active.size:
+            break
+        w = om[active]
+        h = 1e-7 * np.abs(w)
+        deriv = (_denominator(sys, l, w + h) - _denominator(sys, l, w - h)) / (2.0 * h)
+        moving = deriv != 0
+        active, w = active[moving], w[moving]
+        step = d0[moving] / deriv[moving]
+        om[active] = w - step
+        done = np.abs(step) < 1e-12
+        roots[active[done]] = om[active[done]]
+        active = active[~done]
+        if not active.size:
+            break
+    if np.ndim(omega0):
+        return roots
+    return None if np.isnan(roots[0]) else complex(roots[0])
 
 
-def _refine_real_minimum(sys: SphereSystem, l: int, a: float, b: float) -> float:
-    """Golden-section minimization of the balance ratio on [a, b]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine_real_minimum(sys: SphereSystem, l: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Golden-section minimization of the balance ratio on each bracket
+    [a_k, b_k], all brackets together: each step probes the still-open
+    brackets in one call, and a bracket closes when it is narrower than
+    1e-12 max(1, |a_k|), or after 60 steps."""
+    a, b = a.copy(), b.copy()
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
     f1 = _denominator_balance(sys, l, x1)
     f2 = _denominator_balance(sys, l, x2)
+    open_ = np.arange(len(a))
     for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = _denominator_balance(sys, l, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = _denominator_balance(sys, l, x2)
-        if b - a < 1e-12 * max(1.0, abs(a)):
+        left = f1[open_] <= f2[open_]
+        # left: the minimum lies in [a, x2], and x1 becomes the new x2
+        lo, hi = open_[left], open_[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
+        f = _denominator_balance(sys, l, np.where(left, x1[open_], x2[open_]))
+        f1[lo], f2[hi] = f[left], f[~left]
+        a_open = a[open_]
+        open_ = open_[~(b[open_] - a_open < 1e-12 * np.maximum(1.0, np.abs(a_open)))]
+        if not open_.size:
             break
     return 0.5 * (a + b)
 
@@ -467,43 +540,44 @@ def find_resonances(
     For each multipole order the balance ratio is sampled on a real grid
     (grid_per_unit points per unit omega_T, at least 64 across the window),
     interior local minima are sharpened by golden-section search and then
-    handed to a complex Newton iteration on the raw denominator.  Converged
-    roots are kept when they fall inside the window, have positive width and
-    suppress the denominator by at least 1e-8 relative to its off-resonance
-    value at omega_c + 3*delta_omega_c.
+    handed to a complex Newton iteration on the raw denominator.  The
+    candidates of an order are refined together, one column of the Bessel
+    recurrences per candidate (a single candidate keeps the scalar loop).
+    Converged roots are kept when they fall inside the window, have
+    positive width and suppress the denominator by at least 1e-8 relative
+    to its off-resonance value at omega_c + 3*delta_omega_c.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
     found: list[Resonance] = []
     npts = max(64, int(grid_per_unit * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
+    # the grid in near-equal chunks of about BLOCK points keeps the
+    # (orders x points) arrays small and leaves no one-point chunk
+    chunks = np.array_split(grid, max(1, npts // BLOCK))
     for l in l_range:
         if l < 1 or l > L_MAX_SUPPORTED:
             raise ValueError(f"l={l} outside 1..{L_MAX_SUPPORTED}")
-        # the grid in blocks keeps the (orders x points) arrays small
-        vals = np.concatenate(
-            [_denominator_balance(sys, l, grid[i : i + BLOCK]) for i in range(0, npts, BLOCK)]
-        )
-        minima = [
-            i
-            for i in range(1, npts - 1)
-            if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.5
-        ]
-        roots: list[complex] = []
-        for i in minima:
-            om_min = _refine_real_minimum(sys, l, grid[i - 1], grid[i + 1])
-            root = _newton_root(sys, l, om_min)
-            if root is None:
-                continue
+        vals = np.concatenate([_grid_balance(sys, l, chunk) for chunk in chunks])
+        mid = vals[1:-1]
+        minima = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1
+        if not minima.size:
+            continue
+        starts = _refine_real_minimum(sys, l, grid[minima - 1], grid[minima + 1])
+        roots = _newton_root(sys, l, starts)
+        wc, dwc = roots.real, -roots.imag
+        # dropped candidates are NaN and fail every comparison
+        ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
+        kept = roots[ok]
+        if kept.size:
+            ref = np.abs(_denominator(sys, l, wc[ok] + 3.0 * dwc[ok]))
+            kept = kept[np.abs(_denominator(sys, l, kept)) < 1e-8 * ref]
+        unique: list[complex] = []
+        for root in kept.tolist():
             wc, dwc = root.real, -root.imag
-            if not (omega_lo <= wc <= omega_hi) or dwc <= 0:
+            if any(abs(root - r) < 10.0 * max(dwc, 1e-12) for r in unique):
                 continue
-            ref = abs(_denominator(sys, l, wc + 3.0 * dwc))
-            if abs(_denominator(sys, l, root)) >= 1e-8 * ref:
-                continue
-            if any(abs(root - r) < 10.0 * max(dwc, 1e-12) for r in roots):
-                continue
-            roots.append(root)
+            unique.append(root)
             found.append(
                 Resonance(
                     omega_c=wc,

@@ -3,8 +3,10 @@
 Nothing in here goes through the package's recurrence machinery: Bessel
 functions come from mpmath half-integer Bessel calls at 40 digits, the
 free-space rates from the closed-form dyadic Green function, the Volterra
-amplitudes from the direct O(N^2) trapezoid-history quadrature, and the
-stationary integrals from plain trapezoid quadrature on dense samples.
+amplitudes from the direct O(N^2) trapezoid-history quadrature, the
+stationary integrals from plain trapezoid quadrature on dense samples, and
+the resonance search from a refinement that takes its candidates one at a
+time through the scalar recurrences.
 """
 
 from __future__ import annotations
@@ -13,6 +15,21 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from sphereqed.microsphere import (
+    BLOCK,
+    Resonance,
+    permittivity,
+    refractive_index,
+    resonance_kind,
+    size_parameter,
+)
+from sphereqed.special import (
+    RecurrenceDomainError,
+    riccati_deriv_all,
+    sph_h1n_all,
+    sph_jn_all,
+)
 
 mp.mp.dps = 40
 
@@ -149,3 +166,108 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
         mem += 0.5 * h * karr[0] * (c[n + 1] - c_pred)
         f[n + 1] = w * c[n + 1] + mem + farr[n + 1]
     return t, c
+
+
+def _denominator_terms(sys, l: int, omega):
+    """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at a
+    scalar or (column path) 1-D array omega."""
+    eps = permittivity(sys.params, omega)
+    z1 = size_parameter(omega, sys.radius)
+    z2 = refractive_index(sys.params, omega) * z1
+    j2 = sph_jn_all(l, z2)
+    h1 = sph_h1n_all(l, z1)
+    rj2 = riccati_deriv_all(j2, z2)
+    rh1 = riccati_deriv_all(h1, z1)
+    return eps * j2[l] * rh1[l], h1[l] * rj2[l]
+
+
+def _balance(sys, l: int, omega):
+    t1, t2 = _denominator_terms(sys, l, omega)
+    denom = abs(t1) + abs(t2)
+    if np.ndim(denom) == 0:
+        return 1.0 if denom == 0.0 else abs(t1 - t2) / denom
+    with np.errstate(invalid="ignore"):
+        return np.where(denom == 0.0, 1.0, abs(t1 - t2) / denom)
+
+
+def _denominator(sys, l: int, omega: complex) -> complex:
+    t1, t2 = _denominator_terms(sys, l, omega)
+    return complex(t1 - t2)
+
+
+def _newton_root(sys, l: int, omega0: float):
+    om = complex(omega0)
+    for _ in range(50):
+        h = 1e-7 * abs(om)
+        try:
+            d0 = _denominator(sys, l, om)
+            dp = _denominator(sys, l, om + h)
+            dm = _denominator(sys, l, om - h)
+        except RecurrenceDomainError:
+            return None
+        deriv = (dp - dm) / (2.0 * h)
+        if deriv == 0:
+            return None
+        step = d0 / deriv
+        om -= step
+        if abs(step) < 1e-12:
+            return om
+    return None
+
+
+def _golden_minimum(sys, l: int, a: float, b: float) -> float:
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1 = _balance(sys, l, x1)
+    f2 = _balance(sys, l, x2)
+    for _ in range(60):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = _balance(sys, l, x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = _balance(sys, l, x2)
+        if b - a < 1e-12 * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
+
+
+def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range,
+                           grid_per_unit: int = 2000):
+    """sphereqed.microsphere.find_resonances with every candidate refined
+    on its own: golden section and Newton steps are single-point calls of
+    the scalar recurrences.  Same grid, thresholds, iteration caps, window
+    and width filters, acceptance checks, dedup rule and sort."""
+    found = []
+    npts = max(64, int(grid_per_unit * (omega_hi - omega_lo))) + 1
+    grid = np.linspace(omega_lo, omega_hi, npts)
+    for l in l_range:
+        vals = np.concatenate(
+            [_balance(sys, l, grid[i : i + BLOCK]) for i in range(0, npts, BLOCK)]
+        )
+        minima = [
+            i
+            for i in range(1, npts - 1)
+            if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.5
+        ]
+        roots = []
+        for i in minima:
+            root = _newton_root(sys, l, _golden_minimum(sys, l, grid[i - 1], grid[i + 1]))
+            if root is None:
+                continue
+            wc, dwc = root.real, -root.imag
+            if not (omega_lo <= wc <= omega_hi) or dwc <= 0:
+                continue
+            ref = abs(_denominator(sys, l, wc + 3.0 * dwc))
+            if abs(_denominator(sys, l, root)) >= 1e-8 * ref:
+                continue
+            if any(abs(root - r) < 10.0 * max(dwc, 1e-12) for r in roots):
+                continue
+            roots.append(root)
+            found.append(Resonance(omega_c=wc, delta_omega_c=dwc, l=l,
+                                   kind=resonance_kind(wc, sys.params)))
+    found.sort(key=lambda r: (r.omega_c, r.l))
+    return found

@@ -204,6 +204,21 @@ class TestResonances:
         assert any(abs(w - 1.0501) < 6e-4 for w in omegas)
         assert omegas == sorted(omegas)
 
+    def test_threads_do_not_change_output(self, tmp_path):
+        # two orders below the gap, each with many candidates refined together
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(
+            "resonance.omega_lo = 0.95\nresonance.omega_hi = 0.99\n"
+            "resonance.l_lo = 70\nresonance.l_hi = 71\n"
+        )
+        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run_cli(["resonances", "--config", cfg, "--out", serial, "--threads", 1]) == 0
+        assert run_cli(["resonances", "--config", cfg, "--out", pooled, "--threads", 2]) == 0
+        _, header, rows = read_csv(serial)
+        assert set(column(header, rows, "l", int)) == {70, 71}
+        assert len(rows) > 10
+        assert serial.read_bytes() == pooled.read_bytes()
+
 
 class TestDynamicsCommand:
     def test_emits_decaying_amplitudes(self, tmp_path):
@@ -224,6 +239,31 @@ class TestDynamicsCommand:
         assert cp.max() > 1e-3
         assert cp[-1] < 1e-6
         assert "resolved.f_plus0_re" in meta
+
+    def test_streamed_csv_equals_list_built_rows(self, tmp_path):
+        text = (
+            "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = 2.0\n"
+            "dynamics.gamma32_ab = 0.9\ndynamics.delta_omega_c = 0.4\n"
+            "dynamics.t_max = 60\ndynamics.samples = 300\n"
+        )
+        cfg = tmp_path / "dyn.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "dyn.csv"
+        assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
+        streamed = out.read_text()
+        # the whole file built in memory from a list of rows, as one string
+        parsed = parse_config(text)
+        p = cli._coupling_from_cfg(parsed)
+        traj = dynamics.sample_closed(p, cli._drive_from_cfg(parsed, p), 60.0, 300)
+        rows = [
+            (t, cp.real, cp.imag, cm.real, cm.imag)
+            for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
+        ]
+        lines = [line for line in streamed.splitlines() if line.startswith("#")]
+        lines.append("t,c_plus_re,c_plus_im,c_minus_re,c_minus_im")
+        lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+        assert len(rows) == 300
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_volterra_method_agrees_with_closed(self, tmp_path):
         base = (

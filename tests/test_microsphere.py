@@ -23,7 +23,12 @@ from sphereqed.microsphere import (
 )
 from sphereqed.special import H1_IM_MIN
 
-from oracles import free_space_cross_rate, mp_collective_rate, mp_mie_coefficient
+from oracles import (
+    free_space_cross_rate,
+    mp_collective_rate,
+    mp_mie_coefficient,
+    scalar_find_resonances,
+)
 
 
 def free_space_system(r: float, theta: float = math.pi) -> SphereSystem:
@@ -211,7 +216,7 @@ def denominator_args(monkeypatch):
     denominator = microsphere._denominator
 
     def spy(sys, l, omega):
-        seen.append(complex(omega))
+        seen.extend(complex(om) for om in np.atleast_1d(omega))
         return denominator(sys, l, omega)
 
     monkeypatch.setattr(microsphere, "_denominator", spy)
@@ -274,6 +279,49 @@ class TestFindResonances:
         fit = least_squares(resid, q0, x_scale=[max(abs(v), dwc) for v in q0])
         assert fit.success
         assert fit.x[4] == pytest.approx(dwc, rel=0.15)
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize(
+        "omega_lo,omega_hi,l,min_roots",
+        [
+            (0.90, 0.995, 70, 20),  # below the gap: many candidates refined together
+            (1.0495, 1.0507, 121, 1),  # the demo resonance
+            (1.04, 1.06, 115, 1),  # a band-gap order with a single candidate
+        ],
+    )
+    def test_matches_one_candidate_at_a_time(self, fig2_system, omega_lo, omega_hi, l,
+                                             min_roots):
+        got = find_resonances(fig2_system, omega_lo, omega_hi, [l])
+        want = scalar_find_resonances(fig2_system, omega_lo, omega_hi, [l])
+        assert len(want) >= min_roots
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.l, g.kind) == (w.l, w.kind)
+            assert g.omega_c == pytest.approx(w.omega_c, rel=1e-12, abs=0)
+            assert g.delta_omega_c == pytest.approx(w.delta_omega_c, rel=1e-12, abs=0)
+
+    def test_newton_columns_converge_or_drop(self, fig2_system, fig2_resonance):
+        starts = fig2_resonance.omega_c + np.array([0.0, 1e-9])
+        roots = microsphere._newton_root(fig2_system, 121, starts)
+        assert roots == pytest.approx(np.full(2, roots[0]), rel=1e-13)
+        assert roots[0].real == pytest.approx(fig2_resonance.omega_c, rel=1e-12)
+        # as a column, the l = 1 iterate from 0.3 is dropped below Im(k R) = -5 too
+        assert np.all(np.isnan(microsphere._newton_root(fig2_system, 1, np.array([0.3, 0.3]))))
+
+    def test_overflowed_column_raises(self, fig2_system, monkeypatch):
+        # the column recurrences leave an overflow in place; the refinement
+        # raises it, as the scalar recurrences do, instead of dropping the point
+        sph_jn_all = microsphere.sph_jn_all
+
+        def overflowing(lmax, z):
+            out = sph_jn_all(lmax, z)
+            out[:, -1] = np.inf
+            return out
+
+        monkeypatch.setattr(microsphere, "sph_jn_all", overflowing)
+        with pytest.raises(OverflowError), np.errstate(invalid="ignore"):
+            microsphere._denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
 
 
 class TestSingleTermRate:
