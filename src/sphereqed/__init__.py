@@ -9,7 +9,6 @@ and concurrence).  `cli` wires them into reproducible CSV sweeps.
 """
 
 from .dynamics import (
-    AmplitudeTrajectory,
     CouplingParams,
     DriveSpec,
     amplitude_closed,
@@ -52,7 +51,6 @@ from .steady_state import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeTrajectory",
     "BASIS_LABELS",
     "CouplingParams",
     "DriveSpec",

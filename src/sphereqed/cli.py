@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,13 +39,36 @@ from .config import (
 
 SWEEP_AXES = ("theta", "omega", "delta_r")
 
-_FIG_DEFAULTS = {
+# the demo sphere: its sphere.* values are every subcommand's defaults, and
+# the figure presets echo all of it, rates.omega included
+_DEMO = {
     "sphere.omega_p": "0.5",
     "sphere.gamma": "1e-6",
     "sphere.radius": "10",
     "sphere.atom_distance": "0.14",
     "sphere.theta": "pi",
     "rates.omega": "1.0501",
+}
+
+RATE_COLUMNS = ("gamma_aa", "gamma_ab", "gamma_plus", "gamma_minus")
+_PM = ("gamma_plus", "gamma_minus")
+
+# figure presets: help line, swept axis, default window (sweep.lo, sweep.hi),
+# default sweep.count and rate columns
+_FIGURES = {
+    "figure2": ("Cross rate Gamma_AB vs dipole angle theta at the demo resonance.",
+                "theta", (0.0, math.pi), 181, ("gamma_ab",)),
+    # the window stops at 1.0535: closer to the surface-mode accumulation
+    # frequency sqrt(1 + omega_p^2/2) the multipole sum needs orders beyond
+    # the l = 300 cap and the sweep would fail honestly
+    "figure3": ("Gamma_pm vs transition frequency across the band-gap (SG) window.",
+                "omega", (1.04, 1.0535), 801, _PM),
+    # the window stops at 0.995; at the transverse resonance omega = 1 the
+    # permittivity magnitude blows up like omega_p^2/gamma
+    "figure4": ("Gamma_pm vs transition frequency below the gap (WG window).",
+                "omega", (0.90, 0.995), 801, _PM),
+    "figure5": ("Gamma_pm vs atom-surface distance delta_r at the demo resonance.",
+                "delta_r", (0.05, 3.0), 150, _PM),
 }
 
 
@@ -55,7 +78,7 @@ class SweepPointError(RuntimeError):
 
 # failures of the physics and numerics (UndecayedTrajectoryError is a
 # ValueError); anything else is a bug and keeps its traceback
-NUMERICAL_ERRORS = (ms.NonConvergenceError, ms.PoleError, ArithmeticError, ValueError)
+NUMERICAL_ERRORS = (ms.NonConvergenceError, ArithmeticError, ValueError)
 
 DRIVE_PLACEMENTS = ("site_of_a", "equidistant", "explicit")
 
@@ -77,19 +100,18 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
         fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
-def _sweep_map(fn, values, threads: int) -> list:
-    """fn over consecutive blocks of ms.BLOCK sweep values, each call
-    returning one item per value; the items in sweep order.
+def _sweep_map(fn, values) -> list:
+    """fn over consecutive blocks of ms.BLOCK sweep values, in order, each
+    call returning one item per value; the items in sweep order.
 
-    Threads take whole blocks, and the blocks are the same for any thread
-    count, so the output is too.  A numerical failure is reported at its
-    sweep point, found by redoing the failed block one point at a time.
+    A numerical failure is reported at its sweep point, found by redoing
+    the failed block one point at a time.
     """
-
-    def block_items(start):
+    items = []
+    for start in range(0, len(values), ms.BLOCK):
         block = values[start : start + ms.BLOCK]
         try:
-            return fn(block)
+            items += fn(block)
         except NUMERICAL_ERRORS:
             for offset, value in enumerate(block):
                 try:
@@ -99,39 +121,50 @@ def _sweep_map(fn, values, threads: int) -> list:
                         f"sweep point {start + offset} (value {value!r}): {exc}"
                     ) from exc
             raise
-
-    starts = range(0, len(values), ms.BLOCK)
-    if threads <= 1:
-        blocks = [block_items(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(block_items, starts))
-    return [item for block in blocks for item in block]
+    return items
 
 
 def _sphere_system(cfg: dict) -> ms.SphereSystem:
+    cfg = {**_DEMO, **cfg}
     params = ms.DrudeLorentzParams(
-        omega_p=get_float(cfg, "sphere.omega_p", 0.5),
-        gamma=get_float(cfg, "sphere.gamma", 1e-6),
+        omega_p=get_float(cfg, "sphere.omega_p"),
+        gamma=get_float(cfg, "sphere.gamma"),
     )
     return ms.SphereSystem(
         params=params,
-        radius=get_float(cfg, "sphere.radius", 10.0),
-        atom_distance=get_float(cfg, "sphere.atom_distance", 0.14),
-        theta=get_float(cfg, "sphere.theta", math.pi),
+        radius=get_float(cfg, "sphere.radius"),
+        atom_distance=get_float(cfg, "sphere.atom_distance"),
+        theta=get_float(cfg, "sphere.theta"),
     )
 
 
-def _sweep_values(cfg: dict, axes: tuple[str, ...]) -> tuple[str, np.ndarray]:
-    axis = get_choice(cfg, "sweep.axis", axes)
-    lo = get_float(cfg, "sweep.lo")
-    hi = get_float(cfg, "sweep.hi")
-    count = get_int(cfg, "sweep.count")
+def _sweep_values(cfg: dict, lo: float | None = None, hi: float | None = None,
+                  count: int | None = None) -> np.ndarray:
+    """The points of sweep.lo, sweep.hi and sweep.count; a figure preset
+    passes its window as their defaults."""
+    lo = get_float(cfg, "sweep.lo", lo)
+    hi = get_float(cfg, "sweep.hi", hi)
+    count = get_int(cfg, "sweep.count", count)
     if not lo < hi:
         raise ConfigError("sweep.lo must be < sweep.hi")
     if count < 2:
         raise ConfigError("sweep.count must be >= 2")
-    return axis, np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, count)
+
+
+def _resonance_window(cfg: dict) -> tuple[float, float, range]:
+    """(omega_lo, omega_hi, orders) of the resonance.* keys."""
+    omega_lo = get_float(cfg, "resonance.omega_lo")
+    omega_hi = get_float(cfg, "resonance.omega_hi")
+    l_lo = get_int(cfg, "resonance.l_lo")
+    l_hi = get_int(cfg, "resonance.l_hi")
+    if not 1 <= l_lo <= l_hi <= ms.L_MAX_SUPPORTED:
+        raise ConfigError(
+            f"need 1 <= resonance.l_lo <= resonance.l_hi <= {ms.L_MAX_SUPPORTED}"
+        )
+    if not 0 < omega_lo < omega_hi:
+        raise ConfigError("need 0 < resonance.omega_lo < resonance.omega_hi")
+    return omega_lo, omega_hi, range(l_lo, l_hi + 1)
 
 
 def _meta(cfg: dict, extra: dict | None = None) -> dict:
@@ -141,26 +174,16 @@ def _meta(cfg: dict, extra: dict | None = None) -> dict:
     return meta
 
 
-def _replace_system(sys0: ms.SphereSystem, axis: str, value: float, omega: float):
-    """(system, omega) for one sweep point of a rates-style sweep."""
-    if axis == "theta":
-        sys_v = ms.SphereSystem(sys0.params, sys0.radius, sys0.atom_distance, value)
-        return sys_v, omega
-    if axis == "delta_r":
-        sys_v = ms.SphereSystem(sys0.params, sys0.radius, value, sys0.theta)
-        return sys_v, omega
-    return sys0, value
-
-
 def _sweep_points(sys0: ms.SphereSystem, axis: str, values, omega: float):
-    """(r, omega, theta) lists for the sweep points `values`; every point's
-    system is built, so its geometry is validated."""
-    points = [_replace_system(sys0, axis, value, omega) for value in values]
-    return (
-        [sys_v.r for sys_v, _ in points],
-        [om for _, om in points],
-        [sys_v.theta for sys_v, _ in points],
-    )
+    """(r, omega, theta) lists for the sweep points `values`; off the omega
+    axis every point's system is built, so its geometry is validated."""
+    if axis == "omega":
+        systems, omegas = [sys0] * len(values), list(values)
+    else:
+        field = "theta" if axis == "theta" else "atom_distance"
+        systems = [replace(sys0, **{field: value}) for value in values]
+        omegas = [omega] * len(values)
+    return [s.r for s in systems], omegas, [s.theta for s in systems]
 
 
 def _rates_at(sys0: ms.SphereSystem, r, omega, theta):
@@ -169,46 +192,53 @@ def _rates_at(sys0: ms.SphereSystem, r, omega, theta):
     return ms.collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
 
 
-def cmd_resonances(cfg: dict, out: str, threads: int) -> None:
+_RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
+
+
+def cmd_resonances(cfg: dict, out: str) -> None:
     """Locate field resonances in a frequency window for a range of orders."""
     sys0 = _sphere_system(cfg)
-    omega_lo = get_float(cfg, "resonance.omega_lo")
-    omega_hi = get_float(cfg, "resonance.omega_hi")
-    l_lo = get_int(cfg, "resonance.l_lo")
-    l_hi = get_int(cfg, "resonance.l_hi")
-    if l_lo < 1 or l_hi < l_lo:
-        raise ConfigError("need 1 <= resonance.l_lo <= resonance.l_hi")
+    omega_lo, omega_hi, orders = _resonance_window(cfg)
 
-    def orders(ls):
+    def block(ls):
         return [ms.find_resonances(sys0, omega_lo, omega_hi, [l]) for l in ls]
 
-    chunks = _sweep_map(orders, range(l_lo, l_hi + 1), threads)
+    chunks = _sweep_map(block, orders)
     resonances = sorted(
         (r for chunk in chunks for r in chunk), key=lambda r: (r.omega_c, r.l)
     )
     rows = [(r.l, r.omega_c, r.delta_omega_c, r.kind) for r in resonances]
-    write_csv(out, _meta(cfg), ["l", "omega_c", "delta_omega_c", "kind"], rows)
+    write_csv(out, _meta(cfg), _RESONANCE_HEADER, rows)
 
 
-def cmd_rates(cfg: dict, out: str, threads: int) -> None:
-    """Sweep the collective decay rates over theta, omega or delta_r."""
+def _rate_sweep(cfg: dict, out: str, axis: str, values, columns: tuple[str, ...]) -> None:
+    """The rate sweep of `rates` and the figure presets: the named
+    RATE_COLUMNS at the points `values` of `axis`, at frequency rates.omega
+    off the omega axis."""
     sys0 = _sphere_system(cfg)
-    axis, values = _sweep_values(cfg, SWEEP_AXES)
     omega = get_float(cfg, "rates.omega", 0.0) if axis != "omega" else 0.0
     if axis != "omega" and omega <= 0:
         raise ConfigError("rates.omega must be set (> 0) when sweeping theta or delta_r")
 
     def block(values):
         gaa, gab = _rates_at(sys0, *_sweep_points(sys0, axis, values, omega))
-        return list(zip(values, gaa, gab, gaa + gab, gaa - gab))
+        rates = dict(zip(RATE_COLUMNS, (gaa, gab, gaa + gab, gaa - gab)))
+        return list(zip(values, *(rates[c] for c in columns)))
 
-    rows = _sweep_map(block, values, threads)
-    write_csv(
-        out,
-        _meta(cfg),
-        [axis, "gamma_aa", "gamma_ab", "gamma_plus", "gamma_minus"],
-        rows,
-    )
+    write_csv(out, _meta(cfg), [axis, *columns], _sweep_map(block, values))
+
+
+def cmd_rates(cfg: dict, out: str) -> None:
+    """Sweep the collective decay rates over theta, omega or delta_r."""
+    axis = get_choice(cfg, "sweep.axis", SWEEP_AXES)
+    _rate_sweep(cfg, out, axis, _sweep_values(cfg), RATE_COLUMNS)
+
+
+def _figure(name: str, cfg: dict, out: str) -> None:
+    """A figure preset: its rate sweep around the demo sphere."""
+    _, axis, (lo, hi), count, columns = _FIGURES[name]
+    cfg = {**_DEMO, **cfg}
+    _rate_sweep(cfg, out, axis, _sweep_values(cfg, lo, hi, count), columns)
 
 
 def _coupling_from_cfg(cfg: dict) -> dyn.CouplingParams:
@@ -250,7 +280,10 @@ def _drive_from_cfg(cfg: dict, p: dyn.CouplingParams, unit: float = 1.0,
     return dyn.prepare_drive(rates, p.delta_omega_c)
 
 
-def cmd_dynamics(cfg: dict, out: str, threads: int) -> None:
+_DYNAMICS_HEADER = ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"]
+
+
+def cmd_dynamics(cfg: dict, out: str) -> None:
     """Emit sampled amplitudes C_pm(t) for an explicit dynamics rate set."""
     p = _coupling_from_cfg(cfg)
     d = _drive_from_cfg(cfg, p)
@@ -273,12 +306,7 @@ def cmd_dynamics(cfg: dict, out: str, threads: int) -> None:
         "resolved.f_minus0_re": d.f_minus0.real,
         "resolved.f_minus0_im": d.f_minus0.imag,
     }
-    write_csv(
-        out,
-        _meta(cfg, resolved),
-        ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"],
-        rows,
-    )
+    write_csv(out, _meta(cfg, resolved), _DYNAMICS_HEADER, rows)
 
 
 def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
@@ -327,32 +355,26 @@ _ENTANGLE_HEADER = [
 ]
 
 
-def cmd_entangle(cfg: dict, out: str, threads: int) -> None:
+def cmd_entangle(cfg: dict, out: str) -> None:
     """Full pipeline: rates, drive, amplitudes, stationary state, concurrence."""
     mode = get_choice(cfg, "entangle.rates", ("sphere", "explicit"), "sphere")
     if mode == "explicit":
-        axis, values = _sweep_values(cfg, ("delta_omega_c",))
+        axis = get_choice(cfg, "sweep.axis", ("delta_omega_c",))
+        values = _sweep_values(cfg)
         base = _coupling_from_cfg(cfg)
         _drive_from_cfg(cfg, base)  # surface missing drive keys as config errors
 
         def block(values):
             rows = []
             for value in values:
-                p = dyn.CouplingParams(
-                    gamma31_aa=base.gamma31_aa,
-                    gamma31_ab=base.gamma31_ab,
-                    gamma32_aa=base.gamma32_aa,
-                    gamma32_ab=base.gamma32_ab,
-                    delta_omega_c=value,
-                    detuning_delta=base.detuning_delta,
-                    dipole_shift=base.dipole_shift,
-                )
+                p = replace(base, delta_omega_c=value)
                 rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p)))
             return rows
 
     else:
         sys0 = _sphere_system(cfg)
-        axis, values = _sweep_values(cfg, SWEEP_AXES)
+        axis = get_choice(cfg, "sweep.axis", SWEEP_AXES)
+        values = _sweep_values(cfg)
         # fail on missing keys before any sweep work starts
         anchor_a = get_float(cfg, "anchor.gamma32_aa_over_gamma0")
         anchor_b = get_float(cfg, "anchor.gamma0_over_omega_t")
@@ -365,13 +387,7 @@ def cmd_entangle(cfg: dict, out: str, threads: int) -> None:
             get_choice(cfg, "drive.placement", DRIVE_PLACEMENTS, "site_of_a") == "equidistant"
         )
         dipole_shift = get_float(cfg, "dynamics.dipole_shift", 0.0)
-        omega_lo = get_float(cfg, "resonance.omega_lo")
-        omega_hi = get_float(cfg, "resonance.omega_hi")
-        l_lo = get_int(cfg, "resonance.l_lo")
-        l_hi = get_int(cfg, "resonance.l_hi")
-        resonances = ms.find_resonances(
-            sys0, omega_lo, omega_hi, range(l_lo, l_hi + 1)
-        )
+        resonances = ms.find_resonances(sys0, *_resonance_window(cfg))
         if not resonances:
             raise SweepPointError("no resonance found in the configured window")
         strong_raw = get_str(cfg, "strong.omega31", "auto")
@@ -415,68 +431,15 @@ def cmd_entangle(cfg: dict, out: str, threads: int) -> None:
                 rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p, anchor_a, gamma_ad)))
             return rows
 
-    rows = _sweep_map(block, values, threads)
+    rows = _sweep_map(block, values)
     write_csv(out, _meta(cfg, {"sweep.resolved_axis": axis}), _ENTANGLE_HEADER, rows)
 
 
-def _figure_sweep(cfg: dict, out: str, threads: int, axis: str, lo: float, hi: float,
-                  count: int, columns: str) -> None:
-    sys0 = _sphere_system(cfg)
-    omega = get_float(cfg, "rates.omega", 1.0501)
-    lo = get_float(cfg, "sweep.lo", lo)
-    hi = get_float(cfg, "sweep.hi", hi)
-    count = get_int(cfg, "sweep.count", count)
-    values = np.linspace(lo, hi, count)
-
-    def block(values):
-        gaa, gab = _rates_at(sys0, *_sweep_points(sys0, axis, values, omega))
-        if columns == "gamma_ab":
-            return list(zip(values, gab))
-        return list(zip(values, gaa + gab, gaa - gab))
-
-    rows = _sweep_map(block, values, threads)
-    header = [axis, "gamma_ab"] if columns == "gamma_ab" else [axis, "gamma_plus", "gamma_minus"]
-    write_csv(out, _meta(cfg), header, rows)
-
-
-def cmd_figure2(cfg: dict, out: str, threads: int) -> None:
-    """Cross rate Gamma_AB vs dipole angle theta at the demo resonance."""
-    _figure_sweep(cfg, out, threads, "theta", 0.0, math.pi, 181, "gamma_ab")
-
-
-def cmd_figure3(cfg: dict, out: str, threads: int) -> None:
-    """Gamma_pm vs transition frequency across the band-gap (SG) window.
-
-    The default window stops at 1.0535: closer to the surface-mode
-    accumulation frequency sqrt(1 + omega_p^2/2) the multipole sum needs
-    orders beyond the l = 300 cap and the sweep would fail honestly.
-    """
-    _figure_sweep(cfg, out, threads, "omega", 1.04, 1.0535, 801, "pm")
-
-
-def cmd_figure4(cfg: dict, out: str, threads: int) -> None:
-    """Gamma_pm vs transition frequency below the gap (WG window).
-
-    The default window stops at 0.995; at the transverse resonance
-    omega = 1 the permittivity magnitude blows up like omega_p^2/gamma.
-    """
-    _figure_sweep(cfg, out, threads, "omega", 0.90, 0.995, 801, "pm")
-
-
-def cmd_figure5(cfg: dict, out: str, threads: int) -> None:
-    """Gamma_pm vs atom-surface distance delta_r at the demo resonance."""
-    _figure_sweep(cfg, out, threads, "delta_r", 0.05, 3.0, 150, "pm")
-
-
 _COMMANDS = {
-    "resonances": (cmd_resonances, False, "l, omega_c, delta_omega_c, kind"),
-    "rates": (cmd_rates, False, "<axis>, gamma_aa, gamma_ab, gamma_plus, gamma_minus"),
-    "dynamics": (cmd_dynamics, False, "t, c_plus_re, c_plus_im, c_minus_re, c_minus_im"),
-    "entangle": (cmd_entangle, False, ", ".join(_ENTANGLE_HEADER)),
-    "figure2": (cmd_figure2, True, "theta, gamma_ab"),
-    "figure3": (cmd_figure3, True, "omega, gamma_plus, gamma_minus"),
-    "figure4": (cmd_figure4, True, "omega, gamma_plus, gamma_minus"),
-    "figure5": (cmd_figure5, True, "delta_r, gamma_plus, gamma_minus"),
+    "resonances": (cmd_resonances, _RESONANCE_HEADER),
+    "rates": (cmd_rates, ("<axis>", *RATE_COLUMNS)),
+    "dynamics": (cmd_dynamics, _DYNAMICS_HEADER),
+    "entangle": (cmd_entangle, _ENTANGLE_HEADER),
 }
 
 
@@ -487,34 +450,40 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, preset, columns) in _COMMANDS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
+    commands = {name: (fn.__doc__.splitlines()[0], header)
+                for name, (fn, header) in _COMMANDS.items()}
+    for name, (doc, axis, _, _, columns) in _FIGURES.items():
+        commands[name] = (doc, (axis, *columns))
+    for name, (doc, header) in commands.items():
         sp = sub.add_parser(
             name,
-            help=doc or f"run the {name} pipeline",
-            description=f"{doc}\n\nCSV columns: {columns}",
+            help=doc,
+            description=f"{doc}\n\nCSV columns: {', '.join(header)}",
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         sp.add_argument(
             "--config",
-            required=not preset,
+            required=name not in _FIGURES,
             default=None,
             help="scenario config file (section.key = value lines)",
         )
         sp.add_argument("--out", default=None, help="output CSV path")
-        sp.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help="has no effect: sweeps run serially",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fn, preset, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        if preset:
-            cfg = {**_FIG_DEFAULTS, **cfg}
         out = args.out or cfg.get("output.path") or f"{args.command}.csv"
-        fn(cfg, out, max(1, args.threads))
+        if args.command in _FIGURES:
+            _figure(args.command, cfg, out)
+        else:
+            _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

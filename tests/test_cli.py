@@ -220,6 +220,45 @@ class TestResonances:
         assert serial.read_bytes() == pooled.read_bytes()
 
 
+RESONANCE_WINDOW = (
+    "resonance.omega_lo = 1.0499\nresonance.omega_hi = 1.0503\n"
+    "resonance.l_lo = 121\nresonance.l_hi = 121\n"
+)
+SPHERE_ENTANGLE = (
+    "entangle.rates = sphere\n"
+    "weak.gamma32_ratio = 0.98\n"
+    "anchor.gamma32_aa_over_gamma0 = 0.5\n"
+    "anchor.gamma0_over_omega_t = 5.6e-5\n"
+    "sweep.axis = theta\nsweep.lo = 3.0\nsweep.hi = 3.14\nsweep.count = 2\n"
+)
+
+
+class TestResonanceWindow:
+    @pytest.mark.parametrize("command", ["resonances", "entangle"])
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("resonance.l_lo", "0"),
+            ("resonance.l_lo", "122"),  # l_hi < l_lo
+            ("resonance.omega_lo", "1.0505"),  # omega_hi < omega_lo
+            ("resonance.l_hi", "301"),  # beyond the multipole cap
+        ],
+        ids=["l_lo_zero", "orders_reversed", "window_reversed", "l_hi_above_cap"],
+    )
+    def test_bad_window_is_config_error(self, tmp_path, capsys, command, key, bad):
+        lines = [
+            f"{key} = {bad}" if line.startswith(key + " ") else line
+            for line in RESONANCE_WINDOW.splitlines()
+        ]
+        extra = SPHERE_ENTANGLE if command == "entangle" else ""
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(extra + "\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert "config error: need" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDynamicsCommand:
     def test_emits_decaying_amplitudes(self, tmp_path):
         cfg = tmp_path / "dyn.cfg"
@@ -421,3 +460,45 @@ class TestFigurePresets:
         assert len(rows) == 21
         omegas = column(header, rows, "omega")
         assert omegas[0] == 1.05 and omegas[-1] == 1.0502
+
+    @pytest.mark.parametrize(
+        "name, lo, hi",
+        [
+            ("figure2", 0.0, math.pi),
+            ("figure3", 1.04, 1.0535),
+            ("figure4", 0.90, 0.995),
+            ("figure5", 0.05, 3.0),
+        ],
+    )
+    def test_preset_window_columns_and_metadata(self, tmp_path, capsys, name, lo, hi):
+        with pytest.raises(SystemExit):
+            run_cli([name, "--help"])
+        listed = capsys.readouterr().out.split("CSV columns: ")[1].splitlines()[0]
+        cfg = tmp_path / "count.cfg"
+        cfg.write_text("sweep.count = 3\n")
+        out = tmp_path / f"{name}.csv"
+        assert run_cli([name, "--config", cfg, "--out", out]) == 0
+        meta, header, rows = read_csv(out)
+        assert header == listed.split(", ")
+        axis = column(header, rows, header[0])
+        assert len(axis) == 3
+        assert axis[0] == pytest.approx(lo, rel=1e-11)
+        assert axis[-1] == pytest.approx(hi, rel=1e-11)
+        assert meta["rates.omega"] == "1.0501"
+        assert {k: v for k, v in meta.items() if k.startswith("sphere.")} == {
+            "sphere.atom_distance": "0.14",
+            "sphere.gamma": "1e-6",
+            "sphere.omega_p": "0.5",
+            "sphere.radius": "10",
+            "sphere.theta": "pi",
+        }
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sweep.count = 1\n", "sweep.lo = 3.0\nsweep.hi = 1.0\n"],
+        ids=["count_one", "window_reversed"],
+    )
+    def test_preset_sweep_keys_checked_like_rates(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run_cli(["figure2", "--config", cfg, "--out", tmp_path / "out.csv"]) == 1
