@@ -2,7 +2,7 @@
 """Regenerate the demo data set: the four microsphere sweeps plus an
 end-to-end entanglement sweep, written as CSV under data/.
 
-Usage: python scripts/make_figure_data.py [outdir] [--threads N]
+Usage: python scripts/make_figure_data.py [outdir]
 """
 
 import pathlib
@@ -31,12 +31,7 @@ sweep.count = 41
 
 
 def main() -> int:
-    args = [a for a in sys.argv[1:]]
-    threads = "1"
-    if "--threads" in args:
-        i = args.index("--threads")
-        threads = args[i + 1]
-        del args[i : i + 2]
+    args = sys.argv[1:]
     outdir = pathlib.Path(args[0]) if args else pathlib.Path("data")
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -48,7 +43,7 @@ def main() -> int:
     for name, extra in jobs:
         out = outdir / f"{name}.csv"
         t0 = time.time()
-        rc = cli_main([name, "--out", str(out), "--threads", threads, *extra])
+        rc = cli_main([name, "--out", str(out), *extra])
         if rc != 0:
             print(f"{name}: FAILED (exit {rc})", file=sys.stderr)
             return rc

@@ -12,76 +12,48 @@ from .dynamics import (
     CouplingParams,
     DriveSpec,
     amplitude_closed,
-    amplitude_volterra,
     ode_coeffs,
     prepare_drive,
-    rabi_g,
     regime_amplitude,
     regime_classify,
-    sample_closed,
 )
 from .microsphere import (
     DrudeLorentzParams,
-    NonConvergenceError,
-    PoleError,
-    Resonance,
     SphereSystem,
     collective_rate,
-    collective_rates,
     find_resonances,
-    mie_coefficient,
-    permittivity,
     rates_pm,
-    single_term_rate,
 )
 from .steady_state import (
-    BASIS_LABELS,
     SteadyState,
-    TwoQubitDensity,
-    UndecayedTrajectoryError,
     alpha_beta_regime,
     assemble_density,
     concurrence_oracle,
     concurrence_closed_form,
-    entanglement_check,
-    integrate_alpha_beta,
+    decayed_steady_state,
     steady_state_from_params,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS_LABELS",
     "CouplingParams",
     "DriveSpec",
     "DrudeLorentzParams",
-    "NonConvergenceError",
-    "PoleError",
-    "Resonance",
     "SphereSystem",
     "SteadyState",
-    "TwoQubitDensity",
-    "UndecayedTrajectoryError",
     "alpha_beta_regime",
     "amplitude_closed",
-    "amplitude_volterra",
     "assemble_density",
     "collective_rate",
-    "collective_rates",
     "concurrence_oracle",
     "concurrence_closed_form",
-    "entanglement_check",
+    "decayed_steady_state",
     "find_resonances",
-    "integrate_alpha_beta",
-    "mie_coefficient",
     "ode_coeffs",
-    "permittivity",
     "prepare_drive",
-    "rabi_g",
     "rates_pm",
     "regime_amplitude",
     "regime_classify",
-    "sample_closed",
-    "single_term_rate",
     "steady_state_from_params",
 ]

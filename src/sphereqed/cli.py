@@ -118,7 +118,7 @@ def _sweep_map(fn, values) -> list:
                     fn(block[offset : offset + 1])
                 except NUMERICAL_ERRORS as exc:
                     raise SweepPointError(
-                        f"sweep point {start + offset} (value {value!r}): {exc}"
+                        f"sweep point {start + offset} (value {_fmt(value)}): {exc}"
                     ) from exc
             raise
     return items
@@ -237,6 +237,8 @@ def cmd_rates(cfg: dict, out: str) -> None:
 def _figure(name: str, cfg: dict, out: str) -> None:
     """A figure preset: its rate sweep around the demo sphere."""
     _, axis, (lo, hi), count, columns = _FIGURES[name]
+    if get_str(cfg, "sweep.axis", axis) != axis:
+        raise ConfigError(f"{name} sweeps {axis}, not sweep.axis = {cfg['sweep.axis']}")
     cfg = {**_DEMO, **cfg}
     _rate_sweep(cfg, out, axis, _sweep_values(cfg, lo, hi, count), columns)
 
@@ -311,7 +313,7 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
 
 def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
     t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-    state = ss.decayed_steady_state(p, d, t_end, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+    state = ss.decayed_steady_state(p, d, t_end)
     conc = ss.concurrence_closed_form(state)
     return (
         value,

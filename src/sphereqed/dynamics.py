@@ -98,19 +98,11 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Sampled C_pm(t) with the parameter set and drive that produced it."""
+    """C_+(t) and C_-(t) sampled at the same times."""
 
     times: np.ndarray
-    c_plus: np.ndarray | None
-    c_minus: np.ndarray | None
-    params: CouplingParams
-    drive: DriveSpec
-
-    def branch(self, branch: str) -> np.ndarray:
-        arr = self.c_plus if branch == "+" else self.c_minus
-        if arr is None:
-            raise ValueError(f"branch {branch!r} was not integrated in this trajectory")
-        return arr
+    c_plus: np.ndarray
+    c_minus: np.ndarray
 
 
 def rabi_g(gamma31_pm: float, delta_omega_c: float) -> float:
@@ -248,21 +240,12 @@ def volterra_branch(
 
 
 def amplitude_volterra(
-    p: CouplingParams, d: DriveSpec, t_max: float, step: float, branch: str | None = None
+    p: CouplingParams, d: DriveSpec, t_max: float, step: float
 ) -> AmplitudeTrajectory:
-    """Volterra-integrated trajectory; both branches unless one is requested."""
-    wanted = BRANCHES if branch is None else (branch,)
-    arrays: dict[str, np.ndarray] = {}
-    times = None
-    for b in wanted:
-        times, arrays[b] = volterra_branch(p, d, b, t_max, step)
-    return AmplitudeTrajectory(
-        times=times,
-        c_plus=arrays.get("+"),
-        c_minus=arrays.get("-"),
-        params=p,
-        drive=d,
-    )
+    """Volterra-integrated trajectory of both branches."""
+    times, c_plus = volterra_branch(p, d, "+", t_max, step)
+    _, c_minus = volterra_branch(p, d, "-", t_max, step)
+    return AmplitudeTrajectory(times=times, c_plus=c_plus, c_minus=c_minus)
 
 
 def sample_closed(
@@ -274,8 +257,6 @@ def sample_closed(
         times=t,
         c_plus=amplitude_closed(p, d, "+", t),
         c_minus=amplitude_closed(p, d, "-", t),
-        params=p,
-        drive=d,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Highest multipole order the public interface accepts.  Enough for size
+# Highest multipole order the microsphere layer sums to.  Enough for size
 # parameters up to ~kR = 66 of the microsphere geometry plus evanescent tail.
 L_MAX_SUPPORTED = 300
 
@@ -31,11 +31,6 @@ H1_IM_MIN = -5.0
 
 class RecurrenceDomainError(ValueError):
     """Argument outside the region where a recurrence keeps its accuracy."""
-
-
-def _check_order(l: int) -> None:
-    if l < 0 or l > L_MAX_SUPPORTED:
-        raise ValueError(f"multipole order l={l} outside supported range 0..{L_MAX_SUPPORTED}")
 
 
 def _is_array(x) -> bool:
@@ -190,23 +185,6 @@ def _sph_h1n_columns(lmax: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sph_yn_all(lmax: int, z: complex) -> np.ndarray:
-    """y_l(z) for l = 0..lmax by upward recurrence (dominant direction)."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("y_l diverges at z = 0")
-    out = np.zeros(lmax + 1, dtype=complex)
-    out[0] = -np.cos(z) / z
-    if lmax >= 1:
-        out[1] = -np.cos(z) / z**2 - np.sin(z) / z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, lmax):
-            out[n + 1] = (2 * n + 1) / z * out[n] - out[n - 1]
-    if not np.all(np.isfinite(out.view(float))):
-        raise OverflowError(f"spherical y recurrence overflowed for lmax={lmax}, z={z}")
-    return out
-
-
 def riccati_deriv_all(farr: np.ndarray, z) -> np.ndarray:
     """[z f_l(z)]' for every order of a spherical-Bessel-family array.
 
@@ -253,41 +231,3 @@ def _legendre_columns(lmax: int, x: np.ndarray) -> np.ndarray:
         row -= l * out[l - 1]
         row /= l + 1
     return out
-
-
-# scalar interface
-
-def spherical_j(l: int, z: complex) -> complex:
-    """Spherical Bessel function j_l of complex argument."""
-    _check_order(l)
-    return complex(sph_jn_all(l, z)[l])
-
-
-def spherical_h1(l: int, z: complex) -> complex:
-    """Spherical Hankel function h_l^(1) of complex argument."""
-    _check_order(l)
-    return complex(sph_h1n_all(l, z)[l])
-
-
-def spherical_y(l: int, z: complex) -> complex:
-    """Spherical Bessel function y_l of complex argument."""
-    _check_order(l)
-    return complex(sph_yn_all(l, z)[l])
-
-
-def riccati_deriv(kind: str, l: int, z: complex) -> complex:
-    """[z f_l(z)]' where f is j_l (kind 'J') or h_l^(1) (kind 'H1')."""
-    _check_order(l)
-    if kind == "J":
-        farr = sph_jn_all(max(l, 1), z)
-    elif kind == "H1":
-        farr = sph_h1n_all(max(l, 1), z)
-    else:
-        raise ValueError(f"unknown Riccati kind {kind!r}, expected 'J' or 'H1'")
-    return complex(riccati_deriv_all(farr, z)[l])
-
-
-def legendre_p(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x), |x| <= 1."""
-    _check_order(l)
-    return float(legendre_all(l, x)[l])

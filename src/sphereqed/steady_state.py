@@ -16,7 +16,6 @@ import numpy as np
 
 from .dynamics import (
     BRANCHES,
-    AmplitudeTrajectory,
     CouplingParams,
     DriveSpec,
     amplitude_closed,
@@ -87,13 +86,9 @@ def _mode_overlap(modes_a, modes_b) -> complex:
     return total
 
 
-def steady_state_from_params(
-    p: CouplingParams, d: DriveSpec, gamma32_pm: tuple[float, float] | None = None
-) -> SteadyState:
+def steady_state_from_params(p: CouplingParams, d: DriveSpec) -> SteadyState:
     """Exact stationary (alpha_+, alpha_-, beta) from the closed-form modes."""
-    if gamma32_pm is None:
-        gamma32_pm = (p.gamma32_pm("+"), p.gamma32_pm("-"))
-    g32p, g32m = gamma32_pm
+    g32p, g32m = p.gamma32_pm("+"), p.gamma32_pm("-")
     modes_p = amplitude_modes(p, d, "+")
     modes_m = amplitude_modes(p, d, "-")
     ipp = _mode_overlap(modes_p, modes_p).real
@@ -105,38 +100,21 @@ def steady_state_from_params(
     return SteadyState(alpha_plus=alpha_plus, alpha_minus=alpha_minus, beta=complex(beta))
 
 
-def _require_decayed(endpoints) -> None:
-    """Raise UndecayedTrajectoryError unless |C| < 1e-6 at the end of every
-    (branch, C(T_end)) pair: the stationary integrals run to infinity, and
-    an amplitude still alive at T_end means the horizon is too short."""
-    for b, c_end in endpoints:
+def decayed_steady_state(p: CouplingParams, d: DriveSpec, t_end: float) -> SteadyState:
+    """Stationary state from the closed-form modes, once the closed-form
+    amplitudes have decayed at t_end.
+
+    Raises UndecayedTrajectoryError unless |C_pm(t_end)| < 1e-6: the
+    stationary integrals run to infinity, and an amplitude still alive at
+    t_end means the horizon is too short.
+    """
+    for b in BRANCHES:
+        c_end = amplitude_closed(p, d, b, t_end)
         if abs(c_end) >= 1e-6:
             raise UndecayedTrajectoryError(
                 f"|C_{b}(T_end)| = {abs(c_end):.3e} >= 1e-6; extend the trajectory"
             )
-
-
-def integrate_alpha_beta(
-    traj: AmplitudeTrajectory, gamma32_pm: tuple[float, float]
-) -> SteadyState:
-    """Stationary state from a trajectory's parameter set.
-
-    The trajectory must have decayed at its endpoint (|C| < 1e-6 on both
-    branches); the integrals themselves are evaluated analytically from the
-    exponential-mode expansion carried by traj.params and traj.drive.
-    """
-    _require_decayed((b, traj.branch(b)[-1]) for b in BRANCHES)
-    return steady_state_from_params(traj.params, traj.drive, gamma32_pm)
-
-
-def decayed_steady_state(
-    p: CouplingParams, d: DriveSpec, t_end: float, gamma32_pm: tuple[float, float]
-) -> SteadyState:
-    """Stationary state from the closed-form modes, once the closed-form
-    amplitudes have decayed at t_end (|C_pm(t_end)| < 1e-6): the guard of
-    integrate_alpha_beta, evaluated at t_end without sampling a trajectory."""
-    _require_decayed((b, amplitude_closed(p, d, b, t_end)) for b in BRANCHES)
-    return steady_state_from_params(p, d, gamma32_pm)
+    return steady_state_from_params(p, d)
 
 
 def alpha_beta_regime(

@@ -13,6 +13,7 @@ from scipy.optimize import least_squares
 
 import sphereqed as sq
 from sphereqed.cli import main as cli_main
+from sphereqed.dynamics import volterra_branch
 
 from oracles import free_space_cross_rate
 from test_cli import column, read_csv
@@ -157,10 +158,8 @@ def test_criterion_4_closed_volterra_equivalence():
         for branch in "+-":
             a1, a2 = sq.ode_coeffs(p, branch)
             step = 2e-3 / max(abs(a1), abs(a2) ** 0.5)
-            traj = sq.amplitude_volterra(p, d, t_max, step, branch=branch)
-            dev = np.max(
-                np.abs(traj.branch(branch) - sq.amplitude_closed(p, d, branch, traj.times))
-            )
+            t, c = volterra_branch(p, d, branch, t_max, step)
+            dev = np.max(np.abs(c - sq.amplitude_closed(p, d, branch, t)))
             worst = max(worst, dev)
             assert dev <= 1e-6, f"set {_}, branch {branch}: deviation {dev:.2e}"
     elapsed = time.time() - t0
@@ -186,8 +185,7 @@ def test_criterion_5_regime_asymptotics():
             peak = np.max(np.abs(exact))
             assert np.max(np.abs(exact - approx)) <= 0.10 * peak, (regime, branch)
         t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-        traj = sq.sample_closed(p, d, t_end, 2000)
-        s = sq.integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+        s = sq.decayed_steady_state(p, d, t_end)
         s_reg = sq.alpha_beta_regime(p, d, regime)
         assert s.alpha_plus == pytest.approx(s_reg.alpha_plus, rel=0.15), regime
         assert s.alpha_minus == pytest.approx(s_reg.alpha_minus, rel=0.15), regime

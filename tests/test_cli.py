@@ -110,7 +110,8 @@ class TestExitCodes:
             "sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.0545\nsweep.count = 40\n"
         )
         assert run_cli(["rates", "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
-        assert f"sweep point {failing[0]} " in capsys.readouterr().err
+        value = f"{omegas[failing[0]]:.12g}"
+        assert f"sweep point {failing[0]} (value {value}): " in capsys.readouterr().err
 
     def test_numerical_error_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "close.cfg"
@@ -122,7 +123,7 @@ class TestExitCodes:
         )
         out = tmp_path / "out.csv"
         assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
-        assert "sweep point 0" in capsys.readouterr().err
+        assert "sweep point 0 (value 0): " in capsys.readouterr().err
 
 
 class TestRates:
@@ -343,7 +344,7 @@ class TestEntangle:
     @pytest.mark.parametrize("placement", ["site_of_a", "equidistant"])
     def test_row_equals_row_from_sampled_trajectory(self, placement):
         # the decay guard at t_end gives the row that a 2000-point closed-form
-        # trajectory and integrate_alpha_beta on its last sample gave
+        # trajectory, decayed at its last sample, and the mode integrals gave
         text = REGIME_A_EXPLICIT.replace("site_of_a", placement)
         cfg = parse_config(text + "drive.gamma_ad = 9000.0\n")
         base = cli._coupling_from_cfg(cfg)
@@ -354,9 +355,8 @@ class TestEntangle:
             d = cli._drive_from_cfg(cfg, p)
             t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
             traj = dynamics.sample_closed(p, d, t_end, 2000)
-            state = steady_state.integrate_alpha_beta(
-                traj, (p.gamma32_pm("+"), p.gamma32_pm("-"))
-            )
+            assert max(abs(traj.c_plus[-1]), abs(traj.c_minus[-1])) < 1e-6
+            state = steady_state.steady_state_from_params(p, d)
             want = (
                 dwc, p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,
                 p.detuning_delta, p.g_plus, p.g_minus, d.f_plus0.real, d.f_plus0.imag,
@@ -492,6 +492,30 @@ class TestFigurePresets:
             "sphere.radius": "10",
             "sphere.theta": "pi",
         }
+
+    @pytest.mark.parametrize(
+        "name, axis, wrong",
+        [
+            ("figure2", "theta", "delta_r"),
+            ("figure3", "omega", "theta"),
+            ("figure4", "omega", "delta_r"),
+            ("figure5", "delta_r", "theta"),
+        ],
+    )
+    @pytest.mark.parametrize("matching", [True, False], ids=["matching", "contradicting"])
+    def test_preset_sweep_axis_checked(self, tmp_path, capsys, name, axis, wrong, matching):
+        given = axis if matching else wrong
+        cfg = tmp_path / "axis.cfg"
+        cfg.write_text(f"sweep.axis = {given}\nsweep.count = 3\n")
+        out = tmp_path / "out.csv"
+        if matching:
+            assert run_cli([name, "--config", cfg, "--out", out]) == 0
+            meta, header, rows = read_csv(out)
+            assert header[0] == axis and meta["sweep.axis"] == axis
+        else:
+            assert run_cli([name, "--config", cfg, "--out", out]) == 1
+            assert f"{name} sweeps {axis}, not sweep.axis = {given}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "text",

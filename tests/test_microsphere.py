@@ -340,13 +340,13 @@ class TestSingleTermRate:
     def test_vacuum_reduces_to_bare_term(self):
         sys0 = free_space_system(2.0, theta=0.3)
         res = Resonance(omega_c=1.0, delta_omega_c=1e-3, l=4, kind="WG")
-        from sphereqed.special import legendre_p, spherical_h1, spherical_j
+        from sphereqed.special import legendre_all, sph_h1n_all, sph_jn_all
 
         kr = 2 * math.pi * sys0.r
         want = (
             1.5 * 4 * 5 * 9 / kr**2
-            * (spherical_h1(4, kr) * spherical_j(4, kr)).real
-            * legendre_p(4, math.cos(0.3))
+            * (sph_h1n_all(4, kr)[4] * sph_jn_all(4, kr)[4]).real
+            * legendre_all(4, math.cos(0.3))[4]
         )
         assert single_term_rate(sys0, res, same_atom=False) == pytest.approx(want, rel=1e-12)
 

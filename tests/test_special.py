@@ -7,18 +7,11 @@ from hypothesis import strategies as st
 
 from sphereqed.special import (
     H1_IM_MIN,
-    L_MAX_SUPPORTED,
     RecurrenceDomainError,
     legendre_all,
-    legendre_p,
-    riccati_deriv,
     riccati_deriv_all,
-    spherical_h1,
-    spherical_j,
-    spherical_y,
     sph_h1n_all,
     sph_jn_all,
-    sph_yn_all,
 )
 
 from oracles import mp_riccati_deriv, mp_spherical_h1, mp_spherical_j
@@ -34,78 +27,79 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def riccati(kind, l, z):
+    """[z f_l(z)]' at order l, f = j_l (kind 'J') or h_l^(1) (kind 'H1')."""
+    fn = sph_jn_all if kind == "J" else sph_h1n_all
+    return riccati_deriv_all(fn(max(l, 1), z), z)[l]
+
+
 class TestSphericalJ:
     def test_j0_closed_form(self):
-        assert rel_err(spherical_j(0, 1.0), math.sin(1.0)) < 1e-14
+        assert rel_err(sph_jn_all(0, 1.0)[0], math.sin(1.0)) < 1e-14
 
     def test_j1_small_argument_limit(self):
         z = 1e-4
-        assert rel_err(spherical_j(1, z), z / 3.0) < 1e-8
+        assert rel_err(sph_jn_all(1, z)[1], z / 3.0) < 1e-8
 
     def test_j5_complex_frozen_oracle(self):
-        assert rel_err(spherical_j(5, 10 + 0.1j), J5_10_01J) < 1e-12
+        assert rel_err(sph_jn_all(5, 10 + 0.1j)[5], J5_10_01J) < 1e-12
 
     def test_j40_large_imaginary(self):
-        assert rel_err(spherical_j(40, 2 + 30j), J40_2_30J) < 1e-12
+        assert rel_err(sph_jn_all(40, 2 + 30j)[40], J40_2_30J) < 1e-12
 
     def test_zero_argument_limits(self):
-        assert spherical_j(0, 0.0) == 1.0
-        assert spherical_j(3, 0.0) == 0.0
+        assert sph_jn_all(0, 0.0)[0] == 1.0
+        assert sph_jn_all(3, 0.0)[3] == 0.0
 
     def test_near_sin_zero_normalization(self):
         # kr = 6*pi sits at a zero of sin z; the l=0-only normalization fails there
         z = 6.0 * math.pi
-        assert rel_err(spherical_j(8, z), mp_spherical_j(8, z)) < 1e-12
-
-    def test_order_domain_error(self):
-        with pytest.raises(ValueError):
-            spherical_j(L_MAX_SUPPORTED + 1, 1.0)
-        with pytest.raises(ValueError):
-            spherical_j(-1, 1.0)
+        assert rel_err(sph_jn_all(8, z)[8], mp_spherical_j(8, z)) < 1e-12
 
     @pytest.mark.parametrize("l,z", [(80, 3.0 + 0.5j), (150, 120.0), (12, 400.0 + 40j)])
     def test_against_multiprecision(self, l, z):
-        assert rel_err(spherical_j(l, z), mp_spherical_j(l, z)) < 1e-10
+        assert rel_err(sph_jn_all(l, z)[l], mp_spherical_j(l, z)) < 1e-10
 
 
 class TestSphericalH1:
     def test_h0_closed_form(self):
         want = math.sin(1.0) - 1j * math.cos(1.0)
-        assert rel_err(spherical_h1(0, 1.0), want) < 1e-14
+        assert rel_err(sph_h1n_all(0, 1.0)[0], want) < 1e-14
 
     def test_h1_closed_form(self):
         want = -np.exp(1j) * (1.0 + 1j)
-        assert rel_err(spherical_h1(1, 1.0), want) < 1e-14
+        assert rel_err(sph_h1n_all(1, 1.0)[1], want) < 1e-14
 
     def test_h20_66_frozen_oracle(self):
-        assert rel_err(spherical_h1(20, 66.0), H20_66) < 1e-12
+        assert rel_err(sph_h1n_all(20, 66.0)[20], H20_66) < 1e-12
 
     def test_h20_66_wronskian(self):
+        # j_l h_l' - j_l' h_l = i / z^2
         z = 66.0
-        j = [spherical_j(l, z).real for l in (19, 20, 21)]
-        y = [spherical_y(l, z).real for l in (19, 20, 21)]
+        j = sph_jn_all(21, z)[19:]
+        h = sph_h1n_all(21, z)[19:]
         jp = j[0] - 21.0 / z * j[1]
-        yp = y[0] - 21.0 / z * y[1]
-        assert rel_err(j[1] * yp - jp * y[1], 1.0 / z**2) < 1e-10
+        hp = h[0] - 21.0 / z * h[1]
+        assert rel_err(j[1] * hp - jp * h[1], 1j / z**2) < 1e-10
 
     def test_complex_frozen_oracle(self):
-        assert rel_err(spherical_h1(7, 0.8 + 0.3j), H7_08_03J) < 1e-12
+        assert rel_err(sph_h1n_all(7, 0.8 + 0.3j)[7], H7_08_03J) < 1e-12
 
     def test_real_part_is_j_on_real_axis(self):
         for l, z in [(3, 2.5), (40, 55.0), (90, 80.0)]:
-            assert rel_err(spherical_h1(l, z).real, spherical_j(l, z).real) < 1e-12
+            assert rel_err(sph_h1n_all(l, z)[l].real, sph_jn_all(l, z)[l].real) < 1e-12
 
     def test_diverges_at_zero(self):
         with pytest.raises(ValueError):
-            spherical_h1(0, 0.0)
+            sph_h1n_all(0, 0.0)
 
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
-            spherical_h1(300, 0.5)
+            sph_h1n_all(300, 0.5)
 
     @pytest.mark.parametrize("l,z", [(60, 45.0), (15, 8.0 - 2.0j), (110, 90.0 + 10.0j)])
     def test_against_multiprecision(self, l, z):
-        assert rel_err(spherical_h1(l, z), mp_spherical_h1(l, z)) < 1e-10
+        assert rel_err(sph_h1n_all(l, z)[l], mp_spherical_h1(l, z)) < 1e-10
 
 
 class TestHankelBelowAxis:
@@ -127,9 +121,9 @@ class TestHankelBelowAxis:
     @pytest.mark.parametrize("l,z", [(39, 22.3 - 20.8j), (69, 59.7 - 13.6j)])
     def test_refused_below_the_line(self, l, z):
         with pytest.raises(RecurrenceDomainError):
-            spherical_h1(l, z)
+            sph_h1n_all(l, z)
         with pytest.raises(RecurrenceDomainError):
-            riccati_deriv("H1", l, z)
+            riccati("H1", l, z)
         # the column path leaves the refused column non-finite and computes
         # the others as before
         cols = sph_h1n_all(l, np.array([z, z.real, z.conjugate()]))
@@ -141,43 +135,39 @@ class TestHankelBelowAxis:
 class TestRiccatiDeriv:
     def test_j0_at_pi(self):
         # z j_0 = sin z, derivative cos z
-        assert abs(riccati_deriv("J", 0, math.pi) - math.cos(math.pi)) < 1e-14
+        assert abs(riccati("J", 0, math.pi) - math.cos(math.pi)) < 1e-14
 
     def test_h0_at_one(self):
         # z h_0 = -i e^{iz}, derivative e^{iz}
-        assert rel_err(riccati_deriv("H1", 0, 1.0), np.exp(1j)) < 1e-14
+        assert rel_err(riccati("H1", 0, 1.0), np.exp(1j)) < 1e-14
 
     def test_j3_central_difference(self):
         z = 5.0 + 1.0j
         h = 1e-6
-        fd = ((z + h) * spherical_j(3, z + h) - (z - h) * spherical_j(3, z - h)) / (2 * h)
-        assert rel_err(riccati_deriv("J", 3, z), fd) < 1e-6
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            riccati_deriv("Y", 1, 1.0)
+        fd = ((z + h) * sph_jn_all(3, z + h)[3] - (z - h) * sph_jn_all(3, z - h)[3]) / (2 * h)
+        assert rel_err(riccati("J", 3, z), fd) < 1e-6
 
     @pytest.mark.parametrize("kind", ["J", "H1"])
     @pytest.mark.parametrize("l,z", [(2, 3.0 + 0.2j), (25, 17.0 - 4.0j)])
     def test_against_multiprecision(self, kind, l, z):
-        assert rel_err(riccati_deriv(kind, l, z), mp_riccati_deriv(kind, l, z)) < 1e-10
+        assert rel_err(riccati(kind, l, z), mp_riccati_deriv(kind, l, z)) < 1e-10
 
 
 class TestLegendre:
     @pytest.mark.parametrize("l", [0, 1, 7, 64, 200])
     def test_at_plus_one(self, l):
-        assert legendre_p(l, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert legendre_all(l, 1.0)[l] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 13, 121, 200])
     def test_at_minus_one(self, l):
-        assert legendre_p(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-12)
+        assert legendre_all(l, -1.0)[l] == pytest.approx((-1.0) ** l, abs=1e-12)
 
     def test_p2_half(self):
-        assert legendre_p(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+        assert legendre_all(2, 0.5)[2] == pytest.approx(-0.125, abs=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            legendre_p(3, 1.5)
+            legendre_all(3, 1.5)
 
 
 def neighbourhood_scale(values):
@@ -261,14 +251,14 @@ complex_args = st.builds(
 def test_wronskian_identity(z, l):
     jarr = sph_jn_all(l + 1, z)
     try:
-        yarr = sph_yn_all(l + 1, z)
+        harr = sph_h1n_all(l + 1, z)
     except OverflowError:
         assume(False)
-    assume(np.all(np.abs(yarr) < 1e120) and np.abs(jarr[l]) > 1e-120)
+    assume(np.all(np.abs(harr) < 1e120) and np.abs(jarr[l]) > 1e-120)
     jp = jarr[l - 1] - (l + 1) / z * jarr[l]
-    yp = yarr[l - 1] - (l + 1) / z * yarr[l]
-    wron = jarr[l] * yp - jp * yarr[l]
-    assert abs(wron - 1.0 / z**2) <= 1e-8 / z**2
+    hp = harr[l - 1] - (l + 1) / z * harr[l]
+    wron = jarr[l] * hp - jp * harr[l]
+    assert abs(wron - 1j / z**2) <= 1e-8 / z**2
 
 
 @given(z=complex_args, l=st.integers(min_value=1, max_value=120))
@@ -306,8 +296,8 @@ def test_three_term_recurrence_h(z, l):
 @settings(max_examples=40, deadline=None)
 def test_conjugation_symmetry(z, l):
     assume(abs(z) > 1e-6)
-    a = spherical_j(l, np.conj(z))
-    b = np.conj(spherical_j(l, z))
+    a = sph_jn_all(l, np.conj(z))[l]
+    b = np.conj(sph_jn_all(l, z)[l])
     assert abs(a - b) <= 1e-13 * max(abs(b), 1e-300)
 
 

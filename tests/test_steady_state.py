@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereqed.dynamics import CouplingParams, DriveSpec, prepare_drive, regime_classify, sample_closed
+from sphereqed.dynamics import CouplingParams, DriveSpec, amplitude_closed, prepare_drive, regime_classify
 from sphereqed.steady_state import (
     BASIS_LABELS,
     SteadyState,
@@ -17,7 +17,6 @@ from sphereqed.steady_state import (
     concurrence_closed_form,
     decayed_steady_state,
     entanglement_check,
-    integrate_alpha_beta,
     steady_state_from_params,
 )
 
@@ -51,8 +50,7 @@ class TestIntegrateAlphaBeta:
         # only the symmetric state driven: populations split as gamma32_pm, no coherence
         p = generic_params(dipole_shift=0.0)
         d = DriveSpec(0.8, 0.0)
-        traj = sample_closed(p, d, horizon(p))
-        s = integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+        s = decayed_steady_state(p, d, horizon(p))
         assert s.beta == 0
         assert s.alpha_plus / s.alpha_minus == pytest.approx(
             p.gamma32_pm("+") / p.gamma32_pm("-"), rel=1e-9
@@ -63,13 +61,11 @@ class TestIntegrateAlphaBeta:
         d = DriveSpec(0.7 - 0.2j, 0.4 + 0.5j)
         t_end = horizon(p)
         t = np.linspace(0, t_end, 400_001)
-        from sphereqed.dynamics import amplitude_closed
-
         cp = amplitude_closed(p, d, "+", t)
         cm = amplitude_closed(p, d, "-", t)
         g32 = (p.gamma32_pm("+"), p.gamma32_pm("-"))
         ap_q, am_q, beta_q = trapezoid_steady_state(t, cp, cm, g32)
-        s = steady_state_from_params(p, d, g32)
+        s = steady_state_from_params(p, d)
         assert s.alpha_plus == pytest.approx(ap_q, abs=1e-6)
         assert s.alpha_minus == pytest.approx(am_q, abs=1e-6)
         assert s.beta == pytest.approx(beta_q, abs=1e-6)
@@ -77,28 +73,22 @@ class TestIntegrateAlphaBeta:
     def test_regime_a_matches_asymptotics(self):
         p = regime_a_params()
         d = equal_site_drive(p)
-        traj = sample_closed(p, d, horizon(p))
-        s = integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+        s = decayed_steady_state(p, d, horizon(p))
         approx = alpha_beta_regime(p, d, "A")
         assert s.alpha_plus == pytest.approx(approx.alpha_plus, rel=0.15)
 
     def test_rejects_undecayed_trajectory(self):
         p = generic_params()
         d = DriveSpec(1.0, 0.5)
-        traj = sample_closed(p, d, 1.0)
         with pytest.raises(UndecayedTrajectoryError):
-            integrate_alpha_beta(traj, (p.gamma32_pm("+"), p.gamma32_pm("-")))
+            decayed_steady_state(p, d, 1.0)
 
     def test_guard_at_t_end_rejects_undecayed(self):
         p = generic_params()
         d = DriveSpec(1.0, 0.5)
-        g32 = (p.gamma32_pm("+"), p.gamma32_pm("-"))
-        with pytest.raises(UndecayedTrajectoryError) as from_traj:
-            integrate_alpha_beta(sample_closed(p, d, 1.0), g32)
-        with pytest.raises(UndecayedTrajectoryError) as at_t_end:
-            decayed_steady_state(p, d, 1.0, g32)
-        assert str(at_t_end.value) == str(from_traj.value)
-        assert decayed_steady_state(p, d, horizon(p), g32) == steady_state_from_params(p, d, g32)
+        with pytest.raises(UndecayedTrajectoryError):
+            decayed_steady_state(p, d, 1.0)
+        assert decayed_steady_state(p, d, horizon(p)) == steady_state_from_params(p, d)
 
     def test_monotone_in_resonance_width(self):
         # wider resonance, more photon loss, smaller transferred population
