@@ -23,7 +23,9 @@ from .special import (
     legendre_all,
     riccati_deriv_all,
     sph_h1n_all,
+    sph_h1n_ratio,
     sph_jn_all,
+    sph_jn_ratio,
 )
 
 # adaptive series truncation: stop after this many consecutive negligible terms
@@ -135,46 +137,30 @@ def size_parameter(omega: complex, length: float) -> complex:
     return 2.0 * math.pi * omega * length
 
 
-def _interior_factors(params: DrudeLorentzParams, radius: float, lmax: int, omega):
-    """z1 = k R, and eps j_l(z2) and [z2 j_l(z2)]' at z2 = n k R for
-    l = 0..lmax: the interior-field factors that the numerator and the
-    denominator of the TM scattering coefficient share.  An array omega
-    gives one column per frequency."""
+def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
+    """Numerator/denominator arrays of the TM scattering coefficient for
+    l = 0..lmax at frequency omega (complex allowed); an array omega gives
+    one column per frequency."""
     eps = permittivity(params, omega)
     z1 = size_parameter(omega, radius)
     z2 = refractive_index(params, omega) * z1
     ej2 = sph_jn_all(lmax, z2)
     rj2 = riccati_deriv_all(ej2, z2)
     ej2 *= eps
-    return z1, ej2, rj2
-
-
-def _denominator_terms(z1, ej2, rj2):
-    """The two terms t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]'
-    of the TM Mie denominator t1 - t2, from _interior_factors; both are
-    built in place, in the arrays of h_l(z1) and [z1 h_l(z1)]'."""
-    t2 = sph_h1n_all(len(ej2) - 1, z1)
-    t1 = riccati_deriv_all(t2, z1)
-    t1 *= ej2
-    t2 *= rj2
-    return t1, t2
-
-
-def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
-    """Numerator/denominator arrays of the TM scattering coefficient for
-    l = 0..lmax at frequency omega (complex allowed); an array omega gives
-    one column per frequency."""
-    z1, ej2, rj2 = _interior_factors(params, radius, lmax, omega)
-    # num = eps j2 rj1 - j1 rj2 and den = t1 - t2, built in place and in
-    # this order so that few (orders x frequencies) arrays are alive at once
+    # num = eps j2 rj1 - j1 rj2 and den = eps j2 rh1 - h1 rj2, built in
+    # place and in this order so that few (orders x frequencies) arrays are
+    # alive at once
     j1 = sph_jn_all(lmax, z1)
     num = riccati_deriv_all(j1, z1)
     num *= ej2
     j1 *= rj2
     num -= j1
     del j1
-    den, t2 = _denominator_terms(z1, ej2, rj2)
-    den -= t2
+    h1 = sph_h1n_all(lmax, z1)
+    den = riccati_deriv_all(h1, z1)
+    den *= ej2
+    h1 *= rj2
+    den -= h1
     return num, den
 
 
@@ -398,53 +384,60 @@ def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False)
 
 
 def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
-    """Row l of the denominator terms t1 and t2 at each frequency of the
-    1-D array omega, for the resonance refinement; a single point takes the
-    scalar loop.
+    """The terms eps D_h(z1) and D_j(z2) of f = eps D_h - D_j at order l, at
+    each frequency of the 1-D array omega, with z1 = k R, z2 = n k R and
+    D_f(z) = [z f_l(z)]' / f_l(z) = z f_{l-1}(z) / f_l(z) - l.
 
-    Both are NaN at a point where k R lies below H1_IM_MIN, where h_l^(1)
-    is not accurate, so that the refinement drops it.  A recurrence that
-    overflows at any other point raises OverflowError, on both paths.
+    f is the TM Mie denominator eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]'
+    divided by j_l(z2) h_l(z1): it has the same zeros, and the two terms
+    are the denominator's two terms divided by the same factor.  f needs
+    only the ratios j_l/j_{l-1} and h_l/h_{l-1}, which stay bounded where
+    j_l(z2) or h_l(z1) leave float64.
+
+    The first term, and so f and the balance ratio, is NaN at a point where
+    k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
+    search drops it.  A non-finite term at any other point raises
+    OverflowError.
     """
-    if np.iscomplexobj(omega):
-        inside = size_parameter(omega, sys.radius).imag >= H1_IM_MIN
-        if not inside.all():
-            t1 = np.full(len(omega), np.nan, dtype=complex)
-            t2 = t1.copy()
-            if inside.any():
-                t1[inside], t2[inside] = _order_terms(sys, l, omega[inside])
-            return t1, t2
-    if len(omega) == 1:
-        t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega[0]))
-        return t1[l : l + 1], t2[l : l + 1]
-    t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega))
-    # the column recurrences leave an overflow in place; the scalar ones raise
-    finite = np.isfinite(t1).all(axis=0) & np.isfinite(t2).all(axis=0)
+    eps = permittivity(sys.params, omega)
+    z1 = size_parameter(omega, sys.radius)
+    z2 = refractive_index(sys.params, omega) * z1
+    q = sph_h1n_ratio(l, z1)
+    r = sph_jn_ratio(l, z2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dh = z1 / q
+        dh -= l
+        dh *= eps
+        dj = z2 / r
+        dj -= l
+    finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
+    finite |= np.imag(z1) < H1_IM_MIN
     if not finite.all():
         raise OverflowError(
-            f"Mie denominator recurrences overflowed for l={l} at omega={omega[~finite][0]}"
+            f"Bessel ratio recurrences overflowed for l={l} at omega={omega[~finite][0]}"
         )
-    return t1[l], t2[l]
+    return dh, dj
 
 
 def _balance(t1, t2):
     """|t1 - t2| / (|t1| + |t2|), and 1 where both terms vanish.
 
-    The raw denominator rides an exponential envelope in omega (through
-    j_l(z2) inside the gap); the normalized cancellation ratio is O(1) away
-    from a resonance and dips sharply at one, which makes it the right
-    quantity to bracket on a real-frequency grid.
+    The denominator rides an exponential envelope in omega (through j_l(z2)
+    inside the gap), and f has poles at the zeros of j_l(z2); the
+    normalized cancellation ratio is the same for both, O(1) away from a
+    resonance and dipping sharply at one, which makes it the right quantity
+    to bracket on a real-frequency grid.
     """
     denom = np.abs(t1) + np.abs(t2)
     with np.errstate(invalid="ignore"):
         return np.where(denom == 0.0, 1.0, np.abs(t1 - t2) / denom)
 
 
-def _denominator(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
-    """The Mie denominator of order l at each frequency of the 1-D array
-    omega (see _order_terms)."""
-    t1, t2 = _order_terms(sys, l, omega)
-    return t1 - t2
+def _reduced_denominator(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
+    """f = eps D_h - D_j of order l at each frequency of the 1-D array omega
+    (see _order_terms)."""
+    dh, dj = _order_terms(sys, l, omega)
+    return dh - dj
 
 
 def _denominator_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
@@ -453,16 +446,8 @@ def _denominator_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.nda
     return _balance(*_order_terms(sys, l, omega))
 
 
-def _grid_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
-    """The balance ratio of order l at each point of a grid chunk, straight
-    from the column recurrences: a point where they overflow is NaN, which
-    is never a minimum."""
-    t1, t2 = _denominator_terms(*_interior_factors(sys.params, sys.radius, l, omega))
-    return _balance(t1[l], t2[l])
-
-
 def _newton_root(sys: SphereSystem, l: int, omega0):
-    """Complex Newton iteration on the Mie denominator from real starts.
+    """Complex Newton iteration on f (see _order_terms) from real starts.
 
     The iterates of all starts move together: each step makes one call
     each at omega and omega +/- h over the iterates still active.  An
@@ -475,14 +460,15 @@ def _newton_root(sys: SphereSystem, l: int, omega0):
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
-        d0 = _denominator(sys, l, om[active])
+        d0 = _reduced_denominator(sys, l, om[active])
         inside = ~np.isnan(d0)
         active, d0 = active[inside], d0[inside]
         if not active.size:
             break
         w = om[active]
         h = 1e-7 * np.abs(w)
-        deriv = (_denominator(sys, l, w + h) - _denominator(sys, l, w - h)) / (2.0 * h)
+        deriv = (_reduced_denominator(sys, l, w + h)
+                 - _reduced_denominator(sys, l, w - h)) / (2.0 * h)
         moving = deriv != 0
         active, w = active[moving], w[moving]
         step = d0[moving] / deriv[moving]
@@ -537,28 +523,29 @@ def find_resonances(
 ) -> list[Resonance]:
     """Locate field resonances omega_c - i*delta_omega_c in a frequency window.
 
-    For each multipole order the balance ratio is sampled on a real grid
-    (grid_per_unit points per unit omega_T, at least 64 across the window),
-    interior local minima are sharpened by golden-section search and then
-    handed to a complex Newton iteration on the raw denominator.  The
-    candidates of an order are refined together, one column of the Bessel
-    recurrences per candidate (a single candidate keeps the scalar loop).
-    Converged roots are kept when they fall inside the window, have
-    positive width and suppress the denominator by at least 1e-8 relative
-    to its off-resonance value at omega_c + 3*delta_omega_c.
+    Every evaluation reads order l alone, through the log-derivative form
+    f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
+    from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows up
+    to l = 300.  For each multipole order the balance ratio of the two
+    terms is sampled on a real grid (grid_per_unit points per unit
+    omega_T, at least 64 across the window) in one call, interior local
+    minima are sharpened by golden-section search on the same ratio and
+    then handed to a complex Newton iteration on f.  The candidates of an
+    order are refined together, one column of the ratio recurrences per
+    candidate (a single candidate keeps the scalar loop).  Converged roots
+    are kept when they fall inside the window, have positive width and
+    suppress f by at least 1e-8 relative to its off-resonance value at
+    omega_c + 3*delta_omega_c.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
     found: list[Resonance] = []
     npts = max(64, int(grid_per_unit * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
-    # the grid in near-equal chunks of about BLOCK points keeps the
-    # (orders x points) arrays small and leaves no one-point chunk
-    chunks = np.array_split(grid, max(1, npts // BLOCK))
     for l in l_range:
         if l < 1 or l > L_MAX_SUPPORTED:
             raise ValueError(f"l={l} outside 1..{L_MAX_SUPPORTED}")
-        vals = np.concatenate([_grid_balance(sys, l, chunk) for chunk in chunks])
+        vals = _denominator_balance(sys, l, grid)
         mid = vals[1:-1]
         minima = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1
         if not minima.size:
@@ -570,8 +557,8 @@ def find_resonances(
         ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
         kept = roots[ok]
         if kept.size:
-            ref = np.abs(_denominator(sys, l, wc[ok] + 3.0 * dwc[ok]))
-            kept = kept[np.abs(_denominator(sys, l, kept)) < 1e-8 * ref]
+            ref = np.abs(_reduced_denominator(sys, l, wc[ok] + 3.0 * dwc[ok]))
+            kept = kept[np.abs(_reduced_denominator(sys, l, kept)) < 1e-8 * ref]
         unique: list[complex] = []
         for root in kept.tolist():
             wc, dwc = root.real, -root.imag

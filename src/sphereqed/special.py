@@ -11,6 +11,14 @@ take a 1-D array of arguments and return an (lmax + 1, N) array, one column
 per argument: the recurrences still loop over l, and numpy does each step
 for all columns at once.  A scalar argument keeps the scalar loop, which is
 faster for a single point.
+
+`sph_jn_ratio` and `sph_h1n_ratio` give the single-order ratios
+j_l/j_{l-1} and h_l/h_{l-1} by the same two recurrences, carried as ratios:
+bounded numbers where j_l and h_l themselves leave float64 (h_l overflows
+near l = 300 at k R ~ 12, j_l(z) for |Im z| beyond ~700).  The resonance
+search needs nothing else.  They take a scalar or a 1-D array of arguments
+and return one ratio per argument; a scalar or one-element array takes the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ _RESCALE = 1e250
 # eps * e^(2 |Im z|) of relative accuracy (against mpmath: 5e-12 at
 # Im z = -5, 1e-7 at -10, O(1) at -20), so it refuses Im z below this.
 H1_IM_MIN = -5.0
+
+# rows of (2n + 1)/z that the column ratio loops build per numpy call
+_ODD_ROWS = 32
 
 
 class RecurrenceDomainError(ValueError):
@@ -183,6 +194,107 @@ def _sph_h1n_columns(lmax: int, z: np.ndarray) -> np.ndarray:
     if below is not None:
         out[:, below] = np.nan
     return out
+
+
+def _per_point(loop, columns, l: int, z):
+    """loop(l, z) for a scalar z or a one-element array, which is faster
+    for one point, and columns(l, z) for a longer 1-D array; an array z
+    gives an array."""
+    if l < 1:
+        raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
+    points = np.asarray(z, dtype=complex).ravel()
+    if np.any(points == 0):
+        raise ValueError("Bessel ratios need z != 0")
+    if len(points) > 1:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return columns(l, points)
+    value = loop(l, complex(points[0]))
+    return np.array([value]) if _is_array(z) else value
+
+
+def sph_jn_ratio(l: int, z):
+    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0.
+
+    The ratio r_n = j_n/j_{n-1} obeys 1/r_n = (2n+1)/z - r_{n+1}, run
+    downward as a continued fraction from r = 0 above _miller_start(l, |z|):
+    the same start and the same error as sph_jn_all's Miller recurrence, but
+    only one bounded number per point, so nothing overflows where j_l itself
+    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  A 1-D array z gives
+    one ratio per argument.
+    """
+    return _per_point(_jn_ratio_loop, _jn_ratio_columns, l, z)
+
+
+def _jn_ratio_loop(l: int, z: complex) -> complex:
+    zinv = 1.0 / z
+    r = 0j
+    for n in range(_miller_start(l, abs(z)), l - 1, -1):
+        r = 1.0 / ((2 * n + 1) * zinv - r)
+    return r
+
+
+def _odd_over_z(orders: range, z: np.ndarray):
+    """The rows (2n + 1)/z, for n in orders, of the column loops: built
+    _ODD_ROWS rows per numpy call, so that a step of a ratio recurrence
+    costs two numpy calls instead of three."""
+    zinv = np.reciprocal(z)
+    for k in range(0, len(orders), _ODD_ROWS):
+        odd = 2.0 * np.asarray(orders[k : k + _ODD_ROWS], dtype=float) + 1.0
+        yield from np.multiply.outer(odd, zinv)
+
+
+def _jn_ratio_columns(l: int, z: np.ndarray) -> np.ndarray:
+    """_jn_ratio_loop for each column, each started at its own order, so a
+    column's value does not depend on the other arguments."""
+    seeds = {}
+    for column, size in enumerate(np.abs(z).tolist()):
+        seeds.setdefault(_miller_start(l, size), []).append(column)
+    orders = range(max(seeds), l - 1, -1)
+    r = np.zeros_like(z)
+    step = np.empty_like(z)
+    for n, odd in zip(orders, _odd_over_z(orders, z)):
+        seeded = seeds.get(n)
+        if seeded is not None:
+            r[seeded] = 0.0
+        np.subtract(odd, r, out=step)
+        np.reciprocal(step, out=r)
+    return r
+
+
+def sph_h1n_ratio(l: int, z):
+    """h_l^(1)(z)/h_{l-1}^(1)(z) for l >= 1 and complex z != 0, by the upward
+    recurrence q_{n+1} = (2n+1)/z - 1/q_n from h_1/h_0 = 1/z - i: bounded
+    where h_l itself overflows.
+
+    Refuses Im z < H1_IM_MIN with RecurrenceDomainError, as sph_h1n_all
+    does; for a 1-D array z such an argument gives NaN instead.
+    """
+    below = np.imag(z) < H1_IM_MIN
+    if not _is_array(z) and below:
+        raise RecurrenceDomainError(
+            f"h_l^(1) recurrence is inaccurate below Im z = {H1_IM_MIN}, z={z}"
+        )
+    q = _per_point(_h1n_ratio_loop, _h1n_ratio_columns, l, z)
+    if _is_array(z):
+        q[below] = np.nan
+    return q
+
+
+def _h1n_ratio_loop(l: int, z: complex) -> complex:
+    zinv = 1.0 / z
+    q = zinv - 1j
+    for n in range(1, l):
+        q = (2 * n + 1) * zinv - 1.0 / q
+    return q
+
+
+def _h1n_ratio_columns(l: int, z: np.ndarray) -> np.ndarray:
+    q = np.reciprocal(z) - 1j
+    inverse = np.empty_like(z)
+    for odd in _odd_over_z(range(1, l), z):
+        np.reciprocal(q, out=inverse)
+        np.subtract(odd, inverse, out=q)
+    return q
 
 
 def riccati_deriv_all(farr: np.ndarray, z) -> np.ndarray:

@@ -60,6 +60,29 @@ def mp_riccati_deriv(kind: str, l: int, z: complex) -> complex:
     return complex(z) * fn(l - 1, z) - l * fn(l, z)
 
 
+def mp_bessel_ratio(kind: str, l: int, z: complex) -> complex:
+    """f_l(z)/f_{l-1}(z) for f = j_l (kind "J") or h_l^(1) (kind "H1"), as a
+    ratio of half-integer-order cylinder functions at 50 digits: the factor
+    sqrt(pi/2z) cancels, and nothing passes through complex128 before the
+    final rounding, so it holds where j_l or h_l leave float64 (l = 300 at
+    small z, where mp_spherical_j underflows)."""
+    fn = mp.besselj if kind == "J" else mp.hankel1
+    with mp.workdps(50):
+        zc = mp.mpc(z)
+        half = mp.mpf(1) / 2
+        return complex(fn(l + half, zc) / fn(l - half, zc))
+
+
+def mp_log_derivative(kind: str, l: int, z: complex) -> complex:
+    """[z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l, in mpmath throughout
+    (see mp_bessel_ratio)."""
+    fn = mp.besselj if kind == "J" else mp.hankel1
+    with mp.workdps(50):
+        zc = mp.mpc(z)
+        half = mp.mpf(1) / 2
+        return complex(zc * fn(l - half, zc) / fn(l + half, zc) - l)
+
+
 def mp_mie_coefficient(omega_p: float, gamma: float, radius: float, l: int, omega: float) -> complex:
     """TM scattering coefficient assembled from scratch with mpmath pieces."""
     om = mp.mpc(omega)

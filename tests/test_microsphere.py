@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sphereqed.special import H1_IM_MIN
 from oracles import (
     free_space_cross_rate,
     mp_collective_rate,
+    mp_log_derivative,
     mp_mie_coefficient,
     scalar_find_resonances,
 )
@@ -211,15 +213,16 @@ class TestRatesPm:
 
 @pytest.fixture
 def denominator_args(monkeypatch):
-    """Every omega at which the resonance search evaluates the Mie denominator."""
+    """Every omega at which the resonance search evaluates f, the Mie
+    denominator divided by j_l(n k R) h_l(k R)."""
     seen = []
-    denominator = microsphere._denominator
+    denominator = microsphere._reduced_denominator
 
     def spy(sys, l, omega):
         seen.extend(complex(om) for om in np.atleast_1d(omega))
         return denominator(sys, l, omega)
 
-    monkeypatch.setattr(microsphere, "_denominator", spy)
+    monkeypatch.setattr(microsphere, "_reduced_denominator", spy)
     return seen
 
 
@@ -252,11 +255,17 @@ class TestFindResonances:
         assert all(0.92 <= r.omega_c <= 0.93 and r.delta_omega_c > 0 for r in found)
 
     def test_newton_drops_iterate_below_accurate_region(self, fig2_system, denominator_args):
-        # from omega = 0.3 the l = 1 iteration passes below Im(k R) = -5,
+        # from omega = 0.25 the l = 1 iteration passes below Im(k R) = -5,
         # where h_l^(1) is refused, and the candidate is dropped
-        assert microsphere._newton_root(fig2_system, 1, 0.3) is None
+        assert microsphere._newton_root(fig2_system, 1, 0.25) is None
         lowest = min(size_parameter(om, fig2_system.radius).imag for om in denominator_args)
         assert lowest < H1_IM_MIN
+        # there f is NaN, on the one-point and the column path
+        below = 0.3 - 0.1j
+        assert size_parameter(below, fig2_system.radius).imag < H1_IM_MIN
+        for omega in (np.array([below]), np.array([below, 0.3])):
+            f = microsphere._reduced_denominator(fig2_system, 1, omega)
+            assert np.isnan(f[0]) and np.isfinite(f[1:]).all()
 
     def test_newton_iterates_of_demo_root_stay_near_axis(self, fig2_system, fig2_resonance,
                                                         denominator_args):
@@ -306,22 +315,63 @@ class TestBatchedRefinement:
         roots = microsphere._newton_root(fig2_system, 121, starts)
         assert roots == pytest.approx(np.full(2, roots[0]), rel=1e-13)
         assert roots[0].real == pytest.approx(fig2_resonance.omega_c, rel=1e-12)
-        # as a column, the l = 1 iterate from 0.3 is dropped below Im(k R) = -5 too
-        assert np.all(np.isnan(microsphere._newton_root(fig2_system, 1, np.array([0.3, 0.3]))))
+        # as a column, the l = 1 iterate from 0.25 is dropped below Im(k R) = -5 too
+        assert np.all(np.isnan(microsphere._newton_root(fig2_system, 1, np.array([0.25, 0.25]))))
 
     def test_overflowed_column_raises(self, fig2_system, monkeypatch):
-        # the column recurrences leave an overflow in place; the refinement
-        # raises it, as the scalar recurrences do, instead of dropping the point
-        sph_jn_all = microsphere.sph_jn_all
+        # a non-finite ratio column is raised, naming l and omega, instead
+        # of being dropped
+        sph_jn_ratio = microsphere.sph_jn_ratio
 
-        def overflowing(lmax, z):
-            out = sph_jn_all(lmax, z)
-            out[:, -1] = np.inf
+        def overflowing(l, z):
+            out = sph_jn_ratio(l, z)
+            out[-1] = np.inf
             return out
 
-        monkeypatch.setattr(microsphere, "sph_jn_all", overflowing)
-        with pytest.raises(OverflowError), np.errstate(invalid="ignore"):
-            microsphere._denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
+        monkeypatch.setattr(microsphere, "sph_jn_ratio", overflowing)
+        with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502"):
+            microsphere._reduced_denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
+
+
+def mp_balance(sys: SphereSystem, l: int, omega: float) -> float:
+    """|f| / (|eps D_h| + |D_j|) with both log-derivatives from mpmath."""
+    z1 = size_parameter(omega, sys.radius)
+    z2 = refractive_index(sys.params, omega) * z1
+    dh = permittivity(sys.params, omega) * mp_log_derivative("H1", l, z1)
+    dj = mp_log_derivative("J", l, z2)
+    return abs(dh - dj) / (abs(dh) + abs(dj))
+
+
+class TestGridScanRange:
+    """Windows where j_l(n k R) or h_l(k R) leave float64: the grid scan
+    reads order l through bounded ratios, so every grid point is finite."""
+
+    @pytest.mark.parametrize(
+        "l,omega_lo,omega_hi",
+        [
+            (300, 0.2, 0.25),  # h_300(k R) overflows at every point
+            (121, 1.0, 1.1),  # sin and cos of n k R overflow next to omega = 1
+        ],
+    )
+    def test_balance_finite_at_every_grid_point(self, fig2_system, l, omega_lo, omega_hi):
+        # the search's grid: 2000 points per unit omega
+        grid = np.linspace(omega_lo, omega_hi, int(2000 * (omega_hi - omega_lo)) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = microsphere._denominator_balance(fig2_system, l, grid)
+        assert np.isfinite(vals).all()
+        for k in (1, 2, len(grid) // 2, len(grid) - 1):
+            assert vals[k] == pytest.approx(mp_balance(fig2_system, l, grid[k]), abs=1e-12)
+
+    def test_no_resonance_at_l_300_below_gap(self, fig2_system):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_resonances(fig2_system, 0.2, 0.25, [300]) == []
+
+    def test_demo_root_from_window_next_to_omega_1(self, fig2_system, fig2_resonance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_resonances(fig2_system, 1.0, 1.1, [121]) == [fig2_resonance]
 
 
 class TestSingleTermRate:

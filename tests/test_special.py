@@ -5,16 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sphereqed.microsphere import DrudeLorentzParams, refractive_index, size_parameter
 from sphereqed.special import (
     H1_IM_MIN,
     RecurrenceDomainError,
     legendre_all,
     riccati_deriv_all,
     sph_h1n_all,
+    sph_h1n_ratio,
     sph_jn_all,
+    sph_jn_ratio,
 )
 
-from oracles import mp_riccati_deriv, mp_spherical_h1, mp_spherical_j
+from oracles import mp_bessel_ratio, mp_riccati_deriv, mp_spherical_h1, mp_spherical_j
 
 # frozen 40-digit mpmath reference values
 J5_10_01J = -0.055801299344828602026 - 0.0072338287921614050315j
@@ -232,6 +235,77 @@ class TestArrayArguments:
             assert np.all(np.abs(cols[:, k] - legendre_all(200, xk)) <= 1e-13)
         with pytest.raises(ValueError):
             legendre_all(3, np.array([0.5, 1.5]))
+
+
+def demo_arguments(l, omegas):
+    """(l, z1, z2) at k R and n k R of the demo sphere (omega_p = 0.5,
+    gamma = 1e-6, R = 10), one entry per frequency."""
+    z1 = size_parameter(np.asarray(omegas), 10.0)
+    z2 = refractive_index(DrudeLorentzParams(0.5, 1e-6), np.asarray(omegas)) * z1
+    return l, z1, z2
+
+
+# (l, k R, n k R) where the resonance search reads the ratios
+RATIO_POINTS = {
+    "band gap": demo_arguments(121, [1.0501, 1.04, 1.08]),
+    "below the gap": demo_arguments(70, [0.925, 0.95, 0.3]),
+    "complex omega": demo_arguments(1, [0.3 - 0.07j, 1.0501 - 5e-7j, 0.93 - 0.002j]),
+    "l = 300": demo_arguments(300, [0.2, 0.25, 1.1]),
+    "next to omega = 1": demo_arguments(121, [1 - 5e-6, 1 + 5e-6, 1 - 1e-5, 1 + 1e-5]),
+}
+
+
+@pytest.mark.parametrize("name", list(RATIO_POINTS))
+class TestBesselRatios:
+    """j_l/j_{l-1} and h_l/h_{l-1} on both paths against mpmath ratios that
+    never pass through complex128, at k R and n k R of the demo sphere."""
+
+    @pytest.mark.parametrize("kind", ["J", "H1"])
+    def test_against_multiprecision(self, name, kind):
+        l, z1, z2 = RATIO_POINTS[name]
+        ratio = sph_jn_ratio if kind == "J" else sph_h1n_ratio
+        # the search reads j_l at n k R and h_l at k R; j_l is checked at both
+        for z in (z1, z2) if kind == "J" else (z1,):
+            cols = ratio(l, z)
+            for k, zk in enumerate(z):
+                want = mp_bessel_ratio(kind, l, zk)
+                assert abs(ratio(l, zk) - want) <= 1e-12 * abs(want)
+                assert abs(cols[k] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kind", ["J", "H1"])
+    def test_scalar_and_column_paths_agree(self, name, kind):
+        l, z1, z2 = RATIO_POINTS[name]
+        ratio = sph_jn_ratio if kind == "J" else sph_h1n_ratio
+        z = np.concatenate([z1, z2]) if kind == "J" else z1
+        cols = ratio(l, z)
+        assert cols.shape == z.shape
+        for k, zk in enumerate(z):
+            one = ratio(l, zk)
+            # the two paths make the same operations (they agree to the
+            # last bit with numpy 2.4), so a point's ratio does not depend
+            # on the other arguments of its call
+            assert abs(cols[k] - one) <= 1e-15 * abs(one)
+            # a one-element array takes the scalar loop
+            assert ratio(l, z[k : k + 1])[0] == one
+
+
+class TestBesselRatioDomain:
+    def test_hankel_ratio_refused_below_the_line(self):
+        z = 20.0 + (H1_IM_MIN - 0.5) * 1j
+        with pytest.raises(RecurrenceDomainError):
+            sph_h1n_ratio(5, z)
+        for args in (np.array([z]), np.array([z, 20.0])):
+            q = sph_h1n_ratio(5, args)
+            assert np.isnan(q[0]) and np.isfinite(q[1:]).all()
+
+    @pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
+    def test_order_and_argument_checked(self, ratio):
+        with pytest.raises(ValueError):
+            ratio(0, 1.0)
+        with pytest.raises(ValueError):
+            ratio(3, 0.0)
+        with pytest.raises(ValueError):
+            ratio(3, np.array([1.0, 0.0]))
 
 
 # property-based invariants
