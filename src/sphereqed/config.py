@@ -60,9 +60,12 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
     if raw in _NAMED_VALUES:
         return _NAMED_VALUES[raw]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:

@@ -21,11 +21,11 @@ from .special import (
     H1_IM_MIN,
     L_MAX_SUPPORTED,
     legendre_all,
-    riccati_deriv_all,
     sph_h1n_all,
     sph_h1n_ratio,
     sph_jn_all,
     sph_jn_ratio,
+    sph_jn_ratios,
 )
 
 # adaptive series truncation: stop after this many consecutive negligible terms
@@ -38,6 +38,9 @@ _TAIL_WIDTH = 12
 # point's value never depends on how a caller groups its points; small, so
 # the (orders x points) work arrays stay a few hundred kB.
 BLOCK = 32
+
+# real-frequency grid points per unit omega_T of the resonance search
+GRID_PER_UNIT = 2000
 
 
 class NonConvergenceError(RuntimeError):
@@ -137,30 +140,52 @@ def size_parameter(omega: complex, length: float) -> complex:
     return 2.0 * math.pi * omega * length
 
 
+def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
+    """eps D_1(z1) and D_2(z2), with z1 = k R, z2 = n k R and the
+    log-derivative D(z) = [z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l formed
+    from ratio = f_l/f_{l-1}; l is an order or a column of orders.
+
+    With h_l^(1) at z1 and j_l at z2 these are the two terms of the TM Mie
+    denominator eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]' divided by
+    j_l(z2) h_l(z1), and their difference f = eps D_h - D_j has its zeros;
+    with j_l at z1 they are those of the numerator divided by j_l(z2) j_l(z1).
+    The ratios stay bounded where j_l(z2) or h_l(z1) leave float64.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t1 = z1 / ratio1
+        t1 -= l
+        t1 *= eps
+        t2 = z2 / ratio2
+        t2 -= l
+    return t1, t2
+
+
 def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
-    """Numerator/denominator arrays of the TM scattering coefficient for
-    l = 0..lmax at frequency omega (complex allowed); an array omega gives
-    one column per frequency."""
+    """Numerator and denominator of the TM scattering coefficient
+    B_l = -num/den for l = 1..lmax (rows) at frequency omega (complex
+    allowed), one column per frequency of an array omega or a single column:
+    num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and den = h_l(k R) f, the Mie
+    numerator and denominator divided by j_l(n k R) (see _reduced_terms).
+
+    Only the ratios of j_l(n k R) are formed, and D_j at k R and at n k R
+    come from the same code: a vacuum sphere gives num = 0 exactly.  B_l is
+    one quotient: near l = 300 it is subnormal, and j_l/h_l formed first
+    would round it differently.
+    """
     eps = permittivity(params, omega)
     z1 = size_parameter(omega, radius)
     z2 = refractive_index(params, omega) * z1
-    ej2 = sph_jn_all(lmax, z2)
-    rj2 = riccati_deriv_all(ej2, z2)
-    ej2 *= eps
-    # num = eps j2 rj1 - j1 rj2 and den = eps j2 rh1 - h1 rj2, built in
-    # place and in this order so that few (orders x frequencies) arrays are
-    # alive at once
-    j1 = sph_jn_all(lmax, z1)
-    num = riccati_deriv_all(j1, z1)
-    num *= ej2
-    j1 *= rj2
-    num -= j1
-    del j1
-    h1 = sph_h1n_all(lmax, z1)
-    den = riccati_deriv_all(h1, z1)
-    den *= ej2
-    h1 *= rj2
-    den -= h1
+    rows = (lmax + 1, -1)
+    ls = np.arange(1, lmax + 1)[:, None]
+    rj1 = np.reshape(sph_jn_ratios(lmax, z1), rows)
+    rj2 = np.reshape(sph_jn_ratios(lmax, z2), rows)[1:]
+    h1 = np.reshape(sph_h1n_all(lmax, z1), rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num = np.subtract(*_reduced_terms(eps, z1, rj1[1:], z2, rj2, ls))
+        den = np.subtract(*_reduced_terms(eps, z1, h1[1:] / h1[:-1], z2, rj2, ls))
+        # j_l(k R) is the running product of its ratio rows (sph_jn_all)
+        num *= np.cumprod(rj1, axis=0)[1:]
+        den *= h1[1:]
     return num, den
 
 
@@ -173,10 +198,10 @@ def mie_coefficient(sys: SphereSystem, l: int, omega: complex) -> complex:
         raise ValueError(f"l={l} exceeds supported maximum {L_MAX_SUPPORTED}")
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    num, den = _mie_arrays(sys.params, sys.radius, l, omega)
-    if abs(den[l]) < 1e-300:
+    num, den = (a[-1, 0] for a in _mie_arrays(sys.params, sys.radius, l, omega))
+    if abs(den) < 1e-300:
         raise PoleError(f"Mie denominator vanishes at l={l}, omega={omega}")
-    return complex(-num[l] / den[l])
+    return complex(-num / den)
 
 
 def _shared(values: np.ndarray):
@@ -188,8 +213,9 @@ def _shared(values: np.ndarray):
 
 def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
                  omega: np.ndarray, lmax: int):
-    """Per-order contributions to Gamma_AA/Gamma_0 for l = 0..lmax (rows) at
-    each point (columns), and a Legendre-free magnitude envelope.
+    """Per-order contributions to Gamma_AA/Gamma_0 for l = 1..lmax (rows) at
+    each point (columns), and a Legendre-free magnitude envelope; order 0
+    carries no weight and is not part of the series.
 
     The cross rate Gamma_AB differs only by the factor P_l(cos theta), and
     the single-atom rate has P_l(1) = 1.  |terms| = weight * |Re h(j + Bh)|
@@ -202,7 +228,7 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     but the Legendre factor.
     """
     shape = (lmax + 1, -1)
-    bl, den = (np.reshape(a, shape) for a in _mie_arrays(params, radius, lmax, _shared(omega)))
+    bl, den = _mie_arrays(params, radius, lmax, _shared(omega))
     # B_l = -num/den, and 0 where the denominator vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
         bl /= den
@@ -210,20 +236,20 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     del den
     np.negative(bl, out=bl)
     kr = _shared(2.0 * math.pi * omega * r)
-    hr = np.reshape(sph_h1n_all(lmax, kr), shape)
+    hr = np.reshape(sph_h1n_all(lmax, kr), shape)[1:]
     scattered = bl * hr
     del bl
     env_mag = np.abs(scattered)
     env_mag *= np.abs(hr)
-    jr = np.reshape(sph_jn_all(lmax, kr), shape)
+    jr = np.reshape(sph_jn_all(lmax, kr), shape)[1:]
     env_mag += np.abs(jr) ** 2
     # h (j + B h), the scattered part already holding B h
     scattered += jr
     del jr
     scattered *= hr
-    ls = np.arange(lmax + 1, dtype=float)[:, None]
+    ls = np.arange(1, lmax + 1, dtype=float)[:, None]
     weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
-    full = (lmax + 1, len(omega))
+    full = (lmax, len(omega))
     return (np.broadcast_to(weight * scattered.real, full),
             np.broadcast_to(weight * env_mag, full))
 
@@ -278,9 +304,7 @@ def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
         while True:
             todo = np.flatnonzero(~done.all(axis=0))
             terms, env_mag = _rate_orders(params, radius, r[todo], omega[todo], lmax)
-            p_l = np.reshape(legendre_all(lmax, _shared(cos_theta[todo])), (lmax + 1, -1))
-            # order 0 carries no weight and is not part of the series
-            terms, env_mag, p_l = terms[1:], env_mag[1:], p_l[1:]
+            p_l = np.reshape(legendre_all(lmax, _shared(cos_theta[todo])), (lmax + 1, -1))[1:]
             env_re = np.abs(terms)
             at_cap = lmax == L_MAX_SUPPORTED
             bound = _tail_bound(env_re, env_mag) if at_cap else None
@@ -380,19 +404,13 @@ def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False)
     cos_theta = 1.0 if same_atom else math.cos(sys.theta)
     terms, _ = _rate_orders(sys.params, sys.radius, np.array([sys.r]),
                             np.array([res.omega_c]), res.l)
-    return float(terms[res.l, 0] * legendre_all(res.l, cos_theta)[res.l])
+    return float(terms[-1, 0] * legendre_all(res.l, cos_theta)[res.l])
 
 
 def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
-    """The terms eps D_h(z1) and D_j(z2) of f = eps D_h - D_j at order l, at
-    each frequency of the 1-D array omega, with z1 = k R, z2 = n k R and
-    D_f(z) = [z f_l(z)]' / f_l(z) = z f_{l-1}(z) / f_l(z) - l.
-
-    f is the TM Mie denominator eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]'
-    divided by j_l(z2) h_l(z1): it has the same zeros, and the two terms
-    are the denominator's two terms divided by the same factor.  f needs
-    only the ratios j_l/j_{l-1} and h_l/h_{l-1}, which stay bounded where
-    j_l(z2) or h_l(z1) leave float64.
+    """The terms eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at
+    order l, at each frequency of the 1-D array omega, from the single-order
+    ratios h_l/h_{l-1} and j_l/j_{l-1}.
 
     The first term, and so f and the balance ratio, is NaN at a point where
     k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
@@ -404,12 +422,7 @@ def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
     z2 = refractive_index(sys.params, omega) * z1
     q = sph_h1n_ratio(l, z1)
     r = sph_jn_ratio(l, z2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dh = z1 / q
-        dh -= l
-        dh *= eps
-        dj = z2 / r
-        dj -= l
+    dh, dj = _reduced_terms(eps, z1, q, z2, r, l)
     finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
     finite |= np.imag(z1) < H1_IM_MIN
     if not finite.all():
@@ -519,7 +532,6 @@ def find_resonances(
     omega_lo: float,
     omega_hi: float,
     l_range,
-    grid_per_unit: int = 2000,
 ) -> list[Resonance]:
     """Locate field resonances omega_c - i*delta_omega_c in a frequency window.
 
@@ -527,7 +539,7 @@ def find_resonances(
     f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
     from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows up
     to l = 300.  For each multipole order the balance ratio of the two
-    terms is sampled on a real grid (grid_per_unit points per unit
+    terms is sampled on a real grid (GRID_PER_UNIT points per unit
     omega_T, at least 64 across the window) in one call, interior local
     minima are sharpened by golden-section search on the same ratio and
     then handed to a complex Newton iteration on f.  The candidates of an
@@ -540,7 +552,7 @@ def find_resonances(
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
     found: list[Resonance] = []
-    npts = max(64, int(grid_per_unit * (omega_hi - omega_lo))) + 1
+    npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
     for l in l_range:
         if l < 1 or l > L_MAX_SUPPORTED:

@@ -1,24 +1,18 @@
 """Spherical Bessel/Hankel functions of complex argument and Legendre polynomials.
 
-Everything here is recurrence based and table free.  j_l is generated by
-downward (Miller) recurrence, which is stable because j is the minimal
-solution as l grows; h_l^(1) is generated upward, where it is the dominant
-solution.  Riccati derivatives [z f_l(z)]' are obtained from the standard
-derivative recurrence so Mie coefficients never need explicit f_l'.
+Everything here is recurrence based and table free.  j_l comes from the
+ratios j_l/j_{l-1} of a downward continued fraction, which is stable
+because j is the minimal solution as l grows, multiplied up from j_0 or
+j_1; h_l^(1) is generated upward, where it is the dominant solution.  As
+ratios (`sph_jn_ratio`, `sph_h1n_ratio`) both stay bounded where j_l and
+h_l leave float64 (h_l overflows near l = 300 at k R ~ 12, j_l(z) for
+|Im z| beyond ~700); the resonance search reads nothing else.
 
-`sph_jn_all`, `sph_h1n_all`, `riccati_deriv_all` and `legendre_all` also
-take a 1-D array of arguments and return an (lmax + 1, N) array, one column
-per argument: the recurrences still loop over l, and numpy does each step
-for all columns at once.  A scalar argument keeps the scalar loop, which is
-faster for a single point.
-
-`sph_jn_ratio` and `sph_h1n_ratio` give the single-order ratios
-j_l/j_{l-1} and h_l/h_{l-1} by the same two recurrences, carried as ratios:
-bounded numbers where j_l and h_l themselves leave float64 (h_l overflows
-near l = 300 at k R ~ 12, j_l(z) for |Im z| beyond ~700).  The resonance
-search needs nothing else.  They take a scalar or a 1-D array of arguments
-and return one ratio per argument; a scalar or one-element array takes the
-scalar loop.
+Every function also takes a 1-D array of arguments and returns one column
+(one value for the single-order ratios) per argument: the recurrences still
+loop over l, and numpy does each step for all columns at once.  A scalar
+argument keeps the scalar loop, which is faster for a single point, and so
+does a one-element array for the j_l functions and the ratios.
 """
 
 from __future__ import annotations
@@ -28,8 +22,6 @@ import numpy as np
 # Highest multipole order the microsphere layer sums to.  Enough for size
 # parameters up to ~kR = 66 of the microsphere geometry plus evanescent tail.
 L_MAX_SUPPORTED = 300
-
-_RESCALE = 1e250
 
 # Below the real axis the upward recurrence for h_l^(1) loses about
 # eps * e^(2 |Im z|) of relative accuracy (against mpmath: 5e-12 at
@@ -56,88 +48,47 @@ def _miller_start(lmax: int, size):
     return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
 
 
-def sph_jn_all(lmax: int, z) -> np.ndarray:
-    """j_l(z) for l = 0..lmax, complex z, by downward recurrence.
+def sph_jn_ratios(lmax: int, z) -> np.ndarray:
+    """j_0(z) in row 0 and the ratios j_n(z)/j_{n-1}(z) in rows n = 1..lmax,
+    complex z: the running product of the rows is j_l (sph_jn_all), and the
+    ratio rows stay bounded where j_l itself leaves float64.
 
-    The raw downward pass is normalized against whichever of j_0, j_1 has
-    the larger magnitude; the two have no common zeros, so the scale is
-    always well conditioned (normalizing at j_0 alone fails near sin z = 0).
-    For a 1-D array z the result has one column per argument.
+    The ratios come from the continued fraction of sph_jn_ratio, run once
+    from _miller_start(lmax, |z|).  Row 0 is j_0 = sin z / z, or j_1/(j_1/j_0)
+    where |j_1| is the larger: the two have no common zeros, so the product
+    is always anchored well (j_0 alone fails near sin z = 0); it is
+    non-finite where j_0 leaves float64.  z = 0 gives rows 1, 0, 0, ...
     """
-    if _is_array(z):
-        return _sph_jn_columns(lmax, np.asarray(z, dtype=complex))
-    z = complex(z)
-    if z == 0:
-        out = np.zeros(lmax + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    nstart = _miller_start(lmax, abs(z))
-    raw = np.zeros(nstart + 1, dtype=complex)
-    jp = 0.0 + 0.0j
-    j = 1e-30 + 0.0j
-    raw[nstart] = j
-    for n in range(nstart, 0, -1):
-        jm = (2 * n + 1) / z * j - jp
-        jp = j
-        j = jm
-        raw[n - 1] = j
-        if abs(j.real) > _RESCALE or abs(j.imag) > _RESCALE:
-            raw[n - 1:] /= _RESCALE
-            j /= _RESCALE
-            jp /= _RESCALE
-    j0 = np.sin(z) / z
-    j1 = np.sin(z) / z**2 - np.cos(z) / z
-    if abs(j0) >= abs(j1):
-        raw *= j0 / raw[0]
+    top = max(lmax, 1)
+    points = np.asarray(z, dtype=complex).ravel()
+    zero = points == 0
+    points = np.where(zero, 1.0, points)
+    rows = np.empty((top + 1, len(points)), dtype=complex)
+    if len(points) > 1:
+        rows[1:] = _jn_ratio_columns(1, top, points)
     else:
-        raw *= j1 / raw[1]
-    out = raw[: lmax + 1]
-    if not np.all(np.isfinite(out.view(float))):
-        raise OverflowError(f"spherical j recurrence overflowed for lmax={lmax}, z={z}")
-    return out
+        rows[1:, 0] = _jn_ratio_loop(1, top, complex(points[0]))
+    # j_0 and j_1 leave float64 for |Im z| beyond ~700, the ratios do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin = np.sin(points)
+        j0 = sin / points
+        j1 = sin / points**2 - np.cos(points) / points
+        rows[0] = np.where(np.abs(j0) >= np.abs(j1), j0, j1 / rows[1])
+    rows[:, zero] = 0.0
+    rows[0, zero] = 1.0
+    rows = rows[: lmax + 1]
+    return rows if _is_array(z) else rows[:, 0]
 
 
-def _sph_jn_columns(lmax: int, z: np.ndarray) -> np.ndarray:
-    """sph_jn_all for a 1-D array z: each column starts at its own order
-    and is normalized as the scalar loop would do it."""
-    zero = z == 0
-    z = np.where(zero, 1.0, z)
-    starts = [_miller_start(lmax, size) for size in np.abs(z).tolist()]
-    top = max(starts)
-    # raw[n] holds j_n up to a per-column scale; the row above the top is
-    # the zero that the first step reads as j_{n+1}
-    raw = np.zeros((top + 2, len(z)), dtype=complex)
-    factor = np.empty_like(z)
-    seeds = {}
-    for column, n in enumerate(starts):
-        seeds.setdefault(n, []).append(column)
-    # a step multiplies the largest |raw| by at most 1 + |factor|: look for
-    # entries to rescale only when 50 decades of growth may have built up
-    # since the last look, instead of at every step as the scalar loop does
-    steps = np.log10(1.0 + np.arange(1, 2 * top + 2, 2.0) / np.abs(z).min())
-    grown = 0.0
-    for n in range(top, 0, -1):
-        seeded = seeds.get(n)
-        if seeded is not None:
-            raw[n, seeded] = 1e-30
-        if grown + steps[n] > 50.0:
-            grown = 0.0
-            state = np.abs(raw[n : n + 2].view(float)).max(axis=0)
-            big = (state > _RESCALE).reshape(-1, 2).any(axis=1)
-            np.divide(raw[n:], np.where(big, _RESCALE, 1.0), out=raw[n:])
-        grown += steps[n]
-        row = raw[n - 1]
-        np.divide(2 * n + 1, z, out=factor)
-        np.multiply(factor, raw[n], out=row)
-        row -= raw[n + 1]
-    sin, cos = np.sin(z), np.cos(z)
-    j0 = sin / z
-    j1 = sin / z**2 - cos / z
-    use_j0 = np.abs(j0) >= np.abs(j1)
-    raw *= np.where(use_j0, j0, j1) / np.where(use_j0, raw[0], raw[1])
-    out = raw[: lmax + 1]
-    out[:, zero] = 0.0
-    out[0, zero] = 1.0
+def sph_jn_all(lmax: int, z) -> np.ndarray:
+    """j_l(z) for l = 0..lmax, complex z: the running product of the rows
+    of sph_jn_ratios, j_0 and the ratios j_n/j_{n-1} of the downward
+    continued fraction (Lentz 1976, Appl. Opt. 15, 668).  A scalar z whose
+    j_l leave float64 raises OverflowError.
+    """
+    out = np.cumprod(sph_jn_ratios(lmax, z), axis=0)
+    if not _is_array(z) and not np.all(np.isfinite(out.view(float))):
+        raise OverflowError(f"spherical j overflowed for lmax={lmax}, z={z}")
     return out
 
 
@@ -217,20 +168,26 @@ def sph_jn_ratio(l: int, z):
 
     The ratio r_n = j_n/j_{n-1} obeys 1/r_n = (2n+1)/z - r_{n+1}, run
     downward as a continued fraction from r = 0 above _miller_start(l, |z|):
-    the same start and the same error as sph_jn_all's Miller recurrence, but
     only one bounded number per point, so nothing overflows where j_l itself
-    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  A 1-D array z gives
-    one ratio per argument.
+    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  sph_jn_ratios runs the
+    same loops for every order at once.
     """
-    return _per_point(_jn_ratio_loop, _jn_ratio_columns, l, z)
+    return _per_point(lambda l, z: _jn_ratio_loop(l, l, z)[0],
+                      lambda l, z: _jn_ratio_columns(l, l, z)[0], l, z)
 
 
-def _jn_ratio_loop(l: int, z: complex) -> complex:
+def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
+    """The ratios r_n for n = lo..hi, from one continued fraction started
+    at _miller_start(hi, |z|)."""
     zinv = 1.0 / z
     r = 0j
-    for n in range(_miller_start(l, abs(z)), l - 1, -1):
+    for n in range(_miller_start(hi, abs(z)), hi, -1):
         r = 1.0 / ((2 * n + 1) * zinv - r)
-    return r
+    rows = []
+    for n in range(hi, lo - 1, -1):
+        r = 1.0 / ((2 * n + 1) * zinv - r)
+        rows.append(r)
+    return rows[::-1]
 
 
 def _odd_over_z(orders: range, z: np.ndarray):
@@ -243,13 +200,15 @@ def _odd_over_z(orders: range, z: np.ndarray):
         yield from np.multiply.outer(odd, zinv)
 
 
-def _jn_ratio_columns(l: int, z: np.ndarray) -> np.ndarray:
-    """_jn_ratio_loop for each column, each started at its own order, so a
-    column's value does not depend on the other arguments."""
+def _jn_ratio_columns(lo: int, hi: int, z: np.ndarray) -> np.ndarray:
+    """_jn_ratio_loop for each column, rows n = lo..hi, each column started
+    at its own order, so a column's values do not depend on the other
+    arguments."""
     seeds = {}
     for column, size in enumerate(np.abs(z).tolist()):
-        seeds.setdefault(_miller_start(l, size), []).append(column)
-    orders = range(max(seeds), l - 1, -1)
+        seeds.setdefault(_miller_start(hi, size), []).append(column)
+    orders = range(max(seeds), lo - 1, -1)
+    rows = np.empty((hi - lo + 1, len(z)), dtype=complex)
     r = np.zeros_like(z)
     step = np.empty_like(z)
     for n, odd in zip(orders, _odd_over_z(orders, z)):
@@ -257,8 +216,11 @@ def _jn_ratio_columns(l: int, z: np.ndarray) -> np.ndarray:
         if seeded is not None:
             r[seeded] = 0.0
         np.subtract(odd, r, out=step)
+        # from order hi down, each ratio is written to its own row
+        if n <= hi:
+            r = rows[n - lo]
         np.reciprocal(step, out=r)
-    return r
+    return rows
 
 
 def sph_h1n_ratio(l: int, z):
@@ -295,24 +257,6 @@ def _h1n_ratio_columns(l: int, z: np.ndarray) -> np.ndarray:
         np.reciprocal(q, out=inverse)
         np.subtract(odd, inverse, out=q)
     return q
-
-
-def riccati_deriv_all(farr: np.ndarray, z) -> np.ndarray:
-    """[z f_l(z)]' for every order of a spherical-Bessel-family array.
-
-    Uses f_l' = f_{l-1} - (l+1) f_l / z, so [z f_l]' = z f_{l-1} - l f_l
-    for l >= 1 and [z f_0]' = f_0 - z f_1.  An (lmax + 1, N) array takes a
-    1-D array z of its N arguments.
-    """
-    z = np.asarray(z, dtype=complex) if _is_array(z) else complex(z)
-    lmax = len(farr) - 1
-    out = np.empty_like(farr)
-    if lmax == 0:
-        raise ValueError("need at least orders 0..1 to form the derivative")
-    out[0] = farr[0] - z * farr[1]
-    ls = np.arange(1, lmax + 1).reshape((-1,) + (1,) * (farr.ndim - 1))
-    out[1:] = z * farr[:-1] - ls * farr[1:]
-    return out
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Independent oracles used across the test suite.
 
-Nothing in here goes through the package's recurrence machinery: Bessel
-functions come from mpmath half-integer Bessel calls at 40 digits, the
-free-space rates from the closed-form dyadic Green function, the Volterra
-amplitudes from the direct O(N^2) trapezoid-history quadrature, the
-stationary integrals from plain trapezoid quadrature on dense samples, and
-the resonance search from a refinement that takes its candidates one at a
-time through the scalar recurrences.
+Bessel functions come from mpmath half-integer Bessel calls at 40 digits,
+the free-space rates from the closed-form dyadic Green function, the
+Volterra amplitudes from the direct O(N^2) trapezoid-history quadrature and
+the stationary integrals from plain trapezoid quadrature on dense samples:
+none of these goes through the package's recurrences.  The resonance
+search oracle does: it takes its candidates one at a time through the
+package's j_l and h_l values, but builds the Mie denominator from their
+raw products instead of the package's log-derivative form.
 """
 
 from __future__ import annotations
@@ -18,18 +19,14 @@ import numpy as np
 
 from sphereqed.microsphere import (
     BLOCK,
+    GRID_PER_UNIT,
     Resonance,
     permittivity,
     refractive_index,
     resonance_kind,
     size_parameter,
 )
-from sphereqed.special import (
-    RecurrenceDomainError,
-    riccati_deriv_all,
-    sph_h1n_all,
-    sph_jn_all,
-)
+from sphereqed.special import RecurrenceDomainError, sph_h1n_all, sph_jn_all
 
 mp.mp.dps = 40
 
@@ -83,8 +80,16 @@ def mp_log_derivative(kind: str, l: int, z: complex) -> complex:
         return complex(zc * fn(l - half, zc) / fn(l + half, zc) - l)
 
 
+def _mp_spherical(kind: str, l: int, z):
+    """j_l(z) (kind "J") or h_l^(1)(z) (kind "H1") as an mpmath number."""
+    fn = mp.besselj if kind == "J" else mp.hankel1
+    return mp.sqrt(mp.pi / (2 * z)) * fn(l + mp.mpf(1) / 2, z)
+
+
 def mp_mie_coefficient(omega_p: float, gamma: float, radius: float, l: int, omega: float) -> complex:
-    """TM scattering coefficient assembled from scratch with mpmath pieces."""
+    """TM scattering coefficient assembled from scratch with mpmath pieces,
+    l >= 1, in mpmath throughout: j_l(n k R) leaves float64 next to
+    omega = 1, where |n| is large."""
     om = mp.mpc(omega)
     eps = 1 + mp.mpf(omega_p) ** 2 / (1 - om * om - 1j * om * mp.mpf(gamma))
     n2 = mp.sqrt(eps)
@@ -92,16 +97,16 @@ def mp_mie_coefficient(omega_p: float, gamma: float, radius: float, l: int, omeg
         n2 = -n2
     z1 = 2 * mp.pi * om * mp.mpf(radius)
     z2 = n2 * z1
-    j1 = mp_spherical_j(l, complex(z1))
-    h1 = mp_spherical_h1(l, complex(z1))
-    j2 = mp_spherical_j(l, complex(z2))
-    rj1 = mp_riccati_deriv("J", l, complex(z1))
-    rh1 = mp_riccati_deriv("H1", l, complex(z1))
-    rj2 = mp_riccati_deriv("J", l, complex(z2))
-    epsc = complex(eps)
-    num = epsc * j2 * rj1 - j1 * rj2
-    den = epsc * j2 * rh1 - h1 * rj2
-    return -num / den
+
+    def riccati(kind, z):
+        return z * _mp_spherical(kind, l - 1, z) - l * _mp_spherical(kind, l, z)
+
+    j1 = _mp_spherical("J", l, z1)
+    h1 = _mp_spherical("H1", l, z1)
+    j2 = _mp_spherical("J", l, z2)
+    num = eps * j2 * riccati("J", z1) - j1 * riccati("J", z2)
+    den = eps * j2 * riccati("H1", z1) - h1 * riccati("J", z2)
+    return complex(-num / den)
 
 
 def mp_collective_rate(
@@ -193,15 +198,16 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
 
 def _denominator_terms(sys, l: int, omega):
     """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at a
-    scalar or (column path) 1-D array omega."""
+    scalar or (column path) 1-D array omega, l >= 1, with
+    [z f_l(z)]' = z f_{l-1}(z) - l f_l(z)."""
     eps = permittivity(sys.params, omega)
     z1 = size_parameter(omega, sys.radius)
     z2 = refractive_index(sys.params, omega) * z1
     j2 = sph_jn_all(l, z2)
     h1 = sph_h1n_all(l, z1)
-    rj2 = riccati_deriv_all(j2, z2)
-    rh1 = riccati_deriv_all(h1, z1)
-    return eps * j2[l] * rh1[l], h1[l] * rj2[l]
+    rj2 = z2 * j2[l - 1] - l * j2[l]
+    rh1 = z1 * h1[l - 1] - l * h1[l]
+    return eps * j2[l] * rh1, h1[l] * rj2
 
 
 def _balance(sys, l: int, omega):
@@ -258,14 +264,13 @@ def _golden_minimum(sys, l: int, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range,
-                           grid_per_unit: int = 2000):
+def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range):
     """sphereqed.microsphere.find_resonances with every candidate refined
     on its own: golden section and Newton steps are single-point calls of
     the scalar recurrences.  Same grid, thresholds, iteration caps, window
     and width filters, acceptance checks, dedup rule and sort."""
     found = []
-    npts = max(64, int(grid_per_unit * (omega_hi - omega_lo))) + 1
+    npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
     for l in l_range:
         vals = np.concatenate(

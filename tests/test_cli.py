@@ -67,6 +67,31 @@ class TestExitCodes:
         assert run_cli(["rates", "--config", bad]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,key,text",
+        [
+            ("dynamics", "dynamics.gamma31_ab",
+             "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = nan\n"
+             "dynamics.gamma32_ab = 0.9\ndynamics.delta_omega_c = 0.4\n"),
+            ("entangle", "dynamics.gamma32_ab",
+             REGIME_A_EXPLICIT.replace("gamma32_ab = 0.98", "gamma32_ab = nan")),
+            ("rates", "sphere.radius", "sphere.radius = nan\n"),
+            ("rates", "sphere.gamma", "sphere.gamma = inf\n"),
+            ("rates", "rates.omega", "rates.omega = -inf\n"),
+        ],
+        ids=["dynamics", "entangle", "rates-radius", "rates-gamma", "rates-omega"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, key, text):
+        cfg = tmp_path / "nan.cfg"
+        sweep = "" if command == "entangle" else (
+            "sweep.axis = theta\nsweep.lo = 0\nsweep.hi = 3\nsweep.count = 2\n")
+        cfg.write_text(text + sweep)
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err and "finite" in err
+        assert not out.exists()
+
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run_cli(["rates", "--config", tmp_path / "nope.cfg"]) == 1
 

@@ -22,7 +22,7 @@ from sphereqed.microsphere import (
     single_term_rate,
     size_parameter,
 )
-from sphereqed.special import H1_IM_MIN
+from sphereqed.special import H1_IM_MIN, sph_h1n_all
 
 from oracles import (
     free_space_cross_rate,
@@ -87,6 +87,9 @@ class TestMieCoefficient:
             (0.5, 1e-6, 10.0, 30, 0.95),
             (0.9, 1e-4, 3.0, 7, 0.8),
             (0.3, 1e-3, 1.4, 2, 1.2),
+            # next to omega = 1, where j_l(n k R) leaves float64
+            (0.5, 1e-6, 10.0, 121, 1.00001),
+            (0.5, 1e-6, 10.0, 5, 1.0 - 1e-7),
         ],
     )
     def test_independent_assembly(self, omega_p, gamma, radius, l, om):
@@ -94,6 +97,20 @@ class TestMieCoefficient:
         mine = mie_coefficient(sys0, l, om)
         ref = mp_mie_coefficient(omega_p, gamma, radius, l, om)
         assert abs(mine - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "l,om", [(121, 1.0501), (70, 0.925), (121, 1.0501 - 5e-7j), (1, 0.3 - 0.07j)]
+    )
+    def test_rate_sum_denominator_is_the_search_f(self, fig2_system, l, om):
+        # the rate sum's denominator rows, here of a pass to l = 150, hold
+        # h_l(k R) f: f as the resonance search forms it, to rounding
+        sys0 = fig2_system
+        _, den = microsphere._mie_arrays(sys0.params, sys0.radius, 150, om)
+        h = sph_h1n_all(l, size_parameter(om, sys0.radius))[l]
+        omega = np.array([om])
+        dh, dj = microsphere._order_terms(sys0, l, omega)
+        f = microsphere._reduced_denominator(sys0, l, omega)[0]
+        assert abs(den[l - 1, 0] / h - f) <= 1e-12 * (abs(dh[0]) + abs(dj[0]))
 
     def test_domain_errors(self):
         sys0 = free_space_system(2.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ from sphereqed.special import (
     H1_IM_MIN,
     RecurrenceDomainError,
     legendre_all,
-    riccati_deriv_all,
     sph_h1n_all,
     sph_h1n_ratio,
     sph_jn_all,
     sph_jn_ratio,
 )
 
-from oracles import mp_bessel_ratio, mp_riccati_deriv, mp_spherical_h1, mp_spherical_j
+from oracles import (
+    mp_bessel_ratio,
+    mp_riccati_deriv,
+    mp_spherical_h1,
+    mp_spherical_j,
+    mp_spherical_y,
+)
 
 # frozen 40-digit mpmath reference values
 J5_10_01J = -0.055801299344828602026 - 0.0072338287921614050315j
@@ -31,9 +37,12 @@ def rel_err(a, b):
 
 
 def riccati(kind, l, z):
-    """[z f_l(z)]' at order l, f = j_l (kind 'J') or h_l^(1) (kind 'H1')."""
-    fn = sph_jn_all if kind == "J" else sph_h1n_all
-    return riccati_deriv_all(fn(max(l, 1), z), z)[l]
+    """[z f_l(z)]' at order l, f = j_l (kind 'J') or h_l^(1) (kind 'H1'):
+    z f_{l-1} - l f_l, and f_0 - z f_1 at l = 0."""
+    f = (sph_jn_all if kind == "J" else sph_h1n_all)(l + 1, z)
+    if l == 0:
+        return f[0] - z * f[1]
+    return z * f[l - 1] - l * f[l]
 
 
 class TestSphericalJ:
@@ -62,6 +71,12 @@ class TestSphericalJ:
     @pytest.mark.parametrize("l,z", [(80, 3.0 + 0.5j), (150, 120.0), (12, 400.0 + 40j)])
     def test_against_multiprecision(self, l, z):
         assert rel_err(sph_jn_all(l, z)[l], mp_spherical_j(l, z)) < 1e-10
+
+    def test_high_order_underflows_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sph_jn_all(300, 0.5)
+        assert np.all(np.isfinite(out))
 
 
 class TestSphericalH1:
@@ -220,14 +235,6 @@ class TestArrayArguments:
         assert not np.all(np.isfinite(cols[:, 0]))
         assert np.all(np.abs(cols[:, 1] - sph_h1n_all(300, 66.0)) <= 1e-13 * np.abs(cols[:, 1]))
 
-    @pytest.mark.parametrize("kind", [sph_jn_all, sph_h1n_all])
-    def test_riccati_columns(self, kind):
-        z = H_ARGS
-        cols = riccati_deriv_all(kind(40, z), z)
-        for k, zk in enumerate(z):
-            want = riccati_deriv_all(kind(40, zk), zk)
-            assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * neighbourhood_scale(want))
-
     def test_legendre_columns(self):
         x = np.array([-1.0, -0.3, 0.0, 0.5, 0.9999, 1.0])
         cols = legendre_all(200, x)
@@ -243,6 +250,27 @@ def demo_arguments(l, omegas):
     z1 = size_parameter(np.asarray(omegas), 10.0)
     z2 = refractive_index(DrudeLorentzParams(0.5, 1e-6), np.asarray(omegas)) * z1
     return l, z1, z2
+
+
+# k R, k r (atoms at r = 10.14) and n k R of the demo sphere across the
+# windows of the rate sweeps
+_OMEGAS = np.array([0.9, 0.95, 0.99, 1.01, 1.04, 1.0501, 1.0535])
+DEMO_J_ARGS = np.concatenate([
+    demo_arguments(0, _OMEGAS)[1], size_parameter(_OMEGAS, 10.14), demo_arguments(0, _OMEGAS)[2],
+])
+
+
+def test_sph_jn_all_at_demo_arguments():
+    """Both paths of sph_jn_all against mpmath, to 1e-13 of max(|j_l|, |y_l|):
+    the scale of h_l, which does not vanish where j_l nears a zero."""
+    cols = sph_jn_all(200, DEMO_J_ARGS)
+    for k, z in enumerate(DEMO_J_ARGS):
+        one = sph_jn_all(200, z)
+        for l in (0, 1, 2, 30, 70, 121, 200):
+            want = mp_spherical_j(l, z)
+            tol = 1e-13 * max(abs(want), abs(mp_spherical_y(l, z)))
+            assert abs(one[l] - want) <= tol
+            assert abs(cols[l, k] - want) <= tol
 
 
 # (l, k R, n k R) where the resonance search reads the ratios
