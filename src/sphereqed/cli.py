@@ -28,47 +28,108 @@ import numpy as np
 from . import dynamics as dyn
 from . import microsphere as ms
 from . import steady_state as ss
-from .config import (
-    ConfigError,
-    get_choice,
-    get_float,
-    get_int,
-    get_str,
-    load_config,
-)
+from .config import REQUIRED, ConfigError, choice, load_config, number, resolve
 
-SWEEP_AXES = ("theta", "omega", "delta_r")
+# Config tables map each key to (parser, default) for config.resolve; each
+# subcommand's table is built from these groups.  Which keys one key's value
+# makes required, or rules out, is checked in code.
 
-# the demo sphere: its sphere.* values are every subcommand's defaults, and
-# the figure presets echo all of it, rates.omega included
-_DEMO = {
-    "sphere.omega_p": "0.5",
-    "sphere.gamma": "1e-6",
-    "sphere.radius": "10",
-    "sphere.atom_distance": "0.14",
-    "sphere.theta": "pi",
-    "rates.omega": "1.0501",
+# the demo sphere is the default; the keys are in the field order of
+# ms.DrudeLorentzParams and then ms.SphereSystem
+_SPHERE = {
+    "sphere.omega_p": (number, "0.5"),
+    "sphere.gamma": (number, "1e-6"),
+    "sphere.radius": (number, "10"),
+    "sphere.atom_distance": (number, "0.14"),
+    "sphere.theta": (number, "pi"),
 }
+_SWEEP = {
+    "sweep.axis": (choice("theta", "omega", "delta_r"), REQUIRED),
+    "sweep.lo": (number, REQUIRED),
+    "sweep.hi": (number, REQUIRED),
+    "sweep.count": (int, REQUIRED),
+}
+_RESONANCE = {
+    "resonance.omega_lo": (number, REQUIRED),
+    "resonance.omega_hi": (number, REQUIRED),
+    "resonance.l_lo": (int, REQUIRED),
+    "resonance.l_hi": (int, REQUIRED),
+}
+# explicit rates, in Gamma32_AA units and the field order of dyn.CouplingParams
+_COUPLING = {
+    "dynamics.gamma31_aa": (number, REQUIRED),
+    "dynamics.gamma31_ab": (number, REQUIRED),
+    "dynamics.gamma32_aa": (number, "1"),
+    "dynamics.gamma32_ab": (number, REQUIRED),
+    "dynamics.delta_omega_c": (number, REQUIRED),
+    "dynamics.delta": (number, "0"),
+    "dynamics.dipole_shift": (number, "0"),
+}
+_DRIVE = {
+    "drive.placement": (choice("site_of_a", "equidistant", "explicit"), "site_of_a"),
+    "drive.gamma_dd": (number, None),
+    "drive.gamma_ad": (number, None),
+    "drive.gamma_bd": (number, None),
+}
+_ENTANGLE_RATES = {"entangle.rates": (choice("sphere", "explicit"), "sphere")}
+_OUTPUT = {"output.path": (str, None)}
+
+_RESONANCES = {**_SPHERE, **_RESONANCE, **_OUTPUT}
+_RATES = {**_SPHERE, **_SWEEP, "rates.omega": (number, None), **_OUTPUT}
+_DYNAMICS = {
+    **_COUPLING, **_DRIVE, **_OUTPUT,
+    "dynamics.method": (choice("closed", "volterra"), "closed"),
+    "dynamics.samples": (int, "2000"),
+    "dynamics.step": (number, None),
+    # echoed as repr, which parses back to the same float
+    "dynamics.t_max": (number, lambda v: repr(_t_end(_coupling_from_cfg(v)))),
+}
+_ENTANGLE_EXPLICIT = {
+    **_ENTANGLE_RATES, **_COUPLING, **_DRIVE, **_SWEEP, **_OUTPUT,
+    "sweep.axis": (choice("delta_omega_c"), REQUIRED),
+}
+_ENTANGLE_SPHERE = {
+    **_ENTANGLE_RATES, **_SPHERE, **_SWEEP, **_RESONANCE, **_DRIVE, **_OUTPUT,
+    "strong.omega31": (lambda text: text if text == "auto" else number(text), "auto"),
+    "weak.omega32": (number, None),
+    "weak.gamma32_ratio": (number, None),
+    "anchor.gamma32_aa_over_gamma0": (number, REQUIRED),
+    "anchor.gamma0_over_omega_t": (number, REQUIRED),
+    "dynamics.dipole_shift": _COUPLING["dynamics.dipole_shift"],
+}
+
+
+def _figure_table(axis: str, lo: str, hi: str, count: str) -> dict:
+    """The rates table of a figure preset: its axis is the only one
+    allowed, and its window, count and the demo frequency are defaults."""
+    return {
+        **_RATES,
+        "sweep.axis": (choice(axis), axis),
+        "sweep.lo": (number, lo),
+        "sweep.hi": (number, hi),
+        "sweep.count": (int, count),
+        "rates.omega": (number, "1.0501"),
+    }
+
 
 RATE_COLUMNS = ("gamma_aa", "gamma_ab", "gamma_plus", "gamma_minus")
 _PM = ("gamma_plus", "gamma_minus")
 
-# figure presets: help line, swept axis, default window (sweep.lo, sweep.hi),
-# default sweep.count and rate columns
+# figure presets: help line, config table and rate columns
 _FIGURES = {
     "figure2": ("Cross rate Gamma_AB vs dipole angle theta at the demo resonance.",
-                "theta", (0.0, math.pi), 181, ("gamma_ab",)),
+                _figure_table("theta", "0", "pi", "181"), ("gamma_ab",)),
     # the window stops at 1.0535: closer to the surface-mode accumulation
     # frequency sqrt(1 + omega_p^2/2) the multipole sum needs orders beyond
     # the l = 300 cap and the sweep would fail honestly
     "figure3": ("Gamma_pm vs transition frequency across the band-gap (SG) window.",
-                "omega", (1.04, 1.0535), 801, _PM),
+                _figure_table("omega", "1.04", "1.0535", "801"), _PM),
     # the window stops at 0.995; at the transverse resonance omega = 1 the
     # permittivity magnitude blows up like omega_p^2/gamma
     "figure4": ("Gamma_pm vs transition frequency below the gap (WG window).",
-                "omega", (0.90, 0.995), 801, _PM),
+                _figure_table("omega", "0.90", "0.995", "801"), _PM),
     "figure5": ("Gamma_pm vs atom-surface distance delta_r at the demo resonance.",
-                "delta_r", (0.05, 3.0), 150, _PM),
+                _figure_table("delta_r", "0.05", "3.0", "150"), _PM),
 }
 
 
@@ -79,8 +140,6 @@ class SweepPointError(RuntimeError):
 # failures of the physics and numerics (UndecayedTrajectoryError is a
 # ValueError); anything else is a bug and keeps its traceback
 NUMERICAL_ERRORS = (ms.NonConvergenceError, ArithmeticError, ValueError)
-
-DRIVE_PLACEMENTS = ("site_of_a", "equidistant", "explicit")
 
 
 def _fmt(value) -> str:
@@ -124,27 +183,24 @@ def _sweep_map(fn, values) -> list:
     return items
 
 
-def _sphere_system(cfg: dict) -> ms.SphereSystem:
-    cfg = {**_DEMO, **cfg}
-    params = ms.DrudeLorentzParams(
-        omega_p=get_float(cfg, "sphere.omega_p"),
-        gamma=get_float(cfg, "sphere.gamma"),
-    )
-    return ms.SphereSystem(
-        params=params,
-        radius=get_float(cfg, "sphere.radius"),
-        atom_distance=get_float(cfg, "sphere.atom_distance"),
-        theta=get_float(cfg, "sphere.theta"),
-    )
+def _given(v: dict, key: str):
+    """v[key] of a key without default that other keys make required."""
+    if v[key] is None:
+        raise ConfigError(f"missing required key {key!r}")
+    return v[key]
 
 
-def _sweep_values(cfg: dict, lo: float | None = None, hi: float | None = None,
-                  count: int | None = None) -> np.ndarray:
-    """The points of sweep.lo, sweep.hi and sweep.count; a figure preset
-    passes its window as their defaults."""
-    lo = get_float(cfg, "sweep.lo", lo)
-    hi = get_float(cfg, "sweep.hi", hi)
-    count = get_int(cfg, "sweep.count", count)
+def _sphere_system(v: dict) -> ms.SphereSystem:
+    omega_p, gamma, *geometry = (v[key] for key in _SPHERE)
+    try:
+        return ms.SphereSystem(ms.DrudeLorentzParams(omega_p, gamma), *geometry)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _sweep_values(v: dict) -> np.ndarray:
+    """The points of sweep.lo, sweep.hi and sweep.count."""
+    lo, hi, count = v["sweep.lo"], v["sweep.hi"], v["sweep.count"]
     if not lo < hi:
         raise ConfigError("sweep.lo must be < sweep.hi")
     if count < 2:
@@ -152,12 +208,10 @@ def _sweep_values(cfg: dict, lo: float | None = None, hi: float | None = None,
     return np.linspace(lo, hi, count)
 
 
-def _resonance_window(cfg: dict) -> tuple[float, float, range]:
+def _resonance_window(v: dict) -> tuple[float, float, range]:
     """(omega_lo, omega_hi, orders) of the resonance.* keys."""
-    omega_lo = get_float(cfg, "resonance.omega_lo")
-    omega_hi = get_float(cfg, "resonance.omega_hi")
-    l_lo = get_int(cfg, "resonance.l_lo")
-    l_hi = get_int(cfg, "resonance.l_hi")
+    omega_lo, omega_hi = v["resonance.omega_lo"], v["resonance.omega_hi"]
+    l_lo, l_hi = v["resonance.l_lo"], v["resonance.l_hi"]
     if not 1 <= l_lo <= l_hi <= ms.L_MAX_SUPPORTED:
         raise ConfigError(
             f"need 1 <= resonance.l_lo <= resonance.l_hi <= {ms.L_MAX_SUPPORTED}"
@@ -165,13 +219,6 @@ def _resonance_window(cfg: dict) -> tuple[float, float, range]:
     if not 0 < omega_lo < omega_hi:
         raise ConfigError("need 0 < resonance.omega_lo < resonance.omega_hi")
     return omega_lo, omega_hi, range(l_lo, l_hi + 1)
-
-
-def _meta(cfg: dict, extra: dict | None = None) -> dict:
-    meta = dict(sorted(cfg.items()))
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _sweep_points(sys0: ms.SphereSystem, axis: str, values, omega: float):
@@ -197,8 +244,9 @@ _RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
 
 def cmd_resonances(cfg: dict, out: str) -> None:
     """Locate field resonances in a frequency window for a range of orders."""
-    sys0 = _sphere_system(cfg)
-    omega_lo, omega_hi, orders = _resonance_window(cfg)
+    v, meta = resolve(cfg, _RESONANCES)
+    sys0 = _sphere_system(v)
+    omega_lo, omega_hi, orders = _resonance_window(v)
 
     def block(ls):
         return [ms.find_resonances(sys0, omega_lo, omega_hi, [l]) for l in ls]
@@ -208,16 +256,19 @@ def cmd_resonances(cfg: dict, out: str) -> None:
         (r for chunk in chunks for r in chunk), key=lambda r: (r.omega_c, r.l)
     )
     rows = [(r.l, r.omega_c, r.delta_omega_c, r.kind) for r in resonances]
-    write_csv(out, _meta(cfg), _RESONANCE_HEADER, rows)
+    write_csv(out, meta, _RESONANCE_HEADER, rows)
 
 
-def _rate_sweep(cfg: dict, out: str, axis: str, values, columns: tuple[str, ...]) -> None:
+def _rate_sweep(cfg: dict, out: str, table: dict, columns: tuple[str, ...]) -> None:
     """The rate sweep of `rates` and the figure presets: the named
-    RATE_COLUMNS at the points `values` of `axis`, at frequency rates.omega
-    off the omega axis."""
-    sys0 = _sphere_system(cfg)
-    omega = get_float(cfg, "rates.omega", 0.0) if axis != "omega" else 0.0
-    if axis != "omega" and omega <= 0:
+    RATE_COLUMNS over the sweep of the config table, at frequency
+    rates.omega off the omega axis."""
+    v, meta = resolve(cfg, table)
+    sys0 = _sphere_system(v)
+    axis = v["sweep.axis"]
+    values = _sweep_values(v)
+    omega = v["rates.omega"] if axis != "omega" else 0.0
+    if axis != "omega" and (omega is None or omega <= 0):
         raise ConfigError("rates.omega must be set (> 0) when sweeping theta or delta_r")
 
     def block(values):
@@ -225,58 +276,49 @@ def _rate_sweep(cfg: dict, out: str, axis: str, values, columns: tuple[str, ...]
         rates = dict(zip(RATE_COLUMNS, (gaa, gab, gaa + gab, gaa - gab)))
         return list(zip(values, *(rates[c] for c in columns)))
 
-    write_csv(out, _meta(cfg), [axis, *columns], _sweep_map(block, values))
+    write_csv(out, meta, [axis, *columns], _sweep_map(block, values))
 
 
 def cmd_rates(cfg: dict, out: str) -> None:
     """Sweep the collective decay rates over theta, omega or delta_r."""
-    axis = get_choice(cfg, "sweep.axis", SWEEP_AXES)
-    _rate_sweep(cfg, out, axis, _sweep_values(cfg), RATE_COLUMNS)
+    _rate_sweep(cfg, out, _RATES, RATE_COLUMNS)
 
 
-def _figure(name: str, cfg: dict, out: str) -> None:
-    """A figure preset: its rate sweep around the demo sphere."""
-    _, axis, (lo, hi), count, columns = _FIGURES[name]
-    if get_str(cfg, "sweep.axis", axis) != axis:
-        raise ConfigError(f"{name} sweeps {axis}, not sweep.axis = {cfg['sweep.axis']}")
-    cfg = {**_DEMO, **cfg}
-    _rate_sweep(cfg, out, axis, _sweep_values(cfg, lo, hi, count), columns)
+def _coupling_from_cfg(v: dict) -> dyn.CouplingParams:
+    try:
+        return dyn.CouplingParams(*(v[key] for key in _COUPLING))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _coupling_from_cfg(cfg: dict) -> dyn.CouplingParams:
-    return dyn.CouplingParams(
-        gamma31_aa=get_float(cfg, "dynamics.gamma31_aa"),
-        gamma31_ab=get_float(cfg, "dynamics.gamma31_ab"),
-        gamma32_aa=get_float(cfg, "dynamics.gamma32_aa", 1.0),
-        gamma32_ab=get_float(cfg, "dynamics.gamma32_ab"),
-        delta_omega_c=get_float(cfg, "dynamics.delta_omega_c"),
-        detuning_delta=get_float(cfg, "dynamics.delta", 0.0),
-        dipole_shift=get_float(cfg, "dynamics.dipole_shift", 0.0),
-    )
+def _t_end(p: dyn.CouplingParams) -> float:
+    """A time by which the amplitudes have decayed: 40 times the slowest
+    decay time of the resonance and the weak channel."""
+    return 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
 
 
-def _drive_from_cfg(cfg: dict, p: dyn.CouplingParams, unit: float = 1.0,
+def _drive_from_cfg(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
                     gamma_ad: float | None = None) -> dyn.DriveSpec:
-    """Drive preparation from the drive.* keys.
+    """Drive preparation from the drive.* values.
 
     Rates read from the config are divided by unit (sphere-mode entangle
     reads them in Gamma_0 units).  gamma_ad, when given, is the cross rate
     gamma_AD = gamma_BD of an equidistant atom D; sphere mode computes it
     from the sphere instead of reading drive.gamma_ad.
     """
-    placement = get_choice(cfg, "drive.placement", DRIVE_PLACEMENTS, "site_of_a")
+    placement = v["drive.placement"]
     if placement == "site_of_a":
         rates = (p.gamma31_aa, p.gamma31_aa, p.gamma31_ab)
     elif placement == "equidistant":
         if gamma_ad is None:
-            gamma_ad = get_float(cfg, "drive.gamma_ad") / unit
+            gamma_ad = _given(v, "drive.gamma_ad") / unit
         gamma_dd = p.gamma31_aa
-        if "drive.gamma_dd" in cfg:
-            gamma_dd = get_float(cfg, "drive.gamma_dd") / unit
+        if v["drive.gamma_dd"] is not None:
+            gamma_dd = v["drive.gamma_dd"] / unit
         rates = (gamma_dd, gamma_ad, gamma_ad)
     else:
         rates = tuple(
-            get_float(cfg, key) / unit
+            _given(v, key) / unit
             for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd")
         )
     return dyn.prepare_drive(rates, p.delta_omega_c)
@@ -287,17 +329,18 @@ _DYNAMICS_HEADER = ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"]
 
 def cmd_dynamics(cfg: dict, out: str) -> None:
     """Emit sampled amplitudes C_pm(t) for an explicit dynamics rate set."""
-    p = _coupling_from_cfg(cfg)
-    d = _drive_from_cfg(cfg, p)
-    t_max = get_float(
-        cfg, "dynamics.t_max", 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-    )
-    method = get_choice(cfg, "dynamics.method", ("closed", "volterra"), "closed")
-    if method == "closed":
-        traj = dyn.sample_closed(p, d, t_max, get_int(cfg, "dynamics.samples", 2000))
+    v, meta = resolve(cfg, _DYNAMICS)
+    p = _coupling_from_cfg(v)
+    d = _drive_from_cfg(v, p)
+    t_max = v["dynamics.t_max"]
+    if t_max <= 0:
+        raise ConfigError("dynamics.t_max must be > 0")
+    if v["dynamics.samples"] < 2:
+        raise ConfigError("dynamics.samples must be >= 2")
+    if v["dynamics.method"] == "closed":
+        traj = dyn.sample_closed(p, d, t_max, v["dynamics.samples"])
     else:
-        step = get_float(cfg, "dynamics.step")
-        traj = dyn.amplitude_volterra(p, d, t_max, step)
+        traj = dyn.amplitude_volterra(p, d, t_max, _given(v, "dynamics.step"))
     rows = (
         (t, cp.real, cp.imag, cm.real, cm.imag)
         for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
@@ -308,12 +351,11 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
         "resolved.f_minus0_re": d.f_minus0.real,
         "resolved.f_minus0_im": d.f_minus0.imag,
     }
-    write_csv(out, _meta(cfg, resolved), _DYNAMICS_HEADER, rows)
+    write_csv(out, {**meta, **resolved}, _DYNAMICS_HEADER, rows)
 
 
 def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
-    t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-    state = ss.decayed_steady_state(p, d, t_end)
+    state = ss.decayed_steady_state(p, d, _t_end(p))
     conc = ss.concurrence_closed_form(state)
     return (
         value,
@@ -359,50 +401,39 @@ _ENTANGLE_HEADER = [
 
 def cmd_entangle(cfg: dict, out: str) -> None:
     """Full pipeline: rates, drive, amplitudes, stationary state, concurrence."""
-    mode = get_choice(cfg, "entangle.rates", ("sphere", "explicit"), "sphere")
-    if mode == "explicit":
-        axis = get_choice(cfg, "sweep.axis", ("delta_omega_c",))
-        values = _sweep_values(cfg)
-        base = _coupling_from_cfg(cfg)
-        _drive_from_cfg(cfg, base)  # surface missing drive keys as config errors
+    explicit = cfg.get("entangle.rates") == "explicit"
+    v, meta = resolve(cfg, _ENTANGLE_EXPLICIT if explicit else _ENTANGLE_SPHERE)
+    values = _sweep_values(v)
+    if explicit:
+        base = _coupling_from_cfg(v)
+        _drive_from_cfg(v, base)  # surface missing drive keys as config errors
 
         def block(values):
             rows = []
             for value in values:
                 p = replace(base, delta_omega_c=value)
-                rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p)))
+                rows.append(_steady_row(value, p, _drive_from_cfg(v, p)))
             return rows
 
     else:
-        sys0 = _sphere_system(cfg)
-        axis = get_choice(cfg, "sweep.axis", SWEEP_AXES)
-        values = _sweep_values(cfg)
-        # fail on missing keys before any sweep work starts
-        anchor_a = get_float(cfg, "anchor.gamma32_aa_over_gamma0")
-        anchor_b = get_float(cfg, "anchor.gamma0_over_omega_t")
+        sys0 = _sphere_system(v)
+        axis = v["sweep.axis"]
+        anchor_a = v["anchor.gamma32_aa_over_gamma0"]
+        anchor_b = v["anchor.gamma0_over_omega_t"]
         if anchor_a <= 0 or anchor_b <= 0:
             raise ConfigError("anchors must be > 0")
-        omega32 = get_float(cfg, "weak.omega32") if "weak.omega32" in cfg else None
-        if omega32 is None:
-            ratio32 = get_float(cfg, "weak.gamma32_ratio")
-        equidistant = (
-            get_choice(cfg, "drive.placement", DRIVE_PLACEMENTS, "site_of_a") == "equidistant"
-        )
-        dipole_shift = get_float(cfg, "dynamics.dipole_shift", 0.0)
-        resonances = ms.find_resonances(sys0, *_resonance_window(cfg))
+        omega32, ratio32 = v["weak.omega32"], v["weak.gamma32_ratio"]
+        if (omega32 is None) == (ratio32 is None):
+            raise ConfigError("give exactly one of weak.omega32 and weak.gamma32_ratio")
+        equidistant = v["drive.placement"] == "equidistant"
+        resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
             raise SweepPointError("no resonance found in the configured window")
-        strong_raw = get_str(cfg, "strong.omega31", "auto")
-        if strong_raw == "auto":
+        omega31_base = v["strong.omega31"]
+        if omega31_base == "auto":
             resonance = min(resonances, key=lambda r: r.delta_omega_c)
             omega31_base = resonance.omega_c
         else:
-            try:
-                omega31_base = float(strong_raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"strong.omega31 must be a number or 'auto', got {strong_raw!r}"
-                ) from exc
             resonance = min(resonances, key=lambda r: abs(r.omega_c - omega31_base))
         rate_unit = anchor_a * anchor_b
 
@@ -427,14 +458,13 @@ def cmd_entangle(cfg: dict, out: str) -> None:
                     gamma32_ab=ratios[k],
                     delta_omega_c=resonance.delta_omega_c / rate_unit,
                     detuning_delta=(resonance.omega_c - omega31[k]) / rate_unit,
-                    dipole_shift=dipole_shift,
+                    dipole_shift=v["dynamics.dipole_shift"],
                 )
                 gamma_ad = s_half[k] / anchor_a if equidistant else None
-                rows.append(_steady_row(value, p, _drive_from_cfg(cfg, p, anchor_a, gamma_ad)))
+                rows.append(_steady_row(value, p, _drive_from_cfg(v, p, anchor_a, gamma_ad)))
             return rows
 
-    rows = _sweep_map(block, values)
-    write_csv(out, _meta(cfg, {"sweep.resolved_axis": axis}), _ENTANGLE_HEADER, rows)
+    write_csv(out, meta, _ENTANGLE_HEADER, _sweep_map(block, values))
 
 
 _COMMANDS = {
@@ -454,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {name: (fn.__doc__.splitlines()[0], header)
                 for name, (fn, header) in _COMMANDS.items()}
-    for name, (doc, axis, _, _, columns) in _FIGURES.items():
-        commands[name] = (doc, (axis, *columns))
+    for name, (doc, table, columns) in _FIGURES.items():
+        commands[name] = (doc, (table["sweep.axis"][1], *columns))
     for name, (doc, header) in commands.items():
         sp = sub.add_parser(
             name,
@@ -483,7 +513,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         out = args.out or cfg.get("output.path") or f"{args.command}.csv"
         if args.command in _FIGURES:
-            _figure(args.command, cfg, out)
+            _, table, columns = _FIGURES[args.command]
+            _rate_sweep(cfg, out, table, columns)
         else:
             _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:

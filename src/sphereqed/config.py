@@ -48,47 +48,52 @@ def load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-_NAMED_VALUES = {"pi": math.pi}
+# the default of a key that has none: resolve() raises when it is not given
+REQUIRED = object()
 
 
-def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    raw = cfg[key]
-    if raw in _NAMED_VALUES:
-        return _NAMED_VALUES[raw]
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {raw!r} is not a number") from exc
+def number(text: str) -> float:
+    """A finite float, or pi for the text 'pi'."""
+    value = math.pi if text == "pi" else float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
-def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
+def choice(*options: str):
+    """A parser that accepts only the given texts."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"{text!r} not one of {options}")
+        return text
+
+    return parse
+
+
+def resolve(cfg: dict[str, str], table: dict) -> tuple[dict, dict[str, str]]:
+    """(values, echo) of the config cfg against a table that maps each
+    declared key to (parser, default); a key the table lacks is an error.
+
+    A default is the text for a key cfg lacks, REQUIRED, None (value None)
+    or a function of the values parsed before it that returns the text.
+    echo maps each key that has a text to it, in sorted key order.
+    """
+    unknown = sorted(cfg.keys() - table.keys())
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}")
+    values, echo = {}, {}
+    for key, (parse, default) in table.items():
+        text = cfg.get(key, default)
+        if callable(text):
+            text = text(values)
+        if text is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer") from exc
-
-
-def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return cfg[key]
-
-
-def get_choice(cfg: dict[str, str], key: str, choices: tuple[str, ...], default: str | None = None) -> str:
-    value = get_str(cfg, key, default)
-    if value not in choices:
-        raise ConfigError(f"key {key!r}: {value!r} not one of {choices}")
-    return value
+        values[key] = None
+        if text is not None:
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from exc
+            echo[key] = text
+    return values, dict(sorted(echo.items()))

@@ -163,7 +163,7 @@ def volterra_branch(
 
     Deliberately does NOT reduce the exponential kernel to an auxiliary ODE,
     so the result is numerically independent of amplitude_closed.  The step
-    must satisfy step * max(|a1|, sqrt|a2|) <= 0.01.
+    must satisfy step * max(|a1|, sqrt|a2|) <= 0.01, and t_max must be > 0.
 
     The history sum S_n = sum_{j=1..n} k_{n+1-j} c_j of step n is split at
     blocks of VOLTERRA_BLOCK steps (Hairer, Lubich & Schlichte 1985, SIAM J.
@@ -180,6 +180,8 @@ def volterra_branch(
         raise ValueError(
             f"step {step} violates step*max(|a1|,sqrt|a2|) <= 0.01 (scale {scale:.3g})"
         )
+    if t_max <= 0:
+        raise ValueError(f"t_max must be > 0, got {t_max}")
     s = _branch_sign(branch)
     w = s * 1j * p.dipole_shift - 0.5 * p.gamma32_aa
     mu = 1j * p.detuning_delta + p.delta_omega_c

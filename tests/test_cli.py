@@ -1,11 +1,13 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from sphereqed import cli, dynamics, steady_state
 from sphereqed.cli import main
-from sphereqed.config import ConfigError, parse_config
+from sphereqed.config import ConfigError, parse_config, resolve
 
 
 def run_cli(args):
@@ -43,6 +45,24 @@ sweep.lo = 0.01
 sweep.hi = 0.03
 sweep.count = 4
 """
+
+
+DYNAMICS_RATES = (
+    "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = 2.0\n"
+    "dynamics.gamma32_ab = 0.9\ndynamics.delta_omega_c = 0.4\n"
+)
+THETA_SWEEP = "sweep.axis = theta\nsweep.lo = 0\nsweep.hi = 3\nsweep.count = 2\n"
+RESONANCE_WINDOW = (
+    "resonance.omega_lo = 1.0499\nresonance.omega_hi = 1.0503\n"
+    "resonance.l_lo = 121\nresonance.l_hi = 121\n"
+)
+SPHERE_ENTANGLE = (
+    "entangle.rates = sphere\n"
+    "weak.gamma32_ratio = 0.98\n"
+    "anchor.gamma32_aa_over_gamma0 = 0.5\n"
+    "anchor.gamma0_over_omega_t = 5.6e-5\n"
+    "sweep.axis = theta\nsweep.lo = 3.0\nsweep.hi = 3.14\nsweep.count = 2\n"
+)
 
 
 class TestConfigParsing:
@@ -83,13 +103,76 @@ class TestExitCodes:
     )
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, key, text):
         cfg = tmp_path / "nan.cfg"
-        sweep = "" if command == "entangle" else (
+        sweep = "" if command in ("dynamics", "entangle") else (
             "sweep.axis = theta\nsweep.lo = 0\nsweep.hi = 3\nsweep.count = 2\n")
         cfg.write_text(text + sweep)
         out = tmp_path / "out.csv"
         assert run_cli([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("resonances", RESONANCE_WINDOW),
+            ("rates", "rates.omega = 1.0501\n" + THETA_SWEEP),
+            ("dynamics", DYNAMICS_RATES),
+            ("entangle", REGIME_A_EXPLICIT),
+            ("entangle", SPHERE_ENTANGLE + RESONANCE_WINDOW),
+            ("figure2", ""),
+            ("figure3", ""),
+            ("figure4", ""),
+            ("figure5", ""),
+        ],
+        ids=["resonances", "rates", "dynamics", "entangle-explicit", "entangle-sphere",
+             "figure2", "figure3", "figure4", "figure5"],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text + "sphere.radus = 5\n")
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'sphere.radus'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("rates", "sphere.radius = -1\nrates.omega = 1.0501\n" + THETA_SWEEP),
+            ("rates", "sphere.gamma = 0\nrates.omega = 1.0501\n" + THETA_SWEEP),
+            ("figure5", "sphere.atom_distance = -1\n"),
+            ("dynamics", DYNAMICS_RATES.replace("gamma31_aa = 3.0", "gamma31_aa = -2")),
+        ],
+        ids=["radius", "gamma", "atom_distance", "gamma31_aa"],
+    )
+    def test_value_the_model_rejects_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("dynamics.t_max", "dynamics.t_max = -1\ndynamics.method = volterra\ndynamics.step = 0.002\n"),
+            ("dynamics.t_max", "dynamics.t_max = -5\n"),
+            ("dynamics.t_max", "dynamics.t_max = 0\n"),
+            ("dynamics.samples", "dynamics.samples = 0\n"),
+            ("dynamics.samples", "dynamics.samples = -1\n"),
+        ],
+        ids=["volterra-t_max", "t_max-negative", "t_max-zero", "samples-zero", "samples-negative"],
+    )
+    def test_dynamics_range_is_config_error(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(DYNAMICS_RATES + text)
+        out = tmp_path / "out.csv"
+        assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
         assert not out.exists()
 
     def test_missing_file_is_exit_1(self, tmp_path):
@@ -210,6 +293,20 @@ class TestRates:
         assert meta["sphere.omega_p"] == "0"
         assert meta["sweep.count"] == "3"
 
+    def test_metadata_echoes_defaults(self, tmp_path):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("rates.omega = 1.0501\n" + THETA_SWEEP)
+        out = tmp_path / "rates.csv"
+        assert run_cli(["rates", "--config", cfg, "--out", out]) == 0
+        meta, _, _ = read_csv(out)
+        assert {k: v for k, v in meta.items() if k.startswith("sphere.")} == {
+            "sphere.atom_distance": "0.14",
+            "sphere.gamma": "1e-6",
+            "sphere.omega_p": "0.5",
+            "sphere.radius": "10",
+            "sphere.theta": "pi",
+        }
+
 
 class TestResonances:
     def test_fig2_narrow_window(self, tmp_path):
@@ -244,19 +341,6 @@ class TestResonances:
         assert set(column(header, rows, "l", int)) == {70, 71}
         assert len(rows) > 10
         assert serial.read_bytes() == pooled.read_bytes()
-
-
-RESONANCE_WINDOW = (
-    "resonance.omega_lo = 1.0499\nresonance.omega_hi = 1.0503\n"
-    "resonance.l_lo = 121\nresonance.l_hi = 121\n"
-)
-SPHERE_ENTANGLE = (
-    "entangle.rates = sphere\n"
-    "weak.gamma32_ratio = 0.98\n"
-    "anchor.gamma32_aa_over_gamma0 = 0.5\n"
-    "anchor.gamma0_over_omega_t = 5.6e-5\n"
-    "sweep.axis = theta\nsweep.lo = 3.0\nsweep.hi = 3.14\nsweep.count = 2\n"
-)
 
 
 class TestResonanceWindow:
@@ -317,9 +401,9 @@ class TestDynamicsCommand:
         assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
         streamed = out.read_text()
         # the whole file built in memory from a list of rows, as one string
-        parsed = parse_config(text)
-        p = cli._coupling_from_cfg(parsed)
-        traj = dynamics.sample_closed(p, cli._drive_from_cfg(parsed, p), 60.0, 300)
+        values, _ = resolve(parse_config(text), cli._DYNAMICS)
+        p = cli._coupling_from_cfg(values)
+        traj = dynamics.sample_closed(p, cli._drive_from_cfg(values, p), 60.0, 300)
         rows = [
             (t, cp.real, cp.imag, cm.real, cm.imag)
             for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
@@ -371,7 +455,7 @@ class TestEntangle:
         # the decay guard at t_end gives the row that a 2000-point closed-form
         # trajectory, decayed at its last sample, and the mode integrals gave
         text = REGIME_A_EXPLICIT.replace("site_of_a", placement)
-        cfg = parse_config(text + "drive.gamma_ad = 9000.0\n")
+        cfg, _ = resolve(parse_config(text + "drive.gamma_ad = 9000.0\n"), cli._ENTANGLE_EXPLICIT)
         base = cli._coupling_from_cfg(cfg)
         for dwc in (0.01, 0.02, 0.03, 0.4):
             p = dynamics.CouplingParams(
@@ -436,6 +520,25 @@ class TestEntangle:
         assert all(np.isfinite(c) and 0 <= c <= 1 for c in conc)
         # with D equidistant the antisymmetric drive vanishes identically
         assert all(v == 0.0 for v in column(header, rows, "f_minus_re"))
+
+    def test_weak_frequency_and_ratio_conflict(self, tmp_path, capsys):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(SPHERE_ENTANGLE + RESONANCE_WINDOW + "weak.omega32 = 0.9207\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "weak.omega32" in err and "weak.gamma32_ratio" in err
+        assert not out.exists()
+
+    def test_rerun_from_metadata_gives_same_bytes(self, tmp_path):
+        cfg = tmp_path / "ent.cfg"
+        cfg.write_text(SPHERE_ENTANGLE + RESONANCE_WINDOW)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", first]) == 0
+        echo = [line[2:] for line in first.read_text().splitlines() if line.startswith("# ")]
+        cfg.write_text("\n".join(echo) + "\n")
+        assert run_cli(["entangle", "--config", cfg, "--out", second]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_missing_anchor_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "noanchor.cfg"
@@ -539,7 +642,8 @@ class TestFigurePresets:
             assert header[0] == axis and meta["sweep.axis"] == axis
         else:
             assert run_cli([name, "--config", cfg, "--out", out]) == 1
-            assert f"{name} sweeps {axis}, not sweep.axis = {given}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert all(word in err for word in ("'sweep.axis'", repr(given), repr(axis)))
             assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -551,3 +655,11 @@ class TestFigurePresets:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert run_cli(["figure2", "--config", cfg, "--out", tmp_path / "out.csv"]) == 1
+
+
+def test_readme_lists_every_declared_key():
+    tables = [cli._RESONANCES, cli._RATES, cli._DYNAMICS, cli._ENTANGLE_EXPLICIT,
+              cli._ENTANGLE_SPHERE, *(table for _, table, _ in cli._FIGURES.values())]
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys")[1].split("\n## ")[0]
+    assert set(re.findall(r"\b[a-z]+\.[a-z][a-z0-9_]*", section)) == set().union(*tables)

@@ -186,6 +186,12 @@ class TestVolterra:
         with pytest.raises(ValueError):
             volterra_branch(p, DriveSpec(1.0, 0.0), "+", 5.0, 1.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_t_max_precondition_enforced(self, t_max):
+        p = generic_params()
+        with pytest.raises(ValueError):
+            volterra_branch(p, DriveSpec(1.0, 0.0), "+", t_max, stepsize(p))
+
 
 class TestPrepareDrive:
     def test_equal_site_placement(self):
