@@ -152,11 +152,25 @@ def _fmt(value) -> str:
 
 def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
     """Metadata lines, the header and one line per row of the iterable
-    rows, each line written as soon as it is formatted."""
+    rows, each line written as soon as it is formatted.
+
+    Every row has the value types of the first one.  A row is one %-format:
+    floats (Python or numpy) print as %.12g, which gives the bytes of
+    _fmt, and any other value as str().
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {k} = {_fmt(v)}\n" for k, v in meta.items())
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join(
+            "%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in first
+        ) + "\n"
+        fh.write(line % tuple(first))
+        for row in rows:
+            fh.write(line % tuple(row))
 
 
 def _sweep_map(fn, values) -> list:
@@ -321,7 +335,12 @@ def _drive_from_cfg(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
             _given(v, key) / unit
             for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd")
         )
-    return dyn.prepare_drive(rates, p.delta_omega_c)
+    # Gamma31_DD, the one rate prepare_drive checks, is drive.gamma_dd
+    # unless it is the positive gamma31_aa
+    try:
+        return dyn.prepare_drive(rates, p.delta_omega_c)
+    except ValueError as exc:
+        raise ConfigError(f"key 'drive.gamma_dd': {exc}") from exc
 
 
 _DYNAMICS_HEADER = ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"]
@@ -340,10 +359,19 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     if v["dynamics.method"] == "closed":
         traj = dyn.sample_closed(p, d, t_max, v["dynamics.samples"])
     else:
-        traj = dyn.amplitude_volterra(p, d, t_max, _given(v, "dynamics.step"))
+        step = _given(v, "dynamics.step")
+        # with t_max checked, the integrator's one ValueError is its step bound
+        try:
+            traj = dyn.amplitude_volterra(p, d, t_max, step)
+        except ValueError as exc:
+            raise ConfigError(f"key 'dynamics.step': {exc}") from exc
+    columns = (traj.times, traj.c_plus.real, traj.c_plus.imag,
+               traj.c_minus.real, traj.c_minus.imag)
+    # Python floats, converted 1024 rows at a time
     rows = (
-        (t, cp.real, cp.imag, cm.real, cm.imag)
-        for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
+        row
+        for k in range(0, len(traj.times), 1024)
+        for row in np.column_stack([col[k : k + 1024] for col in columns]).tolist()
     )
     resolved = {
         "resolved.f_plus0_re": d.f_plus0.real,
@@ -426,6 +454,11 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         if (omega32 is None) == (ratio32 is None):
             raise ConfigError("give exactly one of weak.omega32 and weak.gamma32_ratio")
         equidistant = v["drive.placement"] == "equidistant"
+        if equidistant and v["drive.gamma_ad"] is not None:
+            raise ConfigError(
+                "drive.gamma_ad is computed from the sphere for "
+                "drive.placement = equidistant; remove the key"
+            )
         resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
             raise SweepPointError("no resonance found in the configured window")

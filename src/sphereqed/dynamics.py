@@ -7,7 +7,10 @@ and a drive that decays with the same complex rate.  Differentiating once
 turns each equation into a damped-oscillator ODE whose closed-form solution
 is implemented in amplitude_closed; volterra_branch integrates the original
 memory equation by trapezoid quadrature of the history and serves as an
-independent numerical cross-check of that closed form.
+independent numerical cross-check of that closed form.  It runs its
+predictor-corrector step once, for one block of steps on unit inputs, and
+then advances block by block with that exact linear map; the history of
+completed blocks enters through FFT convolutions over a hierarchy of tiles.
 
 All rates and frequencies in this module share one unit.  The natural choice
 is Gamma32_AA = 1 (the clock of the irreversible decay channel); conversion
@@ -23,8 +26,9 @@ import numpy as np
 
 BRANCHES = ("+", "-")
 
-# Steps per block of the Volterra history sum: the direct near part covers at
-# most this many terms, and the smallest FFT convolution twice as many points.
+# Steps per block of the Volterra integrator: the length of its linear block
+# map and of the causal convolution inside a block; the smallest FFT tile of
+# the history has twice as many points.
 VOLTERRA_BLOCK = 256
 
 
@@ -167,12 +171,18 @@ def volterra_branch(
 
     The history sum S_n = sum_{j=1..n} k_{n+1-j} c_j of step n is split at
     blocks of VOLTERRA_BLOCK steps (Hairer, Lubich & Schlichte 1985, SIAM J.
-    Sci. Stat. Comput. 6, 532).  The terms of the unfinished block are one
-    direct dot product.  When block e completes, the last 2^z blocks of
-    history (z the number of trailing zero bits of e) are added to the sums
-    of the next 2^z blocks by one FFT convolution against the sampled kernel;
-    these squares tile the history triangle exactly once.  Cost is
-    O(N log^2 N) for N steps, and no FFT has more than 2N points.
+    Sci. Stat. Comput. 6, 532).  Inside a block the step is linear in the
+    state (c_s, f_s) at the block start and in g_r = far_r + drive_r, where
+    far_r is the part of the history sum from completed blocks.  The step
+    runs for one block on each of three unit inputs, which gives the exact
+    linear map of every block: c over the block is c_s u + f_s v + (col * g),
+    a causal convolution, and f at its end is c_s u_f + f_s v_f plus the dot
+    product of the reversed f response with g.  When block e completes, the
+    last 2^z blocks of history (z the number of trailing zero bits of e) are
+    added to the far sums of the next 2^z blocks by one FFT convolution
+    against the sampled kernel; these squares tile the history triangle
+    exactly once.  Cost is O(N log^2 N) for N steps, and no FFT has more
+    than 2N points.
     """
     a1, a2 = ode_coeffs(p, branch)
     scale = max(abs(a1), math.sqrt(abs(a2)))
@@ -196,40 +206,51 @@ def volterra_branch(
     h = step
     half_h = 0.5 * h
     end_weight = half_h * complex(karr[0])
+    first = min(VOLTERRA_BLOCK, n_steps)
+    # at the r-th step of a block, h k_r, ..., h k_1 pair with c of steps 1..r
+    reversed_kernel = h * karr[first - 1 : 0 : -1]
+    near_kernel = [reversed_kernel[first - 1 - r :] for r in range(first)]
+    dot = np.dot
+    # c and f after each step of one block from each unit input, the rows
+    # of (c_s, f_s, g_0) = I
+    c_unit = np.zeros((3, first + 1), dtype=complex)
+    f_unit = np.zeros((3, first), dtype=complex)
+    for k, (c_n, f_n, g_0) in enumerate(np.eye(3).tolist()):
+        c_k = c_unit[k]
+        g = [g_0] + [0.0] * (first - 1)
+        for r in range(first):
+            c_pred = c_n + h * f_n
+            # C(0) = 0, so the trapezoid end term at t = 0 vanishes
+            near = complex(dot(near_kernel[r], c_k[1 : r + 1]))
+            mem = g[r] + near + end_weight * c_pred
+            f_pred = w * c_pred + mem
+            c_next = c_n + half_h * (f_n + f_pred)
+            mem += end_weight * (c_next - c_pred)
+            f_n = w * c_next + mem
+            c_n = c_next
+            c_k[r + 1] = c_next
+            f_unit[k, r] = f_n
+    u, v, col = c_unit[:, 1:]
+    # f at the end of a full block; g_j reaches it through f_unit[2, -1 - j]
+    u_f, v_f = f_unit[:2, -1]
+    col_f = f_unit[2, ::-1]
+
     c = np.zeros(n_steps + 1, dtype=complex)
     # far[n]: h times the part of S_n from completed blocks
     far = np.zeros(n_steps, dtype=complex)
-    # near_kernel[r] pairs with c[start + 1 : start + 1 + r] at the r-th step
-    # of a block: h k_r, ..., h k_1
-    first = min(VOLTERRA_BLOCK, n_steps)
-    reversed_kernel = h * karr[first - 1 : 0 : -1]
-    near_kernel = [reversed_kernel[first - 1 - r :] for r in range(first)]
     tile_kernels: dict[int, np.ndarray] = {}
-    dot = np.dot
-    c_n = 0j
-    f_n = complex(farr[0])
+    c_s = 0j
+    f_s = complex(farr[0])
     for start in range(0, n_steps, VOLTERRA_BLOCK):
         stop = min(start + VOLTERRA_BLOCK, n_steps)
-        far_block = far[start:stop].tolist()
-        drive_block = farr[start + 1 : stop + 1].tolist()
-        for n in range(start, stop):
-            r = n - start
-            c_pred = c_n + h * f_n
-            # C(0) = 0, so the trapezoid end term at t = 0 vanishes
-            mem = (
-                far_block[r]
-                + complex(dot(near_kernel[r], c[start + 1 : n + 1]))
-                + end_weight * c_pred
-            )
-            drive_next = drive_block[r]
-            f_pred = w * c_pred + mem + drive_next
-            c_next = c_n + half_h * (f_n + f_pred)
-            mem += end_weight * (c_next - c_pred)
-            f_n = w * c_next + mem + drive_next
-            c_n = c_next
-            c[n + 1] = c_next
+        m = stop - start
+        g = far[start:stop] + farr[start + 1 : stop + 1]
+        convolved = np.convolve(col[:m], g)[:m]
+        c[start + 1 : stop + 1] = c_s * u[:m] + f_s * v[:m] + convolved
         if stop == n_steps:
             break
+        f_s = c_s * u_f + f_s * v_f + complex(np.dot(col_f, g))
+        c_s = complex(c[stop])
         blocks = stop // VOLTERRA_BLOCK
         size = (blocks & -blocks) * VOLTERRA_BLOCK
         if size not in tile_kernels:

@@ -163,8 +163,14 @@ class TestExitCodes:
             ("dynamics.t_max", "dynamics.t_max = 0\n"),
             ("dynamics.samples", "dynamics.samples = 0\n"),
             ("dynamics.samples", "dynamics.samples = -1\n"),
+            # values the model rejects, not the config table
+            ("dynamics.step", "dynamics.method = volterra\ndynamics.step = 0\n"),
+            ("drive.gamma_dd",
+             "drive.placement = explicit\ndrive.gamma_dd = -1\n"
+             "drive.gamma_ad = 1\ndrive.gamma_bd = 0.5\n"),
         ],
-        ids=["volterra-t_max", "t_max-negative", "t_max-zero", "samples-zero", "samples-negative"],
+        ids=["volterra-t_max", "t_max-negative", "t_max-zero", "samples-zero", "samples-negative",
+             "volterra-step-zero", "explicit-gamma_dd"],
     )
     def test_dynamics_range_is_config_error(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "range.cfg"
@@ -393,7 +399,7 @@ class TestDynamicsCommand:
         text = (
             "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = 2.0\n"
             "dynamics.gamma32_ab = 0.9\ndynamics.delta_omega_c = 0.4\n"
-            "dynamics.t_max = 60\ndynamics.samples = 300\n"
+            "dynamics.t_max = 60\ndynamics.samples = 2500\n"
         )
         cfg = tmp_path / "dyn.cfg"
         cfg.write_text(text)
@@ -403,7 +409,7 @@ class TestDynamicsCommand:
         # the whole file built in memory from a list of rows, as one string
         values, _ = resolve(parse_config(text), cli._DYNAMICS)
         p = cli._coupling_from_cfg(values)
-        traj = dynamics.sample_closed(p, cli._drive_from_cfg(values, p), 60.0, 300)
+        traj = dynamics.sample_closed(p, cli._drive_from_cfg(values, p), 60.0, 2500)
         rows = [
             (t, cp.real, cp.imag, cm.real, cm.imag)
             for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
@@ -411,7 +417,8 @@ class TestDynamicsCommand:
         lines = [line for line in streamed.splitlines() if line.startswith("#")]
         lines.append("t,c_plus_re,c_plus_im,c_minus_re,c_minus_im")
         lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
-        assert len(rows) == 300
+        # more rows than one 1024-row chunk of the row conversion
+        assert len(rows) == 2500
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_volterra_method_agrees_with_closed(self, tmp_path):
@@ -434,6 +441,41 @@ class TestDynamicsCommand:
         p = CouplingParams(3.0, 2.0, 1.0, 0.9, 0.4)
         d = prepare_drive((3.0, 3.0, 2.0), 0.4)
         assert np.max(np.abs(cp - amplitude_closed(p, d, "+", t))) < 1e-6
+
+
+def _fmt_join(meta, header, rows) -> bytes:
+    """The CSV of write_csv's arguments, one _fmt call per value."""
+    lines = [f"# {k} = {cli._fmt(v)}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    META = {"sweep.count": "3", "resolved.x": 0.1 + 0.2}
+
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            (cli._RESONANCE_HEADER,
+             [(121, 1.0501234567891234, 3.2e-5, "SG"), (7, 0.93, np.float64(1e-3), "WG")]),
+            (cli._ENTANGLE_HEADER,
+             [[np.float64(0.1 + 0.2), *[1.0 / k for k in range(1, 11)],
+               *np.linspace(0.1, 0.9, 4), np.float32(0.1), np.float64(-2.5e-17)],
+              [0.3, *np.geomspace(1e-300, 1e300, 15), 2.0 / 3.0]]),
+            (cli._DYNAMICS_HEADER,
+             [[0.0, math.nan, math.inf, -math.inf, -0.0],
+              [5e-324, 1e16, -1e16, 1.0 / 3.0, 123456789012.5],
+              [2.0e-3, -5e-324, 0.1, 1e-5, 1e22]]),
+            (cli._DYNAMICS_HEADER, iter(())),
+        ],
+        ids=["resonances", "entangle", "dynamics", "empty"],
+    )
+    def test_bytes_equal_per_value_format(self, tmp_path, header, rows):
+        rows = list(rows)
+        out = tmp_path / "out.csv"
+        cli.write_csv(out, self.META, header, iter(rows))
+        assert out.read_bytes() == _fmt_join(self.META, header, rows)
 
 
 class TestEntangle:
@@ -539,6 +581,19 @@ class TestEntangle:
         cfg.write_text("\n".join(echo) + "\n")
         assert run_cli(["entangle", "--config", cfg, "--out", second]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_sphere_mode_equidistant_refuses_gamma_ad(self, tmp_path, capsys):
+        # sphere mode computes the equidistant cross rate from the sphere
+        cfg = tmp_path / "ad.cfg"
+        cfg.write_text(
+            SPHERE_ENTANGLE + RESONANCE_WINDOW
+            + "drive.placement = equidistant\ndrive.gamma_ad = 5\n"
+        )
+        out = tmp_path / "out.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "drive.gamma_ad" in err
+        assert not out.exists()
 
     def test_missing_anchor_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "noanchor.cfg"

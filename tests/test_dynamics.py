@@ -165,11 +165,13 @@ class TestVolterra:
 
     @pytest.mark.parametrize(
         "n_steps",
-        [1, VOLTERRA_BLOCK - 1, VOLTERRA_BLOCK, VOLTERRA_BLOCK + 1, 5 * VOLTERRA_BLOCK + 3, 3001],
+        [1, VOLTERRA_BLOCK - 1, VOLTERRA_BLOCK, VOLTERRA_BLOCK + 1, 2 * VOLTERRA_BLOCK,
+         4 * VOLTERRA_BLOCK + 1, 5 * VOLTERRA_BLOCK + 3, 8 * VOLTERRA_BLOCK - 1, 3001],
     )
     def test_matches_direct_history_sum(self, n_steps):
         # step counts on both sides of the block boundaries, where the FFT
-        # tiles of the history start to feed the sums
+        # tiles of the history start to feed the sums, and where the tile
+        # size doubles (after blocks 2 and 4) or is about to (before block 8)
         p = generic_params()
         d = DriveSpec(0.9 - 0.3j, 0.5 + 0.4j)
         for branch in "+-":
