@@ -42,12 +42,12 @@ def main() -> int:
 
     for name, extra in jobs:
         out = outdir / f"{name}.csv"
-        t0 = time.time()
+        t0 = time.perf_counter()
         rc = cli_main([name, "--out", str(out), *extra])
         if rc != 0:
             print(f"{name}: FAILED (exit {rc})", file=sys.stderr)
             return rc
-        print(f"{name}: wrote {out} ({time.time() - t0:.1f} s)")
+        print(f"{name}: wrote {out} ({time.perf_counter() - t0:.3f} s)")
     return 0
 
 

@@ -30,9 +30,9 @@ from . import microsphere as ms
 from . import steady_state as ss
 from .config import REQUIRED, ConfigError, choice, load_config, number, resolve
 
-# Config tables map each key to (parser, default) for config.resolve; each
-# subcommand's table is built from these groups.  Which keys one key's value
-# makes required, or rules out, is checked in code.
+# Config tables map each key to (parser, default[, key, *values]) for
+# config.resolve; each subcommand's table is built from these groups.
+# Which keys one key's value makes required is checked in code.
 
 # the demo sphere is the default; the keys are in the field order of
 # ms.DrudeLorentzParams and then ms.SphereSystem
@@ -67,9 +67,9 @@ _COUPLING = {
 }
 _DRIVE = {
     "drive.placement": (choice("site_of_a", "equidistant", "explicit"), "site_of_a"),
-    "drive.gamma_dd": (number, None),
-    "drive.gamma_ad": (number, None),
-    "drive.gamma_bd": (number, None),
+    "drive.gamma_dd": (number, None, "drive.placement", "equidistant", "explicit"),
+    "drive.gamma_ad": (number, None, "drive.placement", "equidistant", "explicit"),
+    "drive.gamma_bd": (number, None, "drive.placement", "explicit"),
 }
 _ENTANGLE_RATES = {"entangle.rates": (choice("sphere", "explicit"), "sphere")}
 _OUTPUT = {"output.path": (str, None)}
@@ -79,8 +79,8 @@ _RATES = {**_SPHERE, **_SWEEP, "rates.omega": (number, None), **_OUTPUT}
 _DYNAMICS = {
     **_COUPLING, **_DRIVE, **_OUTPUT,
     "dynamics.method": (choice("closed", "volterra"), "closed"),
-    "dynamics.samples": (int, "2000"),
-    "dynamics.step": (number, None),
+    "dynamics.samples": (int, "2000", "dynamics.method", "closed"),
+    "dynamics.step": (number, None, "dynamics.method", "volterra"),
     # echoed as repr, which parses back to the same float
     "dynamics.t_max": (number, lambda v: repr(_t_end(_coupling_from_cfg(v)))),
 }
@@ -96,6 +96,8 @@ _ENTANGLE_SPHERE = {
     "anchor.gamma32_aa_over_gamma0": (number, REQUIRED),
     "anchor.gamma0_over_omega_t": (number, REQUIRED),
     "dynamics.dipole_shift": _COUPLING["dynamics.dipole_shift"],
+    # the equidistant drive's cross rate comes from the sphere
+    "drive.gamma_ad": (number, None, "drive.placement", "explicit"),
 }
 
 
@@ -354,9 +356,9 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     t_max = v["dynamics.t_max"]
     if t_max <= 0:
         raise ConfigError("dynamics.t_max must be > 0")
-    if v["dynamics.samples"] < 2:
-        raise ConfigError("dynamics.samples must be >= 2")
     if v["dynamics.method"] == "closed":
+        if v["dynamics.samples"] < 2:
+            raise ConfigError("dynamics.samples must be >= 2")
         traj = dyn.sample_closed(p, d, t_max, v["dynamics.samples"])
     else:
         step = _given(v, "dynamics.step")
@@ -454,11 +456,6 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         if (omega32 is None) == (ratio32 is None):
             raise ConfigError("give exactly one of weak.omega32 and weak.gamma32_ratio")
         equidistant = v["drive.placement"] == "equidistant"
-        if equidistant and v["drive.gamma_ad"] is not None:
-            raise ConfigError(
-                "drive.gamma_ad is computed from the sphere for "
-                "drive.placement = equidistant; remove the key"
-            )
         resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
             raise SweepPointError("no resonance found in the configured window")

@@ -77,19 +77,26 @@ def resolve(cfg: dict[str, str], table: dict) -> tuple[dict, dict[str, str]]:
 
     A default is the text for a key cfg lacks, REQUIRED, None (value None)
     or a function of the values parsed before it that returns the text.
-    echo maps each key that has a text to it, in sorted key order.
+    A key (parser, default, other, *texts) is read only when the earlier key
+    other has one of texts, else it is None and giving it is an error.  echo
+    maps each key that has a text to it, in sorted key order.
     """
     unknown = sorted(cfg.keys() - table.keys())
     if unknown:
         raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}")
     values, echo = {}, {}
-    for key, (parse, default) in table.items():
+    for key, (parse, default, *only) in table.items():
+        values[key] = None
+        if only and values[only[0]] not in only[1:]:
+            if key in cfg:
+                raise ConfigError(
+                    f"key {key!r} is read only with {only[0]} = {' or '.join(only[1:])}")
+            continue
         text = cfg.get(key, default)
         if callable(text):
             text = text(values)
         if text is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-        values[key] = None
         if text is not None:
             try:
                 values[key] = parse(text)

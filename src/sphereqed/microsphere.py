@@ -20,10 +20,10 @@ import numpy as np
 from .special import (
     H1_IM_MIN,
     L_MAX_SUPPORTED,
+    RecurrenceDomainError,
     legendre_all,
-    sph_h1n_all,
     sph_h1n_ratio,
-    sph_jn_all,
+    sph_h1n_ratios,
     sph_jn_ratio,
     sph_jn_ratios,
 )
@@ -36,7 +36,7 @@ _TAIL_WIDTH = 12
 
 # sweep points that collective_rates evaluates together.  A constant, so a
 # point's value never depends on how a caller groups its points; small, so
-# the (orders x points) work arrays stay a few hundred kB.
+# the work arrays, orders x up to 3 BLOCK columns, stay a few hundred kB.
 BLOCK = 32
 
 # real-frequency grid points per unit omega_T of the resonance search
@@ -160,12 +160,13 @@ def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
     return t1, t2
 
 
-def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
+def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr):
     """Numerator and denominator of the TM scattering coefficient
-    B_l = -num/den for l = 1..lmax (rows) at frequency omega (complex
-    allowed), one column per frequency of an array omega or a single column:
-    num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and den = h_l(k R) f, the Mie
-    numerator and denominator divided by j_l(n k R) (see _reduced_terms).
+    B_l = -num/den for l = 1..lmax (rows) at each frequency of the 1-D array
+    omega (complex allowed), and the sph_jn_ratios and sph_h1n_ratios rows
+    at each k r of kr, from one run of each on concat(k R, n k R, kr) and
+    concat(k R, kr).  num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and
+    den = h_l(k R) f, the Mie terms divided by j_l(n k R) (_reduced_terms).
 
     Only the ratios of j_l(n k R) are formed, and D_j at k R and at n k R
     come from the same code: a vacuum sphere gives num = 0 exactly.  B_l is
@@ -175,18 +176,18 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega):
     eps = permittivity(params, omega)
     z1 = size_parameter(omega, radius)
     z2 = refractive_index(params, omega) * z1
-    rows = (lmax + 1, -1)
+    m = len(z1)
+    rj = sph_jn_ratios(lmax, np.concatenate([z1, z2, kr]))
+    rh = sph_h1n_ratios(lmax, np.concatenate([z1, kr]))
+    rj1, rj2, q1 = rj[:, :m], rj[1:, m : 2 * m], rh[:, :m]
     ls = np.arange(1, lmax + 1)[:, None]
-    rj1 = np.reshape(sph_jn_ratios(lmax, z1), rows)
-    rj2 = np.reshape(sph_jn_ratios(lmax, z2), rows)[1:]
-    h1 = np.reshape(sph_h1n_all(lmax, z1), rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         num = np.subtract(*_reduced_terms(eps, z1, rj1[1:], z2, rj2, ls))
-        den = np.subtract(*_reduced_terms(eps, z1, h1[1:] / h1[:-1], z2, rj2, ls))
-        # j_l(k R) is the running product of its ratio rows (sph_jn_all)
+        den = np.subtract(*_reduced_terms(eps, z1, q1[1:], z2, rj2, ls))
+        # j_l and h_l at k R are the running products of their ratio rows
         num *= np.cumprod(rj1, axis=0)[1:]
-        den *= h1[1:]
-    return num, den
+        den *= np.cumprod(q1, axis=0)[1:]
+    return num, den, rj[:, 2 * m :], rh[:, m:]
 
 
 def mie_coefficient(sys: SphereSystem, l: int, omega: complex) -> complex:
@@ -198,17 +199,14 @@ def mie_coefficient(sys: SphereSystem, l: int, omega: complex) -> complex:
         raise ValueError(f"l={l} exceeds supported maximum {L_MAX_SUPPORTED}")
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    num, den = (a[-1, 0] for a in _mie_arrays(sys.params, sys.radius, l, omega))
+    num, den, _, _ = _mie_arrays(sys.params, sys.radius, l, np.array([omega]), ())
+    num, den = num[-1, 0], den[-1, 0]
+    if not np.isfinite(den):
+        raise RecurrenceDomainError(f"h_l(k R) overflows or Im k R < {H1_IM_MIN} "
+                                    f"at l={l}, omega={omega}")
     if abs(den) < 1e-300:
         raise PoleError(f"Mie denominator vanishes at l={l}, omega={omega}")
     return complex(-num / den)
-
-
-def _shared(values: np.ndarray):
-    """The single value that every entry of values holds, or values itself.
-    A shared value is evaluated once, and through the scalar recurrences,
-    which are faster for one argument."""
-    return values[0] if np.all(values == values[0]) else values
 
 
 def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
@@ -222,26 +220,26 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     bounds each cross-rate term (|P_l| <= 1) but beats through zero as the
     scattered phase rotates; env_mag = weight * (j^2 + |B h| |h|) is
     monotone in the tail and supplies a clean geometric decay rate.
-    |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.  A
-    frequency (or k r) shared by the whole block is evaluated once, so a
-    delta_r sweep builds its Mie arrays once and a theta sweep everything
-    but the Legendre factor.
+    |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.  The
+    terms are built per distinct (frequency, k r), the Mie arrays per
+    distinct frequency and the Bessel rows per distinct k r: a theta sweep
+    builds one column of each, a delta_r sweep one Mie column.
     """
-    shape = (lmax + 1, -1)
-    bl, den = _mie_arrays(params, radius, lmax, _shared(omega))
+    kr = 2.0 * math.pi * omega * r
+    (omega, kr), at_point = np.unique(np.stack([omega, kr]), axis=1, return_inverse=True)
+    freqs, at_freq = np.unique(omega, return_inverse=True)
+    krs, at_kr = np.unique(kr, return_inverse=True)
+    num, den, rj, rh = _mie_arrays(params, radius, lmax, freqs, krs)
     # B_l = -num/den, and 0 where the denominator vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
-        bl /= den
-    bl[~(np.abs(den) > 0)] = 0.0
-    del den
-    np.negative(bl, out=bl)
-    kr = _shared(2.0 * math.pi * omega * r)
-    hr = np.reshape(sph_h1n_all(lmax, kr), shape)[1:]
-    scattered = bl * hr
-    del bl
+        bl = np.where(np.abs(den) > 0, -num / den, 0.0)
+    hr = np.cumprod(rh, axis=0)[1:, at_kr]
+    scattered = bl[:, at_freq] * hr
+    del num, den, bl, rh
     env_mag = np.abs(scattered)
     env_mag *= np.abs(hr)
-    jr = np.reshape(sph_jn_all(lmax, kr), shape)[1:]
+    jr = np.cumprod(rj, axis=0)[1:, at_kr]
+    del rj
     env_mag += np.abs(jr) ** 2
     # h (j + B h), the scattered part already holding B h
     scattered += jr
@@ -249,9 +247,7 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     scattered *= hr
     ls = np.arange(1, lmax + 1, dtype=float)[:, None]
     weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
-    full = (lmax, len(omega))
-    return (np.broadcast_to(weight * scattered.real, full),
-            np.broadcast_to(weight * env_mag, full))
+    return (weight * scattered.real)[:, at_point], (weight * env_mag)[:, at_point]
 
 
 def _five_term_sums(terms: np.ndarray, env: np.ndarray):
@@ -304,7 +300,8 @@ def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
         while True:
             todo = np.flatnonzero(~done.all(axis=0))
             terms, env_mag = _rate_orders(params, radius, r[todo], omega[todo], lmax)
-            p_l = np.reshape(legendre_all(lmax, _shared(cos_theta[todo])), (lmax + 1, -1))[1:]
+            cosines, at_cos = np.unique(cos_theta[todo], return_inverse=True)
+            p_l = legendre_all(lmax, cosines)[1:, at_cos]
             env_re = np.abs(terms)
             at_cap = lmax == L_MAX_SUPPORTED
             bound = _tail_bound(env_re, env_mag) if at_cap else None
@@ -544,7 +541,7 @@ def find_resonances(
     minima are sharpened by golden-section search on the same ratio and
     then handed to a complex Newton iteration on f.  The candidates of an
     order are refined together, one column of the ratio recurrences per
-    candidate (a single candidate keeps the scalar loop).  Converged roots
+    candidate (a few candidates run the scalar loop each).  Converged roots
     are kept when they fall inside the window, have positive width and
     suppress f by at least 1e-8 relative to its off-resonance value at
     omega_c + 3*delta_omega_c.

@@ -181,6 +181,36 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("dynamics", DYNAMICS_RATES + "drive.gamma_dd = 7\n", "drive.gamma_dd"),
+            ("dynamics", DYNAMICS_RATES + "drive.gamma_ad = 5\n", "drive.gamma_ad"),
+            ("entangle", REGIME_A_EXPLICIT + "drive.gamma_bd = -4\n", "drive.gamma_bd"),
+            ("entangle", SPHERE_ENTANGLE + RESONANCE_WINDOW + "drive.gamma_dd = 7\n",
+             "drive.gamma_dd"),
+            ("entangle",
+             REGIME_A_EXPLICIT.replace("site_of_a", "equidistant")
+             + "drive.gamma_ad = 9000\ndrive.gamma_bd = 0.2\n", "drive.gamma_bd"),
+            ("dynamics",
+             DYNAMICS_RATES + "dynamics.method = volterra\ndynamics.step = 0.002\n"
+             "dynamics.t_max = 2\ndynamics.samples = 2000\n", "dynamics.samples"),
+            ("dynamics", DYNAMICS_RATES + "dynamics.step = 0.002\n", "dynamics.step"),
+        ],
+        ids=["site_of_a-gamma_dd", "site_of_a-gamma_ad", "site_of_a-gamma_bd",
+             "sphere-site_of_a-gamma_dd", "equidistant-gamma_bd", "volterra-samples",
+             "closed-step"],
+    )
+    def test_unread_key_is_config_error(self, tmp_path, capsys, command, text, key):
+        # a key the run would echo without reading it
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not out.exists()
+
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run_cli(["rates", "--config", tmp_path / "nope.cfg"]) == 1
 
@@ -432,6 +462,8 @@ class TestDynamicsCommand:
         out_v = tmp_path / "dyn_v.csv"
         assert run_cli(["dynamics", "--config", cfg_v, "--out", out_v]) == 0
         meta, header, rows = read_csv(out_v)
+        # the integrator takes no sample count, and the CSV echoes none
+        assert "dynamics.samples" not in meta
         t = np.array(column(header, rows, "t"))
         cp = np.array(column(header, rows, "c_plus_re")) + 1j * np.array(
             column(header, rows, "c_plus_im")
@@ -497,7 +529,9 @@ class TestEntangle:
         # the decay guard at t_end gives the row that a 2000-point closed-form
         # trajectory, decayed at its last sample, and the mode integrals gave
         text = REGIME_A_EXPLICIT.replace("site_of_a", placement)
-        cfg, _ = resolve(parse_config(text + "drive.gamma_ad = 9000.0\n"), cli._ENTANGLE_EXPLICIT)
+        if placement == "equidistant":
+            text += "drive.gamma_ad = 9000.0\n"
+        cfg, _ = resolve(parse_config(text), cli._ENTANGLE_EXPLICIT)
         base = cli._coupling_from_cfg(cfg)
         for dwc in (0.01, 0.02, 0.03, 0.4):
             p = dynamics.CouplingParams(

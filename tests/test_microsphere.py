@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sphereqed import microsphere
+from sphereqed import microsphere, special
 from sphereqed.microsphere import (
     BLOCK,
     DrudeLorentzParams,
@@ -105,7 +105,7 @@ class TestMieCoefficient:
         # the rate sum's denominator rows, here of a pass to l = 150, hold
         # h_l(k R) f: f as the resonance search forms it, to rounding
         sys0 = fig2_system
-        _, den = microsphere._mie_arrays(sys0.params, sys0.radius, 150, om)
+        _, den, _, _ = microsphere._mie_arrays(sys0.params, sys0.radius, 150, np.array([om]), ())
         h = sph_h1n_all(l, size_parameter(om, sys0.radius))[l]
         omega = np.array([om])
         dh, dj = microsphere._order_terms(sys0, l, omega)
@@ -183,6 +183,62 @@ class TestBlockKernel:
             want_ab = collective_rate(one, 1.0501, same_atom=False)
             assert abs(gaa[k] - want_aa) <= 1e-9 * (abs(want_aa) + 1.0)
             assert abs(gab[k] - want_ab) <= 1e-9 * (abs(want_ab) + 1.0)
+
+    @staticmethod
+    def spy_ratio_runs(monkeypatch):
+        """The argument arrays of every sph_jn_ratios and sph_h1n_ratios
+        call the rate kernel makes, and of every run of a ratio loop."""
+        calls = {"j": [], "h": [], "loops": []}
+        for name, key in (("sph_jn_ratios", "j"), ("sph_h1n_ratios", "h")):
+            def spy(lmax, z, fn=getattr(microsphere, name), key=key):
+                calls[key].append(np.array(z))
+                return fn(lmax, z)
+            monkeypatch.setattr(microsphere, name, spy)
+        for name in ("_jn_ratio_columns", "_jn_ratio_loop",
+                     "_h1n_ratio_columns", "_h1n_ratio_loop"):
+            def loop(*args, fn=getattr(special, name), name=name):
+                calls["loops"].append(name)
+                return fn(*args)
+            monkeypatch.setattr(special, name, loop)
+        return calls
+
+    def test_one_j_and_one_h_run_per_block(self, fig2_system, monkeypatch):
+        sys0 = fig2_system
+        omega = np.linspace(1.0495, 1.0505, BLOCK)
+        calls = self.spy_ratio_runs(monkeypatch)
+        microsphere._rate_orders(sys0.params, sys0.radius, np.full(BLOCK, sys0.r), omega, 150)
+        # concat(k R, n k R, k r) and concat(k R, k r), each argument once
+        assert [len(z) for z in calls["j"]] == [3 * BLOCK]
+        assert [len(z) for z in calls["h"]] == [2 * BLOCK]
+        assert sorted(calls["loops"]) == ["_h1n_ratio_columns", "_jn_ratio_columns"]
+
+    def test_distance_sweep_passes_distinct_arguments(self, fig2_system, monkeypatch):
+        # one frequency: one k R and one n k R, and a k r per distance (the
+        # first pass; points that need the l = 300 cap make a second)
+        sys0 = fig2_system
+        dr = np.linspace(0.5, 3.0, 20)
+        calls = self.spy_ratio_runs(monkeypatch)
+        collective_rates(sys0.params, sys0.radius, sys0.radius + dr, 1.0501, -1.0)
+        j = calls["j"][0]
+        assert len(j) == len(np.unique(j)) == 2 + len(dr)
+        assert len(calls["h"][0]) == 1 + len(dr)
+
+    @pytest.mark.parametrize("axis", ["omega", "delta_r"])
+    def test_repeated_points_give_identical_rates(self, fig2_system, axis):
+        sys0 = fig2_system
+        omega = np.array([0.97, 1.0501, 1.02, 0.93])
+        r = sys0.radius + np.array([0.14, 0.3, 1.1, 2.0])
+        cos_theta = np.cos([math.pi, 2.0, 1.0, 0.3])
+        repeat = [0, 1, 0, 2, 1, 3, 3, 0]
+        if axis == "omega":
+            r = np.full(4, sys0.r)
+        else:
+            omega = np.full(4, 1.0501)
+        once = collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+        again = collective_rates(sys0.params, sys0.radius, r[repeat], omega[repeat],
+                                 cos_theta[repeat])
+        for rates, repeated in zip(once, again):
+            assert np.array_equal(repeated, rates[repeat])
 
     def test_arguments_broadcast(self, fig2_system):
         sys0 = fig2_system

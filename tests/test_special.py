@@ -13,8 +13,10 @@ from sphereqed.special import (
     legendre_all,
     sph_h1n_all,
     sph_h1n_ratio,
+    sph_h1n_ratios,
     sph_jn_all,
     sph_jn_ratio,
+    sph_jn_ratios,
 )
 
 from oracles import (
@@ -315,6 +317,56 @@ class TestBesselRatios:
             assert abs(cols[k] - one) <= 1e-15 * abs(one)
             # a one-element array takes the scalar loop
             assert ratio(l, z[k : k + 1])[0] == one
+
+
+# k R of the demo sphere at real and complex frequencies, k r, and
+# arguments on the line Im z = H1_IM_MIN: more than the scalar loop takes,
+# so a call on all of them runs the column loop
+H_ROW_ARGS = np.concatenate([
+    size_parameter(np.array([1.0501, 0.925, 0.3, 0.2, 0.3 - 0.07j, 1.0501 - 5e-7j]), 10.0),
+    [80.0, 0.8 + 1j * H1_IM_MIN, 22.3 + 1j * H1_IM_MIN, 59.7 + 1j * H1_IM_MIN, 3 + 2j],
+])
+
+
+class TestHankelRatioRows:
+    """The rows of sph_h1n_ratios, h_0 and h_n/h_{n-1}, on the column loop
+    (all arguments in one call) and on the scalar loop (one argument)."""
+
+    def test_against_multiprecision(self):
+        cols = sph_h1n_ratios(300, H_ROW_ARGS)
+        assert cols.shape == (301, len(H_ROW_ARGS))
+        for k, z in enumerate(H_ROW_ARGS):
+            one = sph_h1n_ratios(300, z)
+            for l in (1, 121, 300):
+                want = mp_bessel_ratio("H1", l, z)
+                assert abs(cols[l, k] - want) <= 1e-12 * abs(want)
+                assert abs(one[l] - want) <= 1e-12 * abs(want)
+            want = mp_spherical_h1(0, z)
+            assert abs(cols[0, k] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("ratios", [sph_jn_ratios, sph_h1n_ratios])
+    def test_scalar_and_column_loops_agree_bit_for_bit(self, ratios):
+        # a point's rows do not depend on the other arguments of its call,
+        # so the rate kernel's values do not depend on how points are grouped
+        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
+        cols = ratios(300, z)
+        for k, zk in enumerate(z):
+            assert np.array_equal(cols[:, k], ratios(300, np.array([zk]))[:, 0], equal_nan=True)
+
+    @pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
+    def test_single_order_loops_agree_bit_for_bit(self, ratio):
+        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
+        for l in (1, 121, 300):
+            assert np.array_equal(ratio(l, z), [ratio(l, zk) for zk in z])
+
+    def test_domain(self):
+        below = 20.0 + (H1_IM_MIN - 0.5) * 1j
+        with pytest.raises(RecurrenceDomainError):
+            sph_h1n_ratios(5, below)
+        rows = sph_h1n_ratios(5, np.array([below, 20.0]))
+        assert np.isnan(rows[:, 0]).all() and np.isfinite(rows[:, 1]).all()
+        with pytest.raises(ValueError):
+            sph_h1n_ratios(5, np.array([1.0, 0.0]))
 
 
 class TestBesselRatioDomain:
