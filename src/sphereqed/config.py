@@ -76,7 +76,7 @@ def resolve(cfg: dict[str, str], table: dict) -> tuple[dict, dict[str, str]]:
     declared key to (parser, default); a key the table lacks is an error.
 
     A default is the text for a key cfg lacks, REQUIRED, None (value None)
-    or a function of the values parsed before it that returns the text.
+    or a function of the values parsed before it that returns one of these.
     A key (parser, default, other, *texts) is read only when the earlier key
     other has one of texts, else it is None and giving it is an error.  echo
     maps each key that has a text to it, in sorted key order.

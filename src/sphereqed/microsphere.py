@@ -19,7 +19,6 @@ import numpy as np
 
 from .special import (
     H1_IM_MIN,
-    L_MAX_SUPPORTED,
     RecurrenceDomainError,
     legendre_all,
     sph_h1n_ratio,
@@ -27,6 +26,11 @@ from .special import (
     sph_jn_ratio,
     sph_jn_ratios,
 )
+
+# Highest multipole order of the rate sum, to which every block sums: enough
+# for size parameters up to ~kR = 66 plus the evanescent tail.  B_l is
+# subnormal near this order, so mie_coefficient refuses higher ones.
+L_MAX_SUPPORTED = 300
 
 # adaptive series truncation: stop after this many consecutive negligible terms
 _TAIL_RUN = 5
@@ -284,47 +288,27 @@ def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
 
 def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
                  omega: np.ndarray, cos_theta: np.ndarray):
-    """collective_rates for one block of points.
+    """collective_rates for one block of points, in one pass to the
+    L_MAX_SUPPORTED cap.
 
-    The block starts at one lmax for all its points; points whose Gamma_AA
-    or Gamma_AB has not settled there are redone once, at the cap."""
-    scale = np.maximum(
-        2.0 * math.pi * omega * r,
-        np.abs(refractive_index(params, omega)) * 2.0 * math.pi * omega * radius,
-    )
-    lmax = min(L_MAX_SUPPORTED, int(scale.max()) + 60)
-    rates = np.full((2, len(omega)), np.nan)
-    done = np.zeros((2, len(omega)), dtype=bool)
+    Each sum takes the five-term rule where it settles; a column that does
+    not settle takes its full sum when the tail bound beyond the cap allows."""
     failure = {}
     with np.errstate(invalid="ignore", over="ignore"):
-        while True:
-            todo = np.flatnonzero(~done.all(axis=0))
-            terms, env_mag = _rate_orders(params, radius, r[todo], omega[todo], lmax)
-            cosines, at_cos = np.unique(cos_theta[todo], return_inverse=True)
-            p_l = legendre_all(lmax, cosines)[1:, at_cos]
-            env_re = np.abs(terms)
-            at_cap = lmax == L_MAX_SUPPORTED
-            bound = _tail_bound(env_re, env_mag) if at_cap else None
-            for which, series in enumerate((terms, terms * p_l)):
-                settled_sum, settled, full_sum = _five_term_sums(series, env_re)
-                new = settled & ~done[which, todo]
-                rates[which, todo[new]] = settled_sum[new]
-                done[which, todo[new]] = True
-                if not at_cap:
-                    continue
-                # 1e-5 Gamma_0 absolute floor, far below any resolvable
-                # feature of the near-surface sweeps this cap serves
-                rest = ~done[which, todo]
-                accept = rest & (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0))
-                rates[which, todo[accept]] = full_sum[accept]
-                refused = rest & ~accept
-                for k, total in zip(todo[refused], full_sum[refused]):
-                    failure.setdefault(k, "did not settle" if np.isfinite(total) else "overflow")
-            if at_cap or done.all():
-                break
-            # free this pass's arrays before the larger pass at the cap
-            del terms, env_mag, p_l, env_re, series
-            lmax = L_MAX_SUPPORTED
+        terms, env_mag = _rate_orders(params, radius, r, omega, L_MAX_SUPPORTED)
+        cosines, at_cos = np.unique(cos_theta, return_inverse=True)
+        p_l = legendre_all(L_MAX_SUPPORTED, cosines)[1:, at_cos]
+        env_re = np.abs(terms)
+        bound = _tail_bound(env_re, env_mag)
+        rates = np.empty((2, len(omega)))
+        for which, series in enumerate((terms, terms * p_l)):
+            settled_sum, settled, full_sum = _five_term_sums(series, env_re)
+            rates[which] = np.where(settled, settled_sum, full_sum)
+            # 1e-5 Gamma_0 absolute floor, far below any resolvable
+            # feature of the near-surface sweeps this cap serves
+            accept = settled | (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0))
+            for k in np.flatnonzero(~accept):
+                failure.setdefault(k, "did not settle" if np.isfinite(full_sum[k]) else "overflow")
     for k in np.flatnonzero(~np.isfinite(rates).all(axis=0)):
         failure.setdefault(k, "overflow")
     if failure:
@@ -349,14 +333,16 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
 
     Points are evaluated BLOCK at a time: the Bessel, Mie and Legendre
     recurrences loop over the order l and run for every point of a block at
-    once, and the per-order terms are shared by Gamma_AA and Gamma_AB.  Each
-    multipole sum stops once five consecutive term envelopes fall below
-    1e-12 of the running total.  Close to the surface the scattered part
-    only decays geometrically as (R/r)^{2l}; if the l = 300 cap is reached
-    first, the remaining tail is bounded geometrically and accepted when
-    below 1e-5 of the total (with a 1 Gamma_0 floor).  Beyond that the
-    geometry needs orders that overflow float64 and NonConvergenceError is
-    raised, naming the frequency of the first point that failed.
+    once, every block to the l = 300 cap, and the per-order terms are shared
+    by Gamma_AA and Gamma_AB.  Each multipole sum is the partial sum where
+    five consecutive term envelopes first fall below 1e-12 of the running
+    total.  Close to the surface the scattered part only decays
+    geometrically as (R/r)^{2l}; for a sum that has not settled by the cap,
+    the remaining tail is bounded geometrically and the full sum accepted
+    when the bound is below 1e-5 of it (with a 1 Gamma_0 floor).  Beyond
+    that the geometry needs orders that overflow float64 and
+    NonConvergenceError is raised, naming the frequency of the first point
+    that failed.
     """
     r, omega, cos_theta = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
@@ -534,13 +520,13 @@ def find_resonances(
 
     Every evaluation reads order l alone, through the log-derivative form
     f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
-    from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows up
-    to l = 300.  For each multipole order the balance ratio of the two
-    terms is sampled on a real grid (GRID_PER_UNIT points per unit
-    omega_T, at least 64 across the window) in one call, interior local
-    minima are sharpened by golden-section search on the same ratio and
-    then handed to a complex Newton iteration on f.  The candidates of an
-    order are refined together, one column of the ratio recurrences per
+    from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows,
+    so the orders have no cap.  For each multipole order the balance ratio
+    of the two terms is sampled on a real grid (GRID_PER_UNIT points per
+    unit omega_T, at least 64 across the window) in one call, interior
+    local minima are sharpened by golden-section search on the same ratio
+    and then handed to a complex Newton iteration on f.  The candidates of
+    an order are refined together, one column of the ratio recurrences per
     candidate (a few candidates run the scalar loop each).  Converged roots
     are kept when they fall inside the window, have positive width and
     suppress f by at least 1e-8 relative to its off-resonance value at
@@ -552,8 +538,8 @@ def find_resonances(
     npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
     for l in l_range:
-        if l < 1 or l > L_MAX_SUPPORTED:
-            raise ValueError(f"l={l} outside 1..{L_MAX_SUPPORTED}")
+        if l < 1:
+            raise ValueError(f"l={l} must be >= 1")
         vals = _denominator_balance(sys, l, grid)
         mid = vals[1:-1]
         minima = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1

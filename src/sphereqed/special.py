@@ -17,10 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Highest multipole order the microsphere layer sums to.  Enough for size
-# parameters up to ~kR = 66 of the microsphere geometry plus evanescent tail.
-L_MAX_SUPPORTED = 300
-
 # Below the real axis the upward recurrence for h_l^(1) loses about
 # eps * e^(2 |Im z|) of relative accuracy (against mpmath: 5e-12 at
 # Im z = -5, 1e-7 at -10, O(1) at -20), so it refuses Im z below this.

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from sphereqed import cli, dynamics, steady_state
+from sphereqed import microsphere as ms
 from sphereqed.cli import main
 from sphereqed.config import ConfigError, parse_config, resolve
+
+from oracles import mp_log_derivative
 
 
 def run_cli(args):
@@ -196,10 +199,13 @@ class TestExitCodes:
              DYNAMICS_RATES + "dynamics.method = volterra\ndynamics.step = 0.002\n"
              "dynamics.t_max = 2\ndynamics.samples = 2000\n", "dynamics.samples"),
             ("dynamics", DYNAMICS_RATES + "dynamics.step = 0.002\n", "dynamics.step"),
+            ("rates", "rates.omega = 1.0501\nsweep.axis = omega\nsweep.lo = 1.04\n"
+             "sweep.hi = 1.05\nsweep.count = 2\n", "rates.omega"),
+            ("figure3", "rates.omega = 5\n", "rates.omega"),
         ],
         ids=["site_of_a-gamma_dd", "site_of_a-gamma_ad", "site_of_a-gamma_bd",
              "sphere-site_of_a-gamma_dd", "equidistant-gamma_bd", "volterra-samples",
-             "closed-step"],
+             "closed-step", "omega-axis-rates_omega", "figure3-rates_omega"],
     )
     def test_unread_key_is_config_error(self, tmp_path, capsys, command, text, key):
         # a key the run would echo without reading it
@@ -211,12 +217,39 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("dynamics", DYNAMICS_RATES + "dynamics.method = volterra\n", "dynamics.step"),
+            ("dynamics", DYNAMICS_RATES + "drive.placement = equidistant\n", "drive.gamma_ad"),
+            ("entangle",
+             REGIME_A_EXPLICIT.replace("site_of_a", "explicit")
+             + "drive.gamma_dd = 9000\ndrive.gamma_ad = 9000\n", "drive.gamma_bd"),
+            ("entangle",
+             REGIME_A_EXPLICIT.replace("site_of_a", "explicit")
+             + "drive.gamma_ad = 9000\ndrive.gamma_bd = 0.2\n", "drive.gamma_dd"),
+            ("entangle",
+             SPHERE_ENTANGLE + RESONANCE_WINDOW
+             + "drive.placement = explicit\ndrive.gamma_dd = 1\ndrive.gamma_bd = 0.2\n",
+             "drive.gamma_ad"),
+            ("rates", THETA_SWEEP, "rates.omega"),
+        ],
+        ids=["volterra-step", "equidistant-gamma_ad", "explicit-gamma_bd", "explicit-gamma_dd",
+             "sphere-explicit-gamma_ad", "theta-rates_omega"],
+    )
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys, command, text, key):
+        # a key that another key's value makes required
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+        assert f"config error: missing required key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run_cli(["rates", "--config", tmp_path / "nope.cfg"]) == 1
 
     def test_bug_is_not_a_numerical_error(self, tmp_path, monkeypatch):
-        import sphereqed.microsphere as ms
-
         def broken(*args, **kwargs):
             raise IndexError("bug in block slicing")
 
@@ -363,6 +396,31 @@ class TestResonances:
         assert any(abs(w - 1.0501) < 6e-4 for w in omegas)
         assert omegas == sorted(omegas)
 
+    def test_orders_beyond_the_rate_cap(self, tmp_path):
+        # the search reads bounded ratios, so its orders have no cap
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(
+            "resonance.omega_lo = 1.058\nresonance.omega_hi = 1.06\n"
+            "resonance.l_lo = 301\nresonance.l_hi = 302\n"
+        )
+        out = tmp_path / "res.csv"
+        assert run_cli(["resonances", "--config", cfg, "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "l", int) == [301, 302]
+        assert column(header, rows, "kind", str) == ["SG", "SG"]
+        # each printed root suppresses the mpmath f = eps D_h(k R) - D_j(n k R)
+        params = ms.DrudeLorentzParams(0.5, 1e-6)
+
+        def f(l, omega):
+            z1 = ms.size_parameter(omega, 10.0)
+            z2 = ms.refractive_index(params, omega) * z1
+            return (ms.permittivity(params, omega) * mp_log_derivative("H1", l, z1)
+                    - mp_log_derivative("J", l, z2))
+
+        for l, wc, dwc in zip(column(header, rows, "l", int), column(header, rows, "omega_c"),
+                              column(header, rows, "delta_omega_c")):
+            assert abs(f(l, wc - 1j * dwc)) < 1e-4 * abs(f(l, wc + 3 * dwc - 1j * dwc))
+
     def test_threads_do_not_change_output(self, tmp_path):
         # two orders below the gap, each with many candidates refined together
         cfg = tmp_path / "res.cfg"
@@ -387,9 +445,8 @@ class TestResonanceWindow:
             ("resonance.l_lo", "0"),
             ("resonance.l_lo", "122"),  # l_hi < l_lo
             ("resonance.omega_lo", "1.0505"),  # omega_hi < omega_lo
-            ("resonance.l_hi", "301"),  # beyond the multipole cap
         ],
-        ids=["l_lo_zero", "orders_reversed", "window_reversed", "l_hi_above_cap"],
+        ids=["l_lo_zero", "orders_reversed", "window_reversed"],
     )
     def test_bad_window_is_config_error(self, tmp_path, capsys, command, key, bad):
         lines = [
@@ -701,7 +758,11 @@ class TestFigurePresets:
         assert len(axis) == 3
         assert axis[0] == pytest.approx(lo, rel=1e-11)
         assert axis[-1] == pytest.approx(hi, rel=1e-11)
-        assert meta["rates.omega"] == "1.0501"
+        # the omega-axis presets do not read rates.omega, so they do not echo it
+        if header[0] == "omega":
+            assert "rates.omega" not in meta
+        else:
+            assert meta["rates.omega"] == "1.0501"
         assert {k: v for k, v in meta.items() if k.startswith("sphere.")} == {
             "sphere.atom_distance": "0.14",
             "sphere.gamma": "1e-6",

@@ -213,15 +213,38 @@ class TestBlockKernel:
         assert sorted(calls["loops"]) == ["_h1n_ratio_columns", "_jn_ratio_columns"]
 
     def test_distance_sweep_passes_distinct_arguments(self, fig2_system, monkeypatch):
-        # one frequency: one k R and one n k R, and a k r per distance (the
-        # first pass; points that need the l = 300 cap make a second)
+        # one frequency: one k R and one n k R, and a k r per distance, in
+        # the one j run and the one h run of the block
         sys0 = fig2_system
         dr = np.linspace(0.5, 3.0, 20)
         calls = self.spy_ratio_runs(monkeypatch)
         collective_rates(sys0.params, sys0.radius, sys0.radius + dr, 1.0501, -1.0)
-        j = calls["j"][0]
+        [j], [h] = calls["j"], calls["h"]
         assert len(j) == len(np.unique(j)) == 2 + len(dr)
-        assert len(calls["h"][0]) == 1 + len(dr)
+        assert len(h) == 1 + len(dr)
+
+    @pytest.mark.parametrize("axis", ["omega", "theta", "delta_r"])
+    def test_one_rate_orders_call_per_block_at_the_cap(self, fig2_system, monkeypatch, axis):
+        # a figure3-window omega block, a theta block, and a distance sweep
+        # over two blocks whose near points need the cap and far ones do not
+        sys0 = fig2_system
+        r, omega, cos_theta = sys0.r, 1.0501, -1.0
+        if axis == "omega":
+            omega = np.linspace(1.04, 1.0535, BLOCK)
+        elif axis == "theta":
+            cos_theta = np.cos(np.linspace(0.0, math.pi, BLOCK))
+        else:
+            r = sys0.radius + np.linspace(0.05, 3.0, 40)
+        orders = []
+        rate_orders = microsphere._rate_orders
+
+        def spy(params, radius, r, omega, lmax):
+            orders.append(lmax)
+            return rate_orders(params, radius, r, omega, lmax)
+
+        monkeypatch.setattr(microsphere, "_rate_orders", spy)
+        gaa, _ = collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+        assert orders == [300] * math.ceil(gaa.size / BLOCK)
 
     @pytest.mark.parametrize("axis", ["omega", "delta_r"])
     def test_repeated_points_give_identical_rates(self, fig2_system, axis):

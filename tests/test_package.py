@@ -1,14 +1,17 @@
 import inspect
 
 import sphereqed
-from sphereqed import microsphere, special
+from sphereqed import cli, microsphere, special
 
 # names deleted or taken out of the package because no pipeline step used them
 GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "riccati_deriv", "legendre_p", "_check_order",
                      "riccati_deriv_all", "_sph_jn_columns", "_RESCALE",
-                     "_sph_h1n_columns", "_per_point")
+                     "_sph_h1n_columns", "_per_point",
+                     # the rate sum's cap, which special never read: now in microsphere
+                     "L_MAX_SUPPORTED")
 GONE_FROM_MICROSPHERE = ("_shared",)
+GONE_FROM_CLI = ("_given",)
 GONE_FROM_PACKAGE = ("integrate_alpha_beta", "amplitude_volterra", "sample_closed",
                      *GONE_FROM_SPECIAL)
 
@@ -19,5 +22,6 @@ def test_public_names_resolve_and_removed_names_stay_gone():
     assert [n for n in GONE_FROM_PACKAGE if hasattr(sphereqed, n)] == []
     assert [n for n in GONE_FROM_SPECIAL if hasattr(special, n)] == []
     assert [n for n in GONE_FROM_MICROSPHERE if hasattr(microsphere, n)] == []
+    assert [n for n in GONE_FROM_CLI if hasattr(cli, n)] == []
     # one grid density is ever used: a module constant, not an option
     assert "grid_per_unit" not in inspect.signature(microsphere.find_resonances).parameters

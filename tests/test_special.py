@@ -281,6 +281,9 @@ RATIO_POINTS = {
     "below the gap": demo_arguments(70, [0.925, 0.95, 0.3]),
     "complex omega": demo_arguments(1, [0.3 - 0.07j, 1.0501 - 5e-7j, 0.93 - 0.002j]),
     "l = 300": demo_arguments(300, [0.2, 0.25, 1.1]),
+    # beyond the rate sum's cap, where the search still reads the ratios
+    "l = 400": demo_arguments(400, [1.0501, 1.059, 0.925]),
+    "l = 1000": demo_arguments(1000, [1.0501, 0.925, 0.3]),
     "next to omega = 1": demo_arguments(121, [1 - 5e-6, 1 + 5e-6, 1 - 1e-5, 1 + 1e-5]),
 }
 
