@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import microsphere as ms
 from . import steady_state as ss
-from .config import REQUIRED, ConfigError, choice, load_config, number, resolve
+from .config import REQUIRED, ConfigError, choice, load_config, number, positive, resolve
 
 # Config tables map each key to (parser, default[, key, *values]) for
 # config.resolve; each subcommand's table is built from these groups.
@@ -80,7 +80,7 @@ _OUTPUT = {"output.path": (str, None)}
 _RESONANCES = {**_SPHERE, **_RESONANCE, **_OUTPUT}
 _RATES = {
     **_SPHERE, **_SWEEP,
-    "rates.omega": (number, REQUIRED, "sweep.axis", "theta", "delta_r"),
+    "rates.omega": (positive, REQUIRED, "sweep.axis", "theta", "delta_r"),
     **_OUTPUT,
 }
 _DYNAMICS = {
@@ -89,7 +89,7 @@ _DYNAMICS = {
     "dynamics.samples": (int, "2000", "dynamics.method", "closed"),
     "dynamics.step": (number, REQUIRED, "dynamics.method", "volterra"),
     # echoed as repr, which parses back to the same float
-    "dynamics.t_max": (number, lambda v: repr(_t_end(_coupling_from_cfg(v)))),
+    "dynamics.t_max": (positive, lambda v: repr(_t_end(_coupling_from_cfg(v)))),
 }
 _ENTANGLE_EXPLICIT = {
     **_ENTANGLE_RATES, **_COUPLING, **_DRIVE, **_SWEEP, **_OUTPUT,
@@ -97,11 +97,11 @@ _ENTANGLE_EXPLICIT = {
 }
 _ENTANGLE_SPHERE = {
     **_ENTANGLE_RATES, **_SPHERE, **_SWEEP, **_RESONANCE, **_DRIVE, **_OUTPUT,
-    "strong.omega31": (lambda text: text if text == "auto" else number(text), "auto"),
-    "weak.omega32": (number, None),
+    "strong.omega31": (lambda text: text if text == "auto" else positive(text), "auto"),
+    "weak.omega32": (positive, None),
     "weak.gamma32_ratio": (number, None),
-    "anchor.gamma32_aa_over_gamma0": (number, REQUIRED),
-    "anchor.gamma0_over_omega_t": (number, REQUIRED),
+    "anchor.gamma32_aa_over_gamma0": (positive, REQUIRED),
+    "anchor.gamma0_over_omega_t": (positive, REQUIRED),
     "dynamics.dipole_shift": _COUPLING["dynamics.dipole_shift"],
     # the equidistant drive's cross rate comes from the sphere
     "drive.gamma_ad": (number, REQUIRED, "drive.placement", "explicit"),
@@ -117,7 +117,7 @@ def _figure_table(axis: str, lo: str, hi: str, count: str) -> dict:
         "sweep.lo": (number, lo),
         "sweep.hi": (number, hi),
         "sweep.count": (int, count),
-        "rates.omega": (number, "1.0501", "sweep.axis", "theta", "delta_r"),
+        "rates.omega": (positive, "1.0501", "sweep.axis", "theta", "delta_r"),
     }
 
 
@@ -152,9 +152,7 @@ NUMERICAL_ERRORS = (ms.NonConvergenceError, ArithmeticError, ValueError)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
     return str(value)
 
@@ -182,30 +180,6 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
             fh.write(line % tuple(row))
 
 
-def _sweep_map(fn, values) -> list:
-    """fn over consecutive blocks of ms.BLOCK sweep values, in order, each
-    call returning one item per value; the items in sweep order.
-
-    A numerical failure is reported at its sweep point, found by redoing
-    the failed block one point at a time.
-    """
-    items = []
-    for start in range(0, len(values), ms.BLOCK):
-        block = values[start : start + ms.BLOCK]
-        try:
-            items += fn(block)
-        except NUMERICAL_ERRORS:
-            for offset, value in enumerate(block):
-                try:
-                    fn(block[offset : offset + 1])
-                except NUMERICAL_ERRORS as exc:
-                    raise SweepPointError(
-                        f"sweep point {start + offset} (value {_fmt(value)}): {exc}"
-                    ) from exc
-            raise
-    return items
-
-
 def _sphere_system(v: dict) -> ms.SphereSystem:
     omega_p, gamma, *geometry = (v[key] for key in _SPHERE)
     try:
@@ -214,14 +188,35 @@ def _sphere_system(v: dict) -> ms.SphereSystem:
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_values(v: dict) -> np.ndarray:
-    """The points of sweep.lo, sweep.hi and sweep.count."""
+def _sweep_values(v: dict, check) -> np.ndarray:
+    """The points of sweep.lo, sweep.hi and sweep.count.  check(value)
+    raises ValueError for a value outside the axis's domain; the domain is
+    an interval, so the window's two ends are checked."""
     lo, hi, count = v["sweep.lo"], v["sweep.hi"], v["sweep.count"]
     if not lo < hi:
         raise ConfigError("sweep.lo must be < sweep.hi")
     if count < 2:
         raise ConfigError("sweep.count must be >= 2")
+    for key in ("sweep.lo", "sweep.hi"):
+        try:
+            check(v[key])
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
     return np.linspace(lo, hi, count)
+
+
+def _sphere_sweep(v: dict, sys0: ms.SphereSystem) -> np.ndarray:
+    """The sweep values of a sphere axis: omega > 0, or a theta or delta_r
+    that sys0 accepts."""
+    axis = v["sweep.axis"]
+
+    def check(value):
+        if axis != "omega":
+            replace(sys0, **{"theta" if axis == "theta" else "atom_distance": value})
+        elif value <= 0:
+            raise ValueError("omega must be > 0")
+
+    return _sweep_values(v, check)
 
 
 def _resonance_window(v: dict) -> tuple[float, float, range]:
@@ -236,21 +231,40 @@ def _resonance_window(v: dict) -> tuple[float, float, range]:
 
 
 def _sweep_points(sys0: ms.SphereSystem, axis: str, values, omega: float):
-    """(r, omega, theta) lists for the sweep points `values`; off the omega
-    axis every point's system is built, so its geometry is validated."""
+    """(r, omega, theta) lists for the sweep points `values`, at frequency
+    omega off the omega axis."""
+    n = len(values)
     if axis == "omega":
-        systems, omegas = [sys0] * len(values), list(values)
-    else:
-        field = "theta" if axis == "theta" else "atom_distance"
-        systems = [replace(sys0, **{field: value}) for value in values]
-        omegas = [omega] * len(values)
-    return [s.r for s in systems], omegas, [s.theta for s in systems]
+        return [sys0.r] * n, list(values), [sys0.theta] * n
+    if axis == "theta":
+        return [sys0.r] * n, [omega] * n, list(values)
+    return [sys0.radius + dr for dr in values], [omega] * n, [sys0.theta] * n
 
 
-def _rates_at(sys0: ms.SphereSystem, r, omega, theta):
-    """(Gamma_AA, Gamma_AB) arrays of the block kernel at the given points."""
+def _at_point(values, k: int, exc: Exception) -> SweepPointError:
+    return SweepPointError(f"sweep point {k} (value {_fmt(values[k])}): {exc}")
+
+
+def _rates_at(sys0: ms.SphereSystem, values, r, omega, theta):
+    """(Gamma_AA, Gamma_AB) arrays at the points of the sweep `values`; a
+    series that does not settle is reported at its sweep point."""
     cos_theta = [math.cos(t) for t in theta]
-    return ms.collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+    try:
+        return ms.collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+    except ms.NonConvergenceError as exc:
+        raise _at_point(values, exc.point, exc) from exc
+
+
+def _rows(values, row) -> list:
+    """row(k, value) for each sweep point; a numerical failure is reported
+    at its sweep point."""
+    rows = []
+    for k, value in enumerate(values):
+        try:
+            rows.append(row(k, value))
+        except NUMERICAL_ERRORS as exc:
+            raise _at_point(values, k, exc) from exc
+    return rows
 
 
 _RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
@@ -259,16 +273,7 @@ _RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
 def cmd_resonances(cfg: dict, out: str) -> None:
     """Locate field resonances in a frequency window for a range of orders."""
     v, meta = resolve(cfg, _RESONANCES)
-    sys0 = _sphere_system(v)
-    omega_lo, omega_hi, orders = _resonance_window(v)
-
-    def block(ls):
-        return [ms.find_resonances(sys0, omega_lo, omega_hi, [l]) for l in ls]
-
-    chunks = _sweep_map(block, orders)
-    resonances = sorted(
-        (r for chunk in chunks for r in chunk), key=lambda r: (r.omega_c, r.l)
-    )
+    resonances = ms.find_resonances(_sphere_system(v), *_resonance_window(v))
     rows = [(r.l, r.omega_c, r.delta_omega_c, r.kind) for r in resonances]
     write_csv(out, meta, _RESONANCE_HEADER, rows)
 
@@ -280,17 +285,10 @@ def _rate_sweep(cfg: dict, out: str, table: dict, columns: tuple[str, ...]) -> N
     v, meta = resolve(cfg, table)
     sys0 = _sphere_system(v)
     axis = v["sweep.axis"]
-    values = _sweep_values(v)
-    omega = v["rates.omega"]
-    if omega is not None and omega <= 0:
-        raise ConfigError("rates.omega must be > 0")
-
-    def block(values):
-        gaa, gab = _rates_at(sys0, *_sweep_points(sys0, axis, values, omega))
-        rates = dict(zip(RATE_COLUMNS, (gaa, gab, gaa + gab, gaa - gab)))
-        return list(zip(values, *(rates[c] for c in columns)))
-
-    write_csv(out, meta, [axis, *columns], _sweep_map(block, values))
+    values = _sphere_sweep(v, sys0)
+    gaa, gab = _rates_at(sys0, values, *_sweep_points(sys0, axis, values, v["rates.omega"]))
+    rates = dict(zip(RATE_COLUMNS, (gaa, gab, gaa + gab, gaa - gab)))
+    write_csv(out, meta, [axis, *columns], zip(values, *(rates[c] for c in columns)))
 
 
 def cmd_rates(cfg: dict, out: str) -> None:
@@ -351,8 +349,6 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     p = _coupling_from_cfg(v)
     d = _drive_from_cfg(v, p)
     t_max = v["dynamics.t_max"]
-    if t_max <= 0:
-        raise ConfigError("dynamics.t_max must be > 0")
     if v["dynamics.method"] == "closed":
         if v["dynamics.samples"] < 2:
             raise ConfigError("dynamics.samples must be >= 2")
@@ -430,27 +426,23 @@ def cmd_entangle(cfg: dict, out: str) -> None:
     """Full pipeline: rates, drive, amplitudes, stationary state, concurrence."""
     explicit = cfg.get("entangle.rates") == "explicit"
     v, meta = resolve(cfg, _ENTANGLE_EXPLICIT if explicit else _ENTANGLE_SPHERE)
-    values = _sweep_values(v)
     if explicit:
         base = _coupling_from_cfg(v)
+        values = _sweep_values(v, lambda value: replace(base, delta_omega_c=value))
 
-        def block(values):
-            rows = []
-            for value in values:
-                p = replace(base, delta_omega_c=value)
-                rows.append(_steady_row(value, p, _drive_from_cfg(v, p)))
-            return rows
+        def row(k, value):
+            p = replace(base, delta_omega_c=value)
+            return _steady_row(value, p, _drive_from_cfg(v, p))
 
     else:
         sys0 = _sphere_system(v)
-        axis = v["sweep.axis"]
+        values = _sphere_sweep(v, sys0)
         anchor_a = v["anchor.gamma32_aa_over_gamma0"]
-        anchor_b = v["anchor.gamma0_over_omega_t"]
-        if anchor_a <= 0 or anchor_b <= 0:
-            raise ConfigError("anchors must be > 0")
         omega32, ratio32 = v["weak.omega32"], v["weak.gamma32_ratio"]
         if (omega32 is None) == (ratio32 is None):
             raise ConfigError("give exactly one of weak.omega32 and weak.gamma32_ratio")
+        if ratio32 is not None and not -1.0 <= ratio32 <= 1.0:
+            raise ConfigError("weak.gamma32_ratio must lie in [-1, 1]")
         equidistant = v["drive.placement"] == "equidistant"
         resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
@@ -461,36 +453,33 @@ def cmd_entangle(cfg: dict, out: str) -> None:
             omega31_base = resonance.omega_c
         else:
             resonance = min(resonances, key=lambda r: abs(r.omega_c - omega31_base))
-        rate_unit = anchor_a * anchor_b
+        rate_unit = anchor_a * v["anchor.gamma0_over_omega_t"]
+        # in Gamma_0 units: Gamma31 at omega31, the Gamma32 ratio at omega32,
+        # and the equidistant drive's cross rate at theta / 2
+        r, omega31, theta = _sweep_points(sys0, v["sweep.axis"], values, omega31_base)
+        s31aa, s31ab = _rates_at(sys0, values, r, omega31, theta)
+        if omega32 is not None:
+            s32aa, s32ab = _rates_at(sys0, values, r, omega32, theta)
+            ratios = (s32ab / s32aa).tolist()
+        else:
+            ratios = [ratio32] * len(values)
+        if equidistant:
+            s_half = _rates_at(sys0, values, r, omega31, [t / 2.0 for t in theta])[1].tolist()
 
-        def block(values):
-            # in Gamma_0 units: Gamma31 at omega31, the Gamma32 ratio at
-            # omega32, and the equidistant drive's cross rate at theta / 2
-            r, omega31, theta = _sweep_points(sys0, axis, values, omega31_base)
-            s31aa, s31ab = _rates_at(sys0, r, omega31, theta)
-            if omega32 is not None:
-                s32aa, s32ab = _rates_at(sys0, r, omega32, theta)
-                ratios = (s32ab / s32aa).tolist()
-            else:
-                ratios = [ratio32] * len(values)
-            if equidistant:
-                s_half = _rates_at(sys0, r, omega31, [t / 2.0 for t in theta])[1].tolist()
-            rows = []
-            for k, value in enumerate(values):
-                p = dyn.CouplingParams(
-                    gamma31_aa=float(s31aa[k]) / anchor_a,
-                    gamma31_ab=float(s31ab[k]) / anchor_a,
-                    gamma32_aa=1.0,
-                    gamma32_ab=ratios[k],
-                    delta_omega_c=resonance.delta_omega_c / rate_unit,
-                    detuning_delta=(resonance.omega_c - omega31[k]) / rate_unit,
-                    dipole_shift=v["dynamics.dipole_shift"],
-                )
-                gamma_ad = s_half[k] / anchor_a if equidistant else None
-                rows.append(_steady_row(value, p, _drive_from_cfg(v, p, anchor_a, gamma_ad)))
-            return rows
+        def row(k, value):
+            p = dyn.CouplingParams(
+                gamma31_aa=float(s31aa[k]) / anchor_a,
+                gamma31_ab=float(s31ab[k]) / anchor_a,
+                gamma32_aa=1.0,
+                gamma32_ab=ratios[k],
+                delta_omega_c=resonance.delta_omega_c / rate_unit,
+                detuning_delta=(resonance.omega_c - omega31[k]) / rate_unit,
+                dipole_shift=v["dynamics.dipole_shift"],
+            )
+            gamma_ad = s_half[k] / anchor_a if equidistant else None
+            return _steady_row(value, p, _drive_from_cfg(v, p, anchor_a, gamma_ad))
 
-    write_csv(out, meta, _ENTANGLE_HEADER, _sweep_map(block, values))
+    write_csv(out, meta, _ENTANGLE_HEADER, _rows(values, row))
 
 
 _COMMANDS = {

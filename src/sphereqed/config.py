@@ -60,6 +60,14 @@ def number(text: str) -> float:
     return value
 
 
+def positive(text: str) -> float:
+    """A number > 0."""
+    value = number(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not > 0")
+    return value
+
+
 def choice(*options: str):
     """A parser that accepts only the given texts."""
 

@@ -48,7 +48,12 @@ GRID_PER_UNIT = 2000
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when the multipole series or a root refinement fails to settle."""
+    """Raised when the multipole series fails to settle; point is the flat
+    index of the first sweep point that failed."""
+
+    def __init__(self, message: str, point: int):
+        super().__init__(message)
+        self.point = point
 
 
 class PoleError(ArithmeticError):
@@ -287,13 +292,14 @@ def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
 
 
 def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
-                 omega: np.ndarray, cos_theta: np.ndarray):
+                 omega: np.ndarray, cos_theta: np.ndarray, start: int):
     """collective_rates for one block of points, in one pass to the
     L_MAX_SUPPORTED cap.
 
     Each sum takes the five-term rule where it settles; a column that does
-    not settle takes its full sum when the tail bound beyond the cap allows."""
-    failure = {}
+    not settle takes its full sum when the tail bound beyond the cap allows.
+    NonConvergenceError names the first failing column, start + its index
+    in the block, as its point."""
     with np.errstate(invalid="ignore", over="ignore"):
         terms, env_mag = _rate_orders(params, radius, r, omega, L_MAX_SUPPORTED)
         cosines, at_cos = np.unique(cos_theta, return_inverse=True)
@@ -301,27 +307,23 @@ def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
         env_re = np.abs(terms)
         bound = _tail_bound(env_re, env_mag)
         rates = np.empty((2, len(omega)))
+        failed = np.zeros(len(omega), dtype=bool)
         for which, series in enumerate((terms, terms * p_l)):
             settled_sum, settled, full_sum = _five_term_sums(series, env_re)
             rates[which] = np.where(settled, settled_sum, full_sum)
             # 1e-5 Gamma_0 absolute floor, far below any resolvable
             # feature of the near-surface sweeps this cap serves
-            accept = settled | (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0))
-            for k in np.flatnonzero(~accept):
-                failure.setdefault(k, "did not settle" if np.isfinite(full_sum[k]) else "overflow")
-    for k in np.flatnonzero(~np.isfinite(rates).all(axis=0)):
-        failure.setdefault(k, "overflow")
-    if failure:
-        k = min(failure)
+            failed |= ~(settled | (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0)))
+    failed |= ~np.isfinite(rates).all(axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
         om = float(omega[k])
-        if failure[k] == "overflow":
-            raise NonConvergenceError(
-                f"multipole term overflow at omega={om} (resonant order beyond float64 range)"
-            )
-        raise NonConvergenceError(
-            f"multipole series did not settle by l={L_MAX_SUPPORTED} at "
-            f"omega={om} (atoms too close to the surface)"
-        )
+        if np.isfinite(rates[:, k]).all():
+            why = (f"multipole series did not settle by l={L_MAX_SUPPORTED} at "
+                   f"omega={om} (atoms too close to the surface)")
+        else:
+            why = f"multipole term overflow at omega={om} (resonant order beyond float64 range)"
+        raise NonConvergenceError(why, start + k)
     return rates
 
 
@@ -342,7 +344,7 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     when the bound is below 1e-5 of it (with a 1 Gamma_0 floor).  Beyond
     that the geometry needs orders that overflow float64 and
     NonConvergenceError is raised, naming the frequency of the first point
-    that failed.
+    that failed and carrying its flat index as `point`.
     """
     r, omega, cos_theta = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
@@ -357,7 +359,8 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     rates = np.empty((2, omega.size))
     for start in range(0, omega.size, BLOCK):
         block = slice(start, start + BLOCK)
-        rates[:, block] = _block_rates(params, radius, r[block], omega[block], cos_theta[block])
+        rates[:, block] = _block_rates(
+            params, radius, r[block], omega[block], cos_theta[block], start)
     return rates[0].reshape(shape), rates[1].reshape(shape)
 
 

@@ -141,21 +141,41 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, name",
         [
-            ("rates", "sphere.radius = -1\nrates.omega = 1.0501\n" + THETA_SWEEP),
-            ("rates", "sphere.gamma = 0\nrates.omega = 1.0501\n" + THETA_SWEEP),
-            ("figure5", "sphere.atom_distance = -1\n"),
-            ("dynamics", DYNAMICS_RATES.replace("gamma31_aa = 3.0", "gamma31_aa = -2")),
+            ("rates", "sphere.radius = -1\nrates.omega = 1.0501\n" + THETA_SWEEP, "radius"),
+            ("rates", "sphere.gamma = 0\nrates.omega = 1.0501\n" + THETA_SWEEP, "gamma"),
+            ("figure5", "sphere.atom_distance = -1\n", "atom_distance"),
+            ("dynamics", DYNAMICS_RATES.replace("gamma31_aa = 3.0", "gamma31_aa = -2"),
+             "gamma31_aa"),
+            # a sweep window is checked at its two ends, and a frequency or
+            # ratio of sphere-mode entangle when it is read
+            ("rates", "rates.omega = 1.0501\nsweep.axis = delta_r\nsweep.lo = -0.1\n"
+             "sweep.hi = 1\nsweep.count = 3\n", "'sweep.lo'"),
+            ("rates", THETA_SWEEP.replace("hi = 3", "hi = 4") + "rates.omega = 1.0501\n",
+             "'sweep.hi'"),
+            ("rates", "sweep.axis = omega\nsweep.lo = -1\nsweep.hi = 1\nsweep.count = 3\n",
+             "'sweep.lo'"),
+            ("entangle", REGIME_A_EXPLICIT.replace("lo = 0.01", "lo = -0.01"), "'sweep.lo'"),
+            ("entangle", SPHERE_ENTANGLE.replace("gamma32_ratio = 0.98", "omega32 = -1")
+             + RESONANCE_WINDOW, "'weak.omega32'"),
+            ("entangle", SPHERE_ENTANGLE + RESONANCE_WINDOW + "strong.omega31 = -2\n",
+             "'strong.omega31'"),
+            ("entangle", SPHERE_ENTANGLE.replace("ratio = 0.98", "ratio = 1.5")
+             + RESONANCE_WINDOW, "weak.gamma32_ratio"),
         ],
-        ids=["radius", "gamma", "atom_distance", "gamma31_aa"],
+        ids=["radius", "gamma", "atom_distance", "gamma31_aa", "delta_r-window", "theta-window",
+             "omega-window", "delta_omega_c-window", "weak-omega32", "strong-omega31",
+             "gamma32-ratio"],
     )
-    def test_value_the_model_rejects_is_config_error(self, tmp_path, capsys, command, text):
+    def test_value_the_model_rejects_is_config_error(self, tmp_path, capsys, command, text,
+                                                     name):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         out = tmp_path / "out.csv"
         assert run_cli([command, "--config", cfg, "--out", out]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -262,7 +282,7 @@ class TestExitCodes:
         with pytest.raises(IndexError):
             run_cli(["rates", "--config", cfg, "--out", tmp_path / "out.csv"])
 
-    def test_failing_point_in_second_block_is_named(self, tmp_path, capsys):
+    def test_failing_point_in_second_block_is_named(self, tmp_path, capsys, monkeypatch):
         # near the surface-mode accumulation frequency the series overflows
         # the l = 300 cap; the first failing point lies in the second block
         from sphereqed.microsphere import (
@@ -282,13 +302,25 @@ class TestExitCodes:
             except (NonConvergenceError, ArithmeticError):
                 failing.append(k)
         assert failing and BLOCK <= failing[0] < len(omegas)
+        # the whole sweep is one kernel call, and no point is evaluated twice
+        calls = []
+        collective_rates = ms.collective_rates
+
+        def counted(*args):
+            calls.append(args)
+            return collective_rates(*args)
+
+        monkeypatch.setattr(ms, "collective_rates", counted)
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(
             "sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.0545\nsweep.count = 40\n"
         )
-        assert run_cli(["rates", "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
+        out = tmp_path / "out.csv"
+        assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
         value = f"{omegas[failing[0]]:.12g}"
         assert f"sweep point {failing[0]} (value {value}): " in capsys.readouterr().err
+        assert len(calls) == 1
+        assert not out.exists()
 
     def test_numerical_error_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "close.cfg"
@@ -301,6 +333,48 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
         assert "sweep point 0 (value 0): " in capsys.readouterr().err
+
+    def test_failing_entangle_row_is_named(self, tmp_path, capsys, monkeypatch):
+        # the rates come from one call per kind; a row that fails afterwards
+        # is named by its own sweep point
+        decayed_steady_state = steady_state.decayed_steady_state
+        rows = []
+
+        def failing_third(*args):
+            rows.append(args)
+            if len(rows) == 3:
+                raise steady_state.UndecayedTrajectoryError("amplitudes have not decayed")
+            return decayed_steady_state(*args)
+
+        monkeypatch.setattr(steady_state, "decayed_steady_state", failing_third)
+        cfg = tmp_path / "ent.cfg"
+        cfg.write_text(
+            SPHERE_ENTANGLE.replace("sweep.count = 2", "sweep.count = 4") + RESONANCE_WINDOW
+        )
+        out = tmp_path / "out.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 2
+        value = f"{np.linspace(3.0, 3.14, 4)[2]:.12g}"
+        err = capsys.readouterr().err
+        assert f"numerical error: sweep point 2 (value {value}): amplitudes have not" in err
+        assert not out.exists()
+
+    def test_overflowing_resonance_order_is_named(self, tmp_path, capsys, monkeypatch):
+        # one search over all orders; its error names the order
+        sph_jn_ratio = ms.sph_jn_ratio
+
+        def overflowing(l, z):
+            out = sph_jn_ratio(l, z)
+            out[-1] = np.inf
+            return out
+
+        monkeypatch.setattr(ms, "sph_jn_ratio", overflowing)
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(RESONANCE_WINDOW)
+        out = tmp_path / "out.csv"
+        assert run_cli(["resonances", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: Bessel ratio recurrences overflowed for l=121 ")
+        assert not out.exists()
 
 
 class TestRates:
