@@ -446,7 +446,8 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         equidistant = v["drive.placement"] == "equidistant"
         resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
-            raise SweepPointError("no resonance found in the configured window")
+            raise ConfigError("no resonance found in the window of resonance.omega_lo, "
+                              "resonance.omega_hi, resonance.l_lo and resonance.l_hi")
         omega31_base = v["strong.omega31"]
         if omega31_base == "auto":
             resonance = min(resonances, key=lambda r: r.delta_omega_c)

@@ -158,15 +158,13 @@ def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
     denominator eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]' divided by
     j_l(z2) h_l(z1), and their difference f = eps D_h - D_j has its zeros;
     with j_l at z1 they are those of the numerator divided by j_l(z2) j_l(z1).
-    The ratios stay bounded where j_l(z2) or h_l(z1) leave float64.
+    The ratios stay bounded where j_l(z2) or h_l(z1) leave float64.  The
+    arithmetic is out of place: numpy's in-place complex multiply takes
+    another loop for a one-element array, and a point's terms would depend
+    on how many points share its call.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t1 = z1 / ratio1
-        t1 -= l
-        t1 *= eps
-        t2 = z2 / ratio2
-        t2 -= l
-    return t1, t2
+        return (z1 / ratio1 - l) * eps, z2 / ratio2 - l
 
 
 def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr):
@@ -393,15 +391,16 @@ def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False)
     return float(terms[-1, 0] * legendre_all(res.l, cos_theta)[res.l])
 
 
-def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
+def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     """The terms eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at
     order l, at each frequency of the 1-D array omega, from the single-order
-    ratios h_l/h_{l-1} and j_l/j_{l-1}.
+    ratios h_l/h_{l-1} and j_l/j_{l-1}; l is one order, or a 1-D array of
+    orders, one per frequency.
 
     The first term, and so f and the balance ratio, is NaN at a point where
     k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
     search drops it.  A non-finite term at any other point raises
-    OverflowError.
+    OverflowError, naming the order and frequency of the first such point.
     """
     eps = permittivity(sys.params, omega)
     z1 = size_parameter(omega, sys.radius)
@@ -412,8 +411,10 @@ def _order_terms(sys: SphereSystem, l: int, omega: np.ndarray):
     finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
     finite |= np.imag(z1) < H1_IM_MIN
     if not finite.all():
+        k = int(np.argmax(~finite))
         raise OverflowError(
-            f"Bessel ratio recurrences overflowed for l={l} at omega={omega[~finite][0]}"
+            f"Bessel ratio recurrences overflowed for l={np.broadcast_to(l, omega.shape)[k]} "
+            f"at omega={omega[k]}"
         )
     return dh, dj
 
@@ -432,42 +433,44 @@ def _balance(t1, t2):
         return np.where(denom == 0.0, 1.0, np.abs(t1 - t2) / denom)
 
 
-def _reduced_denominator(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
-    """f = eps D_h - D_j of order l at each frequency of the 1-D array omega
-    (see _order_terms)."""
+def _reduced_denominator(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
+    """f = eps D_h - D_j of order l, one order or one per frequency, at each
+    frequency of the 1-D array omega (see _order_terms)."""
     dh, dj = _order_terms(sys, l, omega)
     return dh - dj
 
 
-def _denominator_balance(sys: SphereSystem, l: int, omega: np.ndarray) -> np.ndarray:
-    """The balance ratio of order l at each frequency of the 1-D array omega
-    (see _order_terms and _balance)."""
+def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
+    """The balance ratio of order l, one order or one per frequency, at each
+    frequency of the 1-D array omega (see _order_terms and _balance)."""
     return _balance(*_order_terms(sys, l, omega))
 
 
-def _newton_root(sys: SphereSystem, l: int, omega0):
-    """Complex Newton iteration on f (see _order_terms) from real starts.
+def _newton_root(sys: SphereSystem, l, omega0):
+    """Complex Newton iteration on f (see _order_terms) from real starts, of
+    order l: one order, or one per start.
 
-    The iterates of all starts move together: each step makes one call
-    each at omega and omega +/- h over the iterates still active.  An
-    iterate converges when its step falls below 1e-12; it is dropped when
-    the derivative vanishes, when it leaves the region where h_l^(1) is
-    accurate, or after 50 steps.  Returns an array of roots, NaN where a
-    start was dropped; a scalar start gives its root or None.
+    The iterates of all starts move together, whatever their orders: each
+    step makes one call each at omega and omega +/- h over the iterates
+    still active.  An iterate converges when its step falls below 1e-12; it
+    is dropped when the derivative vanishes, when it leaves the region where
+    h_l^(1) is accurate, or after 50 steps.  Returns an array of roots, NaN
+    where a start was dropped; a scalar start gives its root or None.
     """
     om = np.array(omega0, dtype=complex, ndmin=1)
+    orders = np.broadcast_to(l, om.shape)
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
-        d0 = _reduced_denominator(sys, l, om[active])
+        d0 = _reduced_denominator(sys, orders[active], om[active])
         inside = ~np.isnan(d0)
         active, d0 = active[inside], d0[inside]
         if not active.size:
             break
-        w = om[active]
+        w, order = om[active], orders[active]
         h = 1e-7 * np.abs(w)
-        deriv = (_reduced_denominator(sys, l, w + h)
-                 - _reduced_denominator(sys, l, w - h)) / (2.0 * h)
+        deriv = (_reduced_denominator(sys, order, w + h)
+                 - _reduced_denominator(sys, order, w - h)) / (2.0 * h)
         moving = deriv != 0
         active, w = active[moving], w[moving]
         step = d0[moving] / deriv[moving]
@@ -485,16 +488,18 @@ def _newton_root(sys: SphereSystem, l: int, omega0):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_real_minimum(sys: SphereSystem, l: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Golden-section minimization of the balance ratio on each bracket
-    [a_k, b_k], all brackets together: each step probes the still-open
+def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Golden-section minimization of the balance ratio of order l (one
+    order, or one per bracket) on each bracket [a_k, b_k], all brackets
+    together, whatever their orders: each step probes the still-open
     brackets in one call, and a bracket closes when it is narrower than
     1e-12 max(1, |a_k|), or after 60 steps."""
     a, b = a.copy(), b.copy()
+    orders = np.broadcast_to(l, a.shape)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = _denominator_balance(sys, l, x1)
-    f2 = _denominator_balance(sys, l, x2)
+    f1 = _denominator_balance(sys, orders, x1)
+    f2 = _denominator_balance(sys, orders, x2)
     open_ = np.arange(len(a))
     for _ in range(60):
         left = f1[open_] <= f2[open_]
@@ -504,7 +509,7 @@ def _refine_real_minimum(sys: SphereSystem, l: int, a: np.ndarray, b: np.ndarray
         x1[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
         a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
         x2[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
-        f = _denominator_balance(sys, l, np.where(left, x1[open_], x2[open_]))
+        f = _denominator_balance(sys, orders[open_], np.where(left, x1[open_], x2[open_]))
         f1[lo], f2[hi] = f[left], f[~left]
         a_open = a[open_]
         open_ = open_[~(b[open_] - a_open < 1e-12 * np.maximum(1.0, np.abs(a_open)))]
@@ -526,50 +531,56 @@ def find_resonances(
     from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows,
     so the orders have no cap.  For each multipole order the balance ratio
     of the two terms is sampled on a real grid (GRID_PER_UNIT points per
-    unit omega_T, at least 64 across the window) in one call, interior
-    local minima are sharpened by golden-section search on the same ratio
-    and then handed to a complex Newton iteration on f.  The candidates of
-    an order are refined together, one column of the ratio recurrences per
-    candidate (a few candidates run the scalar loop each).  Converged roots
-    are kept when they fall inside the window, have positive width and
-    suppress f by at least 1e-8 relative to its off-resonance value at
-    omega_c + 3*delta_omega_c.
+    unit omega_T, at least 64 across the window) in one call.  The interior
+    local minima of every order are then refined in one stream: one
+    golden-section search on the same ratio and one complex Newton
+    iteration on f, each step a call over the candidates of all orders, one
+    column of the ratio recurrences per candidate, read out at its own
+    order (a few candidates run the scalar loop each).  Converged roots are
+    kept when they fall inside the window, have positive width and suppress
+    f by at least 1e-8 relative to its off-resonance value at
+    omega_c + 3*delta_omega_c (one call each for all candidates); roots of
+    one order closer than 10 widths count once.  A candidate's value never
+    depends on the other candidates of its call, so the roots are exactly
+    those of each order searched alone.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
-    found: list[Resonance] = []
     npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
+    orders, minima = [], []
     for l in l_range:
         if l < 1:
             raise ValueError(f"l={l} must be >= 1")
         vals = _denominator_balance(sys, l, grid)
         mid = vals[1:-1]
-        minima = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1
-        if not minima.size:
+        at = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1
+        orders += [l] * at.size
+        minima += at.tolist()
+    if not minima:
+        return []
+    # every candidate of every order in one refinement stream
+    orders, minima = np.array(orders), np.array(minima)
+    starts = _refine_real_minimum(sys, orders, grid[minima - 1], grid[minima + 1])
+    roots = _newton_root(sys, orders, starts)
+    wc, dwc = roots.real, -roots.imag
+    # dropped candidates are NaN and fail every comparison
+    ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
+    roots, orders = roots[ok], orders[ok]
+    if roots.size:
+        ref = np.abs(_reduced_denominator(sys, orders, wc[ok] + 3.0 * dwc[ok]))
+        suppressed = np.abs(_reduced_denominator(sys, orders, roots)) < 1e-8 * ref
+        roots, orders = roots[suppressed], orders[suppressed]
+    found: list[Resonance] = []
+    unique: dict[int, list[complex]] = {}
+    for root, l in zip(roots.tolist(), orders.tolist()):
+        wc, dwc = root.real, -root.imag
+        # one order's roots closer than 10 widths are one root
+        kept = unique.setdefault(l, [])
+        if any(abs(root - r) < 10.0 * max(dwc, 1e-12) for r in kept):
             continue
-        starts = _refine_real_minimum(sys, l, grid[minima - 1], grid[minima + 1])
-        roots = _newton_root(sys, l, starts)
-        wc, dwc = roots.real, -roots.imag
-        # dropped candidates are NaN and fail every comparison
-        ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
-        kept = roots[ok]
-        if kept.size:
-            ref = np.abs(_reduced_denominator(sys, l, wc[ok] + 3.0 * dwc[ok]))
-            kept = kept[np.abs(_reduced_denominator(sys, l, kept)) < 1e-8 * ref]
-        unique: list[complex] = []
-        for root in kept.tolist():
-            wc, dwc = root.real, -root.imag
-            if any(abs(root - r) < 10.0 * max(dwc, 1e-12) for r in unique):
-                continue
-            unique.append(root)
-            found.append(
-                Resonance(
-                    omega_c=wc,
-                    delta_omega_c=dwc,
-                    l=l,
-                    kind=resonance_kind(wc, sys.params),
-                )
-            )
+        kept.append(root)
+        found.append(Resonance(omega_c=wc, delta_omega_c=dwc, l=l,
+                               kind=resonance_kind(wc, sys.params)))
     found.sort(key=lambda r: (r.omega_c, r.l))
     return found

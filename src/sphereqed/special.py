@@ -11,6 +11,10 @@ Every function also takes a 1-D array of arguments and returns one column
 per argument: numpy runs each step of a recurrence for all columns at once,
 and for a scalar or a few arguments the Bessel recurrences run a scalar
 loop per argument instead, which is faster there and gives the same bits.
+The single-order ratios sph_jn_ratio and sph_h1n_ratio also take one order
+per argument: one run of the recurrence then serves arguments of many
+orders, each ended at its own order, with the bits of a call of that order
+alone.
 """
 
 from __future__ import annotations
@@ -44,17 +48,33 @@ def _miller_start(lmax: int, size):
     return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
 
 
-def _ratio_rows(loop, columns, lo: int, hi: int, points: np.ndarray) -> np.ndarray:
-    """The ratios of orders lo..hi of a recurrence in rows 1.. (row 0 is the
-    caller's), a column per argument of the 1-D array points: loop(lo, hi, z)
-    per argument up to _SCALAR_POINTS arguments, else columns(lo, hi, ...)."""
-    rows = np.empty((hi - lo + 2, len(points)), dtype=points.dtype)
+def _columns_by(values: list[int]) -> dict:
+    """The columns at which each value of an int list occurs, all columns as
+    one slice where the values are all equal."""
+    if values.count(values[0]) == len(values):
+        return {values[0]: slice(None)}
+    columns: dict[int, list[int]] = {}
+    for column, value in enumerate(values):
+        columns.setdefault(value, []).append(column)
+    return columns
+
+
+def _column_orders(l, z: np.ndarray) -> list[int]:
+    """The order of each column of z: l, or l_k for a 1-D array l."""
+    return l.tolist() if np.ndim(l) else [l] * len(z)
+
+
+def _ratio_rows(loop, columns, lmax: int, points: np.ndarray) -> np.ndarray:
+    """The ratios of orders 1..lmax of a recurrence in rows 1.. (row 0 is the
+    caller's), a column per argument of the 1-D array points: loop(1, lmax, z)
+    per argument up to _SCALAR_POINTS arguments, else columns(lmax, ...)."""
+    rows = np.empty((lmax + 1, len(points)), dtype=points.dtype)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if len(points) > _SCALAR_POINTS:
-            columns(lo, hi, points, rows[1:])
+            columns(lmax, points, rows[1:])
         else:
             for k, z in enumerate(points.tolist()):
-                rows[1:, k] = loop(lo, hi, z)
+                rows[1:, k] = loop(1, lmax, z)
     return rows
 
 
@@ -82,7 +102,7 @@ def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     points = np.asarray(z, dtype=complex).ravel()
     zero = points == 0
     points = np.where(zero, 1.0, points)
-    rows = _ratio_rows(_jn_ratio_loop, _jn_ratio_columns, 1, max(lmax, 1), points)
+    rows = _ratio_rows(_jn_ratio_loop, _jn_ratio_columns, max(lmax, 1), points)
     # j_0 and j_1 leave float64 for |Im z| beyond ~700, the ratios do not
     with np.errstate(over="ignore", invalid="ignore"):
         sin = np.sin(points)
@@ -128,7 +148,7 @@ def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     points = np.asarray(z, dtype=np.result_type(z, complex)).ravel()
     if np.any(points == 0):
         raise ValueError("h_l^(1) diverges at z = 0")
-    rows = _ratio_rows(_h1n_ratio_loop, _h1n_ratio_columns, 1, max(lmax, 1), points)
+    rows = _ratio_rows(_h1n_ratio_loop, _h1n_ratio_columns, max(lmax, 1), points)
     with np.errstate(over="ignore", invalid="ignore"):
         rows[0] = -1j * np.exp(1j * points) / points
     rows[:, below] = np.nan
@@ -149,29 +169,36 @@ def sph_h1n_all(lmax: int, z) -> np.ndarray:
     return _running_product(sph_h1n_ratios(lmax, np.asarray(z, dtype=np.clongdouble)), z, "h")
 
 
-def _order_ratio(loop, columns, l: int, z):
-    """The ratio of order l of a recurrence (see _ratio_rows) per argument."""
-    if l < 1:
+def _order_ratio(loop, columns, l, z):
+    """The ratio of order l of a recurrence per argument, where l is an order
+    or a 1-D array of orders, one per argument of a 1-D array z: up to
+    _SCALAR_POINTS arguments loop(l_k, l_k, z_k) per argument, else
+    columns(l, z) for all arguments at once, which gives the same bits."""
+    if np.any(np.asarray(l) < 1):
         raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
     points = np.asarray(z, dtype=complex).ravel()
     if np.any(points == 0):
         raise ValueError("Bessel ratios need z != 0")
     if len(points) > _SCALAR_POINTS:
-        return _ratio_rows(loop, columns, l, l, points)[1]
-    ratios = [loop(l, l, p)[0] for p in points.tolist()]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return columns(l, points)
+    ratios = [loop(n, n, p)[0] for n, p in zip(_column_orders(l, points), points.tolist())]
     return np.array(ratios) if _is_array(z) else ratios[0]
 
 
-def sph_jn_ratio(l: int, z):
-    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0.
+def sph_jn_ratio(l, z):
+    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0; l is one order, or
+    a 1-D array of orders, one per argument of a 1-D array z.
 
     The ratio r_n = j_n/j_{n-1} obeys 1/r_n = (2n+1)/z - r_{n+1}, run
     downward as a continued fraction from r = 0 above _miller_start(l, |z|):
     only one bounded number per point, so nothing overflows where j_l itself
-    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  sph_jn_ratios runs the
-    same loops for every order at once.
+    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  With an array of
+    orders one run serves every argument, each started and ended at its own
+    order, so an argument's ratio is the bits a call of its order alone
+    gives.  sph_jn_ratios runs the same loops for every order at once.
     """
-    return _order_ratio(_jn_ratio_loop, _jn_ratio_columns, l, z)
+    return _order_ratio(_jn_ratio_loop, _jn_order_columns, l, z)
 
 
 def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
@@ -188,24 +215,28 @@ def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
     return rows[::-1]
 
 
-def _odd_over_z(orders: range, z: np.ndarray):
-    """The rows (2n + 1)/z, for n in orders, of the column loops: built
-    _ODD_ROWS rows per numpy call, so that a step of a ratio recurrence
-    costs two numpy calls instead of three."""
+def _odd_over_z(orders: range, z: np.ndarray, shift=0):
+    """The rows (2n + 1)/z of the column loops, n = shift + m for m in
+    orders, where shift is a number or one per column: built _ODD_ROWS rows
+    per numpy call, so that a step of a ratio recurrence costs two numpy
+    calls instead of three.  One shift for all columns makes an outer
+    product, which numpy forms faster (the same bits)."""
     zinv = np.reciprocal(z)
+    per_column = isinstance(shift, np.ndarray) and shift.ndim
     for k in range(0, len(orders), _ODD_ROWS):
-        odd = 2.0 * np.asarray(orders[k : k + _ODD_ROWS], dtype=float) + 1.0
-        yield from np.multiply.outer(odd, zinv)
+        m = np.asarray(orders[k : k + _ODD_ROWS], dtype=float)
+        if per_column:
+            yield from np.add.outer(2.0 * m + 1.0, 2.0 * shift) * zinv
+        else:
+            yield from np.multiply.outer(2.0 * m + (2.0 * shift + 1.0), zinv)
 
 
-def _jn_ratio_columns(lo: int, hi: int, z: np.ndarray, rows: np.ndarray) -> None:
-    """_jn_ratio_loop for each column, into rows n = lo..hi, each column
-    started at its own order, so a column's values do not depend on the
-    other arguments."""
-    seeds = {}
-    for column, size in enumerate(np.abs(z).tolist()):
-        seeds.setdefault(_miller_start(hi, size), []).append(column)
-    orders = range(max(seeds), lo - 1, -1)
+def _jn_ratio_columns(hi: int, z: np.ndarray, rows: np.ndarray) -> None:
+    """_jn_ratio_loop(1, hi, z) for each column, into rows n = 1..hi, each
+    column started at its own order, so a column's values do not depend on
+    the other arguments."""
+    seeds = _columns_by([_miller_start(hi, size) for size in np.abs(z).tolist()])
+    orders = range(max(seeds), 0, -1)
     r = np.zeros_like(z)
     step = np.empty_like(z)
     for n, odd in zip(orders, _odd_over_z(orders, z)):
@@ -215,18 +246,39 @@ def _jn_ratio_columns(lo: int, hi: int, z: np.ndarray, rows: np.ndarray) -> None
         np.subtract(odd, r, out=step)
         # from order hi down, each ratio is written to its own row
         if n <= hi:
-            r = rows[n - lo]
+            r = rows[n - 1]
         np.reciprocal(step, out=r)
 
 
-def sph_h1n_ratio(l: int, z):
+def _jn_order_columns(l, z: np.ndarray) -> np.ndarray:
+    """_jn_ratio_loop(l_k, l_k, z_k) for each column k, in one downward run
+    that ends at every column's own order: column k steps through the
+    orders l_k + t, t = ..., 0, from r = 0 at t = _miller_start(l_k, |z_k|) - l_k."""
+    seeds = _columns_by([_miller_start(n, size) - n
+                         for n, size in zip(_column_orders(l, z), np.abs(z).tolist())])
+    steps = range(max(seeds), -1, -1)
+    r = np.zeros_like(z)
+    step = np.empty_like(z)
+    for t, odd in zip(steps, _odd_over_z(steps, z, l)):
+        seeded = seeds.get(t)
+        if seeded is not None:
+            r[seeded] = 0.0
+        np.subtract(odd, r, out=step)
+        np.reciprocal(step, out=r)
+    return r
+
+
+def sph_h1n_ratio(l, z):
     """h_l^(1)(z)/h_{l-1}^(1)(z) for l >= 1 and complex z != 0, by the upward
     recurrence q_{n+1} = (2n+1)/z - 1/q_n from h_1/h_0 = 1/z - i: bounded
-    where h_l itself overflows.  sph_h1n_ratios runs the same loops for
-    every order at once, and refuses Im z < H1_IM_MIN alike.
+    where h_l itself overflows.  l is one order, or a 1-D array of orders,
+    one per argument of a 1-D array z: one run serves every argument, each
+    ended at its own order, with the bits of a call of its order alone.
+    sph_h1n_ratios runs the same loops for every order at once, and refuses
+    Im z < H1_IM_MIN alike.
     """
     below = _below_h1_line(z)
-    q = _order_ratio(_h1n_ratio_loop, _h1n_ratio_columns, l, z)
+    q = _order_ratio(_h1n_ratio_loop, _h1n_order_columns, l, z)
     return np.where(below, np.nan, q) if _is_array(z) else q
 
 
@@ -243,19 +295,34 @@ def _h1n_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
     return rows
 
 
-def _h1n_ratio_columns(lo: int, hi: int, z: np.ndarray, rows: np.ndarray) -> None:
-    """_h1n_ratio_loop for each column, into rows n = lo..hi; up to order lo
-    the recurrence runs in an array of its own, which numpy writes faster."""
+def _h1n_ratio_columns(hi: int, z: np.ndarray, rows: np.ndarray) -> None:
+    """_h1n_ratio_loop(1, hi, z) for each column, into rows n = 1..hi."""
     q = np.reciprocal(z) - 1j
-    inverse = np.empty_like(z)
-    for odd in _odd_over_z(range(1, lo), z):
-        np.reciprocal(q, out=inverse)
-        np.subtract(odd, inverse, out=q)
     rows[0] = q
-    for k, odd in enumerate(_odd_over_z(range(lo, hi), z), 1):
+    inverse = np.empty_like(z)
+    for k, odd in enumerate(_odd_over_z(range(1, hi), z), 1):
         np.reciprocal(q, out=inverse)
         q = rows[k]
         np.subtract(odd, inverse, out=q)
+
+
+def _h1n_order_columns(l, z: np.ndarray) -> np.ndarray:
+    """_h1n_ratio_loop(l_k, l_k, z_k) for each column k, in one upward run
+    that ends at every column's own order: column k steps through the
+    orders l_k + t, t = ..., 0, from h_1/h_0 at t = 1 - l_k (every column
+    holds h_1/h_0 at the first t, and a later start replaces its values)."""
+    starts = _columns_by([1 - n for n in l.tolist()]) if np.ndim(l) else {1 - l: slice(None)}
+    steps = range(min(starts) + 1, 1)
+    zinv = np.reciprocal(z)
+    q = zinv - 1j
+    inverse = np.empty_like(z)
+    for t, odd in zip(steps, _odd_over_z(steps, z, l - 1)):
+        np.reciprocal(q, out=inverse)
+        np.subtract(odd, inverse, out=q)
+        started = starts.get(t)
+        if started is not None:
+            q[started] = zinv[started] - 1j
+    return q
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:

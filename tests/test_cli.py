@@ -367,13 +367,45 @@ class TestExitCodes:
             out[-1] = np.inf
             return out
 
-        monkeypatch.setattr(ms, "sph_jn_ratio", overflowing)
+        def second_order_overflowing(l, z):
+            out = sph_jn_ratio(l, z)
+            if np.ndim(l):
+                out[np.asarray(l) == 121] = np.inf
+            return out
+
         cfg = tmp_path / "res.cfg"
-        cfg.write_text(RESONANCE_WINDOW)
         out = tmp_path / "out.csv"
-        assert run_cli(["resonances", "--config", cfg, "--out", out]) == 2
+        # in the two-order window only the second order overflows, and only
+        # in the refinement stream, which holds the candidates of both orders
+        for ratio, window in ((overflowing, RESONANCE_WINDOW),
+                              (second_order_overflowing,
+                               RESONANCE_WINDOW.replace("l_lo = 121", "l_lo = 120"))):
+            monkeypatch.setattr(ms, "sph_jn_ratio", ratio)
+            cfg.write_text(window)
+            assert run_cli(["resonances", "--config", cfg, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "numerical error: Bessel ratio recurrences overflowed for l=121 ")
+            assert not out.exists()
+
+    def test_empty_resonance_window_is_config_error(self, tmp_path, capsys):
+        # no root of l = 5, 6 lies in the window: a config problem, not a
+        # numerical one
+        window = RESONANCE_WINDOW.replace("l_lo = 121", "l_lo = 5").replace("l_hi = 121",
+                                                                            "l_hi = 6")
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(window)
+        out = tmp_path / "out.csv"
+        assert run_cli(["resonances", "--config", cfg, "--out", out]) == 0
+        assert read_csv(out)[2] == []
+        cfg.write_text(SPHERE_ENTANGLE + window)
+        out = tmp_path / "entangle.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: Bessel ratio recurrences overflowed for l=121 ")
+        assert "config error: no resonance found" in err
+        for key in ("resonance.omega_lo", "resonance.omega_hi", "resonance.l_lo",
+                    "resonance.l_hi"):
+            assert key in err
         assert not out.exists()
 
 

@@ -393,12 +393,15 @@ class TestBatchedRefinement:
             (0.90, 0.995, 70, 20),  # below the gap: many candidates refined together
             (1.0495, 1.0507, 121, 1),  # the demo resonance
             (1.04, 1.06, 115, 1),  # a band-gap order with a single candidate
+            # two orders in one refinement stream
+            pytest.param(1.04, 1.06, (115, 121), 2, id="1.04-1.06-115+121-2"),
         ],
     )
     def test_matches_one_candidate_at_a_time(self, fig2_system, omega_lo, omega_hi, l,
                                              min_roots):
-        got = find_resonances(fig2_system, omega_lo, omega_hi, [l])
-        want = scalar_find_resonances(fig2_system, omega_lo, omega_hi, [l])
+        orders = l if isinstance(l, tuple) else (l,)
+        got = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        want = scalar_find_resonances(fig2_system, omega_lo, omega_hi, orders)
         assert len(want) >= min_roots
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -427,6 +430,75 @@ class TestBatchedRefinement:
         monkeypatch.setattr(microsphere, "sph_jn_ratio", overflowing)
         with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502"):
             microsphere._reduced_denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
+        # with one order per column the error names the failing column's
+        # order, not the array of orders
+        with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502$"):
+            microsphere._reduced_denominator(fig2_system, np.array([120, 121]),
+                                             np.array([1.0501, 1.0502]))
+
+        # in a two-order window only order 121 overflows, and only in the
+        # refinement stream, where both orders share one call
+        def second_order_overflowing(l, z):
+            out = sph_jn_ratio(l, z)
+            if np.ndim(l):
+                out[np.asarray(l) == 121] = np.inf
+            return out
+
+        monkeypatch.setattr(microsphere, "sph_jn_ratio", second_order_overflowing)
+        with pytest.raises(OverflowError, match=r"overflowed for l=121 at omega="):
+            find_resonances(fig2_system, 1.04, 1.06, [120, 121])
+
+    def test_point_does_not_depend_on_call_size(self, fig2_system):
+        # f and the balance ratio at a point are the same bits in a one-point
+        # call, a batch of one order and a batch of mixed orders: numpy's
+        # in-place complex multiply takes another loop for one element
+        omega = np.linspace(1.04, 1.06, 40) - 1j * np.linspace(0.0, 1e-6, 40)
+        orders = np.resize([153, 121, 60, 200], len(omega))
+        for fn in (microsphere._reduced_denominator, microsphere._denominator_balance):
+            batch = fn(fig2_system, 153, omega)
+            mixed = fn(fig2_system, orders, omega)
+            for k, om in enumerate(omega):
+                assert np.array_equal(fn(fig2_system, 153, omega[k : k + 1]), batch[k : k + 1])
+                one = fn(fig2_system, int(orders[k]), np.array([om]))
+                assert np.array_equal(one, mixed[k : k + 1])
+
+    @pytest.mark.parametrize(
+        "omega_lo,omega_hi,orders,min_roots",
+        [
+            (1.04, 1.06, range(110, 129), 19),  # band gap, one root per order
+            (0.90, 0.995, range(63, 67), 100),  # below the gap, many roots per order
+            (1.04, 1.06, range(60, 201), 100),  # the wide band-gap search
+        ],
+        ids=["band-gap", "below-gap", "wide"],
+    )
+    def test_many_orders_equal_each_order_alone(self, fig2_system, omega_lo, omega_hi,
+                                                orders, min_roots):
+        got = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        alone = [r for l in orders for r in find_resonances(fig2_system, omega_lo, omega_hi, [l])]
+        assert len(got) >= min_roots
+        assert got == sorted(alone, key=lambda r: (r.omega_c, r.l))
+
+    def test_refinement_calls_do_not_grow_with_orders(self, fig2_system, monkeypatch):
+        # the refinement of a 4-order band-gap search makes as many calls as
+        # that of each of its orders alone: one stream for all candidates
+        calls = {"_denominator_balance": 0, "_reduced_denominator": 0}
+        for name in calls:
+            def spy(*args, _fn=getattr(microsphere, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(microsphere, name, spy)
+
+        def refinement_calls(orders):
+            calls.update(dict.fromkeys(calls, 0))
+            found = find_resonances(fig2_system, 1.04, 1.06, orders)
+            assert len(found) == len(orders)
+            # the real-axis grid is one balance call per order
+            return calls["_denominator_balance"] - len(orders), calls["_reduced_denominator"]
+
+        four = refinement_calls([119, 120, 121, 122])
+        for l in (119, 120, 121, 122):
+            assert refinement_calls([l]) == four
 
 
 def mp_balance(sys: SphereSystem, l: int, omega: float) -> float:

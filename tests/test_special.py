@@ -372,6 +372,60 @@ class TestHankelRatioRows:
             sph_h1n_ratios(5, np.array([1.0, 0.0]))
 
 
+# orders of a many-order resonance search, one per argument, cycling
+# through low, band-gap, cap and beyond-cap orders
+MIXED_ORDERS = (1, 121, 300, 1000, 7, 64)
+
+
+def mixed_orders(n):
+    return np.resize(MIXED_ORDERS, n)
+
+
+@pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
+class TestOrderPerArgument:
+    """sph_jn_ratio and sph_h1n_ratio with one order per argument: one
+    recurrence run serves arguments of many orders."""
+
+    def test_bits_of_single_order_calls(self, ratio):
+        # the column loop seeds and reads out each argument at its own
+        # order, so its value is the bits of a call of that order alone,
+        # on the scalar loop and on the column loop of one order
+        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
+        orders = mixed_orders(len(z))
+        cols = ratio(orders, z)
+        assert cols.shape == z.shape
+        one_order = {l: ratio(l, z) for l in MIXED_ORDERS}
+        for k, (l, zk) in enumerate(zip(orders.tolist(), z)):
+            assert np.array_equal(cols[k], ratio(l, zk), equal_nan=True)
+            assert np.array_equal(cols[k], one_order[l][k], equal_nan=True)
+        # up to the scalar-loop size the loop runs per argument
+        few = ratio(orders[:4], z[:4])
+        assert np.array_equal(few, cols[:4], equal_nan=True)
+
+    def test_against_multiprecision_at_mixed_orders(self, ratio):
+        # the RATIO_POINTS of orders 1, 121, 300 and 1000 in one call; j_l
+        # is read at k R and n k R, h_l at k R
+        kind = "J" if ratio is sph_jn_ratio else "H1"
+        points = [RATIO_POINTS[name] for name in ("complex omega", "band gap", "l = 300",
+                                                  "l = 1000")]
+        orders = np.concatenate([np.full(len(z1), l) for l, z1, _ in points])
+        z = np.concatenate([z1 for _, z1, _ in points])
+        if kind == "J":
+            orders = np.concatenate([orders, orders])
+            z = np.concatenate([z] + [z2 for _, _, z2 in points])
+        assert len(z) > 6  # the column loop
+        for l, zk, got in zip(orders.tolist(), z, ratio(orders, z)):
+            want = mp_bessel_ratio(kind, l, zk)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_orders_checked(self, ratio):
+        z = np.linspace(1.0, 9.0, 9)
+        with pytest.raises(ValueError):
+            ratio(np.resize([5, 0], len(z)), z)
+        with pytest.raises(ValueError):
+            ratio(np.array([5, 6]), z)
+
+
 class TestBesselRatioDomain:
     def test_hankel_ratio_refused_below_the_line(self):
         z = 20.0 + (H1_IM_MIN - 0.5) * 1j
