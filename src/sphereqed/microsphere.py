@@ -149,6 +149,13 @@ def size_parameter(omega: complex, length: float) -> complex:
     return 2.0 * math.pi * omega * length
 
 
+def _sphere_arguments(params: DrudeLorentzParams, radius: float, omega):
+    """eps, z1 = k R and z2 = n k R at each frequency of omega: the
+    arguments of the Mie terms, with n on the branch of refractive_index."""
+    z1 = size_parameter(omega, radius)
+    return permittivity(params, omega), z1, refractive_index(params, omega) * z1
+
+
 def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
     """eps D_1(z1) and D_2(z2), with z1 = k R, z2 = n k R and the
     log-derivative D(z) = [z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l formed
@@ -180,9 +187,7 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     one quotient: near l = 300 it is subnormal, and j_l/h_l formed first
     would round it differently.
     """
-    eps = permittivity(params, omega)
-    z1 = size_parameter(omega, radius)
-    z2 = refractive_index(params, omega) * z1
+    eps, z1, z2 = _sphere_arguments(params, radius, omega)
     m = len(z1)
     rj = sph_jn_ratios(lmax, np.concatenate([z1, z2, kr]))
     rh = sph_h1n_ratios(lmax, np.concatenate([z1, kr]))
@@ -402,9 +407,7 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     search drops it.  A non-finite term at any other point raises
     OverflowError, naming the order and frequency of the first such point.
     """
-    eps = permittivity(sys.params, omega)
-    z1 = size_parameter(omega, sys.radius)
-    z2 = refractive_index(sys.params, omega) * z1
+    eps, z1, z2 = _sphere_arguments(sys.params, sys.radius, omega)
     q = sph_h1n_ratio(l, z1)
     r = sph_jn_ratio(l, z2)
     dh, dj = _reduced_terms(eps, z1, q, z2, r, l)

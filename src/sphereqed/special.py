@@ -8,13 +8,15 @@ j_l and h_l leave float64 (h_l overflows near l = 300 at k R ~ 12, j_l(z)
 for |Im z| beyond ~700).
 
 Every function also takes a 1-D array of arguments and returns one column
-per argument: numpy runs each step of a recurrence for all columns at once,
-and for a scalar or a few arguments the Bessel recurrences run a scalar
-loop per argument instead, which is faster there and gives the same bits.
-The single-order ratios sph_jn_ratio and sph_h1n_ratio also take one order
-per argument: one run of the recurrence then serves arguments of many
-orders, each ended at its own order, with the bits of a call of that order
-alone.
+per argument.  Each Bessel kind has one column loop, in which numpy runs
+each step of the recurrence for all columns at once: column k runs to its
+own order l_k and keeps its last `depth` ratios, all lmax of them for
+sph_jn_ratios and sph_h1n_ratios, one for sph_jn_ratio and sph_h1n_ratio.
+Up to _SCALAR_POINTS (6) arguments a scalar loop per argument runs instead,
+which is faster there and gives the same bits.  The single-order ratios
+also take one order per argument: one run of the recurrence then serves
+arguments of many orders, each ended at its own order, with the bits of a
+call of that order alone.
 """
 
 from __future__ import annotations
@@ -64,18 +66,19 @@ def _column_orders(l, z: np.ndarray) -> list[int]:
     return l.tolist() if np.ndim(l) else [l] * len(z)
 
 
-def _ratio_rows(loop, columns, lmax: int, points: np.ndarray) -> np.ndarray:
-    """The ratios of orders 1..lmax of a recurrence in rows 1.. (row 0 is the
-    caller's), a column per argument of the 1-D array points: loop(1, lmax, z)
-    per argument up to _SCALAR_POINTS arguments, else columns(lmax, ...)."""
-    rows = np.empty((lmax + 1, len(points)), dtype=points.dtype)
+def _ratios(loop, columns, l, points: np.ndarray, rows: np.ndarray) -> None:
+    """The ratios of orders l_k - depth + 1 .. l_k of a recurrence into rows
+    0..depth - 1 (depth = len(rows)), a column per argument of the 1-D array
+    points, where l is an order or one order l_k per argument: up to
+    _SCALAR_POINTS arguments loop(l_k - depth + 1, l_k, z_k) per argument,
+    else columns(l, points, rows) for all arguments at once (the same bits)."""
+    depth = len(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if len(points) > _SCALAR_POINTS:
-            columns(lmax, points, rows[1:])
+            columns(l, points, rows)
         else:
-            for k, z in enumerate(points.tolist()):
-                rows[1:, k] = loop(1, lmax, z)
-    return rows
+            for k, (n, z) in enumerate(zip(_column_orders(l, points), points.tolist())):
+                rows[:, k] = loop(n - depth + 1, n, z)
 
 
 def _running_product(rows: np.ndarray, z, kind: str) -> np.ndarray:
@@ -94,15 +97,18 @@ def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     ratio rows stay bounded where j_l itself leaves float64.
 
     The ratios come from the continued fraction of sph_jn_ratio, run once
-    from _miller_start(lmax, |z|).  Row 0 is j_0 = sin z / z, or j_1/(j_1/j_0)
-    where |j_1| is the larger: the two have no common zeros, so the product
-    is always anchored well (j_0 alone fails near sin z = 0); it is
-    non-finite where j_0 leaves float64.  z = 0 gives rows 1, 0, 0, ...
+    from _miller_start(lmax, |z|): the loops of sph_jn_ratio(lmax, z), which
+    here keep all lmax ratios instead of the last one.  Row 0 is
+    j_0 = sin z / z, or j_1/(j_1/j_0) where |j_1| is the larger: the two
+    have no common zeros, so the product is always anchored well (j_0 alone
+    fails near sin z = 0); it is non-finite where j_0 leaves float64.
+    z = 0 gives rows 1, 0, 0, ...
     """
     points = np.asarray(z, dtype=complex).ravel()
     zero = points == 0
     points = np.where(zero, 1.0, points)
-    rows = _ratio_rows(_jn_ratio_loop, _jn_ratio_columns, max(lmax, 1), points)
+    rows = np.empty((max(lmax, 1) + 1, len(points)), dtype=points.dtype)
+    _ratios(_jn_ratio_loop, _jn_ratio_columns, max(lmax, 1), points, rows[1:])
     # j_0 and j_1 leave float64 for |Im z| beyond ~700, the ratios do not
     with np.errstate(over="ignore", invalid="ignore"):
         sin = np.sin(points)
@@ -140,7 +146,9 @@ def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     h_l^(1) (sph_h1n_all), and the ratio rows stay bounded where h_l
     overflows.
 
-    The ratios come from the upward recurrence of sph_h1n_ratio, run once.
+    The ratios come from the upward recurrence of sph_h1n_ratio, run once:
+    the loops of sph_h1n_ratio(lmax, z), which here keep all lmax ratios
+    instead of the last one, so row n is sph_h1n_ratio(n, z).
     Below H1_IM_MIN a scalar z raises RecurrenceDomainError, and an argument
     of a 1-D array gets a NaN column.
     """
@@ -148,7 +156,8 @@ def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     points = np.asarray(z, dtype=np.result_type(z, complex)).ravel()
     if np.any(points == 0):
         raise ValueError("h_l^(1) diverges at z = 0")
-    rows = _ratio_rows(_h1n_ratio_loop, _h1n_ratio_columns, max(lmax, 1), points)
+    rows = np.empty((max(lmax, 1) + 1, len(points)), dtype=points.dtype)
+    _ratios(_h1n_ratio_loop, _h1n_ratio_columns, max(lmax, 1), points, rows[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         rows[0] = -1j * np.exp(1j * points) / points
     rows[:, below] = np.nan
@@ -171,19 +180,22 @@ def sph_h1n_all(lmax: int, z) -> np.ndarray:
 
 def _order_ratio(loop, columns, l, z):
     """The ratio of order l of a recurrence per argument, where l is an order
-    or a 1-D array of orders, one per argument of a 1-D array z: up to
-    _SCALAR_POINTS arguments loop(l_k, l_k, z_k) per argument, else
-    columns(l, z) for all arguments at once, which gives the same bits."""
-    if np.any(np.asarray(l) < 1):
-        raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
+    or a 1-D array of orders, one per argument of a 1-D array z (_ratios
+    with depth 1)."""
     points = np.asarray(z, dtype=complex).ravel()
+    if np.ndim(l):
+        if np.ndim(l) != 1 or len(l) != len(points):
+            raise ValueError(f"Bessel ratios need a 1-D array of one order per argument, "
+                             f"got orders of shape {np.shape(l)} for {len(points)} arguments")
+        if np.any(l < 1):
+            raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
+    elif l < 1:
+        raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
     if np.any(points == 0):
         raise ValueError("Bessel ratios need z != 0")
-    if len(points) > _SCALAR_POINTS:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return columns(l, points)
-    ratios = [loop(n, n, p)[0] for n, p in zip(_column_orders(l, points), points.tolist())]
-    return np.array(ratios) if _is_array(z) else ratios[0]
+    out = np.empty((1, len(points)), dtype=complex)
+    _ratios(loop, columns, l, points, out)
+    return out[0] if _is_array(z) else out.item()
 
 
 def sph_jn_ratio(l, z):
@@ -196,9 +208,9 @@ def sph_jn_ratio(l, z):
     leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  With an array of
     orders one run serves every argument, each started and ended at its own
     order, so an argument's ratio is the bits a call of its order alone
-    gives.  sph_jn_ratios runs the same loops for every order at once.
+    gives.  It is row l of sph_jn_ratios(l, z), from the same loops.
     """
-    return _order_ratio(_jn_ratio_loop, _jn_order_columns, l, z)
+    return _order_ratio(_jn_ratio_loop, _jn_ratio_columns, l, z)
 
 
 def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
@@ -215,7 +227,7 @@ def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
     return rows[::-1]
 
 
-def _odd_over_z(orders: range, z: np.ndarray, shift=0):
+def _odd_over_z(orders: range, z: np.ndarray, shift):
     """The rows (2n + 1)/z of the column loops, n = shift + m for m in
     orders, where shift is a number or one per column: built _ODD_ROWS rows
     per numpy call, so that a step of a ratio recurrence costs two numpy
@@ -231,41 +243,27 @@ def _odd_over_z(orders: range, z: np.ndarray, shift=0):
             yield from np.multiply.outer(2.0 * m + (2.0 * shift + 1.0), zinv)
 
 
-def _jn_ratio_columns(hi: int, z: np.ndarray, rows: np.ndarray) -> None:
-    """_jn_ratio_loop(1, hi, z) for each column, into rows n = 1..hi, each
-    column started at its own order, so a column's values do not depend on
-    the other arguments."""
-    seeds = _columns_by([_miller_start(hi, size) for size in np.abs(z).tolist()])
-    orders = range(max(seeds), 0, -1)
-    r = np.zeros_like(z)
-    step = np.empty_like(z)
-    for n, odd in zip(orders, _odd_over_z(orders, z)):
-        seeded = seeds.get(n)
-        if seeded is not None:
-            r[seeded] = 0.0
-        np.subtract(odd, r, out=step)
-        # from order hi down, each ratio is written to its own row
-        if n <= hi:
-            r = rows[n - 1]
-        np.reciprocal(step, out=r)
-
-
-def _jn_order_columns(l, z: np.ndarray) -> np.ndarray:
-    """_jn_ratio_loop(l_k, l_k, z_k) for each column k, in one downward run
-    that ends at every column's own order: column k steps through the
-    orders l_k + t, t = ..., 0, from r = 0 at t = _miller_start(l_k, |z_k|) - l_k."""
+def _jn_ratio_columns(l, z: np.ndarray, rows: np.ndarray) -> None:
+    """_jn_ratio_loop(l_k - depth + 1, l_k, z_k) for each column k into rows
+    0..depth - 1 (depth = len(rows)), in one downward run: column k steps
+    through the orders l_k + t, t = ..., 1 - depth, from r = 0 at
+    t = _miller_start(l_k, |z_k|) - l_k, so a column's values do not depend
+    on the other arguments."""
+    depth = len(rows)
     seeds = _columns_by([_miller_start(n, size) - n
                          for n, size in zip(_column_orders(l, z), np.abs(z).tolist())])
-    steps = range(max(seeds), -1, -1)
+    steps = range(max(seeds), -depth, -1)
     r = np.zeros_like(z)
     step = np.empty_like(z)
     for t, odd in zip(steps, _odd_over_z(steps, z, l)):
-        seeded = seeds.get(t)
-        if seeded is not None:
-            r[seeded] = 0.0
+        if t in seeds:
+            r[seeds[t]] = 0.0
         np.subtract(odd, r, out=step)
+        # from order l_k down each ratio is written to its own row, counted
+        # from the last one, which holds order l_k
+        if t <= 0:
+            r = rows[t - 1]
         np.reciprocal(step, out=r)
-    return r
 
 
 def sph_h1n_ratio(l, z):
@@ -274,11 +272,11 @@ def sph_h1n_ratio(l, z):
     where h_l itself overflows.  l is one order, or a 1-D array of orders,
     one per argument of a 1-D array z: one run serves every argument, each
     ended at its own order, with the bits of a call of its order alone.
-    sph_h1n_ratios runs the same loops for every order at once, and refuses
-    Im z < H1_IM_MIN alike.
+    It is row l of sph_h1n_ratios(lmax, z) for any lmax >= l, from the same
+    loops, and Im z < H1_IM_MIN is refused alike.
     """
     below = _below_h1_line(z)
-    q = _order_ratio(_h1n_ratio_loop, _h1n_order_columns, l, z)
+    q = _order_ratio(_h1n_ratio_loop, _h1n_ratio_columns, l, z)
     return np.where(below, np.nan, q) if _is_array(z) else q
 
 
@@ -295,34 +293,29 @@ def _h1n_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
     return rows
 
 
-def _h1n_ratio_columns(hi: int, z: np.ndarray, rows: np.ndarray) -> None:
-    """_h1n_ratio_loop(1, hi, z) for each column, into rows n = 1..hi."""
-    q = np.reciprocal(z) - 1j
-    rows[0] = q
-    inverse = np.empty_like(z)
-    for k, odd in enumerate(_odd_over_z(range(1, hi), z), 1):
-        np.reciprocal(q, out=inverse)
-        q = rows[k]
-        np.subtract(odd, inverse, out=q)
-
-
-def _h1n_order_columns(l, z: np.ndarray) -> np.ndarray:
-    """_h1n_ratio_loop(l_k, l_k, z_k) for each column k, in one upward run
-    that ends at every column's own order: column k steps through the
-    orders l_k + t, t = ..., 0, from h_1/h_0 at t = 1 - l_k (every column
-    holds h_1/h_0 at the first t, and a later start replaces its values)."""
+def _h1n_ratio_columns(l, z: np.ndarray, rows: np.ndarray) -> None:
+    """_h1n_ratio_loop(l_k - depth + 1, l_k, z_k) for each column k into rows
+    0..depth - 1 (depth = len(rows)), in one upward run: column k steps
+    through the orders l_k + t, t = ..., 0, from h_1/h_0 at t = 1 - l_k
+    (every column holds h_1/h_0 at the first t, and a later start replaces
+    its values)."""
+    depth = len(rows)
     starts = _columns_by([1 - n for n in l.tolist()]) if np.ndim(l) else {1 - l: slice(None)}
-    steps = range(min(starts) + 1, 1)
+    first = min(starts)
     zinv = np.reciprocal(z)
     q = zinv - 1j
+    # the last depth steps write their rows, the last row order l_k
+    if first > -depth:
+        rows[first - 1] = q
+    steps = range(first + 1, 1)
     inverse = np.empty_like(z)
     for t, odd in zip(steps, _odd_over_z(steps, z, l - 1)):
         np.reciprocal(q, out=inverse)
+        if t > -depth:
+            q = rows[t - 1]
         np.subtract(odd, inverse, out=q)
-        started = starts.get(t)
-        if started is not None:
-            q[started] = zinv[started] - 1j
-    return q
+        if t in starts:
+            q[starts[t]] = zinv[starts[t]] - 1j
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:

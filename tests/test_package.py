@@ -8,6 +8,8 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "riccati_deriv", "legendre_p", "_check_order",
                      "riccati_deriv_all", "_sph_jn_columns", "_RESCALE",
                      "_sph_h1n_columns", "_per_point",
+                     # the per-order column loops: one column loop per kind now
+                     "_jn_order_columns", "_h1n_order_columns", "_ratio_rows",
                      # the rate sum's cap, which special never read: now in microsphere
                      "L_MAX_SUPPORTED")
 GONE_FROM_MICROSPHERE = ("_shared",)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -362,6 +363,22 @@ class TestHankelRatioRows:
         for l in (1, 121, 300):
             assert np.array_equal(ratio(l, z), [ratio(l, zk) for zk in z])
 
+    @pytest.mark.parametrize("ratios,ratio", [(sph_jn_ratios, sph_jn_ratio),
+                                              (sph_h1n_ratios, sph_h1n_ratio)])
+    @pytest.mark.parametrize("count", [4, len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
+                             ids=["scalar loop", "column loop"])
+    def test_last_row_is_the_single_order_ratio(self, ratios, ratio, count):
+        # the rows and the single-order ratio run one loop per kind, which
+        # keeps the last lmax ratios or the last one
+        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])[:count]
+        for l in (1, 121, 300):
+            assert np.array_equal(ratios(l, z)[l], ratio(l, z))
+        if ratio is sph_h1n_ratio:
+            # the upward run has no seed: every row is the ratio of its order
+            rows = ratios(300, z)
+            for n in range(1, 301):
+                assert np.array_equal(rows[n], ratio(n, z))
+
     def test_domain(self):
         below = 20.0 + (H1_IM_MIN - 0.5) * 1j
         with pytest.raises(RecurrenceDomainError):
@@ -422,8 +439,13 @@ class TestOrderPerArgument:
         z = np.linspace(1.0, 9.0, 9)
         with pytest.raises(ValueError):
             ratio(np.resize([5, 0], len(z)), z)
-        with pytest.raises(ValueError):
-            ratio(np.array([5, 6]), z)
+        # one order per argument, on the column loop (9 arguments) and on
+        # the scalar loop (2), and a 1-D order array only
+        for orders, args in ((np.array([5, 6]), z), (np.array([5]), z[:2]),
+                             (np.array([5, 6, 7]), z[:2]), (np.full((9, 1), 5), z),
+                             (np.full((2, 1), 5), z[:2])):
+            with pytest.raises(ValueError, match=re.escape(f"{orders.shape} for {len(args)} arg")):
+                ratio(orders, args)
 
 
 class TestBesselRatioDomain:
