@@ -245,6 +245,8 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     # B_l = -num/den, and 0 where the denominator vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
         bl = np.where(np.abs(den) > 0, -num / den, 0.0)
+    # a float64 product: Re h_l is off j_l by 8.65e-12 at l = 90, z = 80
+    # (4.4e-15 when formed in 80-bit long double)
     hr = np.cumprod(rh, axis=0)[1:, at_kr]
     scattered = bl[:, at_freq] * hr
     del num, den, bl, rh
@@ -384,18 +386,6 @@ def rates_pm(sys: SphereSystem, omega: float) -> tuple[float, float]:
     return float(gaa + gab), float(gaa - gab)
 
 
-def single_term_rate(sys: SphereSystem, res: Resonance, same_atom: bool = False) -> float:
-    """The l = res.l term of the multipole sum alone, evaluated at omega_c.
-
-    Near a sharp resonance this term carries essentially the whole rate; far
-    from resonance it carries no approximation guarantee.
-    """
-    cos_theta = 1.0 if same_atom else math.cos(sys.theta)
-    terms, _ = _rate_orders(sys.params, sys.radius, np.array([sys.r]),
-                            np.array([res.omega_c]), res.l)
-    return float(terms[-1, 0] * legendre_all(res.l, cos_theta)[res.l])
-
-
 def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     """The terms eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at
     order l, at each frequency of the 1-D array omega, from the single-order
@@ -449,18 +439,18 @@ def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
     return _balance(*_order_terms(sys, l, omega))
 
 
-def _newton_root(sys: SphereSystem, l, omega0):
-    """Complex Newton iteration on f (see _order_terms) from real starts, of
-    order l: one order, or one per start.
+def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
+    """Complex Newton iteration on f (see _order_terms) from the 1-D array
+    of real starts omega0, of order l: one order, or one per start.
 
     The iterates of all starts move together, whatever their orders: each
     step makes one call each at omega and omega +/- h over the iterates
     still active.  An iterate converges when its step falls below 1e-12; it
     is dropped when the derivative vanishes, when it leaves the region where
     h_l^(1) is accurate, or after 50 steps.  Returns an array of roots, NaN
-    where a start was dropped; a scalar start gives its root or None.
+    where a start was dropped.
     """
-    om = np.array(omega0, dtype=complex, ndmin=1)
+    om = np.array(omega0, dtype=complex)
     orders = np.broadcast_to(l, om.shape)
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
@@ -483,9 +473,7 @@ def _newton_root(sys: SphereSystem, l, omega0):
         active = active[~done]
         if not active.size:
             break
-    if np.ndim(omega0):
-        return roots
-    return None if np.isnan(roots[0]) else complex(roots[0])
+    return roots
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,11 +1,12 @@
 """Spherical Bessel/Hankel functions of complex argument and Legendre polynomials.
 
-Everything here is recurrence based and table free.  j_l and h_l^(1) are
-running products of their ratios f_l/f_{l-1}: for j from a downward
-continued fraction (j is the minimal solution as l grows), for h from the
-upward recurrence (h is the dominant one).  The ratios stay bounded where
-j_l and h_l leave float64 (h_l overflows near l = 300 at k R ~ 12, j_l(z)
-for |Im z| beyond ~700).
+Everything here is recurrence based and table free.  The Bessel functions
+come as rows: j_0 or h_0^(1) and the ratios f_l/f_{l-1}, for j from a
+downward continued fraction (j is the minimal solution as l grows), for h
+from the upward recurrence (h is the dominant one).  The ratios stay
+bounded where j_l and h_l leave float64 (h_l overflows near l = 300 at
+k R ~ 12, j_l(z) for |Im z| beyond ~700); a caller that needs j_l or h_l
+forms the running product of the rows.
 
 Every function also takes a 1-D array of arguments and returns one column
 per argument.  Each Bessel kind has one column loop, in which numpy runs
@@ -81,20 +82,10 @@ def _ratios(loop, columns, l, points: np.ndarray, rows: np.ndarray) -> None:
                 rows[:, k] = loop(n - depth + 1, n, z)
 
 
-def _running_product(rows: np.ndarray, z, kind: str) -> np.ndarray:
-    """f_l for l = 0..lmax in complex128 from the rows f_0, f_1/f_0, ...;
-    a scalar z whose f_l leave float64 raises OverflowError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.cumprod(rows, axis=0).astype(complex, copy=False)
-    if not _is_array(z) and not np.all(np.isfinite(out.view(float))):
-        raise OverflowError(f"spherical {kind} overflowed for lmax={len(out) - 1}, z={z}")
-    return out
-
-
 def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     """j_0(z) in row 0 and the ratios j_n(z)/j_{n-1}(z) in rows n = 1..lmax,
-    complex z: the running product of the rows is j_l (sph_jn_all), and the
-    ratio rows stay bounded where j_l itself leaves float64.
+    complex z: the running product of the rows is j_l, and the ratio rows
+    stay bounded where j_l itself leaves float64.
 
     The ratios come from the continued fraction of sph_jn_ratio, run once
     from _miller_start(lmax, |z|): the loops of sph_jn_ratio(lmax, z), which
@@ -121,15 +112,6 @@ def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     return rows if _is_array(z) else rows[:, 0]
 
 
-def sph_jn_all(lmax: int, z) -> np.ndarray:
-    """j_l(z) for l = 0..lmax, complex z: the running product of the rows
-    of sph_jn_ratios, j_0 and the ratios j_n/j_{n-1} of the downward
-    continued fraction (Lentz 1976, Appl. Opt. 15, 668).  A scalar z whose
-    j_l leave float64 raises OverflowError.
-    """
-    return _running_product(sph_jn_ratios(lmax, z), z, "j")
-
-
 def _below_h1_line(z):
     """Im z < H1_IM_MIN per argument; a scalar z there raises RecurrenceDomainError."""
     below = np.imag(z) < H1_IM_MIN
@@ -143,8 +125,7 @@ def _below_h1_line(z):
 def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     """h_0^(1)(z) = -i e^{iz}/z in row 0 and the ratios h_n(z)/h_{n-1}(z) in
     rows n = 1..lmax, complex z != 0: the running product of the rows is
-    h_l^(1) (sph_h1n_all), and the ratio rows stay bounded where h_l
-    overflows.
+    h_l^(1), and the ratio rows stay bounded where h_l overflows.
 
     The ratios come from the upward recurrence of sph_h1n_ratio, run once:
     the loops of sph_h1n_ratio(lmax, z), which here keep all lmax ratios
@@ -153,7 +134,7 @@ def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     of a 1-D array gets a NaN column.
     """
     below = np.ravel(_below_h1_line(z))
-    points = np.asarray(z, dtype=np.result_type(z, complex)).ravel()
+    points = np.asarray(z, dtype=complex).ravel()
     if np.any(points == 0):
         raise ValueError("h_l^(1) diverges at z = 0")
     rows = np.empty((max(lmax, 1) + 1, len(points)), dtype=points.dtype)
@@ -163,19 +144,6 @@ def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     rows[:, below] = np.nan
     rows = rows[: lmax + 1]
     return rows if _is_array(z) else rows[:, 0]
-
-
-def sph_h1n_all(lmax: int, z) -> np.ndarray:
-    """h_l^(1)(z) for l = 0..lmax, complex z != 0: the running product of
-    the rows of sph_h1n_ratios, formed in np.clongdouble (80-bit on x86-64)
-    and rounded once.  In float64 rows and product carry a phase error of a
-    few eps, which beyond l ~ z on the real axis, where Re h_l = j_l is a
-    small part of h_l, is 8.7e-12 of Re h_l at l = 90, z = 80.
-
-    A scalar z below H1_IM_MIN raises RecurrenceDomainError, one whose h_l
-    overflow OverflowError; in a 1-D array such a column is non-finite.
-    """
-    return _running_product(sph_h1n_ratios(lmax, np.asarray(z, dtype=np.clongdouble)), z, "h")
 
 
 def _order_ratio(loop, columns, l, z):

@@ -236,15 +236,3 @@ def concurrence_oracle(rho) -> float:
     roots = np.linalg.svd(sqrt_m @ flip @ sqrt_m.conj(), compute_uv=False)
     roots = np.sort(roots)[::-1]
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
-
-
-def entanglement_check(s: SteadyState, dominance: float) -> bool:
-    """True when one of alpha_+/alpha_- dominates both the other population
-    and |beta| by the given factor, the regime of near-pure Bell states."""
-    if dominance <= 1:
-        raise ValueError("dominance must exceed 1")
-    b = 0.0 if s.beta is None else abs(s.beta)
-    return (
-        s.alpha_plus >= dominance * max(s.alpha_minus, b)
-        or s.alpha_minus >= dominance * max(s.alpha_plus, b)
-    )

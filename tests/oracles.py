@@ -6,8 +6,9 @@ Volterra amplitudes from the direct O(N^2) trapezoid-history quadrature and
 the stationary integrals from plain trapezoid quadrature on dense samples:
 none of these goes through the package's recurrences.  The resonance
 search oracle does: it takes its candidates one at a time through the
-package's j_l and h_l values, but builds the Mie denominator from their
-raw products instead of the package's log-derivative form.
+package's ratio rows, forms j_l and h_l as its own float64 running products
+of them, and builds the Mie denominator from their raw products instead of
+the package's log-derivative form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from sphereqed.microsphere import (
     resonance_kind,
     size_parameter,
 )
-from sphereqed.special import RecurrenceDomainError, sph_h1n_all, sph_jn_all
+from sphereqed.special import RecurrenceDomainError, sph_h1n_ratios, sph_jn_ratios
 
 mp.mp.dps = 40
 
@@ -199,12 +200,13 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
 def _denominator_terms(sys, l: int, omega):
     """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at a
     scalar or (column path) 1-D array omega, l >= 1, with
-    [z f_l(z)]' = z f_{l-1}(z) - l f_l(z)."""
+    [z f_l(z)]' = z f_{l-1}(z) - l f_l(z), and f_l the running product of
+    the ratio rows."""
     eps = permittivity(sys.params, omega)
     z1 = size_parameter(omega, sys.radius)
     z2 = refractive_index(sys.params, omega) * z1
-    j2 = sph_jn_all(l, z2)
-    h1 = sph_h1n_all(l, z1)
+    j2 = np.cumprod(sph_jn_ratios(l, z2), axis=0)
+    h1 = np.cumprod(sph_h1n_ratios(l, z1), axis=0)
     rj2 = z2 * j2[l - 1] - l * j2[l]
     rh1 = z1 * h1[l - 1] - l * h1[l]
     return eps * j2[l] * rh1, h1[l] * rj2

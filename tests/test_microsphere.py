@@ -19,16 +19,17 @@ from sphereqed.microsphere import (
     rates_pm,
     refractive_index,
     resonance_kind,
-    single_term_rate,
     size_parameter,
 )
-from sphereqed.special import H1_IM_MIN, sph_h1n_all
+from sphereqed.special import H1_IM_MIN, legendre_all
 
 from oracles import (
     free_space_cross_rate,
     mp_collective_rate,
     mp_log_derivative,
     mp_mie_coefficient,
+    mp_spherical_h1,
+    mp_spherical_j,
     scalar_find_resonances,
 )
 
@@ -106,7 +107,7 @@ class TestMieCoefficient:
         # h_l(k R) f: f as the resonance search forms it, to rounding
         sys0 = fig2_system
         _, den, _, _ = microsphere._mie_arrays(sys0.params, sys0.radius, 150, np.array([om]), ())
-        h = sph_h1n_all(l, size_parameter(om, sys0.radius))[l]
+        h = mp_spherical_h1(l, size_parameter(om, sys0.radius))
         omega = np.array([om])
         dh, dj = microsphere._order_terms(sys0, l, omega)
         f = microsphere._reduced_denominator(sys0, l, omega)[0]
@@ -352,8 +353,9 @@ class TestFindResonances:
 
     def test_newton_drops_iterate_below_accurate_region(self, fig2_system, denominator_args):
         # from omega = 0.25 the l = 1 iteration passes below Im(k R) = -5,
-        # where h_l^(1) is refused, and the candidate is dropped
-        assert microsphere._newton_root(fig2_system, 1, 0.25) is None
+        # where h_l^(1) is refused, and the candidate is dropped: NaN in
+        # each column of the roots
+        assert np.all(np.isnan(microsphere._newton_root(fig2_system, 1, np.array([0.25, 0.25]))))
         lowest = min(size_parameter(om, fig2_system.radius).imag for om in denominator_args)
         assert lowest < H1_IM_MIN
         # there f is NaN, on the one-point and the column path
@@ -414,8 +416,6 @@ class TestBatchedRefinement:
         roots = microsphere._newton_root(fig2_system, 121, starts)
         assert roots == pytest.approx(np.full(2, roots[0]), rel=1e-13)
         assert roots[0].real == pytest.approx(fig2_resonance.omega_c, rel=1e-12)
-        # as a column, the l = 1 iterate from 0.25 is dropped below Im(k R) = -5 too
-        assert np.all(np.isnan(microsphere._newton_root(fig2_system, 1, np.array([0.25, 0.25]))))
 
     def test_overflowed_column_raises(self, fig2_system, monkeypatch):
         # a non-finite ratio column is raised, naming l and omega, instead
@@ -542,31 +542,38 @@ class TestGridScanRange:
             assert find_resonances(fig2_system, 1.0, 1.1, [121]) == [fig2_resonance]
 
 
+def single_term(sys: SphereSystem, res: Resonance, same_atom: bool) -> float:
+    """The l = res.l term of the rate sum alone at omega_c: row res.l of the
+    kernel's per-order terms, times P_l(cos theta)."""
+    cos_theta = 1.0 if same_atom else math.cos(sys.theta)
+    terms, _ = microsphere._rate_orders(sys.params, sys.radius, np.array([sys.r]),
+                                        np.array([res.omega_c]), res.l)
+    return float(terms[res.l - 1, 0] * legendre_all(res.l, cos_theta)[res.l])
+
+
 class TestSingleTermRate:
     def test_dominates_at_resonance(self, fig2_system, fig2_resonance):
         full = collective_rate(fig2_system, fig2_resonance.omega_c, same_atom=True)
-        one = single_term_rate(fig2_system, fig2_resonance, same_atom=True)
+        one = single_term(fig2_system, fig2_resonance, same_atom=True)
         assert one == pytest.approx(full, rel=0.1)
 
     def test_parity_between_poles(self, fig2_system, fig2_resonance):
         # single-term cross rate at theta = pi is exactly (-1)^l times theta = 0
         aligned = SphereSystem(fig2_system.params, fig2_system.radius, 0.14, 0.0)
-        t_pi = single_term_rate(fig2_system, fig2_resonance, same_atom=False)
-        t_0 = single_term_rate(aligned, fig2_resonance, same_atom=False)
+        t_pi = single_term(fig2_system, fig2_resonance, same_atom=False)
+        t_0 = single_term(aligned, fig2_resonance, same_atom=False)
         assert t_pi == pytest.approx((-1.0) ** fig2_resonance.l * t_0, rel=1e-12)
 
     def test_vacuum_reduces_to_bare_term(self):
         sys0 = free_space_system(2.0, theta=0.3)
         res = Resonance(omega_c=1.0, delta_omega_c=1e-3, l=4, kind="WG")
-        from sphereqed.special import legendre_all, sph_h1n_all, sph_jn_all
-
         kr = 2 * math.pi * sys0.r
         want = (
             1.5 * 4 * 5 * 9 / kr**2
-            * (sph_h1n_all(4, kr)[4] * sph_jn_all(4, kr)[4]).real
+            * (mp_spherical_h1(4, kr) * mp_spherical_j(4, kr)).real
             * legendre_all(4, math.cos(0.3))[4]
         )
-        assert single_term_rate(sys0, res, same_atom=False) == pytest.approx(want, rel=1e-12)
+        assert single_term(sys0, res, same_atom=False) == pytest.approx(want, rel=1e-12)
 
 
 class TestTypes:

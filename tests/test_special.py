@@ -12,10 +12,8 @@ from sphereqed.special import (
     H1_IM_MIN,
     RecurrenceDomainError,
     legendre_all,
-    sph_h1n_all,
     sph_h1n_ratio,
     sph_h1n_ratios,
-    sph_jn_all,
     sph_jn_ratio,
     sph_jn_ratios,
 )
@@ -39,10 +37,24 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def jn(lmax, z):
+    """j_l(z) for l = 0..lmax: the float64 running product of the rows of
+    sph_jn_ratios, as the rate kernel forms it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumprod(sph_jn_ratios(lmax, z), axis=0)
+
+
+def h1n(lmax, z):
+    """h_l^(1)(z) for l = 0..lmax: the float64 running product of the rows
+    of sph_h1n_ratios, as the rate kernel forms it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumprod(sph_h1n_ratios(lmax, z), axis=0)
+
+
 def riccati(kind, l, z):
     """[z f_l(z)]' at order l, f = j_l (kind 'J') or h_l^(1) (kind 'H1'):
     z f_{l-1} - l f_l, and f_0 - z f_1 at l = 0."""
-    f = (sph_jn_all if kind == "J" else sph_h1n_all)(l + 1, z)
+    f = (jn if kind == "J" else h1n)(l + 1, z)
     if l == 0:
         return f[0] - z * f[1]
     return z * f[l - 1] - l * f[l]
@@ -50,77 +62,75 @@ def riccati(kind, l, z):
 
 class TestSphericalJ:
     def test_j0_closed_form(self):
-        assert rel_err(sph_jn_all(0, 1.0)[0], math.sin(1.0)) < 1e-14
+        assert rel_err(jn(0, 1.0)[0], math.sin(1.0)) < 1e-14
 
     def test_j1_small_argument_limit(self):
         z = 1e-4
-        assert rel_err(sph_jn_all(1, z)[1], z / 3.0) < 1e-8
+        assert rel_err(jn(1, z)[1], z / 3.0) < 1e-8
 
     def test_j5_complex_frozen_oracle(self):
-        assert rel_err(sph_jn_all(5, 10 + 0.1j)[5], J5_10_01J) < 1e-12
+        assert rel_err(jn(5, 10 + 0.1j)[5], J5_10_01J) < 1e-12
 
     def test_j40_large_imaginary(self):
-        assert rel_err(sph_jn_all(40, 2 + 30j)[40], J40_2_30J) < 1e-12
+        assert rel_err(jn(40, 2 + 30j)[40], J40_2_30J) < 1e-12
 
     def test_zero_argument_limits(self):
-        assert sph_jn_all(0, 0.0)[0] == 1.0
-        assert sph_jn_all(3, 0.0)[3] == 0.0
+        assert jn(0, 0.0)[0] == 1.0
+        assert jn(3, 0.0)[3] == 0.0
 
     def test_near_sin_zero_normalization(self):
         # kr = 6*pi sits at a zero of sin z; the l=0-only normalization fails there
         z = 6.0 * math.pi
-        assert rel_err(sph_jn_all(8, z)[8], mp_spherical_j(8, z)) < 1e-12
+        assert rel_err(jn(8, z)[8], mp_spherical_j(8, z)) < 1e-12
 
     @pytest.mark.parametrize("l,z", [(80, 3.0 + 0.5j), (150, 120.0), (12, 400.0 + 40j)])
     def test_against_multiprecision(self, l, z):
-        assert rel_err(sph_jn_all(l, z)[l], mp_spherical_j(l, z)) < 1e-10
+        assert rel_err(jn(l, z)[l], mp_spherical_j(l, z)) < 1e-10
 
     def test_high_order_underflows_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sph_jn_all(300, 0.5)
+            out = jn(300, 0.5)
         assert np.all(np.isfinite(out))
 
 
 class TestSphericalH1:
     def test_h0_closed_form(self):
         want = math.sin(1.0) - 1j * math.cos(1.0)
-        assert rel_err(sph_h1n_all(0, 1.0)[0], want) < 1e-14
+        assert rel_err(h1n(0, 1.0)[0], want) < 1e-14
 
     def test_h1_closed_form(self):
         want = -np.exp(1j) * (1.0 + 1j)
-        assert rel_err(sph_h1n_all(1, 1.0)[1], want) < 1e-14
+        assert rel_err(h1n(1, 1.0)[1], want) < 1e-14
 
     def test_h20_66_frozen_oracle(self):
-        assert rel_err(sph_h1n_all(20, 66.0)[20], H20_66) < 1e-12
+        assert rel_err(h1n(20, 66.0)[20], H20_66) < 1e-12
 
     def test_h20_66_wronskian(self):
         # j_l h_l' - j_l' h_l = i / z^2
         z = 66.0
-        j = sph_jn_all(21, z)[19:]
-        h = sph_h1n_all(21, z)[19:]
+        j = jn(21, z)[19:]
+        h = h1n(21, z)[19:]
         jp = j[0] - 21.0 / z * j[1]
         hp = h[0] - 21.0 / z * h[1]
         assert rel_err(j[1] * hp - jp * h[1], 1j / z**2) < 1e-10
 
     def test_complex_frozen_oracle(self):
-        assert rel_err(sph_h1n_all(7, 0.8 + 0.3j)[7], H7_08_03J) < 1e-12
-
-    def test_real_part_is_j_on_real_axis(self):
-        for l, z in [(3, 2.5), (40, 55.0), (90, 80.0)]:
-            assert rel_err(sph_h1n_all(l, z)[l].real, sph_jn_all(l, z)[l].real) < 1e-12
+        assert rel_err(h1n(7, 0.8 + 0.3j)[7], H7_08_03J) < 1e-12
 
     def test_diverges_at_zero(self):
         with pytest.raises(ValueError):
-            sph_h1n_all(0, 0.0)
+            sph_h1n_ratios(0, 0.0)
 
     def test_overflow_signalled(self):
-        with pytest.raises(OverflowError):
-            sph_h1n_all(300, 0.5)
+        # the ratio rows stay finite where h_l overflows, and the product
+        # shows the overflow as non-finite values, not as finite wrong ones
+        assert np.all(np.isfinite(sph_h1n_ratios(300, 0.5)))
+        assert not np.all(np.isfinite(h1n(300, 0.5)))
 
     @pytest.mark.parametrize("l,z", [(60, 45.0), (15, 8.0 - 2.0j), (110, 90.0 + 10.0j)])
     def test_against_multiprecision(self, l, z):
-        assert rel_err(sph_h1n_all(l, z)[l], mp_spherical_h1(l, z)) < 1e-10
+        assert rel_err(h1n(l, z)[l], mp_spherical_h1(l, z)) < 1e-10
 
 
 class TestHankelBelowAxis:
@@ -132,8 +142,8 @@ class TestHankelBelowAxis:
     @pytest.mark.parametrize("re", [0.8, 8.0, 22.3, 59.7])
     def test_against_multiprecision(self, re, im):
         z = complex(re, im)
-        arr = sph_h1n_all(69, z)
-        cols = sph_h1n_all(69, np.array([z, re]))
+        arr = h1n(69, z)
+        cols = h1n(69, np.array([z, re]))
         for l in (0, 1, 10, 39, 69):
             want = mp_spherical_h1(l, z)
             assert rel_err(arr[l], want) < 1e-11
@@ -142,15 +152,15 @@ class TestHankelBelowAxis:
     @pytest.mark.parametrize("l,z", [(39, 22.3 - 20.8j), (69, 59.7 - 13.6j)])
     def test_refused_below_the_line(self, l, z):
         with pytest.raises(RecurrenceDomainError):
-            sph_h1n_all(l, z)
+            sph_h1n_ratios(l, z)
         with pytest.raises(RecurrenceDomainError):
             riccati("H1", l, z)
         # the column path leaves the refused column non-finite and computes
         # the others as before
-        cols = sph_h1n_all(l, np.array([z, z.real, z.conjugate()]))
+        cols = h1n(l, np.array([z, z.real, z.conjugate()]))
         assert not np.any(np.isfinite(cols[:, 0]))
-        assert np.array_equal(cols[:, 1], sph_h1n_all(l, np.array([z.real]))[:, 0])
-        assert np.array_equal(cols[:, 2], sph_h1n_all(l, np.array([z.conjugate()]))[:, 0])
+        assert np.array_equal(cols[:, 1], h1n(l, np.array([z.real]))[:, 0])
+        assert np.array_equal(cols[:, 2], h1n(l, np.array([z.conjugate()]))[:, 0])
 
 
 class TestRiccatiDeriv:
@@ -165,7 +175,7 @@ class TestRiccatiDeriv:
     def test_j3_central_difference(self):
         z = 5.0 + 1.0j
         h = 1e-6
-        fd = ((z + h) * sph_jn_all(3, z + h)[3] - (z - h) * sph_jn_all(3, z - h)[3]) / (2 * h)
+        fd = ((z + h) * jn(3, z + h)[3] - (z - h) * jn(3, z - h)[3]) / (2 * h)
         assert rel_err(riccati("J", 3, z), fd) < 1e-6
 
     @pytest.mark.parametrize("kind", ["J", "H1"])
@@ -214,29 +224,29 @@ H_ARGS = np.array(
 
 
 class TestArrayArguments:
-    """A 1-D argument array gives one column per argument, equal to the
-    scalar call's array to 1e-13 relative."""
+    """A 1-D argument array gives one column per argument, whose running
+    product equals the scalar call's to 1e-13 relative."""
 
     @pytest.mark.parametrize("lmax", [1, 40, 150])
     def test_sph_jn_columns(self, lmax):
-        cols = sph_jn_all(lmax, J_ARGS)
+        cols = jn(lmax, J_ARGS)
         assert cols.shape == (lmax + 1, len(J_ARGS))
         for k, z in enumerate(J_ARGS):
-            want = sph_jn_all(lmax, z)
+            want = jn(lmax, z)
             assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * neighbourhood_scale(want))
 
     @pytest.mark.parametrize("lmax", [1, 15, 60, 120])
     def test_sph_h1n_columns(self, lmax):
-        cols = sph_h1n_all(lmax, H_ARGS)
+        cols = h1n(lmax, H_ARGS)
         assert cols.shape == (lmax + 1, len(H_ARGS))
         for k, z in enumerate(H_ARGS):
-            want = sph_h1n_all(lmax, z)
+            want = h1n(lmax, z)
             assert np.all(np.abs(cols[:, k] - want) <= 1e-13 * np.abs(want))
 
     def test_sph_h1n_overflow_stays_in_its_column(self):
-        cols = sph_h1n_all(300, np.array([0.5, 66.0]))
+        cols = h1n(300, np.array([0.5, 66.0]))
         assert not np.all(np.isfinite(cols[:, 0]))
-        assert np.all(np.abs(cols[:, 1] - sph_h1n_all(300, 66.0)) <= 1e-13 * np.abs(cols[:, 1]))
+        assert np.all(np.abs(cols[:, 1] - h1n(300, 66.0)) <= 1e-13 * np.abs(cols[:, 1]))
 
     def test_legendre_columns(self):
         x = np.array([-1.0, -0.3, 0.0, 0.5, 0.9999, 1.0])
@@ -263,12 +273,13 @@ DEMO_J_ARGS = np.concatenate([
 ])
 
 
-def test_sph_jn_all_at_demo_arguments():
-    """Both paths of sph_jn_all against mpmath, to 1e-13 of max(|j_l|, |y_l|):
-    the scale of h_l, which does not vanish where j_l nears a zero."""
-    cols = sph_jn_all(200, DEMO_J_ARGS)
+def test_jn_product_at_demo_arguments():
+    """The running product of the sph_jn_ratios rows, on both paths, against
+    mpmath, to 1e-13 of max(|j_l|, |y_l|): the scale of h_l, which does not
+    vanish where j_l nears a zero."""
+    cols = jn(200, DEMO_J_ARGS)
     for k, z in enumerate(DEMO_J_ARGS):
-        one = sph_jn_all(200, z)
+        one = jn(200, z)
         for l in (0, 1, 2, 30, 70, 121, 200):
             want = mp_spherical_j(l, z)
             tol = 1e-13 * max(abs(want), abs(mp_spherical_y(l, z)))
@@ -482,11 +493,8 @@ complex_args = st.builds(
 )
 @settings(max_examples=60, deadline=None)
 def test_wronskian_identity(z, l):
-    jarr = sph_jn_all(l + 1, z)
-    try:
-        harr = sph_h1n_all(l + 1, z)
-    except OverflowError:
-        assume(False)
+    jarr = jn(l + 1, z)
+    harr = h1n(l + 1, z)
     assume(np.all(np.abs(harr) < 1e120) and np.abs(jarr[l]) > 1e-120)
     jp = jarr[l - 1] - (l + 1) / z * jarr[l]
     hp = harr[l - 1] - (l + 1) / z * harr[l]
@@ -498,7 +506,7 @@ def test_wronskian_identity(z, l):
 @settings(max_examples=60, deadline=None)
 def test_three_term_recurrence_j(z, l):
     assume(abs(z) > 1.0)
-    arr = sph_jn_all(l + 1, z)
+    arr = jn(l + 1, z)
     lhs = arr[l - 1] + arr[l + 1]
     rhs = (2 * l + 1) * arr[l] / z
     ref = max(abs(lhs), abs(rhs))
@@ -512,12 +520,10 @@ def test_three_term_recurrence_h(z, l):
     assume(abs(z) > 1.0)
     if z.imag < H1_IM_MIN:
         with pytest.raises(RecurrenceDomainError):
-            sph_h1n_all(l + 1, z)
+            sph_h1n_ratios(l + 1, z)
         return
-    try:
-        arr = sph_h1n_all(l + 1, z)
-    except OverflowError:
-        assume(False)
+    arr = h1n(l + 1, z)
+    assume(np.all(np.isfinite(arr)))
     lhs = arr[l - 1] + arr[l + 1]
     rhs = (2 * l + 1) * arr[l] / z
     ref = max(abs(lhs), abs(rhs))
@@ -529,8 +535,8 @@ def test_three_term_recurrence_h(z, l):
 @settings(max_examples=40, deadline=None)
 def test_conjugation_symmetry(z, l):
     assume(abs(z) > 1e-6)
-    a = sph_jn_all(l, np.conj(z))[l]
-    b = np.conj(sph_jn_all(l, z)[l])
+    a = jn(l, np.conj(z))[l]
+    b = np.conj(jn(l, z)[l])
     assert abs(a - b) <= 1e-13 * max(abs(b), 1e-300)
 
 
