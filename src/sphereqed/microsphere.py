@@ -19,7 +19,6 @@ import numpy as np
 
 from .special import (
     H1_IM_MIN,
-    RecurrenceDomainError,
     legendre_all,
     sph_h1n_ratio,
     sph_h1n_ratios,
@@ -29,7 +28,7 @@ from .special import (
 
 # Highest multipole order of the rate sum, to which every block sums: enough
 # for size parameters up to ~kR = 66 plus the evanescent tail.  B_l is
-# subnormal near this order, so mie_coefficient refuses higher ones.
+# subnormal near this order.
 L_MAX_SUPPORTED = 300
 
 # adaptive series truncation: stop after this many consecutive negligible terms
@@ -54,10 +53,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, point: int):
         super().__init__(message)
         self.point = point
-
-
-class PoleError(ArithmeticError):
-    """Raised when a Mie coefficient is evaluated essentially on a resonance pole."""
 
 
 @dataclass(frozen=True)
@@ -200,25 +195,6 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
         num *= np.cumprod(rj1, axis=0)[1:]
         den *= np.cumprod(q1, axis=0)[1:]
     return num, den, rj[:, 2 * m :], rh[:, m:]
-
-
-def mie_coefficient(sys: SphereSystem, l: int, omega: complex) -> complex:
-    """TM scattering coefficient B_l^N(omega); accepts complex omega so the
-    same expression can be driven to its complex poles."""
-    if l < 1:
-        raise ValueError("Mie coefficient defined for l >= 1")
-    if l > L_MAX_SUPPORTED:
-        raise ValueError(f"l={l} exceeds supported maximum {L_MAX_SUPPORTED}")
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    num, den, _, _ = _mie_arrays(sys.params, sys.radius, l, np.array([omega]), ())
-    num, den = num[-1, 0], den[-1, 0]
-    if not np.isfinite(den):
-        raise RecurrenceDomainError(f"h_l(k R) overflows or Im k R < {H1_IM_MIN} "
-                                    f"at l={l}, omega={omega}")
-    if abs(den) < 1e-300:
-        raise PoleError(f"Mie denominator vanishes at l={l}, omega={omega}")
-    return complex(-num / den)
 
 
 def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,

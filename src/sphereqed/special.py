@@ -8,16 +8,18 @@ bounded where j_l and h_l leave float64 (h_l overflows near l = 300 at
 k R ~ 12, j_l(z) for |Im z| beyond ~700); a caller that needs j_l or h_l
 forms the running product of the rows.
 
-Every function also takes a 1-D array of arguments and returns one column
-per argument.  Each Bessel kind has one column loop, in which numpy runs
-each step of the recurrence for all columns at once: column k runs to its
-own order l_k and keeps its last `depth` ratios, all lmax of them for
-sph_jn_ratios and sph_h1n_ratios, one for sph_jn_ratio and sph_h1n_ratio.
+Every function ravels its argument and returns one column per argument; a
+scalar is one argument.  Each Bessel kind has one column loop, in which
+numpy runs each step of the recurrence for all columns at once: column k
+runs to its own order l_k and keeps its last `depth` ratios, all lmax of
+them for sph_jn_ratios and sph_h1n_ratios, one for sph_jn_ratio and
+sph_h1n_ratio.
 Up to _SCALAR_POINTS (6) arguments a scalar loop per argument runs instead,
 which is faster there and gives the same bits.  The single-order ratios
 also take one order per argument: one run of the recurrence then serves
 arguments of many orders, each ended at its own order, with the bits of a
-call of that order alone.
+call of that order alone.  The Bessel functions take orders l >= 1 and
+z != 0, and give h_l^(1) a NaN column below H1_IM_MIN.
 """
 
 from __future__ import annotations
@@ -36,13 +38,22 @@ _ODD_ROWS = 32
 _SCALAR_POINTS = 6
 
 
-class RecurrenceDomainError(ValueError):
-    """Argument outside the region where a recurrence keeps its accuracy."""
-
-
-def _is_array(x) -> bool:
-    """True for a 1-D array of arguments, which gives one column each."""
-    return isinstance(x, np.ndarray) and x.ndim > 0
+def _arguments(l, z) -> np.ndarray:
+    """z raveled to a 1-D complex array, one column per argument, after the
+    check every Bessel function shares: the order l, or the 1-D array of
+    one order per argument, is >= 1, and z != 0."""
+    points = np.asarray(z, dtype=complex).ravel()
+    if np.ndim(l):
+        if np.ndim(l) != 1 or len(l) != len(points):
+            raise ValueError(f"Bessel ratios need a 1-D array of one order per argument, "
+                             f"got orders of shape {np.shape(l)} for {len(points)} arguments")
+        if np.any(l < 1):
+            raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
+    elif l < 1:
+        raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
+    if np.any(points == 0):
+        raise ValueError("Bessel ratios need z != 0")
+    return points
 
 
 def _miller_start(lmax: int, size):
@@ -84,8 +95,8 @@ def _ratios(loop, columns, l, points: np.ndarray, rows: np.ndarray) -> None:
 
 def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     """j_0(z) in row 0 and the ratios j_n(z)/j_{n-1}(z) in rows n = 1..lmax,
-    complex z: the running product of the rows is j_l, and the ratio rows
-    stay bounded where j_l itself leaves float64.
+    lmax >= 1 and complex z != 0: the running product of the rows is j_l,
+    and the ratio rows stay bounded where j_l itself leaves float64.
 
     The ratios come from the continued fraction of sph_jn_ratio, run once
     from _miller_start(lmax, |z|): the loops of sph_jn_ratio(lmax, z), which
@@ -93,82 +104,51 @@ def sph_jn_ratios(lmax: int, z) -> np.ndarray:
     j_0 = sin z / z, or j_1/(j_1/j_0) where |j_1| is the larger: the two
     have no common zeros, so the product is always anchored well (j_0 alone
     fails near sin z = 0); it is non-finite where j_0 leaves float64.
-    z = 0 gives rows 1, 0, 0, ...
     """
-    points = np.asarray(z, dtype=complex).ravel()
-    zero = points == 0
-    points = np.where(zero, 1.0, points)
-    rows = np.empty((max(lmax, 1) + 1, len(points)), dtype=points.dtype)
-    _ratios(_jn_ratio_loop, _jn_ratio_columns, max(lmax, 1), points, rows[1:])
+    points = _arguments(lmax, z)
+    rows = np.empty((lmax + 1, len(points)), dtype=complex)
+    _ratios(_jn_ratio_loop, _jn_ratio_columns, lmax, points, rows[1:])
     # j_0 and j_1 leave float64 for |Im z| beyond ~700, the ratios do not
     with np.errstate(over="ignore", invalid="ignore"):
         sin = np.sin(points)
         j0 = sin / points
         j1 = sin / points**2 - np.cos(points) / points
         rows[0] = np.where(np.abs(j0) >= np.abs(j1), j0, j1 / rows[1])
-    rows[:, zero] = 0.0
-    rows[0, zero] = 1.0
-    rows = rows[: lmax + 1]
-    return rows if _is_array(z) else rows[:, 0]
-
-
-def _below_h1_line(z):
-    """Im z < H1_IM_MIN per argument; a scalar z there raises RecurrenceDomainError."""
-    below = np.imag(z) < H1_IM_MIN
-    if not _is_array(z) and below:
-        raise RecurrenceDomainError(
-            f"h_l^(1) recurrence is inaccurate below Im z = {H1_IM_MIN}, z={z}"
-        )
-    return below
+    return rows
 
 
 def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
     """h_0^(1)(z) = -i e^{iz}/z in row 0 and the ratios h_n(z)/h_{n-1}(z) in
-    rows n = 1..lmax, complex z != 0: the running product of the rows is
-    h_l^(1), and the ratio rows stay bounded where h_l overflows.
+    rows n = 1..lmax, lmax >= 1 and complex z != 0: the running product of
+    the rows is h_l^(1), and the ratio rows stay bounded where h_l
+    overflows.
 
     The ratios come from the upward recurrence of sph_h1n_ratio, run once:
     the loops of sph_h1n_ratio(lmax, z), which here keep all lmax ratios
     instead of the last one, so row n is sph_h1n_ratio(n, z).
-    Below H1_IM_MIN a scalar z raises RecurrenceDomainError, and an argument
-    of a 1-D array gets a NaN column.
+    An argument below H1_IM_MIN gets a NaN column.
     """
-    below = np.ravel(_below_h1_line(z))
-    points = np.asarray(z, dtype=complex).ravel()
-    if np.any(points == 0):
-        raise ValueError("h_l^(1) diverges at z = 0")
-    rows = np.empty((max(lmax, 1) + 1, len(points)), dtype=points.dtype)
-    _ratios(_h1n_ratio_loop, _h1n_ratio_columns, max(lmax, 1), points, rows[1:])
+    points = _arguments(lmax, z)
+    rows = np.empty((lmax + 1, len(points)), dtype=complex)
+    _ratios(_h1n_ratio_loop, _h1n_ratio_columns, lmax, points, rows[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         rows[0] = -1j * np.exp(1j * points) / points
-    rows[:, below] = np.nan
-    rows = rows[: lmax + 1]
-    return rows if _is_array(z) else rows[:, 0]
+    rows[:, points.imag < H1_IM_MIN] = np.nan
+    return rows
 
 
-def _order_ratio(loop, columns, l, z):
-    """The ratio of order l of a recurrence per argument, where l is an order
-    or a 1-D array of orders, one per argument of a 1-D array z (_ratios
-    with depth 1)."""
-    points = np.asarray(z, dtype=complex).ravel()
-    if np.ndim(l):
-        if np.ndim(l) != 1 or len(l) != len(points):
-            raise ValueError(f"Bessel ratios need a 1-D array of one order per argument, "
-                             f"got orders of shape {np.shape(l)} for {len(points)} arguments")
-        if np.any(l < 1):
-            raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
-    elif l < 1:
-        raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
-    if np.any(points == 0):
-        raise ValueError("Bessel ratios need z != 0")
+def _order_ratio(loop, columns, l, points: np.ndarray) -> np.ndarray:
+    """The ratio of order l of a recurrence per argument of the 1-D array
+    points, where l is an order or one order per argument (_ratios with
+    depth 1)."""
     out = np.empty((1, len(points)), dtype=complex)
     _ratios(loop, columns, l, points, out)
-    return out[0] if _is_array(z) else out.item()
+    return out[0]
 
 
 def sph_jn_ratio(l, z):
-    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0; l is one order, or
-    a 1-D array of orders, one per argument of a 1-D array z.
+    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0, one value per
+    argument; l is one order, or a 1-D array of orders, one per argument.
 
     The ratio r_n = j_n/j_{n-1} obeys 1/r_n = (2n+1)/z - r_{n+1}, run
     downward as a continued fraction from r = 0 above _miller_start(l, |z|):
@@ -178,7 +158,7 @@ def sph_jn_ratio(l, z):
     order, so an argument's ratio is the bits a call of its order alone
     gives.  It is row l of sph_jn_ratios(l, z), from the same loops.
     """
-    return _order_ratio(_jn_ratio_loop, _jn_ratio_columns, l, z)
+    return _order_ratio(_jn_ratio_loop, _jn_ratio_columns, l, _arguments(l, z))
 
 
 def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
@@ -235,17 +215,18 @@ def _jn_ratio_columns(l, z: np.ndarray, rows: np.ndarray) -> None:
 
 
 def sph_h1n_ratio(l, z):
-    """h_l^(1)(z)/h_{l-1}^(1)(z) for l >= 1 and complex z != 0, by the upward
-    recurrence q_{n+1} = (2n+1)/z - 1/q_n from h_1/h_0 = 1/z - i: bounded
-    where h_l itself overflows.  l is one order, or a 1-D array of orders,
-    one per argument of a 1-D array z: one run serves every argument, each
-    ended at its own order, with the bits of a call of its order alone.
-    It is row l of sph_h1n_ratios(lmax, z) for any lmax >= l, from the same
-    loops, and Im z < H1_IM_MIN is refused alike.
+    """h_l^(1)(z)/h_{l-1}^(1)(z) for l >= 1 and complex z != 0, one value per
+    argument, by the upward recurrence q_{n+1} = (2n+1)/z - 1/q_n from
+    h_1/h_0 = 1/z - i: bounded where h_l itself overflows.  l is one order,
+    or a 1-D array of orders, one per argument: one run serves every
+    argument, each ended at its own order, with the bits of a call of its
+    order alone.  It is row l of sph_h1n_ratios(lmax, z) for any lmax >= l,
+    from the same loops, and NaN below H1_IM_MIN alike.
     """
-    below = _below_h1_line(z)
-    q = _order_ratio(_h1n_ratio_loop, _h1n_ratio_columns, l, z)
-    return np.where(below, np.nan, q) if _is_array(z) else q
+    points = _arguments(l, z)
+    q = _order_ratio(_h1n_ratio_loop, _h1n_ratio_columns, l, points)
+    q[points.imag < H1_IM_MIN] = np.nan
+    return q
 
 
 def _h1n_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
@@ -287,11 +268,11 @@ def _h1n_ratio_columns(l, z: np.ndarray, rows: np.ndarray) -> None:
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:
-    """P_l(x) for l = 0..lmax by the three-term recurrence; requires |x| <= 1.
-    For a 1-D array x the result has one column per argument."""
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError(f"Legendre argument x={x} outside [-1, 1]")
+    """P_l(x) for l = 0..lmax by the three-term recurrence, one column per
+    argument; requires |x| <= 1."""
     points = np.asarray(x, dtype=float).ravel()
+    if np.any(np.abs(points) > 1.0):
+        raise ValueError(f"Legendre argument x={x} outside [-1, 1]")
     if len(points) == 1:
         t = float(points[0])
         p = [1.0, t]
@@ -309,4 +290,4 @@ def legendre_all(lmax: int, x) -> np.ndarray:
             np.multiply(odd_x[l], out[l], out=row)
             row -= l * out[l - 1]
             row /= l + 1
-    return out if _is_array(x) else out[:, 0]
+    return out

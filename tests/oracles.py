@@ -13,6 +13,7 @@ the package's log-derivative form.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
@@ -27,7 +28,7 @@ from sphereqed.microsphere import (
     resonance_kind,
     size_parameter,
 )
-from sphereqed.special import RecurrenceDomainError, sph_h1n_ratios, sph_jn_ratios
+from sphereqed.special import sph_h1n_ratios, sph_jn_ratios
 
 mp.mp.dps = 40
 
@@ -87,8 +88,8 @@ def _mp_spherical(kind: str, l: int, z):
     return mp.sqrt(mp.pi / (2 * z)) * fn(l + mp.mpf(1) / 2, z)
 
 
-def mp_mie_coefficient(omega_p: float, gamma: float, radius: float, l: int, omega: float) -> complex:
-    """TM scattering coefficient assembled from scratch with mpmath pieces,
+def mp_mie_b(omega_p: float, gamma: float, radius: float, l: int, omega: float) -> complex:
+    """TM scattering coefficient B_l assembled from scratch with mpmath pieces,
     l >= 1, in mpmath throughout: j_l(n k R) leaves float64 next to
     omega = 1, where |n| is large."""
     om = mp.mpc(omega)
@@ -123,7 +124,7 @@ def mp_collective_rate(
     kr = 2 * mp.pi * mp.mpf(omega) * (mp.mpf(radius) + mp.mpf(atom_distance))
     total = mp.mpf(0)
     for l in range(1, lmax + 1):
-        bl = mp_mie_coefficient(omega_p, gamma, radius, l, omega)
+        bl = mp_mie_b(omega_p, gamma, radius, l, omega)
         hl = mp_spherical_h1(l, complex(kr))
         jl = mp_spherical_j(l, complex(kr))
         pl = mp.legendre(l, mp.cos(mp.mpf(theta)))
@@ -198,8 +199,8 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
 
 
 def _denominator_terms(sys, l: int, omega):
-    """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at a
-    scalar or (column path) 1-D array omega, l >= 1, with
+    """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at each
+    frequency of omega, a scalar (one frequency) or a 1-D array, l >= 1, with
     [z f_l(z)]' = z f_{l-1}(z) - l f_l(z), and f_l the running product of
     the ratio rows."""
     eps = permittivity(sys.params, omega)
@@ -215,27 +216,25 @@ def _denominator_terms(sys, l: int, omega):
 def _balance(sys, l: int, omega):
     t1, t2 = _denominator_terms(sys, l, omega)
     denom = abs(t1) + abs(t2)
-    if np.ndim(denom) == 0:
-        return 1.0 if denom == 0.0 else abs(t1 - t2) / denom
     with np.errstate(invalid="ignore"):
         return np.where(denom == 0.0, 1.0, abs(t1 - t2) / denom)
 
 
 def _denominator(sys, l: int, omega: complex) -> complex:
     t1, t2 = _denominator_terms(sys, l, omega)
-    return complex(t1 - t2)
+    return complex((t1 - t2).item())
 
 
 def _newton_root(sys, l: int, omega0: float):
     om = complex(omega0)
     for _ in range(50):
         h = 1e-7 * abs(om)
-        try:
-            d0 = _denominator(sys, l, om)
-            dp = _denominator(sys, l, om + h)
-            dm = _denominator(sys, l, om - h)
-        except RecurrenceDomainError:
+        d0 = _denominator(sys, l, om)
+        # NaN below H1_IM_MIN, where h_l^(1) is not accurate
+        if cmath.isnan(d0):
             return None
+        dp = _denominator(sys, l, om + h)
+        dm = _denominator(sys, l, om - h)
         deriv = (dp - dm) / (2.0 * h)
         if deriv == 0:
             return None
@@ -250,17 +249,17 @@ def _golden_minimum(sys, l: int, a: float, b: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
-    f1 = _balance(sys, l, x1)
-    f2 = _balance(sys, l, x2)
+    f1 = _balance(sys, l, x1).item()
+    f2 = _balance(sys, l, x2).item()
     for _ in range(60):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
-            f1 = _balance(sys, l, x1)
+            f1 = _balance(sys, l, x1).item()
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
-            f2 = _balance(sys, l, x2)
+            f2 = _balance(sys, l, x2).item()
         if b - a < 1e-12 * max(1.0, abs(a)):
             break
     return 0.5 * (a + b)

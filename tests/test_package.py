@@ -14,8 +14,12 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "L_MAX_SUPPORTED",
                      # j_l and h_l values: the rate kernel forms its own
                      # running products of the ratio rows
-                     "sph_jn_all", "sph_h1n_all", "_running_product")
-GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate")
+                     "sph_jn_all", "sph_h1n_all", "_running_product",
+                     # the scalar-only forms: every function gives one column
+                     # per argument, NaN below the h_l^(1) line
+                     "_is_array", "_below_h1_line", "RecurrenceDomainError")
+# B_l formed a second way, for tests only: the rate kernel forms -num/den
+GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError")
 GONE_FROM_STEADY_STATE = ("entanglement_check",)
 GONE_FROM_CLI = ("_given",)
 GONE_FROM_PACKAGE = ("integrate_alpha_beta", "amplitude_volterra", "sample_closed",
