@@ -89,7 +89,7 @@ _DYNAMICS = {
     "dynamics.samples": (int, "2000", "dynamics.method", "closed"),
     "dynamics.step": (number, REQUIRED, "dynamics.method", "volterra"),
     # echoed as repr, which parses back to the same float
-    "dynamics.t_max": (positive, lambda v: repr(_t_end(_coupling_from_cfg(v)))),
+    "dynamics.t_max": (positive, lambda v: repr(float(_t_end(_coupling_from_cfg(v))))),
 }
 _ENTANGLE_EXPLICIT = {
     **_ENTANGLE_RATES, **_COUPLING, **_DRIVE, **_SWEEP, **_OUTPUT,
@@ -255,18 +255,6 @@ def _rates_at(sys0: ms.SphereSystem, values, r, omega, theta):
         raise _at_point(values, exc.point, exc) from exc
 
 
-def _rows(values, row) -> list:
-    """row(k, value) for each sweep point; a numerical failure is reported
-    at its sweep point."""
-    rows = []
-    for k, value in enumerate(values):
-        try:
-            rows.append(row(k, value))
-        except NUMERICAL_ERRORS as exc:
-            raise _at_point(values, k, exc) from exc
-    return rows
-
-
 _RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
 
 
@@ -303,20 +291,20 @@ def _coupling_from_cfg(v: dict) -> dyn.CouplingParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _t_end(p: dyn.CouplingParams) -> float:
-    """A time by which the amplitudes have decayed: 40 times the slowest
-    decay time of the resonance and the weak channel."""
-    return 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
+def _t_end(p: dyn.CouplingParams):
+    """A time by which the amplitudes have decayed, at each point of p: 40
+    times the slowest decay time of the resonance and the weak channel."""
+    return 40.0 / np.minimum(p.delta_omega_c, 0.5 * p.gamma32_aa)
 
 
 def _drive_from_cfg(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
                     gamma_ad: float | None = None) -> dyn.DriveSpec:
-    """Drive preparation from the drive.* values.
+    """Drive preparation from the drive.* values, at each point of p.
 
     Rates read from the config are divided by unit (sphere-mode entangle
     reads them in Gamma_0 units).  gamma_ad, when given, is the cross rate
-    gamma_AD = gamma_BD of an equidistant atom D; sphere mode computes it
-    from the sphere instead of reading drive.gamma_ad.
+    gamma_AD = gamma_BD of an equidistant atom D, one per point; sphere mode
+    computes it from the sphere instead of reading drive.gamma_ad.
     """
     placement = v["drive.placement"]
     if placement == "site_of_a":
@@ -377,11 +365,14 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     write_csv(out, {**meta, **resolved}, _DYNAMICS_HEADER, rows)
 
 
-def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
+def _entangle_columns(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
+                      gamma_ad=None) -> tuple:
+    """The CSV columns after axis_value at the points of p: the drive, the
+    stationary state and its concurrence of every point from one call of
+    each step."""
+    d = _drive_from_cfg(v, p, unit, gamma_ad)
     state = ss.decayed_steady_state(p, d, _t_end(p))
-    conc = ss.concurrence_closed_form(state)
     return (
-        value,
         p.gamma31_aa,
         p.gamma31_ab,
         p.gamma32_ab,
@@ -397,8 +388,33 @@ def _steady_row(value: float, p: dyn.CouplingParams, d: dyn.DriveSpec):
         state.alpha_minus,
         state.beta.real,
         state.beta.imag,
-        conc,
+        ss.concurrence_closed_form(state),
     )
+
+
+def _sweep_rows(values, columns) -> list:
+    """Rows (value, *columns) of the sweep; columns(n) gives the columns of
+    the first n sweep points from one array call.
+
+    A failing check is reported at the lowest sweep point that fails any
+    check, as a loop over the points in order would report it: each check
+    runs over every point before the next one starts, so a failure at
+    point k is followed by a call on the points before k.  The ConfigError
+    of prepare_drive's Gamma31_DD check passes through at once: that rate is
+    a config value, the same at every point, or gamma31_aa, which
+    CouplingParams checks first, so it fails first at point 0.
+    """
+    n, failure = len(values), None
+    while n:
+        try:
+            cols = columns(n)
+        except dyn.PointError as exc:
+            n, failure = exc.point, exc
+            continue
+        if failure is None:
+            return np.column_stack(np.broadcast_arrays(values, *cols)).tolist()
+        break
+    raise _at_point(values, failure.point, failure) from failure
 
 
 _ENTANGLE_HEADER = [
@@ -430,9 +446,8 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         base = _coupling_from_cfg(v)
         values = _sweep_values(v, lambda value: replace(base, delta_omega_c=value))
 
-        def row(k, value):
-            p = replace(base, delta_omega_c=value)
-            return _steady_row(value, p, _drive_from_cfg(v, p))
+        def columns(n):
+            return _entangle_columns(v, replace(base, delta_omega_c=values[:n]))
 
     else:
         sys0 = _sphere_system(v)
@@ -461,26 +476,27 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         s31aa, s31ab = _rates_at(sys0, values, r, omega31, theta)
         if omega32 is not None:
             s32aa, s32ab = _rates_at(sys0, values, r, omega32, theta)
-            ratios = (s32ab / s32aa).tolist()
+            ratios = s32ab / s32aa
         else:
-            ratios = [ratio32] * len(values)
+            ratios = np.full(len(values), ratio32)
         if equidistant:
-            s_half = _rates_at(sys0, values, r, omega31, [t / 2.0 for t in theta])[1].tolist()
+            s_half = _rates_at(sys0, values, r, omega31, [t / 2.0 for t in theta])[1]
+        detuning = (resonance.omega_c - np.asarray(omega31)) / rate_unit
 
-        def row(k, value):
+        def columns(n):
             p = dyn.CouplingParams(
-                gamma31_aa=float(s31aa[k]) / anchor_a,
-                gamma31_ab=float(s31ab[k]) / anchor_a,
+                gamma31_aa=s31aa[:n] / anchor_a,
+                gamma31_ab=s31ab[:n] / anchor_a,
                 gamma32_aa=1.0,
-                gamma32_ab=ratios[k],
+                gamma32_ab=ratios[:n],
                 delta_omega_c=resonance.delta_omega_c / rate_unit,
-                detuning_delta=(resonance.omega_c - omega31[k]) / rate_unit,
+                detuning_delta=detuning[:n],
                 dipole_shift=v["dynamics.dipole_shift"],
             )
-            gamma_ad = s_half[k] / anchor_a if equidistant else None
-            return _steady_row(value, p, _drive_from_cfg(v, p, anchor_a, gamma_ad))
+            gamma_ad = s_half[:n] / anchor_a if equidistant else None
+            return _entangle_columns(v, p, anchor_a, gamma_ad)
 
-    write_csv(out, meta, _ENTANGLE_HEADER, _rows(values, row))
+    write_csv(out, meta, _ENTANGLE_HEADER, _sweep_rows(values, columns))
 
 
 _COMMANDS = {

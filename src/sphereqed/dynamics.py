@@ -12,6 +12,13 @@ predictor-corrector step once, for one block of steps on unit inputs, and
 then advances block by block with that exact linear map; the history of
 completed blocks enters through FFT convolutions over a hierarchy of tiles.
 
+The closed-form chain (rabi_g, ode_coeffs, amplitude_modes,
+amplitude_closed, prepare_drive) works elementwise: each rate field of
+CouplingParams, each drive amplitude of DriveSpec and each rate argument may
+be an array with one value per point (a sweep), and a float is one point.
+Every check is made per point and raises PointError naming the first point
+that fails it.  volterra_branch and the regime forms take one point.
+
 All rates and frequencies in this module share one unit.  The natural choice
 is Gamma32_AA = 1 (the clock of the irreversible decay channel); conversion
 from the microsphere's Gamma_0 units happens in the CLI layer.
@@ -32,6 +39,26 @@ BRANCHES = ("+", "-")
 VOLTERRA_BLOCK = 256
 
 
+class PointError(ValueError):
+    """A check failed at some points of a call that takes one value per
+    point; point is the flat index of the first point that failed it (0 for
+    a one-point call).  A call makes its checks one after another, so a
+    point before `point` may fail a check made later."""
+
+    def __init__(self, message: str, point: int = 0):
+        super().__init__(message)
+        self.point = point
+
+
+def _check(failed, error) -> None:
+    """Raise at the first point where failed holds: PointError(error, k) for
+    a text error, else the exception error(k) of that point k."""
+    failed = np.ravel(failed)
+    if failed.any():
+        k = int(failed.argmax())
+        raise PointError(error, k) if isinstance(error, str) else error(k)
+
+
 def _branch_sign(branch: str) -> float:
     if branch == "+":
         return 1.0
@@ -48,7 +75,7 @@ class CouplingParams:
     delta_omega_c; gamma32_* damp the upper state into the metastable level.
     detuning_delta is omega_C - omega31; dipole_shift is the coherent
     dipole-dipole coupling of the strong transition (an input knob, 0 by
-    default).
+    default).  Each field is a float or an array with one value per point.
     """
 
     gamma31_aa: float
@@ -60,43 +87,46 @@ class CouplingParams:
     dipole_shift: float = 0.0
 
     def __post_init__(self):
-        if self.gamma31_aa <= 0 or self.gamma32_aa <= 0:
-            raise ValueError("single-atom rates gamma31_aa, gamma32_aa must be > 0")
-        if self.delta_omega_c <= 0:
-            raise ValueError("delta_omega_c must be > 0")
-        if abs(self.gamma31_ab) > self.gamma31_aa * (1 + 1e-12):
-            raise ValueError("|gamma31_ab| must not exceed gamma31_aa")
-        if abs(self.gamma32_ab) > self.gamma32_aa * (1 + 1e-12):
-            raise ValueError("|gamma32_ab| must not exceed gamma32_aa")
+        _check((self.gamma31_aa <= 0) | (self.gamma32_aa <= 0),
+               "single-atom rates gamma31_aa, gamma32_aa must be > 0")
+        _check(self.delta_omega_c <= 0, "delta_omega_c must be > 0")
+        _check(np.abs(self.gamma31_ab) > self.gamma31_aa * (1 + 1e-12),
+               "|gamma31_ab| must not exceed gamma31_aa")
+        _check(np.abs(self.gamma32_ab) > self.gamma32_aa * (1 + 1e-12),
+               "|gamma32_ab| must not exceed gamma32_aa")
 
-    def gamma31_pm(self, branch: str) -> float:
-        return self.gamma31_aa + _branch_sign(branch) * self.gamma31_ab
+    def gamma31_pm(self, branch: str):
+        """Gamma31_AA +- Gamma31_AB, at least 0: the bound above lets
+        |Gamma31_AB| exceed Gamma31_AA by 1e-12 relative, and such a
+        branch is uncoupled (g = 0)."""
+        return np.maximum(self.gamma31_aa + _branch_sign(branch) * self.gamma31_ab, 0.0)
 
-    def gamma32_pm(self, branch: str) -> float:
+    def gamma32_pm(self, branch: str):
         return self.gamma32_aa + _branch_sign(branch) * self.gamma32_ab
 
     @property
-    def g_plus(self) -> float:
+    def g_plus(self):
         return rabi_g(self.gamma31_pm("+"), self.delta_omega_c)
 
     @property
-    def g_minus(self) -> float:
+    def g_minus(self):
         return rabi_g(self.gamma31_pm("-"), self.delta_omega_c)
 
-    def g(self, branch: str) -> float:
+    def g(self, branch: str):
         return rabi_g(self.gamma31_pm(branch), self.delta_omega_c)
 
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Initial drive amplitudes F_pm(0); the drive itself decays as
-    F_pm(t) = F_pm(0) exp(-(i*Delta + dwc) t), which satisfies the
-    source-elimination condition of the closed form identically."""
+    """Initial drive amplitudes F_pm(0), a number or one per point; the
+    drive itself decays as F_pm(t) = F_pm(0) exp(-(i*Delta + dwc) t), which
+    satisfies the source-elimination condition of the closed form
+    identically."""
 
     f_plus0: complex
     f_minus0: complex
 
-    def f0(self, branch: str) -> complex:
+    def f0(self, branch: str):
         return self.f_plus0 if branch == "+" else self.f_minus0
 
 
@@ -109,14 +139,13 @@ class AmplitudeTrajectory:
     c_minus: np.ndarray
 
 
-def rabi_g(gamma31_pm: float, delta_omega_c: float) -> float:
+def rabi_g(gamma31_pm, delta_omega_c):
     """Vacuum Rabi frequency g_pm = sqrt(Gamma31_pm * dwc / 2)."""
-    if gamma31_pm < 0 or delta_omega_c < 0:
-        raise ValueError("rates must be >= 0")
-    return math.sqrt(0.5 * gamma31_pm * delta_omega_c)
+    _check((gamma31_pm < 0) | (delta_omega_c < 0), "rates must be >= 0")
+    return np.sqrt(0.5 * gamma31_pm * delta_omega_c)
 
 
-def ode_coeffs(p: CouplingParams, branch: str) -> tuple[complex, complex]:
+def ode_coeffs(p: CouplingParams, branch: str):
     """Coefficients (a1, a2) of the second-order amplitude ODE
     C'' + a1 C' + a2 C = 0 for the given branch."""
     s = _branch_sign(branch)
@@ -131,32 +160,39 @@ def ode_coeffs(p: CouplingParams, branch: str) -> tuple[complex, complex]:
 def amplitude_modes(p: CouplingParams, d: DriveSpec, branch: str):
     """Exponential-mode decomposition C(t) = sum_k coeff_k t^power_k e^{rate_k t}.
 
-    Returns a list of (coeff, rate, power) with power 0 in the generic case
-    and the single degenerate (power 1) mode when the two ODE roots collide.
+    Returns two modes (coeff, rate, power), each entry one value per point.
+    A point has power 0 in both modes in the generic case.  Where the two
+    ODE roots collide (|q| < 1e-9 |a1|, a removable singularity) the first
+    mode is the degenerate one, (F(0), -a1/2, 1), and the second has
+    coefficient 0 at the same rate.
     """
     a1, a2 = ode_coeffs(p, branch)
-    f0 = complex(d.f0(branch))
-    q = np.sqrt(complex(a1 * a1 - 4.0 * a2))
-    if abs(q) < 1e-9 * max(abs(a1), 1e-30):
-        return [(f0, -a1 / 2.0, 1)]
-    lam1 = (-a1 + q) / 2.0
-    lam2 = (-a1 - q) / 2.0
-    return [(f0 / q, lam1, 0), (-f0 / q, lam2, 0)]
+    f0 = np.asarray(d.f0(branch), dtype=complex)
+    q = np.sqrt(a1 * a1 - 4.0 * a2)
+    double = np.abs(q) < 1e-9 * np.maximum(np.abs(a1), 1e-30)
+    q_or_1 = np.where(double, 1.0, q)
+    half = -a1 / 2.0
+    lam1 = np.where(double, half, (-a1 + q) / 2.0)
+    lam2 = np.where(double, half, (-a1 - q) / 2.0)
+    return [
+        (np.where(double, f0, f0 / q_or_1), lam1, double.astype(int)),
+        (np.where(double, 0.0, -f0 / q_or_1), lam2, 0),
+    ]
 
 
 def amplitude_closed(p: CouplingParams, d: DriveSpec, branch: str, t):
     """Closed-form amplitude C_pm(t) under C(0) = 0, C'(0) = F(0).
 
-    Exact for the exponentially decaying drive model.  Accepts scalar or
-    array t; the degenerate double-root limit F(0) t e^{-a1 t/2} is used when
-    |q| < 1e-9 |a1| (removable singularity).
+    Exact for the exponentially decaying drive model.  t broadcasts
+    against the points of p and d: times of one point, or one time per
+    point.  The degenerate double-root limit F(0) t e^{-a1 t/2} is used at
+    the points where |q| < 1e-9 |a1| (removable singularity).
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    out = np.zeros(t.shape, dtype=complex)
+    out = 0j
     for coeff, rate, power in amplitude_modes(p, d, branch):
         out = out + coeff * t**power * np.exp(rate * t)
-    return complex(out) if scalar else out
+    return out[()]
 
 
 def volterra_branch(
@@ -289,15 +325,15 @@ def prepare_drive(
     """Drive amplitudes produced by a preparation atom D that deposits one
     excitation into the resonance over a quarter Rabi period.
 
-    gd_rates = (Gamma31_DD, Gamma31_AD, Gamma31_BD).  The loss factor
-    exp(-pi*dwc/(2 g_D)) accounts for photon escape during the interaction
-    time Delta t = pi/(2 g_D).
+    gd_rates = (Gamma31_DD, Gamma31_AD, Gamma31_BD), each rate a float or one
+    per point like delta_omega_c.  The loss factor exp(-pi*dwc/(2 g_D))
+    accounts for photon escape during the interaction time
+    Delta t = pi/(2 g_D).
     """
     gamma_dd, gamma_ad, gamma_bd = gd_rates
-    if gamma_dd <= 0:
-        raise ValueError("Gamma31_DD must be > 0")
+    _check(gamma_dd <= 0, "Gamma31_DD must be > 0")
     g_d = rabi_g(gamma_dd, delta_omega_c)
-    loss = math.exp(-math.pi * delta_omega_c / (2.0 * g_d))
+    loss = np.exp(-math.pi * delta_omega_c / (2.0 * g_d))
     # signed squares (Gamma_AD +/- Gamma_BD) dwc / 2; the antisymmetric one
     # flips sign with the labeling of A and B
     gd_plus_sq = 0.5 * (gamma_ad + gamma_bd) * delta_omega_c

@@ -5,6 +5,14 @@ their coherence beta are time integrals of bilinear combinations of the
 amplitudes C_pm(t).  Because the closed-form amplitudes are finite sums of
 t^p e^{lambda t} modes, every integral has an exact closed form; quadrature on
 a sampled trajectory is kept in the test suite as an independent check.
+
+The chain from the closed-form modes to the concurrence (_mode_overlap,
+steady_state_from_params, decayed_steady_state, SteadyState and
+concurrence_closed_form) works elementwise on one value per point, as the
+dynamics chain does: a sweep is one call, a float is one point, and every
+check is made per point and raises a PointError that names the first point
+failing it.  assemble_density, concurrence_oracle and the regime forms take
+one state.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from .dynamics import (
     BRANCHES,
     CouplingParams,
     DriveSpec,
+    PointError,
+    _check,
     amplitude_closed,
     amplitude_modes,
 )
@@ -26,14 +36,15 @@ from .dynamics import (
 BASIS_LABELS = ("11", "12", "21", "22")
 
 
-class UndecayedTrajectoryError(ValueError):
+class UndecayedTrajectoryError(PointError):
     """Trajectory has not decayed at its endpoint; the stationary integrals
     would be truncated."""
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    """(alpha_+, alpha_-, beta) of the stationary density operator.
+    """(alpha_+, alpha_-, beta) of the stationary density operator, each a
+    number or one value per point.
 
     beta may be None when a regime closed form does not provide it (no
     dominant Rabi branch to expand around).
@@ -44,14 +55,12 @@ class SteadyState:
     beta: complex | None
 
     def __post_init__(self):
-        if self.alpha_plus < -1e-12 or self.alpha_minus < -1e-12:
-            raise ValueError("populations must be non-negative")
-        if self.alpha_plus + self.alpha_minus > 1.0 + 1e-9:
-            raise ValueError("alpha_+ + alpha_- must not exceed 1")
+        ap, am = self.alpha_plus, self.alpha_minus
+        _check((ap < -1e-12) | (am < -1e-12), "populations must be non-negative")
+        _check(ap + am > 1.0 + 1e-9, "alpha_+ + alpha_- must not exceed 1")
         if self.beta is not None:
-            bound = self.alpha_plus * self.alpha_minus + 1e-9
-            if abs(self.beta) ** 2 > bound:
-                raise ValueError("|beta|^2 exceeds alpha_+ alpha_- (coherence block not positive)")
+            _check(np.abs(self.beta) ** 2 > ap * am + 1e-9,
+                   "|beta|^2 exceeds alpha_+ alpha_- (coherence block not positive)")
 
 
 @dataclass(frozen=True)
@@ -73,16 +82,17 @@ class TwoQubitDensity:
         object.__setattr__(self, "matrix", m)
 
 
-def _mode_overlap(modes_a, modes_b) -> complex:
-    """integral_0^inf C_a(t) conj(C_b(t)) dt for exponential-mode sums."""
-    total = 0.0 + 0.0j
+def _mode_overlap(modes_a, modes_b):
+    """integral_0^inf C_a(t) conj(C_b(t)) dt for exponential-mode sums, at
+    every point of the modes."""
+    total = 0j
     for ca, la, pa in modes_a:
         for cb, lb, pb in modes_b:
             sigma = la + np.conj(lb)
-            if sigma.real >= 0:
-                raise ValueError("mode integral diverges: non-decaying amplitude product")
+            _check(sigma.real >= 0, "mode integral diverges: non-decaying amplitude product")
             n = pa + pb
-            total += ca * np.conj(cb) * math.factorial(n) / (-sigma) ** (n + 1)
+            # n! for the mode powers n = pa + pb <= 2
+            total = total + ca * np.conj(cb) * np.maximum(n, 1) / (-sigma) ** (n + 1)
     return total
 
 
@@ -97,23 +107,22 @@ def steady_state_from_params(p: CouplingParams, d: DriveSpec) -> SteadyState:
     alpha_plus = 0.5 * g32p * ipp + 0.5 * g32m * imm
     alpha_minus = 0.5 * g32m * ipp + 0.5 * g32p * imm
     beta = 0.5 * g32p * ipm + 0.5 * g32m * np.conj(ipm)
-    return SteadyState(alpha_plus=alpha_plus, alpha_minus=alpha_minus, beta=complex(beta))
+    return SteadyState(alpha_plus=alpha_plus, alpha_minus=alpha_minus, beta=beta)
 
 
 def decayed_steady_state(p: CouplingParams, d: DriveSpec, t_end: float) -> SteadyState:
     """Stationary state from the closed-form modes, once the closed-form
     amplitudes have decayed at t_end.
 
-    Raises UndecayedTrajectoryError unless |C_pm(t_end)| < 1e-6: the
-    stationary integrals run to infinity, and an amplitude still alive at
-    t_end means the horizon is too short.
+    Raises UndecayedTrajectoryError unless |C_pm(t_end)| < 1e-6 at every
+    point (t_end is a number or one per point): the stationary integrals
+    run to infinity, and an amplitude still alive at t_end means the
+    horizon is too short.
     """
     for b in BRANCHES:
-        c_end = amplitude_closed(p, d, b, t_end)
-        if abs(c_end) >= 1e-6:
-            raise UndecayedTrajectoryError(
-                f"|C_{b}(T_end)| = {abs(c_end):.3e} >= 1e-6; extend the trajectory"
-            )
+        c_end = np.ravel(np.abs(amplitude_closed(p, d, b, t_end)))
+        _check(c_end >= 1e-6, lambda k: UndecayedTrajectoryError(
+            f"|C_{b}(T_end)| = {c_end[k]:.3e} >= 1e-6; extend the trajectory", k))
     return steady_state_from_params(p, d)
 
 
@@ -194,29 +203,28 @@ def concurrence_closed_form(s: SteadyState) -> float:
 
     lambda_pm = (1/2){a+^2 + a-^2 - 2[(Re b)^2 - (Im b)^2]}
                 +- (1/2) sqrt([(a+ + a-)^2 - 4(Re b)^2][(a+ - a-)^2 + 4(Im b)^2])
-    and C = sqrt(lambda_+) - sqrt(lambda_-).
+    and C = sqrt(lambda_+) - sqrt(lambda_-), at every point of s.
     """
     if s.beta is None:
         raise ValueError("concurrence needs a definite beta")
-    ap, am = s.alpha_plus, s.alpha_minus
-    br, bi = s.beta.real, s.beta.imag
+    ap, am = np.asarray(s.alpha_plus, dtype=float), np.asarray(s.alpha_minus, dtype=float)
+    beta = np.asarray(s.beta, dtype=complex)
+    br, bi = beta.real, beta.imag
     mid = 0.5 * (ap**2 + am**2 - 2.0 * (br**2 - bi**2))
     rad = ((ap + am) ** 2 - 4.0 * br**2) * ((ap - am) ** 2 + 4.0 * bi**2)
-    if rad < 0:
-        if rad < -1e-9:
-            raise ValueError("inconsistent steady state: negative discriminant")
-        rad = 0.0
-    lam_p = mid + 0.5 * math.sqrt(rad)
-    if lam_p < -1e-9:
-        raise ValueError(f"inconsistent steady state: eigenvalue {lam_p}")
-    if lam_p <= 0.0:
-        return 0.0
+    _check(rad < -1e-9, "inconsistent steady state: negative discriminant")
+    lam_p = mid + 0.5 * np.sqrt(np.where(rad < 0, 0.0, rad))
+    flat = np.ravel(lam_p)
+    _check(flat < -1e-9, lambda k: PointError(
+        f"inconsistent steady state: eigenvalue {float(flat[k])}", k))
     # lambda_- through the product identity lambda_+ lambda_- =
     # (alpha_+ alpha_- - |beta|^2)^2, which avoids the mid - half
-    # cancellation near the positivity boundary
+    # cancellation near the positivity boundary; C = 0 where lambda_+ <= 0
+    zero = lam_p <= 0.0
     det_block = ap * am - (br**2 + bi**2)
-    sq_m = abs(det_block) / math.sqrt(lam_p)
-    return max(math.sqrt(lam_p) - sq_m, 0.0)
+    root = np.sqrt(np.where(zero, 1.0, lam_p))
+    sq_m = np.abs(det_block) / root
+    return np.where(zero, 0.0, np.maximum(root - sq_m, 0.0))[()]
 
 
 def concurrence_oracle(rho) -> float:

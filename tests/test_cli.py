@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import re
@@ -49,6 +50,41 @@ sweep.hi = 0.03
 sweep.count = 4
 """
 
+
+# The + branch is uncoupled (Gamma31_+ = 0); at delta_omega_c = gamma32_aa/2,
+# the middle point of the exact grid 0.25, 0.375, ..., 0.75, its two ODE
+# roots -dwc and -gamma32_aa/2 coincide.
+ROW_SWEEPS = {
+    "explicit": (
+        "entangle.rates = explicit\n"
+        "dynamics.gamma31_aa = 2.0\ndynamics.gamma31_ab = -2.0\n"
+        "dynamics.gamma32_ab = 0.5\ndynamics.delta_omega_c = 0.5\n"
+        "sweep.axis = delta_omega_c\nsweep.lo = 0.25\nsweep.hi = 0.75\nsweep.count = 5\n"
+    ),
+    # across the l = 121 resonance, so that the detuning changes sign
+    "sphere": (
+        "entangle.rates = sphere\n"
+        "resonance.omega_lo = 1.0499\nresonance.omega_hi = 1.0503\n"
+        "resonance.l_lo = 121\nresonance.l_hi = 121\n"
+        "weak.gamma32_ratio = 0.98\ndynamics.dipole_shift = 0.1\n"
+        "anchor.gamma32_aa_over_gamma0 = 0.5\nanchor.gamma0_over_omega_t = 5.6e-5\n"
+        "sweep.axis = omega\nsweep.lo = 1.0501\nsweep.hi = 1.0501008\nsweep.count = 4\n"
+    ),
+}
+ROW_PLACEMENTS = {
+    "explicit": {
+        "site_of_a": "",
+        "equidistant": "drive.placement = equidistant\ndrive.gamma_ad = 0.7\n",
+        "explicit": ("drive.placement = explicit\ndrive.gamma_dd = 2.0\n"
+                     "drive.gamma_ad = 0.7\ndrive.gamma_bd = 0.3\n"),
+    },
+    "sphere": {
+        "site_of_a": "",
+        "equidistant": "drive.placement = equidistant\n",
+        "explicit": ("drive.placement = explicit\ndrive.gamma_dd = 700\n"
+                     "drive.gamma_ad = 400\ndrive.gamma_bd = -399.99\n"),
+    },
+}
 
 DYNAMICS_RATES = (
     "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = 2.0\n"
@@ -334,28 +370,47 @@ class TestExitCodes:
         assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
         assert "sweep point 0 (value 0): " in capsys.readouterr().err
 
-    def test_failing_entangle_row_is_named(self, tmp_path, capsys, monkeypatch):
-        # the rates come from one call per kind; a row that fails afterwards
-        # is named by its own sweep point
-        decayed_steady_state = steady_state.decayed_steady_state
-        rows = []
+    @staticmethod
+    def _entangle_with_undecayed(tmp_path, monkeypatch, undecayed):
+        """Exit status and CSV path of a 4-point sphere-mode entangle sweep
+        whose amplitude C_b(T_end) is 1 at the point undecayed[b]."""
+        amplitude_closed = steady_state.amplitude_closed
 
-        def failing_third(*args):
-            rows.append(args)
-            if len(rows) == 3:
-                raise steady_state.UndecayedTrajectoryError("amplitudes have not decayed")
-            return decayed_steady_state(*args)
+        def alive_at(p, d, branch, t):
+            c = np.array(amplitude_closed(p, d, branch, t))
+            if undecayed.get(branch, c.size) < c.size:
+                c[undecayed[branch]] = 1.0
+            return c
 
-        monkeypatch.setattr(steady_state, "decayed_steady_state", failing_third)
+        monkeypatch.setattr(steady_state, "amplitude_closed", alive_at)
         cfg = tmp_path / "ent.cfg"
         cfg.write_text(
             SPHERE_ENTANGLE.replace("sweep.count = 2", "sweep.count = 4") + RESONANCE_WINDOW
         )
         out = tmp_path / "out.csv"
-        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 2
+        return run_cli(["entangle", "--config", cfg, "--out", out]), out
+
+    def test_failing_entangle_row_is_named(self, tmp_path, capsys, monkeypatch):
+        # the rates come from one call per kind, and every row from one
+        # array call; a point that fails the decay check in it is named by
+        # its own sweep point
+        status, out = self._entangle_with_undecayed(tmp_path, monkeypatch, {"+": 2})
+        assert status == 2
         value = f"{np.linspace(3.0, 3.14, 4)[2]:.12g}"
         err = capsys.readouterr().err
-        assert f"numerical error: sweep point 2 (value {value}): amplitudes have not" in err
+        assert (f"numerical error: sweep point 2 (value {value}): "
+                "|C_+(T_end)| = 1.000e+00 >= 1e-6; extend the trajectory") in err
+        assert not out.exists()
+
+    def test_lowest_failing_entangle_point_is_named(self, tmp_path, capsys, monkeypatch):
+        # point 3 fails the check made first (C_+), point 1 one made later
+        # (C_-): the lower point is named, as a loop over the points would
+        status, out = self._entangle_with_undecayed(tmp_path, monkeypatch, {"+": 3, "-": 1})
+        assert status == 2
+        value = f"{np.linspace(3.0, 3.14, 4)[1]:.12g}"
+        err = capsys.readouterr().err
+        assert (f"numerical error: sweep point 1 (value {value}): "
+                "|C_-(T_end)| = 1.000e+00 >= 1e-6; extend the trajectory") in err
         assert not out.exists()
 
     def test_overflowing_resonance_order_is_named(self, tmp_path, capsys, monkeypatch):
@@ -706,12 +761,71 @@ class TestEntangle:
             assert max(abs(traj.c_plus[-1]), abs(traj.c_minus[-1])) < 1e-6
             state = steady_state.steady_state_from_params(p, d)
             want = (
-                dwc, p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,
+                p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,
                 p.detuning_delta, p.g_plus, p.g_minus, d.f_plus0.real, d.f_plus0.imag,
                 d.f_minus0.real, d.f_minus0.imag, state.alpha_plus, state.alpha_minus,
                 state.beta.real, state.beta.imag, steady_state.concurrence_closed_form(state),
             )
-            assert cli._steady_row(dwc, p, d) == want
+            assert cli._entangle_columns(cfg, p) == want
+
+    @pytest.mark.parametrize("placement", ["site_of_a", "equidistant", "explicit"])
+    @pytest.mark.parametrize("rates", ["explicit", "sphere"])
+    def test_row_does_not_depend_on_its_sweep(self, tmp_path, monkeypatch, rates, placement):
+        # the whole sweep is one call of the chain, and each of its rows is
+        # that of a one-point call, bit for bit.  The point is passed as
+        # one-element arrays: numpy forms a product of two numpy scalars by
+        # its own scalar arithmetic, which may round a complex product
+        # differently from its array loop
+        calls = []
+        entangle_columns = cli._entangle_columns
+
+        def recorded(v, p, unit=1.0, gamma_ad=None):
+            calls.append((v, p, unit, gamma_ad))
+            return entangle_columns(v, p, unit, gamma_ad)
+
+        monkeypatch.setattr(cli, "_entangle_columns", recorded)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(ROW_SWEEPS[rates] + ROW_PLACEMENTS[rates][placement])
+        assert run_cli(["entangle", "--config", cfg, "--out", tmp_path / "out.csv"]) == 0
+        (v, p, unit, gamma_ad), = calls
+        n = int(v["sweep.count"])
+        columns = [np.broadcast_to(c, (n,)) for c in entangle_columns(v, p, unit, gamma_ad)]
+        fields = [getattr(p, f.name) for f in dataclasses.fields(p)]
+        for k in range(n):
+            def point(x):
+                return np.broadcast_to(x, (n,))[k : k + 1]
+
+            p_k = dynamics.CouplingParams(*map(point, fields))
+            one = entangle_columns(v, p_k, unit, None if gamma_ad is None else point(gamma_ad))
+            assert [c[k].tobytes() for c in columns] == [
+                np.broadcast_to(c, (1,)).tobytes() for c in one]
+        if rates == "explicit":
+            # the middle point is a double root of the + branch among generic
+            # points, and its amplitude is the degenerate limit
+            # F(0) t e^{-a1 t/2} (0 for a drive at the site of A, which
+            # leaves the uncoupled branch undriven)
+            d = cli._drive_from_cfg(v, p)
+            assert list(dynamics.amplitude_modes(p, d, "+")[0][2]) == [0, 0, 1, 0, 0]
+            t = np.linspace(0.0, 20.0, 41)
+            c_plus = dynamics.amplitude_closed(p, d, "+", t[:, None])
+            a1 = dynamics.ode_coeffs(p, "+")[0][2]
+            want = d.f_plus0[2] * t * np.exp(-a1 * t / 2.0)
+            assert np.max(np.abs(c_plus[:, 2] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_branch_at_the_coupling_bound_is_uncoupled(self, tmp_path):
+        # |gamma31_ab| may exceed gamma31_aa by 1e-12 relative, so Gamma31_-
+        # is -9e-13 here: that branch is uncoupled (g_- = 0), not an error
+        rates = ("dynamics.gamma31_aa = 2.0\ndynamics.gamma31_ab = 2.0000000000009\n"
+                 "dynamics.gamma32_ab = 0.5\ndynamics.delta_omega_c = 0.3\n")
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(rates)
+        assert run_cli(["dynamics", "--config", cfg, "--out", tmp_path / "dyn.csv"]) == 0
+        cfg.write_text(rates + "entangle.rates = explicit\nsweep.axis = delta_omega_c\n"
+                       "sweep.lo = 0.2\nsweep.hi = 0.4\nsweep.count = 5\n")
+        out = tmp_path / "ent.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "g_minus") == [0.0] * 5
 
     def test_sphere_mode_pipeline(self, tmp_path):
         cfg = tmp_path / "sphere_ent.cfg"

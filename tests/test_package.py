@@ -21,7 +21,9 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
 # B_l formed a second way, for tests only: the rate kernel forms -num/den
 GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError")
 GONE_FROM_STEADY_STATE = ("entanglement_check",)
-GONE_FROM_CLI = ("_given",)
+GONE_FROM_CLI = ("_given",
+                 # the per-point entangle loop: a sweep is one array call
+                 "_steady_row", "_rows")
 GONE_FROM_PACKAGE = ("integrate_alpha_beta", "amplitude_volterra", "sample_closed",
                      *GONE_FROM_SPECIAL)
 
