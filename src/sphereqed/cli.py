@@ -19,6 +19,7 @@ identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -507,7 +508,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process:
+    parsing leaves it unchanged, and main reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="sphereqed",
         description=__doc__,

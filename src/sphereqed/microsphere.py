@@ -44,6 +44,17 @@ BLOCK = 32
 
 # real-frequency grid points per unit omega_T of the resonance search
 GRID_PER_UNIT = 2000
+# (order, grid point) pairs per grid call of the resonance search: the work
+# arrays of the ratio recurrences take about 1.5 kB per pair, so a call
+# stays near 25 MB, and a search of up to 40 orders on 400 grid points
+# makes one call
+_GRID_PAIRS = 2**14
+# relative bracket width at which the resonance search's golden section
+# hands its candidate to Newton.  Measured on 574 searches (the
+# resonance_scan job lists of seeds 0-10, passes 0-3, the demo window and
+# l 60-200 over 1.04-1.06): the root sets stay identical at 1e-5 and first
+# differ at 1e-4, and the narrowest width found is delta_omega_c = 3.6e-7
+HANDOVER_WIDTH = 1e-7
 
 
 class NonConvergenceError(RuntimeError):
@@ -363,10 +374,11 @@ def rates_pm(sys: SphereSystem, omega: float) -> tuple[float, float]:
 
 
 def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
-    """The terms eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at
-    order l, at each frequency of the 1-D array omega, from the single-order
-    ratios h_l/h_{l-1} and j_l/j_{l-1}; l is one order, or a 1-D array of
-    orders, one per frequency.
+    """eps, z1 = k R and z2 = n k R (see _sphere_arguments) and the terms
+    eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at order l, at
+    each frequency of the 1-D array omega, from the single-order ratios
+    h_l/h_{l-1} and j_l/j_{l-1}; l is one order, or a 1-D array of orders,
+    one per frequency.
 
     The first term, and so f and the balance ratio, is NaN at a point where
     k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
@@ -385,7 +397,7 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
             f"Bessel ratio recurrences overflowed for l={np.broadcast_to(l, omega.shape)[k]} "
             f"at omega={omega[k]}"
         )
-    return dh, dj
+    return eps, z1, z2, dh, dj
 
 
 def _balance(t1, t2):
@@ -405,14 +417,39 @@ def _balance(t1, t2):
 def _reduced_denominator(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
     """f = eps D_h - D_j of order l, one order or one per frequency, at each
     frequency of the 1-D array omega (see _order_terms)."""
-    dh, dj = _order_terms(sys, l, omega)
+    *_, dh, dj = _order_terms(sys, l, omega)
     return dh - dj
 
 
 def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
     """The balance ratio of order l, one order or one per frequency, at each
     frequency of the 1-D array omega (see _order_terms and _balance)."""
-    return _balance(*_order_terms(sys, l, omega))
+    return _balance(*_order_terms(sys, l, omega)[3:])
+
+
+def _denominator_slope(sys: SphereSystem, l, omega: np.ndarray):
+    """f (see _reduced_denominator) and its derivative df/domega in closed
+    form, of order l (one order or one per frequency) at each frequency of
+    the 1-D array omega, from one call of the ratio recurrences.
+
+    The log-derivative D(z) = [z f_l(z)]'/f_l(z) obeys
+    dD/dz = (D - D^2 + l(l+1))/z - z, from the Riccati-Bessel equation
+    (DLMF 10.47), so f' = eps' D_h + eps D_h'(z1) z1' - D_j'(z2) z2' with
+    eps' = omega_p^2 (2 omega + i gamma)/(1 - omega^2 - i omega gamma)^2,
+    z1' = 2 pi R and z2' = n' z1 + n z1' = z2 (eps'/(2 eps) + 1/omega),
+    as n' = eps'/(2 n).
+    """
+    eps, z1, z2, dh, dj = _order_terms(sys, l, omega)
+    p = sys.params
+    deps = p.omega_p**2 * (2.0 * omega + 1j * p.gamma) / (
+        1.0 - omega * omega - 1j * omega * p.gamma) ** 2
+    ll = l * (l + 1.0)
+    d_h = dh / eps
+    slope_h = (d_h - d_h * d_h + ll) / z1 - z1
+    slope_j = (dj - dj * dj + ll) / z2 - z2
+    dz1 = 2.0 * math.pi * sys.radius
+    dz2 = z2 * (0.5 * deps / eps + 1.0 / omega)
+    return dh - dj, deps * d_h + eps * slope_h * dz1 - slope_j * dz2
 
 
 def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
@@ -420,30 +457,26 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
     of real starts omega0, of order l: one order, or one per start.
 
     The iterates of all starts move together, whatever their orders: each
-    step makes one call each at omega and omega +/- h over the iterates
-    still active.  An iterate converges when its step falls below 1e-12; it
-    is dropped when the derivative vanishes, when it leaves the region where
-    h_l^(1) is accurate, or after 50 steps.  Returns an array of roots, NaN
-    where a start was dropped.
+    step makes one call of the ratio recurrences over the iterates still
+    active, which gives f and its closed-form derivative
+    (_denominator_slope).  An iterate converges when its step falls below
+    1e-12; it is dropped when the derivative vanishes, when it leaves the
+    region where h_l^(1) is accurate, or after 50 steps.  Returns an array
+    of roots, NaN where a start was dropped.
     """
     om = np.array(omega0, dtype=complex)
     orders = np.broadcast_to(l, om.shape)
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
-        d0 = _reduced_denominator(sys, orders[active], om[active])
-        inside = ~np.isnan(d0)
-        active, d0 = active[inside], d0[inside]
+        f, slope = _denominator_slope(sys, orders[active], om[active])
+        # f is NaN once an iterate leaves the accurate region
+        moving = ~np.isnan(f) & (slope != 0)
+        active = active[moving]
         if not active.size:
             break
-        w, order = om[active], orders[active]
-        h = 1e-7 * np.abs(w)
-        deriv = (_reduced_denominator(sys, order, w + h)
-                 - _reduced_denominator(sys, order, w - h)) / (2.0 * h)
-        moving = deriv != 0
-        active, w = active[moving], w[moving]
-        step = d0[moving] / deriv[moving]
-        om[active] = w - step
+        step = f[moving] / slope[moving]
+        om[active] -= step
         done = np.abs(step) < 1e-12
         roots[active[done]] = om[active[done]]
         active = active[~done]
@@ -460,7 +493,9 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
     order, or one per bracket) on each bracket [a_k, b_k], all brackets
     together, whatever their orders: each step probes the still-open
     brackets in one call, and a bracket closes when it is narrower than
-    1e-12 max(1, |a_k|), or after 60 steps."""
+    HANDOVER_WIDTH max(1, |a_k|), or after 60 steps; the midpoint is a
+    Newton start.  A two-grid-step bracket of GRID_PER_UNIT points per unit
+    closes in about 20 steps (about 43 at a width of 1e-12)."""
     a, b = a.copy(), b.copy()
     orders = np.broadcast_to(l, a.shape)
     x1 = b - _GOLDEN * (b - a)
@@ -479,7 +514,7 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
         f = _denominator_balance(sys, orders[open_], np.where(left, x1[open_], x2[open_]))
         f1[lo], f2[hi] = f[left], f[~left]
         a_open = a[open_]
-        open_ = open_[~(b[open_] - a_open < 1e-12 * np.maximum(1.0, np.abs(a_open)))]
+        open_ = open_[~(b[open_] - a_open < HANDOVER_WIDTH * np.maximum(1.0, np.abs(a_open)))]
         if not open_.size:
             break
     return 0.5 * (a + b)
@@ -496,38 +531,42 @@ def find_resonances(
     Every evaluation reads order l alone, through the log-derivative form
     f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
     from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows,
-    so the orders have no cap.  For each multipole order the balance ratio
-    of the two terms is sampled on a real grid (GRID_PER_UNIT points per
-    unit omega_T, at least 64 across the window) in one call.  The interior
-    local minima of every order are then refined in one stream: one
-    golden-section search on the same ratio and one complex Newton
-    iteration on f, each step a call over the candidates of all orders, one
-    column of the ratio recurrences per candidate, read out at its own
-    order (a few candidates run the scalar loop each).  Converged roots are
-    kept when they fall inside the window, have positive width and suppress
-    f by at least 1e-8 relative to its off-resonance value at
-    omega_c + 3*delta_omega_c (one call each for all candidates); roots of
-    one order closer than 10 widths count once.  A candidate's value never
-    depends on the other candidates of its call, so the roots are exactly
-    those of each order searched alone.
+    so the orders have no cap.  The balance ratio of the two terms is
+    sampled on a real grid (GRID_PER_UNIT points per unit omega_T, at least
+    64 across the window) for every order in one call, one column per
+    (order, grid point) pair, up to _GRID_PAIRS pairs per call.  The
+    interior local minima of every order are then refined in one stream:
+    a golden-section search on the same ratio down to HANDOVER_WIDTH, then
+    a complex Newton iteration on f with its closed-form derivative, each
+    step a call over the candidates of all orders, one column of the ratio
+    recurrences per candidate, read out at its own order (a few candidates
+    run the scalar loop each).  Converged roots are kept when they fall
+    inside the window, have positive width and suppress f by at least 1e-8
+    relative to its off-resonance value at omega_c + 3*delta_omega_c (one
+    call each for all candidates); roots of one order closer than 10
+    widths count once.  A candidate's value never depends on the other
+    candidates of its call, so the roots are exactly those of each order
+    searched alone.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
+    ls = np.fromiter(l_range, dtype=int)
+    if np.any(ls < 1):
+        raise ValueError(f"l={ls[ls < 1][0]} must be >= 1")
     npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)
-    orders, minima = [], []
-    for l in l_range:
-        if l < 1:
-            raise ValueError(f"l={l} must be >= 1")
-        vals = _denominator_balance(sys, l, grid)
-        mid = vals[1:-1]
-        at = np.flatnonzero((mid < vals[:-2]) & (mid < vals[2:]) & (mid < 0.5)) + 1
-        orders += [l] * at.size
-        minima += at.tolist()
-    if not minima:
+    vals = np.empty((len(ls), npts))
+    per_call = max(1, _GRID_PAIRS // npts)
+    for k in range(0, len(ls), per_call):
+        chunk = ls[k : k + per_call]
+        vals[k : k + per_call] = _denominator_balance(
+            sys, np.repeat(chunk, npts), np.tile(grid, len(chunk))).reshape(len(chunk), npts)
+    mid = vals[:, 1:-1]
+    row, minima = np.nonzero((mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid < 0.5))
+    if not minima.size:
         return []
     # every candidate of every order in one refinement stream
-    orders, minima = np.array(orders), np.array(minima)
+    orders, minima = ls[row], minima + 1
     starts = _refine_real_minimum(sys, orders, grid[minima - 1], grid[minima + 1])
     roots = _newton_root(sys, orders, starts)
     wc, dwc = roots.real, -roots.imag

@@ -3,12 +3,14 @@
 Bessel functions come from mpmath half-integer Bessel calls at 40 digits,
 the free-space rates from the closed-form dyadic Green function, the
 Volterra amplitudes from the direct O(N^2) trapezoid-history quadrature and
-the stationary integrals from plain trapezoid quadrature on dense samples:
-none of these goes through the package's recurrences.  The resonance
-search oracle does: it takes its candidates one at a time through the
-package's ratio rows, forms j_l and h_l as its own float64 running products
-of them, and builds the Mie denominator from their raw products instead of
-the package's log-derivative form.
+the stationary integrals from plain trapezoid quadrature on dense samples,
+and the resonance search's f, its derivative and its roots from mpmath
+Bessel calls, mp.diff and mp.findroot: none of these goes through the
+package's recurrences.  The scalar resonance search oracle does: it takes
+its candidates one at a time through the package's ratio rows, forms j_l
+and h_l as its own float64 running products of them, and builds the Mie
+denominator and its derivative from their raw products instead of the
+package's log-derivative form.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from sphereqed.microsphere import (
     BLOCK,
     GRID_PER_UNIT,
+    HANDOVER_WIDTH,
     Resonance,
     permittivity,
     refractive_index,
@@ -109,6 +112,40 @@ def mp_mie_b(omega_p: float, gamma: float, radius: float, l: int, omega: float) 
     num = eps * j2 * riccati("J", z1) - j1 * riccati("J", z2)
     den = eps * j2 * riccati("H1", z1) - h1 * riccati("J", z2)
     return complex(-num / den)
+
+
+def _mp_reduced_denominator(omega_p: float, gamma: float, radius: float, l: int, om):
+    """f = eps D_h(k R) - D_j(n k R) at the mpmath frequency om, in mpmath
+    throughout, with n on the branch Im n >= 0 and D(z) = [z f_l(z)]'/f_l(z)
+    = z f_{l-1}(z)/f_l(z) - l from half-integer-order cylinder functions."""
+    eps = 1 + mp.mpf(omega_p) ** 2 / (1 - om * om - 1j * om * mp.mpf(gamma))
+    n = mp.sqrt(eps)
+    if mp.im(n) < 0:
+        n = -n
+    z1 = 2 * mp.pi * om * mp.mpf(radius)
+    z2 = n * z1
+    half = mp.mpf(1) / 2
+    d_h = z1 * mp.hankel1(l - half, z1) / mp.hankel1(l + half, z1) - l
+    d_j = z2 * mp.besselj(l - half, z2) / mp.besselj(l + half, z2) - l
+    return eps * d_h - d_j
+
+
+def mp_denominator_slope(omega_p: float, gamma: float, radius: float, l: int,
+                         omega: complex) -> complex:
+    """df/domega of the resonance search's f (see _mp_reduced_denominator)
+    by mp.diff at 50 digits."""
+    with mp.workdps(50):
+        return complex(mp.diff(
+            lambda om: _mp_reduced_denominator(omega_p, gamma, radius, l, om), mp.mpc(omega)))
+
+
+def mp_resonance(omega_p: float, gamma: float, radius: float, l: int,
+                 omega0: complex) -> complex:
+    """The root omega_c - i delta_omega_c of f near omega0 by mp.findroot at
+    50 digits."""
+    with mp.workdps(50):
+        return complex(mp.findroot(
+            lambda om: _mp_reduced_denominator(omega_p, gamma, radius, l, om), mp.mpc(omega0)))
 
 
 def mp_collective_rate(
@@ -213,6 +250,32 @@ def _denominator_terms(sys, l: int, omega):
     return eps * j2[l] * rh1, h1[l] * rj2
 
 
+def _denominator_slope(sys, l: int, omega: complex) -> complex:
+    """dF/domega of F = t1 - t2 (see _denominator_terms) at one frequency,
+    by the product rule on the raw products: f_l'(z) = f_{l-1}(z)
+    - (l + 1) f_l(z)/z, [z f_l(z)]'' = (l (l + 1)/z - z) f_l(z), and
+    z2' = n' z1 + n z1' with n' = eps'/(2 n)."""
+    p = sys.params
+    eps = permittivity(p, omega)
+    deps = p.omega_p**2 * (2.0 * omega + 1j * p.gamma) / (
+        1.0 - omega * omega - 1j * omega * p.gamma) ** 2
+    n = refractive_index(p, omega)
+    z1 = size_parameter(omega, sys.radius)
+    z2 = n * z1
+    dz1 = 2.0 * math.pi * sys.radius
+    dz2 = deps / (2.0 * n) * z1 + n * dz1
+    j2 = np.cumprod(sph_jn_ratios(l, z2), axis=0)[:, 0]
+    h1 = np.cumprod(sph_h1n_ratios(l, z1), axis=0)[:, 0]
+    rj2 = z2 * j2[l - 1] - l * j2[l]
+    rh1 = z1 * h1[l - 1] - l * h1[l]
+    dj2 = j2[l - 1] - (l + 1) * j2[l] / z2
+    dh1 = h1[l - 1] - (l + 1) * h1[l] / z1
+    dt1 = (deps * j2[l] * rh1 + eps * dj2 * dz2 * rh1
+           + eps * j2[l] * (l * (l + 1) / z1 - z1) * h1[l] * dz1)
+    dt2 = dh1 * dz1 * rj2 + h1[l] * (l * (l + 1) / z2 - z2) * j2[l] * dz2
+    return complex(dt1 - dt2)
+
+
 def _balance(sys, l: int, omega):
     t1, t2 = _denominator_terms(sys, l, omega)
     denom = abs(t1) + abs(t2)
@@ -228,14 +291,11 @@ def _denominator(sys, l: int, omega: complex) -> complex:
 def _newton_root(sys, l: int, omega0: float):
     om = complex(omega0)
     for _ in range(50):
-        h = 1e-7 * abs(om)
         d0 = _denominator(sys, l, om)
         # NaN below H1_IM_MIN, where h_l^(1) is not accurate
         if cmath.isnan(d0):
             return None
-        dp = _denominator(sys, l, om + h)
-        dm = _denominator(sys, l, om - h)
-        deriv = (dp - dm) / (2.0 * h)
+        deriv = _denominator_slope(sys, l, om)
         if deriv == 0:
             return None
         step = d0 / deriv
@@ -260,7 +320,7 @@ def _golden_minimum(sys, l: int, a: float, b: float) -> float:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
             f2 = _balance(sys, l, x2).item()
-        if b - a < 1e-12 * max(1.0, abs(a)):
+        if b - a < HANDOVER_WIDTH * max(1.0, abs(a)):
             break
     return 0.5 * (a + b)
 
@@ -268,8 +328,10 @@ def _golden_minimum(sys, l: int, a: float, b: float) -> float:
 def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range):
     """sphereqed.microsphere.find_resonances with every candidate refined
     on its own: golden section and Newton steps are single-point calls of
-    the scalar recurrences.  Same grid, thresholds, iteration caps, window
-    and width filters, acceptance checks, dedup rule and sort."""
+    the scalar recurrences, Newton on the raw Mie denominator F with its
+    own closed-form derivative.  Same grid, thresholds, hand-over width,
+    iteration caps, window and width filters, acceptance checks, dedup rule
+    and sort."""
     found = []
     npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
     grid = np.linspace(omega_lo, omega_hi, npts)

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1033,3 +1036,33 @@ def test_readme_lists_every_declared_key():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config keys")[1].split("\n## ")[0]
     assert set(re.findall(r"\b[a-z]+\.[a-z][a-z0-9_]*", section)) == set().union(*tables)
+
+
+def test_main_calls_in_one_process_equal_fresh_processes(tmp_path):
+    # main builds its parser once per process: different subcommands run one
+    # after another in one process, with a config error and an argument
+    # error between them, write the CSVs a fresh process writes for each
+    jobs = {
+        "resonances": RESONANCE_WINDOW,
+        "rates": "rates.omega = 1.0501\n" + THETA_SWEEP,
+        "dynamics": DYNAMICS_RATES,
+        "entangle": REGIME_A_EXPLICIT,
+    }
+    for name, text in jobs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    (tmp_path / "bad.cfg").write_text("rates.no_such_key = 1\n")
+    for run in (1, 2):
+        for name in jobs:
+            assert run_cli([name, "--config", tmp_path / f"{name}.cfg",
+                            "--out", tmp_path / f"{name}-{run}.csv"]) == 0
+            assert run_cli(["rates", "--config", tmp_path / "bad.cfg"]) == 1
+            with pytest.raises(SystemExit):
+                run_cli([name, "--no-such-flag"])
+    assert cli.build_parser() is cli.build_parser()
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    for name in jobs:
+        fresh = tmp_path / f"{name}-fresh.csv"
+        subprocess.run([sys.executable, "-m", "sphereqed.cli", name, "--config",
+                        tmp_path / f"{name}.cfg", "--out", fresh], env=env, check=True)
+        for run in (1, 2):
+            assert (tmp_path / f"{name}-{run}.csv").read_bytes() == fresh.read_bytes()

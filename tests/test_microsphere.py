@@ -8,6 +8,7 @@ from sphereqed import microsphere, special
 from sphereqed.microsphere import (
     BLOCK,
     DrudeLorentzParams,
+    GRID_PER_UNIT,
     NonConvergenceError,
     Resonance,
     SphereSystem,
@@ -25,8 +26,10 @@ from sphereqed.special import H1_IM_MIN, legendre_all
 from oracles import (
     free_space_cross_rate,
     mp_collective_rate,
+    mp_denominator_slope,
     mp_log_derivative,
     mp_mie_b,
+    mp_resonance,
     mp_spherical_h1,
     mp_spherical_j,
     scalar_find_resonances,
@@ -122,7 +125,7 @@ class TestMieCoefficient:
         _, den, _, _ = microsphere._mie_arrays(sys0.params, sys0.radius, 150, np.array([om]), ())
         h = mp_spherical_h1(l, size_parameter(om, sys0.radius))
         omega = np.array([om])
-        dh, dj = microsphere._order_terms(sys0, l, omega)
+        *_, dh, dj = microsphere._order_terms(sys0, l, omega)
         f = microsphere._reduced_denominator(sys0, l, omega)[0]
         assert abs(den[l - 1, 0] / h - f) <= 1e-12 * (abs(dh[0]) + abs(dj[0]))
 
@@ -316,16 +319,17 @@ class TestRatesPm:
 
 @pytest.fixture
 def denominator_args(monkeypatch):
-    """Every omega at which the resonance search evaluates f, the Mie
-    denominator divided by j_l(n k R) h_l(k R)."""
+    """Every omega at which the resonance search evaluates the terms of f,
+    the Mie denominator divided by j_l(n k R) h_l(k R): the grid, golden
+    section, Newton and acceptance calls alike."""
     seen = []
-    denominator = microsphere._reduced_denominator
+    terms = microsphere._order_terms
 
     def spy(sys, l, omega):
         seen.extend(complex(om) for om in np.atleast_1d(omega))
-        return denominator(sys, l, omega)
+        return terms(sys, l, omega)
 
-    monkeypatch.setattr(microsphere, "_reduced_denominator", spy)
+    monkeypatch.setattr(microsphere, "_order_terms", spy)
     return seen
 
 
@@ -485,26 +489,111 @@ class TestBatchedRefinement:
         assert got == sorted(alone, key=lambda r: (r.omega_c, r.l))
 
     def test_refinement_calls_do_not_grow_with_orders(self, fig2_system, monkeypatch):
-        # the refinement of a 4-order band-gap search makes as many calls as
-        # that of each of its orders alone: one stream for all candidates
-        calls = {"_denominator_balance": 0, "_reduced_denominator": 0}
-        for name in calls:
+        # a 4-order band-gap search makes one grid call in all, and its
+        # refinement as many calls as that of each of its orders alone: one
+        # stream for all candidates, and one ratio recurrence call per
+        # Newton step, which gives f and its derivative
+        names = ("_denominator_balance", "_denominator_slope", "_reduced_denominator",
+                 "sph_h1n_ratio")
+        calls = {name: [] for name in names}
+        for name in names:
             def spy(*args, _fn=getattr(microsphere, name), _name=name):
-                calls[_name] += 1
+                # the last argument holds the frequencies or the Bessel arguments
+                calls[_name].append(np.size(args[-1]))
                 return _fn(*args)
 
             monkeypatch.setattr(microsphere, name, spy)
 
-        def refinement_calls(orders):
-            calls.update(dict.fromkeys(calls, 0))
+        def search_calls(orders):
+            for seen in calls.values():
+                seen.clear()
             found = find_resonances(fig2_system, 1.04, 1.06, orders)
             assert len(found) == len(orders)
-            # the real-axis grid is one balance call per order
-            return calls["_denominator_balance"] - len(orders), calls["_reduced_denominator"]
+            # the first balance call is the 65-point grid of every order
+            grid, *golden = calls["_denominator_balance"]
+            assert grid == 65 * len(orders)
+            evaluations = sum(len(calls[name]) for name in names[:3])
+            assert len(calls["sph_h1n_ratio"]) == evaluations
+            return len(golden), len(calls["_denominator_slope"]), len(calls["_reduced_denominator"])
 
-        four = refinement_calls([119, 120, 121, 122])
+        four = search_calls([119, 120, 121, 122])
         for l in (119, 120, 121, 122):
-            assert refinement_calls([l]) == four
+            assert search_calls([l]) == four
+
+    @pytest.mark.parametrize(
+        "omega_lo,omega_hi,orders",
+        [(1.04, 1.06, range(60, 201)), (0.90, 0.995, (63, 64))],
+        ids=["wide", "below-gap"],
+    )
+    def test_one_grid_call_equals_per_order_calls(self, fig2_system, monkeypatch, omega_lo,
+                                                   omega_hi, orders):
+        # the search's one grid call over every (order, grid point) pair
+        # gives, bit for bit, the balance ratios of one call per order
+        balance = microsphere._denominator_balance
+        seen = []
+
+        def spy(sys, l, omega):
+            out = balance(sys, l, omega)
+            seen.append((np.copy(l), np.copy(omega), out))
+            return out
+
+        monkeypatch.setattr(microsphere, "_denominator_balance", spy)
+        find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        l, omega, vals = seen[0]
+        npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
+        grid = np.linspace(omega_lo, omega_hi, npts)
+        assert np.array_equal(l, np.repeat(orders, len(grid)))
+        assert np.array_equal(omega, np.tile(grid, len(orders)))
+        per_order = [balance(fig2_system, order, grid) for order in orders]
+        assert np.array_equal(vals, np.concatenate(per_order))
+
+    def test_grid_split_into_calls_gives_the_same_roots(self, fig2_system, monkeypatch):
+        # past _GRID_PAIRS (order, grid point) pairs the grid takes several
+        # calls, here of three 65-point orders each, with the same roots
+        want = find_resonances(fig2_system, 1.04, 1.06, range(110, 129))
+        monkeypatch.setattr(microsphere, "_GRID_PAIRS", 3 * 65 + 1)
+        assert find_resonances(fig2_system, 1.04, 1.06, range(110, 129)) == want
+
+
+class TestDenominatorSlope:
+    """The closed-form df/domega that Newton takes, and the roots it finds,
+    against the all-mpmath f."""
+
+    @pytest.mark.parametrize(
+        "l,omega",
+        [
+            (115, 1.05),  # a band-gap order
+            (121, None),  # the complex demo root
+            (77, 0.99),  # below the gap, where the mode spacing is finest
+            (5, 0.3 - 0.07j),  # a low order at a complex frequency
+        ],
+    )
+    def test_against_mpmath(self, fig2_system, fig2_resonance, l, omega):
+        if omega is None:
+            omega = complex(fig2_resonance.omega_c, -fig2_resonance.delta_omega_c)
+        p = fig2_system.params
+        f, slope = microsphere._denominator_slope(fig2_system, l, np.array([omega], dtype=complex))
+        want = mp_denominator_slope(p.omega_p, p.gamma, fig2_system.radius, l, omega)
+        # measured: at most 1.4e-13 (l = 5), 2e-14 to 6e-14 elsewhere; a
+        # central difference with step 1e-7 omega is off by 5.6e-7 at l = 77
+        assert abs(slope[0] / want - 1) < 3e-13
+        assert f == microsphere._reduced_denominator(fig2_system, l, np.array([omega]))
+
+    @pytest.mark.parametrize(
+        "omega_lo,omega_hi,l,count",
+        [(1.0499, 1.0503, 121, 1), (1.04, 1.06, 110, 1), (1.04, 1.06, 128, 1),
+         (0.92, 0.93, 70, 2)],
+    )
+    def test_roots_against_mpmath(self, fig2_system, omega_lo, omega_hi, l, count):
+        p = fig2_system.params
+        found = find_resonances(fig2_system, omega_lo, omega_hi, [l])
+        assert len(found) == count
+        for res in found:
+            root = mp_resonance(p.omega_p, p.gamma, fig2_system.radius, l,
+                                complex(res.omega_c, -res.delta_omega_c))
+            # measured: omega_c exact, delta_omega_c within 7.2e-16 relative
+            assert res.omega_c == pytest.approx(root.real, rel=1e-15, abs=0)
+            assert res.delta_omega_c == pytest.approx(-root.imag, rel=2e-15, abs=0)
 
 
 def mp_balance(sys: SphereSystem, l: int, omega: float) -> float:
