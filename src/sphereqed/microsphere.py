@@ -20,10 +20,8 @@ import numpy as np
 from .special import (
     H1_IM_MIN,
     legendre_all,
-    sph_h1n_ratio,
-    sph_h1n_ratios,
-    sph_jn_ratio,
-    sph_jn_ratios,
+    sph_jn_h1n_ratio,
+    sph_jn_h1n_ratios,
 )
 
 # Highest multipole order of the rate sum, to which every block sums: enough
@@ -37,9 +35,15 @@ _TAIL_RTOL = 1e-12
 # orders per window of the geometric tail bound at the l = L_MAX_SUPPORTED cap
 _TAIL_WIDTH = 12
 
-# sweep points that collective_rates evaluates together.  A constant, so a
-# point's value never depends on how a caller groups its points; small, so
-# the work arrays, orders x up to 3 BLOCK columns, stay a few hundred kB.
+# points of a frequency sweep that collective_rates evaluates together.  A
+# block takes sweep points while they need at most 3 BLOCK columns of the j
+# recurrence (k R and n k R per distinct frequency, k r per distinct
+# (frequency, k r) pair) and are at most 2 BLOCK points: 32 points of a
+# frequency sweep, 64 of a delta_r or theta sweep.  So the work arrays,
+# orders x up to 3 BLOCK columns, stay a few hundred kB each; the point cap
+# is measured (over three rate_sweep benchmark passes, blocks of 80 or 94
+# distance points raised the peak RSS by about 0.5 MB, of 64 by 0.1 MB).
+# A point's value does not depend on its block: no column reads another.
 BLOCK = 32
 
 # real-frequency grid points per unit omega_T of the resonance search
@@ -184,9 +188,10 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     """Numerator and denominator of the TM scattering coefficient
     B_l = -num/den for l = 1..lmax (rows) at each frequency of the 1-D array
     omega (complex allowed), and the sph_jn_ratios and sph_h1n_ratios rows
-    at each k r of kr, from one run of each on concat(k R, n k R, kr) and
-    concat(k R, kr).  num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and
-    den = h_l(k R) f, the Mie terms divided by j_l(n k R) (_reduced_terms).
+    at each k r of kr, from one run of the ratio loop for both kinds, j on
+    concat(k R, n k R, kr) and h on concat(k R, kr).
+    num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and den = h_l(k R) f, the
+    Mie terms divided by j_l(n k R) (_reduced_terms).
 
     Only the ratios of j_l(n k R) are formed, and D_j at k R and at n k R
     come from the same code: a vacuum sphere gives num = 0 exactly.  B_l is
@@ -195,8 +200,7 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     """
     eps, z1, z2 = _sphere_arguments(params, radius, omega)
     m = len(z1)
-    rj = sph_jn_ratios(lmax, np.concatenate([z1, z2, kr]))
-    rh = sph_h1n_ratios(lmax, np.concatenate([z1, kr]))
+    rj, rh = sph_jn_h1n_ratios(lmax, np.concatenate([z1, z2, kr]), np.concatenate([z1, kr]))
     rj1, rj2, q1 = rj[:, :m], rj[1:, m : 2 * m], rh[:, :m]
     ls = np.arange(1, lmax + 1)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -211,8 +215,9 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
 def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
                  omega: np.ndarray, lmax: int):
     """Per-order contributions to Gamma_AA/Gamma_0 for l = 1..lmax (rows) at
-    each point (columns), and a Legendre-free magnitude envelope; order 0
-    carries no weight and is not part of the series.
+    each point (columns), and a Legendre-free magnitude envelope of the last
+    2 _TAIL_WIDTH orders, which is all _tail_bound reads; order 0 carries no
+    weight and is not part of the series.
 
     The cross rate Gamma_AB differs only by the factor P_l(cos theta), and
     the single-atom rate has P_l(1) = 1.  |terms| = weight * |Re h(j + Bh)|
@@ -220,35 +225,42 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     scattered phase rotates; env_mag = weight * (j^2 + |B h| |h|) is
     monotone in the tail and supplies a clean geometric decay rate.
     |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.  The
-    terms are built per distinct (frequency, k r), the Mie arrays per
-    distinct frequency and the Bessel rows per distinct k r: a theta sweep
-    builds one column of each, a delta_r sweep one Mie column.
+    terms and the Bessel rows at k r are built per distinct (frequency, k r),
+    the Mie arrays per distinct frequency: a theta sweep builds one column
+    of each, a delta_r sweep one Mie column.  The rows of j_l(k r) and
+    h_l(k r) are formed in the array the ratio loop wrote, which is let go
+    before the terms are weighted.
     """
     kr = 2.0 * math.pi * omega * r
     (omega, kr), at_point = np.unique(np.stack([omega, kr]), axis=1, return_inverse=True)
     freqs, at_freq = np.unique(omega, return_inverse=True)
-    krs, at_kr = np.unique(kr, return_inverse=True)
-    num, den, rj, rh = _mie_arrays(params, radius, lmax, freqs, krs)
+    num, den, rj, rh = _mie_arrays(params, radius, lmax, freqs, kr)
     # B_l = -num/den, and 0 where the denominator vanishes
     with np.errstate(divide="ignore", invalid="ignore"):
         bl = np.where(np.abs(den) > 0, -num / den, 0.0)
-    # a float64 product: Re h_l is off j_l by 8.65e-12 at l = 90, z = 80
+    del num, den
+    # j_l and h_l at k r, the running products of the ratio rows, in place.
+    # A float64 product: Re h_l is off j_l by 8.65e-12 at l = 90, z = 80
     # (4.4e-15 when formed in 80-bit long double)
-    hr = np.cumprod(rh, axis=0)[1:, at_kr]
-    scattered = bl[:, at_freq] * hr
-    del num, den, bl, rh
-    env_mag = np.abs(scattered)
-    env_mag *= np.abs(hr)
-    jr = np.cumprod(rj, axis=0)[1:, at_kr]
-    del rj
-    env_mag += np.abs(jr) ** 2
+    jr = np.cumprod(rj, axis=0, out=rj)[1:]
+    hr = np.cumprod(rh, axis=0, out=rh)[1:]
+    scattered = np.take(bl, at_freq, axis=1)
+    scattered *= hr
+    del bl
+    tail = slice(-2 * _TAIL_WIDTH, None)
+    env_mag = np.abs(scattered[tail])
+    env_mag *= np.abs(hr[tail])
+    env_mag += np.abs(jr[tail]) ** 2
     # h (j + B h), the scattered part already holding B h
     scattered += jr
-    del jr
     scattered *= hr
+    del rj, rh, jr, hr
     ls = np.arange(1, lmax + 1, dtype=float)[:, None]
     weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
-    return (weight * scattered.real)[:, at_point], (weight * env_mag)[:, at_point]
+    terms = weight * scattered.real
+    del scattered
+    env_mag *= weight[tail]
+    return terms[:, at_point], env_mag[:, at_point]
 
 
 def _five_term_sums(terms: np.ndarray, env: np.ndarray):
@@ -295,12 +307,14 @@ def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     with np.errstate(invalid="ignore", over="ignore"):
         terms, env_mag = _rate_orders(params, radius, r, omega, L_MAX_SUPPORTED)
         cosines, at_cos = np.unique(cos_theta, return_inverse=True)
-        p_l = legendre_all(L_MAX_SUPPORTED, cosines)[1:, at_cos]
+        # the cross-rate terms, P_l(cos theta) times the terms
+        cross = legendre_all(L_MAX_SUPPORTED, cosines)[1:, at_cos]
+        cross *= terms
         env_re = np.abs(terms)
         bound = _tail_bound(env_re, env_mag)
         rates = np.empty((2, len(omega)))
         failed = np.zeros(len(omega), dtype=bool)
-        for which, series in enumerate((terms, terms * p_l)):
+        for which, series in enumerate((terms, cross)):
             settled_sum, settled, full_sum = _five_term_sums(series, env_re)
             rates[which] = np.where(settled, settled_sum, full_sum)
             # 1e-5 Gamma_0 absolute floor, far below any resolvable
@@ -325,10 +339,13 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     cos(theta) between the dipole directions.  r, omega and cos_theta
     broadcast against each other; both results have the broadcast shape.
 
-    Points are evaluated BLOCK at a time: the Bessel, Mie and Legendre
-    recurrences loop over the order l and run for every point of a block at
-    once, every block to the l = 300 cap, and the per-order terms are shared
-    by Gamma_AA and Gamma_AB.  Each multipole sum is the partial sum where
+    Points are evaluated in blocks sized by their recurrence columns (see
+    BLOCK): 32 points of a frequency sweep, 64 of a distance or angle sweep.
+    The Bessel, Mie and Legendre recurrences loop over the order l and run
+    for every point of a block at once, the Bessel ratios of both kinds in
+    one run, every block to the l = 300 cap, and the per-order terms are
+    shared by Gamma_AA and Gamma_AB.  A point's rates are the bits of a
+    call on that point alone.  Each multipole sum is the partial sum where
     five consecutive term envelopes first fall below 1e-12 of the running
     total.  Close to the surface the scattered part only decays
     geometrically as (R/r)^{2l}; for a sum that has not settled by the cap,
@@ -349,11 +366,28 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     shape = omega.shape
     r, omega, cos_theta = r.ravel(), omega.ravel(), cos_theta.ravel()
     rates = np.empty((2, omega.size))
-    for start in range(0, omega.size, BLOCK):
-        block = slice(start, start + BLOCK)
+    kr = 2.0 * math.pi * omega * r
+    start = 0
+    while start < omega.size:
+        block = slice(start, _block_end(omega, kr, start))
         rates[:, block] = _block_rates(
             params, radius, r[block], omega[block], cos_theta[block], start)
+        start = block.stop
     return rates[0].reshape(shape), rates[1].reshape(shape)
+
+
+def _block_end(omega: np.ndarray, kr: np.ndarray, start: int) -> int:
+    """The end of the block of collective_rates from point start: the most
+    points, up to 2 BLOCK, whose distinct frequencies and (frequency, k r)
+    pairs take up to 3 BLOCK columns of the j recurrence (see BLOCK)."""
+    window = slice(start, start + 2 * BLOCK)
+    freqs, pairs = set(), set()
+    for count, point in enumerate(zip(omega[window].tolist(), kr[window].tolist())):
+        freqs.add(point[0])
+        pairs.add(point)
+        if 2 * len(freqs) + len(pairs) > 3 * BLOCK:
+            return start + count
+    return min(start + 2 * BLOCK, len(omega))
 
 
 def collective_rate(sys: SphereSystem, omega: float, same_atom: bool = False) -> float:
@@ -377,8 +411,8 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     """eps, z1 = k R and z2 = n k R (see _sphere_arguments) and the terms
     eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at order l, at
     each frequency of the 1-D array omega, from the single-order ratios
-    h_l/h_{l-1} and j_l/j_{l-1}; l is one order, or a 1-D array of orders,
-    one per frequency.
+    j_l/j_{l-1} at n k R and h_l/h_{l-1} at k R, both from one run of the
+    ratio loop; l is one order, or a 1-D array of orders, one per frequency.
 
     The first term, and so f and the balance ratio, is NaN at a point where
     k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
@@ -386,8 +420,7 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     OverflowError, naming the order and frequency of the first such point.
     """
     eps, z1, z2 = _sphere_arguments(sys.params, sys.radius, omega)
-    q = sph_h1n_ratio(l, z1)
-    r = sph_jn_ratio(l, z2)
+    r, q = sph_jn_h1n_ratio(l, z2, z1)
     dh, dj = _reduced_terms(eps, z1, q, z2, r, l)
     finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
     finite |= np.imag(z1) < H1_IM_MIN

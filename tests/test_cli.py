@@ -418,18 +418,18 @@ class TestExitCodes:
 
     def test_overflowing_resonance_order_is_named(self, tmp_path, capsys, monkeypatch):
         # one search over all orders; its error names the order
-        sph_jn_ratio = ms.sph_jn_ratio
+        ratios = ms.sph_jn_h1n_ratio
 
-        def overflowing(l, z):
-            out = sph_jn_ratio(l, z)
-            out[-1] = np.inf
-            return out
+        def overflowing(l, jz, hz):
+            r, q = ratios(l, jz, hz)
+            r[-1] = np.inf
+            return r, q
 
-        def second_order_overflowing(l, z):
-            out = sph_jn_ratio(l, z)
+        def second_order_overflowing(l, jz, hz):
+            r, q = ratios(l, jz, hz)
             if np.ndim(l):
-                out[np.asarray(l) == 121] = np.inf
-            return out
+                r[np.asarray(l) == 121] = np.inf
+            return r, q
 
         cfg = tmp_path / "res.cfg"
         out = tmp_path / "out.csv"
@@ -438,7 +438,7 @@ class TestExitCodes:
         for ratio, window in ((overflowing, RESONANCE_WINDOW),
                               (second_order_overflowing,
                                RESONANCE_WINDOW.replace("l_lo = 121", "l_lo = 120"))):
-            monkeypatch.setattr(ms, "sph_jn_ratio", ratio)
+            monkeypatch.setattr(ms, "sph_jn_h1n_ratio", ratio)
             cfg.write_text(window)
             assert run_cli(["resonances", "--config", cfg, "--out", out]) == 2
             err = capsys.readouterr().err

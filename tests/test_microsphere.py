@@ -179,82 +179,100 @@ class TestCollectiveRate:
 
 
 class TestBlockKernel:
-    def test_block_invariance_across_distance_sweep(self, fig2_system):
-        # 40 points cross a block boundary and mix near-surface points, whose
-        # series need the l = 300 cap, with far ones that settle early
-        dr = np.linspace(0.05, 3.0, 40)
-        assert len(dr) > BLOCK
+    @pytest.mark.parametrize("axis", ["omega", "theta", "delta_r"])
+    def test_block_invariance_across_sweeps(self, fig2_system, axis):
+        # sweeps over more than one block give each point the bits of a call
+        # of its own: no column of a block reads another.  Every sum of the
+        # omega and theta sweeps at delta_r = 0.14 needs the l = 300 cap, and
+        # so do the near points of the distance sweep, whose far ones settle
+        # early
         sys0 = fig2_system
-        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.radius + dr, 1.0501, -1.0)
-        assert gaa.shape == gab.shape == dr.shape
-        for k, d in enumerate(dr):
-            one = SphereSystem(sys0.params, sys0.radius, d, sys0.theta)
-            want_aa = collective_rate(one, 1.0501, same_atom=True)
-            want_ab = collective_rate(one, 1.0501, same_atom=False)
-            assert abs(gaa[k] - want_aa) <= 1e-9 * (abs(want_aa) + 1.0)
-            assert abs(gab[k] - want_ab) <= 1e-9 * (abs(want_ab) + 1.0)
+        r, omega, cos_theta = sys0.r, 1.0501, -1.0
+        if axis == "omega":
+            omega = np.linspace(1.04, 1.0535, BLOCK + 9)
+        elif axis == "theta":
+            cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK + 9))
+        else:
+            r = sys0.radius + np.linspace(0.05, 3.0, 2 * BLOCK + 9)
+        gaa, gab = collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+        r, omega, cos_theta = np.broadcast_arrays(r, omega, cos_theta)
+        assert gaa.shape == gab.shape == omega.shape
+        for k in range(omega.size):
+            one_aa, one_ab = collective_rates(sys0.params, sys0.radius, r[k], omega[k],
+                                              cos_theta[k])
+            assert one_aa == gaa[k] and one_ab == gab[k]
 
     @staticmethod
     def spy_ratio_runs(monkeypatch):
-        """The argument arrays of every sph_jn_ratios and sph_h1n_ratios
-        call the rate kernel makes, and of every run of a ratio loop."""
+        """The j and h argument arrays of every sph_jn_h1n_ratios call the
+        rate kernel makes, and the name of every run of a ratio loop."""
         calls = {"j": [], "h": [], "loops": []}
-        for name, key in (("sph_jn_ratios", "j"), ("sph_h1n_ratios", "h")):
-            def spy(lmax, z, fn=getattr(microsphere, name), key=key):
-                calls[key].append(np.array(z))
-                return fn(lmax, z)
-            monkeypatch.setattr(microsphere, name, spy)
-        for name in ("_jn_ratio_columns", "_jn_ratio_loop",
-                     "_h1n_ratio_columns", "_h1n_ratio_loop"):
+        rows = microsphere.sph_jn_h1n_ratios
+
+        def spy(lmax, jz, hz):
+            calls["j"].append(np.array(jz))
+            calls["h"].append(np.array(hz))
+            return rows(lmax, jz, hz)
+
+        monkeypatch.setattr(microsphere, "sph_jn_h1n_ratios", spy)
+        for name in ("_ratio_columns", "_jn_ratio_loop", "_h1n_ratio_loop"):
             def loop(*args, fn=getattr(special, name), name=name):
                 calls["loops"].append(name)
                 return fn(*args)
             monkeypatch.setattr(special, name, loop)
         return calls
 
-    def test_one_j_and_one_h_run_per_block(self, fig2_system, monkeypatch):
+    def test_one_ratio_run_per_block(self, fig2_system, monkeypatch):
         sys0 = fig2_system
         omega = np.linspace(1.0495, 1.0505, BLOCK)
         calls = self.spy_ratio_runs(monkeypatch)
         microsphere._rate_orders(sys0.params, sys0.radius, np.full(BLOCK, sys0.r), omega, 150)
-        # concat(k R, n k R, k r) and concat(k R, k r), each argument once
+        # j on concat(k R, n k R, k r) and h on concat(k R, k r), each
+        # argument once, in one run of the column loop
         assert [len(z) for z in calls["j"]] == [3 * BLOCK]
         assert [len(z) for z in calls["h"]] == [2 * BLOCK]
-        assert sorted(calls["loops"]) == ["_h1n_ratio_columns", "_jn_ratio_columns"]
+        assert calls["loops"] == ["_ratio_columns"]
 
     def test_distance_sweep_passes_distinct_arguments(self, fig2_system, monkeypatch):
         # one frequency: one k R and one n k R, and a k r per distance, in
-        # the one j run and the one h run of the block
+        # the one ratio run of a block; 2 BLOCK distances fill a block, and
+        # the next ten make a second one
         sys0 = fig2_system
-        dr = np.linspace(0.5, 3.0, 20)
+        dr = np.linspace(0.5, 3.0, 2 * BLOCK + 10)
         calls = self.spy_ratio_runs(monkeypatch)
         collective_rates(sys0.params, sys0.radius, sys0.radius + dr, 1.0501, -1.0)
-        [j], [h] = calls["j"], calls["h"]
-        assert len(j) == len(np.unique(j)) == 2 + len(dr)
-        assert len(h) == 1 + len(dr)
+        assert len(calls["j"]) == len(calls["h"]) == 2
+        for j, h, count in zip(calls["j"], calls["h"], (2 * BLOCK, 10)):
+            assert len(j) == len(np.unique(j)) == 2 + count
+            assert len(h) == 1 + count
+        assert calls["loops"] == ["_ratio_columns", "_ratio_columns"]
 
     @pytest.mark.parametrize("axis", ["omega", "theta", "delta_r"])
     def test_one_rate_orders_call_per_block_at_the_cap(self, fig2_system, monkeypatch, axis):
-        # a figure3-window omega block, a theta block, and a distance sweep
-        # over two blocks whose near points need the cap and far ones do not
+        # a figure3-window omega sweep over two blocks of BLOCK points (3
+        # BLOCK j columns each), a theta sweep in one block of 2 BLOCK
+        # points, and a 150-point distance sweep over three blocks whose
+        # near points need the cap and far ones do not
         sys0 = fig2_system
         r, omega, cos_theta = sys0.r, 1.0501, -1.0
         if axis == "omega":
-            omega = np.linspace(1.04, 1.0535, BLOCK)
+            omega = np.linspace(1.04, 1.0535, 2 * BLOCK)
         elif axis == "theta":
-            cos_theta = np.cos(np.linspace(0.0, math.pi, BLOCK))
+            cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK))
         else:
-            r = sys0.radius + np.linspace(0.05, 3.0, 40)
-        orders = []
+            r = sys0.radius + np.linspace(0.05, 3.0, 150)
+        sizes = []
         rate_orders = microsphere._rate_orders
 
         def spy(params, radius, r, omega, lmax):
-            orders.append(lmax)
+            sizes.append((lmax, len(omega)))
             return rate_orders(params, radius, r, omega, lmax)
 
         monkeypatch.setattr(microsphere, "_rate_orders", spy)
-        gaa, _ = collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
-        assert orders == [300] * math.ceil(gaa.size / BLOCK)
+        collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
+        blocks = {"omega": [BLOCK, BLOCK], "theta": [2 * BLOCK],
+                  "delta_r": [2 * BLOCK, 2 * BLOCK, 150 - 4 * BLOCK]}[axis]
+        assert sizes == [(300, size) for size in blocks]
 
     @pytest.mark.parametrize("axis", ["omega", "delta_r"])
     def test_repeated_points_give_identical_rates(self, fig2_system, axis):
@@ -430,14 +448,14 @@ class TestBatchedRefinement:
     def test_overflowed_column_raises(self, fig2_system, monkeypatch):
         # a non-finite ratio column is raised, naming l and omega, instead
         # of being dropped
-        sph_jn_ratio = microsphere.sph_jn_ratio
+        ratios = microsphere.sph_jn_h1n_ratio
 
-        def overflowing(l, z):
-            out = sph_jn_ratio(l, z)
-            out[-1] = np.inf
-            return out
+        def overflowing(l, jz, hz):
+            r, q = ratios(l, jz, hz)
+            r[-1] = np.inf
+            return r, q
 
-        monkeypatch.setattr(microsphere, "sph_jn_ratio", overflowing)
+        monkeypatch.setattr(microsphere, "sph_jn_h1n_ratio", overflowing)
         with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502"):
             microsphere._reduced_denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
         # with one order per column the error names the failing column's
@@ -448,13 +466,13 @@ class TestBatchedRefinement:
 
         # in a two-order window only order 121 overflows, and only in the
         # refinement stream, where both orders share one call
-        def second_order_overflowing(l, z):
-            out = sph_jn_ratio(l, z)
+        def second_order_overflowing(l, jz, hz):
+            r, q = ratios(l, jz, hz)
             if np.ndim(l):
-                out[np.asarray(l) == 121] = np.inf
-            return out
+                r[np.asarray(l) == 121] = np.inf
+            return r, q
 
-        monkeypatch.setattr(microsphere, "sph_jn_ratio", second_order_overflowing)
+        monkeypatch.setattr(microsphere, "sph_jn_h1n_ratio", second_order_overflowing)
         with pytest.raises(OverflowError, match=r"overflowed for l=121 at omega="):
             find_resonances(fig2_system, 1.04, 1.06, [120, 121])
 
@@ -494,7 +512,7 @@ class TestBatchedRefinement:
         # stream for all candidates, and one ratio recurrence call per
         # Newton step, which gives f and its derivative
         names = ("_denominator_balance", "_denominator_slope", "_reduced_denominator",
-                 "sph_h1n_ratio")
+                 "sph_jn_h1n_ratio")
         calls = {name: [] for name in names}
         for name in names:
             def spy(*args, _fn=getattr(microsphere, name), _name=name):
@@ -513,7 +531,7 @@ class TestBatchedRefinement:
             grid, *golden = calls["_denominator_balance"]
             assert grid == 65 * len(orders)
             evaluations = sum(len(calls[name]) for name in names[:3])
-            assert len(calls["sph_h1n_ratio"]) == evaluations
+            assert len(calls["sph_jn_h1n_ratio"]) == evaluations
             return len(golden), len(calls["_denominator_slope"]), len(calls["_reduced_denominator"])
 
         four = search_calls([119, 120, 121, 122])

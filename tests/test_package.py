@@ -8,7 +8,7 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "riccati_deriv", "legendre_p", "_check_order",
                      "riccati_deriv_all", "_sph_jn_columns", "_RESCALE",
                      "_sph_h1n_columns", "_per_point",
-                     # the per-order column loops: one column loop per kind now
+                     # the per-order column loops, folded into the column loops
                      "_jn_order_columns", "_h1n_order_columns", "_ratio_rows",
                      # the rate sum's cap, which special never read: now in microsphere
                      "L_MAX_SUPPORTED",
@@ -17,7 +17,11 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "sph_jn_all", "sph_h1n_all", "_running_product",
                      # the scalar-only forms: every function gives one column
                      # per argument, NaN below the h_l^(1) line
-                     "_is_array", "_below_h1_line", "RecurrenceDomainError")
+                     "_is_array", "_below_h1_line", "RecurrenceDomainError",
+                     # the column loop per kind and its helpers: one column
+                     # loop runs j and h columns together
+                     "_jn_ratio_columns", "_h1n_ratio_columns", "_odd_over_z",
+                     "_columns_by", "_column_orders", "_order_ratio")
 # B_l formed a second way, for tests only: the rate kernel forms -num/den
 GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError")
 GONE_FROM_STEADY_STATE = ("entanglement_check",)

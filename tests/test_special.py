@@ -7,12 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sphereqed import special
 from sphereqed.microsphere import DrudeLorentzParams, refractive_index, size_parameter
 from sphereqed.special import (
     H1_IM_MIN,
     legendre_all,
     sph_h1n_ratio,
     sph_h1n_ratios,
+    sph_jn_h1n_ratio,
+    sph_jn_h1n_ratios,
     sph_jn_ratio,
     sph_jn_ratios,
 )
@@ -380,7 +383,7 @@ class TestHankelRatioRows:
     @pytest.mark.parametrize("count", [4, len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
                              ids=["scalar loop", "column loop"])
     def test_last_row_is_the_single_order_ratio(self, ratios, ratio, count):
-        # the rows and the single-order ratio run one loop per kind, which
+        # the rows and the single-order ratio run the same loop, which
         # keeps the last lmax ratios or the last one
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])[:count]
         for l in (1, 121, 300):
@@ -457,6 +460,53 @@ class TestOrderPerArgument:
                              (np.full((2, 1), 5), z[:2])):
             with pytest.raises(ValueError, match=re.escape(f"{orders.shape} for {len(args)} arg")):
                 ratio(orders, args)
+
+
+class TestMixedRun:
+    """One run of the column loop over j and h columns together: every
+    column has the bits of a one-kind call on one argument, which runs the
+    scalar loop."""
+
+    @pytest.mark.parametrize("h_orders", [MIXED_ORDERS, (1, 7, 64)], ids=["mixed", "low"])
+    def test_columns_of_one_run(self, h_orders):
+        # j columns first, then h; j orders cycle through MIXED_ORDERS, and
+        # every other column keeps all l_k ratios instead of the last one.
+        # With low h orders the h columns join inside the rows the j
+        # columns write, which until then step alone
+        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
+        jcount = len(z) // 2
+        orders = np.concatenate([mixed_orders(jcount), np.resize(h_orders, len(z) - jcount)])
+        depths = np.where(np.arange(len(z)) % 2, orders, 1)
+        assert set(depths[:jcount]) > {1} and set(depths[jcount:]) > {1}
+        rows = np.empty((depths.max(), len(z)), dtype=complex)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            special._ratio_columns(orders, depths, z, jcount, rows)
+        for k, (l, depth, zk) in enumerate(zip(orders.tolist(), depths.tolist(), z)):
+            got = rows[len(rows) - depth :, k]
+            if k < jcount:
+                # from order l_k down
+                want = sph_jn_ratio(l, zk) if depth == 1 else sph_jn_ratios(l, zk)[:0:-1, 0]
+            else:
+                want = sph_h1n_ratio(l, zk) if depth == 1 else sph_h1n_ratios(l, zk)[1:, 0]
+            assert np.array_equal(got, want)
+
+    def test_both_kinds_from_one_call(self):
+        # the pair functions, with the rows and with one order per argument,
+        # with both kinds on the scalar loop (3 arguments and 1), j alone on
+        # the column loop (9 and 4) and both on it (21 and 10)
+        jz, hz = DEMO_J_ARGS, np.resize(H_ROW_ARGS, len(DEMO_J_ARGS))
+        orders = mixed_orders(len(jz))
+        for count in (3, 9, len(jz)):
+            js, hs = jz[:count], hz[: count // 2]
+            rj, rh = sph_jn_h1n_ratios(121, js, hs)
+            assert rj.shape == (122, count) and rh.shape == (122, count // 2)
+            assert np.array_equal(rj, np.hstack([sph_jn_ratios(121, z) for z in js]))
+            assert np.array_equal(rh, np.hstack([sph_h1n_ratios(121, z) for z in hs]),
+                                  equal_nan=True)
+            r, q = sph_jn_h1n_ratio(orders[:count], jz[:count], hz[:count])
+            for l, zj, zh, rk, qk in zip(orders.tolist(), jz, hz, r, q):
+                assert rk == sph_jn_ratio(l, zj)[0]
+                assert np.array_equal(qk, sph_h1n_ratio(l, zh)[0], equal_nan=True)
 
 
 class TestBesselRatioDomain:
