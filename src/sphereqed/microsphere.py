@@ -187,8 +187,8 @@ def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
 def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr):
     """Numerator and denominator of the TM scattering coefficient
     B_l = -num/den for l = 1..lmax (rows) at each frequency of the 1-D array
-    omega (complex allowed), and the sph_jn_ratios and sph_h1n_ratios rows
-    at each k r of kr, from one run of the ratio loop for both kinds, j on
+    omega (complex allowed), and the j_l and h_l^(1) rows at each k r of kr,
+    from one sph_jn_h1n_ratios run for both kinds, j on
     concat(k R, n k R, kr) and h on concat(k R, kr).
     num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and den = h_l(k R) f, the
     Mie terms divided by j_l(n k R) (_reduced_terms).
@@ -296,9 +296,11 @@ def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
 
 
 def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
-                 omega: np.ndarray, cos_theta: np.ndarray, start: int):
+                 omega: np.ndarray, legendre: np.ndarray, start: int):
     """collective_rates for one block of points, in one pass to the
-    L_MAX_SUPPORTED cap.
+    L_MAX_SUPPORTED cap.  legendre holds P_l(cos theta) of each point from
+    l = 1, a column-major copy of the block's own in which the cross-rate
+    terms are formed, so that the sums over l run along memory.
 
     Each sum takes the five-term rule where it settles; a column that does
     not settle takes its full sum when the tail bound beyond the cap allows.
@@ -306,9 +308,8 @@ def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     in the block, as its point."""
     with np.errstate(invalid="ignore", over="ignore"):
         terms, env_mag = _rate_orders(params, radius, r, omega, L_MAX_SUPPORTED)
-        cosines, at_cos = np.unique(cos_theta, return_inverse=True)
-        # the cross-rate terms, P_l(cos theta) times the terms
-        cross = legendre_all(L_MAX_SUPPORTED, cosines)[1:, at_cos]
+        # the cross-rate terms, P_l(cos theta) times the terms, in place
+        cross = legendre
         cross *= terms
         env_re = np.abs(terms)
         bound = _tail_bound(env_re, env_mag)
@@ -367,11 +368,17 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     r, omega, cos_theta = r.ravel(), omega.ravel(), cos_theta.ravel()
     rates = np.empty((2, omega.size))
     kr = 2.0 * math.pi * omega * r
-    start = 0
+    start, cosines = 0, None
     while start < omega.size:
         block = slice(start, _block_end(omega, kr, start))
+        # P_l of the block's distinct cosines, kept while the next block has
+        # the same ones (every block of an omega or r sweep); the fancy index
+        # gives each block a column-major copy
+        distinct, at_cos = np.unique(cos_theta[block], return_inverse=True)
+        if not np.array_equal(distinct, cosines):
+            cosines, rows = distinct, legendre_all(L_MAX_SUPPORTED, distinct)[1:]
         rates[:, block] = _block_rates(
-            params, radius, r[block], omega[block], cos_theta[block], start)
+            params, radius, r[block], omega[block], rows[:, at_cos], start)
         start = block.stop
     return rates[0].reshape(shape), rates[1].reshape(shape)
 

@@ -11,14 +11,14 @@ forms the running product of the rows.
 Every function ravels its argument and returns one column per argument; a
 scalar is one argument.  Both kinds come from one three-term recurrence,
 x <- (2n + 1)/z - 1/x, run in opposite directions (Gautschi 1967, SIAM
-Rev. 9, 24): x = h_{n+1}/h_n upward from h_1/h_0, x = j_{n-1}/j_n downward
-from a Miller start.  So one column loop serves both kinds, in any mix: numpy
-runs each step for all columns at once, two calls per step, and column k
-runs to its own order l_k and keeps its last d_k ratios, all lmax of them
-for sph_jn_ratios and sph_h1n_ratios, one for sph_jn_ratio and
-sph_h1n_ratio.  sph_jn_h1n_ratios and sph_jn_h1n_ratio give both kinds
-from one run; the one-kind functions are that run with no columns of the
-other kind.
+Rev. 9, 24): x = h_{n+1}/h_n upward from h_1/h_0 = 1/z - i, and
+x = j_{n-1}/j_n downward from a Miller start, the continued fraction of
+Lentz (1976, Appl. Opt. 15, 668).  So one column loop serves both kinds, in
+any mix: numpy runs each step for all columns at once, two calls per step,
+and column k runs to its own order l_k and keeps its last d_k ratios.  The
+two entry points give both kinds from one run, sph_jn_h1n_ratios all lmax
+rows and sph_jn_h1n_ratio the ratio of order l; a kind with no arguments
+gives an empty result.
 Up to _SCALAR_POINTS (6) arguments of a kind a scalar loop per argument
 runs instead, which is faster there and gives the same bits.  The
 single-order ratios also take one order per argument: one run of the
@@ -46,10 +46,6 @@ _ODD_SIZE = 8192
 # up to this many arguments of a kind a scalar loop per argument beats the
 # column loop
 _SCALAR_POINTS = 6
-
-# no arguments: the other kind of a one-kind call
-_NONE = np.empty(0, dtype=complex)
-
 
 def _arguments(l, z) -> np.ndarray:
     """z raveled to a 1-D complex array, one column per argument, after the
@@ -204,10 +200,18 @@ def _ratios(l, jz: np.ndarray, hz: np.ndarray, rows: np.ndarray) -> None:
 
 
 def sph_jn_h1n_ratios(lmax: int, jz, hz) -> tuple[np.ndarray, np.ndarray]:
-    """(sph_jn_ratios(lmax, jz), sph_h1n_ratios(lmax, hz)) from one run of
-    the column loop, whose lmax write steps fill rows lmax..1 of the j
-    columns and rows 1..lmax of the h columns of one array in place; the
-    j rows are a view of it from the other end."""
+    """The rows 0..lmax of j_l at each argument of jz and of h_l^(1) at each
+    of hz, one column per argument, from one run of the column loop: j_0 or
+    h_0 = -i e^{iz}/z in row 0 and the ratios f_n/f_{n-1} in rows n >= 1.
+    The lmax write steps fill rows lmax..1 of the j columns and rows 1..lmax
+    of the h columns of one array in place; the j rows are a view of it from
+    the other end.  h has no seed, so h row n is the ratio of order n.
+
+    j row 0 is j_0 = sin z / z, or j_1/(j_1/j_0) where |j_1| is the larger:
+    the two have no common zeros, so the product is always anchored well
+    (j_0 alone fails near sin z = 0); it is non-finite where j_0 leaves
+    float64.
+    """
     jz, hz = _arguments(lmax, jz), _arguments(lmax, hz)
     nj = len(jz)
     both = np.empty((lmax + 2, nj + len(hz)), dtype=complex)
@@ -224,79 +228,17 @@ def sph_jn_h1n_ratios(lmax: int, jz, hz) -> tuple[np.ndarray, np.ndarray]:
     return rj, rh
 
 
-def sph_jn_ratios(lmax: int, z) -> np.ndarray:
-    """j_0(z) in row 0 and the ratios j_n(z)/j_{n-1}(z) in rows n = 1..lmax,
-    lmax >= 1 and complex z != 0: the running product of the rows is j_l,
-    and the ratio rows stay bounded where j_l itself leaves float64.
-
-    The ratios come from the continued fraction of sph_jn_ratio, run once
-    from _miller_start(lmax, |z|): the loops of sph_jn_ratio(lmax, z), which
-    here keep all lmax ratios instead of the last one.  Row 0 is
-    j_0 = sin z / z, or j_1/(j_1/j_0) where |j_1| is the larger: the two
-    have no common zeros, so the product is always anchored well (j_0 alone
-    fails near sin z = 0); it is non-finite where j_0 leaves float64.
-    """
-    return sph_jn_h1n_ratios(lmax, z, _NONE)[0]
-
-
-def sph_h1n_ratios(lmax: int, z) -> np.ndarray:
-    """h_0^(1)(z) = -i e^{iz}/z in row 0 and the ratios h_n(z)/h_{n-1}(z) in
-    rows n = 1..lmax, lmax >= 1 and complex z != 0: the running product of
-    the rows is h_l^(1), and the ratio rows stay bounded where h_l
-    overflows.
-
-    The ratios come from the upward recurrence of sph_h1n_ratio, run once:
-    the loops of sph_h1n_ratio(lmax, z), which here keep all lmax ratios
-    instead of the last one, so row n is sph_h1n_ratio(n, z).
-    An argument below H1_IM_MIN gets a NaN column.
-    """
-    return sph_jn_h1n_ratios(lmax, _NONE, z)[1]
-
-
-def _order_ratios(l, jz: np.ndarray, hz: np.ndarray):
-    """The ratios of order l of j_l at each argument of jz and h_l^(1) at
-    each of hz, where l is an order or one per argument of concat(jz, hz)
-    (_ratios with depth 1); NaN for h below H1_IM_MIN."""
+def sph_jn_h1n_ratio(l, jz, hz) -> tuple[np.ndarray, np.ndarray]:
+    """(j_l/j_{l-1} at each argument of jz, h_l^(1)/h_{l-1}^(1) at each of
+    hz): the last row of sph_jn_h1n_ratios(l, jz, hz), from the same loops.
+    l is one order, or a 1-D array of orders that serves both kinds, one per
+    argument of jz and one per argument of hz."""
+    jz, hz = _arguments(l, jz), _arguments(l, hz)
     rows = np.empty((1, len(jz) + len(hz)), dtype=complex)
-    _ratios(l, jz, hz, rows)
+    _ratios(np.concatenate([l, l]) if np.ndim(l) else l, jz, hz, rows)
     r, q = rows[0, : len(jz)], rows[0, len(jz) :]
     q[hz.imag < H1_IM_MIN] = np.nan
     return r, q
-
-
-def sph_jn_h1n_ratio(l, jz, hz) -> tuple[np.ndarray, np.ndarray]:
-    """(sph_jn_ratio(l, jz), sph_h1n_ratio(l, hz)) from one run of the
-    column loop; l is one order, or a 1-D array of orders that serves both,
-    one per argument of jz and one per argument of hz."""
-    jz, hz = _arguments(l, jz), _arguments(l, hz)
-    return _order_ratios(np.concatenate([l, l]) if np.ndim(l) else l, jz, hz)
-
-
-def sph_jn_ratio(l, z):
-    """j_l(z)/j_{l-1}(z) for l >= 1 and complex z != 0, one value per
-    argument; l is one order, or a 1-D array of orders, one per argument.
-
-    The ratio r_n = j_n/j_{n-1} obeys 1/r_n = (2n+1)/z - r_{n+1}, run
-    downward as a continued fraction from r = 0 above _miller_start(l, |z|):
-    only one bounded number per point, so nothing overflows where j_l itself
-    leaves float64 (Lentz 1976, Appl. Opt. 15, 668).  With an array of
-    orders one run serves every argument, each started and ended at its own
-    order, so an argument's ratio is the bits a call of its order alone
-    gives.  It is row l of sph_jn_ratios(l, z), from the same loops.
-    """
-    return _order_ratios(l, _arguments(l, z), _NONE)[0]
-
-
-def sph_h1n_ratio(l, z):
-    """h_l^(1)(z)/h_{l-1}^(1)(z) for l >= 1 and complex z != 0, one value per
-    argument, by the upward recurrence q_{n+1} = (2n+1)/z - 1/q_n from
-    h_1/h_0 = 1/z - i: bounded where h_l itself overflows.  l is one order,
-    or a 1-D array of orders, one per argument: one run serves every
-    argument, each ended at its own order, with the bits of a call of its
-    order alone.  It is row l of sph_h1n_ratios(lmax, z) for any lmax >= l,
-    from the same loops, and NaN below H1_IM_MIN alike.
-    """
-    return _order_ratios(l, _NONE, _arguments(l, z))[1]
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:

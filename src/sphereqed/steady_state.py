@@ -32,10 +32,6 @@ from .dynamics import (
     amplitude_modes,
 )
 
-# computational two-qubit basis ordering used for every 4x4 matrix here
-BASIS_LABELS = ("11", "12", "21", "22")
-
-
 class UndecayedTrajectoryError(PointError):
     """Trajectory has not decayed at its endpoint; the stationary integrals
     would be truncated."""

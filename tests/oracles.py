@@ -31,7 +31,7 @@ from sphereqed.microsphere import (
     resonance_kind,
     size_parameter,
 )
-from sphereqed.special import sph_h1n_ratios, sph_jn_ratios
+from sphereqed.special import sph_jn_h1n_ratios
 
 mp.mp.dps = 40
 
@@ -243,8 +243,7 @@ def _denominator_terms(sys, l: int, omega):
     eps = permittivity(sys.params, omega)
     z1 = size_parameter(omega, sys.radius)
     z2 = refractive_index(sys.params, omega) * z1
-    j2 = np.cumprod(sph_jn_ratios(l, z2), axis=0)
-    h1 = np.cumprod(sph_h1n_ratios(l, z1), axis=0)
+    j2, h1 = (np.cumprod(rows, axis=0) for rows in sph_jn_h1n_ratios(l, z2, z1))
     rj2 = z2 * j2[l - 1] - l * j2[l]
     rh1 = z1 * h1[l - 1] - l * h1[l]
     return eps * j2[l] * rh1, h1[l] * rj2
@@ -264,8 +263,7 @@ def _denominator_slope(sys, l: int, omega: complex) -> complex:
     z2 = n * z1
     dz1 = 2.0 * math.pi * sys.radius
     dz2 = deps / (2.0 * n) * z1 + n * dz1
-    j2 = np.cumprod(sph_jn_ratios(l, z2), axis=0)[:, 0]
-    h1 = np.cumprod(sph_h1n_ratios(l, z1), axis=0)[:, 0]
+    j2, h1 = (np.cumprod(rows, axis=0)[:, 0] for rows in sph_jn_h1n_ratios(l, z2, z1))
     rj2 = z2 * j2[l - 1] - l * j2[l]
     rh1 = z1 * h1[l - 1] - l * h1[l]
     dj2 = j2[l - 1] - (l + 1) * j2[l] / z2

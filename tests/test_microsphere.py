@@ -274,6 +274,28 @@ class TestBlockKernel:
                   "delta_r": [2 * BLOCK, 2 * BLOCK, 150 - 4 * BLOCK]}[axis]
         assert sizes == [(300, size) for size in blocks]
 
+    @pytest.mark.parametrize("axis", ["theta", "delta_r"])
+    def test_legendre_rows_once_per_run_of_equal_cosines(self, fig2_system, monkeypatch, axis):
+        # a 150-point distance sweep over three blocks has one cosine, so one
+        # legendre_all call serves every block; the two blocks of a theta
+        # sweep have cosines of their own, one call each
+        sys0 = fig2_system
+        r, cos_theta = sys0.r, -1.0
+        if axis == "theta":
+            cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK + 9))
+        else:
+            r = sys0.radius + np.linspace(0.05, 3.0, 150)
+        sizes = []
+        legendre_all = microsphere.legendre_all
+
+        def spy(lmax, x):
+            sizes.append(np.size(x))
+            return legendre_all(lmax, x)
+
+        monkeypatch.setattr(microsphere, "legendre_all", spy)
+        collective_rates(sys0.params, sys0.radius, r, 1.0501, cos_theta)
+        assert sizes == {"theta": [2 * BLOCK, 9], "delta_r": [1]}[axis]
+
     @pytest.mark.parametrize("axis", ["omega", "delta_r"])
     def test_repeated_points_give_identical_rates(self, fig2_system, axis):
         sys0 = fig2_system

@@ -1,4 +1,6 @@
+import ast
 import inspect
+import pathlib
 
 import sphereqed
 from sphereqed import cli, microsphere, special, steady_state
@@ -21,10 +23,16 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      # the column loop per kind and its helpers: one column
                      # loop runs j and h columns together
                      "_jn_ratio_columns", "_h1n_ratio_columns", "_odd_over_z",
-                     "_columns_by", "_column_orders", "_order_ratio")
+                     "_columns_by", "_column_orders", "_order_ratio",
+                     # the one-kind ratio functions: the pair functions give
+                     # both kinds from one run, and a kind may have no arguments
+                     "sph_jn_ratios", "sph_h1n_ratios", "sph_jn_ratio", "sph_h1n_ratio",
+                     "_NONE", "_order_ratios")
 # B_l formed a second way, for tests only: the rate kernel forms -num/den
 GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError")
-GONE_FROM_STEADY_STATE = ("entanglement_check",)
+GONE_FROM_STEADY_STATE = ("entanglement_check",
+                          # TwoQubitDensity's docstring states the basis order
+                          "BASIS_LABELS")
 GONE_FROM_CLI = ("_given",
                  # the per-point entangle loop: a sweep is one array call
                  "_steady_row", "_rows")
@@ -42,3 +50,26 @@ def test_public_names_resolve_and_removed_names_stay_gone():
     assert [n for n in GONE_FROM_CLI if hasattr(cli, n)] == []
     # one grid density is ever used: a module constant, not an option
     assert "grid_per_unit" not in inspect.signature(microsphere.find_resonances).parameters
+
+
+# the layer modules whose public functions and classes need a package caller
+LAYERS = ("special", "microsphere", "dynamics", "steady_state", "cli", "config")
+
+
+def test_every_public_name_is_used_or_exported():
+    """Every public function or class of a layer is read by package code (a
+    name or an attribute, docstrings not counted) or exported in __all__."""
+    src = pathlib.Path(sphereqed.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.update(sphereqed.__all__)
+    unused = [f"{module}.{node.name}" for module in LAYERS for node in trees[module].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

@@ -12,12 +12,8 @@ from sphereqed.microsphere import DrudeLorentzParams, refractive_index, size_par
 from sphereqed.special import (
     H1_IM_MIN,
     legendre_all,
-    sph_h1n_ratio,
-    sph_h1n_ratios,
     sph_jn_h1n_ratio,
     sph_jn_h1n_ratios,
-    sph_jn_ratio,
-    sph_jn_ratios,
 )
 
 from oracles import (
@@ -39,18 +35,35 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def ratios(kind, l, z, rows=False):
+    """One kind of the pair functions, j_l (kind 'J') or h_l^(1) ('H1'):
+    the rows 0..l of sph_jn_h1n_ratios if rows, else the ratio of order l of
+    sph_jn_h1n_ratio.  The other kind gets no arguments, or, for an array of
+    orders, which holds one order per argument of each kind, the same
+    arguments, and its half is dropped."""
+    pair = sph_jn_h1n_ratios if rows else sph_jn_h1n_ratio
+    other = z if np.ndim(l) else ()
+    rj, rh = pair(l, z, other) if kind == "J" else pair(l, other, z)
+    return rj if kind == "J" else rh
+
+
+# the kinds of the single-order ratio and of the rows, under their test ids
+RATIO_KINDS = [pytest.param("J", id="sph_jn_ratio"), pytest.param("H1", id="sph_h1n_ratio")]
+ROW_KINDS = [pytest.param("J", id="sph_jn_ratios"), pytest.param("H1", id="sph_h1n_ratios")]
+
+
 def jn(lmax, z):
-    """j_l(z) for l = 0..lmax: the float64 running product of the rows of
-    sph_jn_ratios, as the rate kernel forms it."""
+    """j_l(z) for l = 0..lmax: the float64 running product of the j rows,
+    as the rate kernel forms it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumprod(sph_jn_ratios(lmax, z), axis=0)
+        return np.cumprod(ratios("J", lmax, z, rows=True), axis=0)
 
 
 def h1n(lmax, z):
-    """h_l^(1)(z) for l = 0..lmax: the float64 running product of the rows
-    of sph_h1n_ratios, as the rate kernel forms it."""
+    """h_l^(1)(z) for l = 0..lmax: the float64 running product of the h
+    rows, as the rate kernel forms it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumprod(sph_h1n_ratios(lmax, z), axis=0)
+        return np.cumprod(ratios("H1", lmax, z, rows=True), axis=0)
 
 
 def riccati(kind, l, z):
@@ -82,7 +95,7 @@ class TestSphericalJ:
         assert jn(3, z)[0, 0] == 1.0
         assert rel_err(jn(3, z)[3, 0], z**3 / 105.0) < 1e-14
         with pytest.raises(ValueError):
-            sph_jn_ratios(3, 0.0)
+            ratios("J", 3, 0.0, rows=True)
 
     def test_near_sin_zero_normalization(self):
         # kr = 6*pi sits at a zero of sin z; the l=0-only normalization fails there
@@ -126,12 +139,12 @@ class TestSphericalH1:
 
     def test_diverges_at_zero(self):
         with pytest.raises(ValueError):
-            sph_h1n_ratios(1, 0.0)
+            ratios("H1", 1, 0.0, rows=True)
 
     def test_overflow_signalled(self):
         # the ratio rows stay finite where h_l overflows, and the product
         # shows the overflow as non-finite values, not as finite wrong ones
-        assert np.all(np.isfinite(sph_h1n_ratios(300, 0.5)))
+        assert np.all(np.isfinite(ratios("H1", 300, 0.5, rows=True)))
         assert not np.all(np.isfinite(h1n(300, 0.5)))
 
     @pytest.mark.parametrize("l,z", [(60, 45.0), (15, 8.0 - 2.0j), (110, 90.0 + 10.0j)])
@@ -157,7 +170,7 @@ class TestHankelBelowAxis:
 
     @pytest.mark.parametrize("l,z", [(39, 22.3 - 20.8j), (69, 59.7 - 13.6j)])
     def test_refused_below_the_line(self, l, z):
-        assert np.isnan(sph_h1n_ratios(l, z)).all()
+        assert np.isnan(ratios("H1", l, z, rows=True)).all()
         assert np.isnan(riccati("H1", l, z))
         # among other arguments the refused column is non-finite and the
         # others are computed as before
@@ -229,7 +242,9 @@ H_ARGS = np.array(
 
 class TestArrayArguments:
     """A 1-D argument array gives one column per argument, whose running
-    product equals the scalar call's to 1e-13 relative."""
+    product equals the scalar call's to 1e-13 relative.  The Legendre
+    columns are the scalar call's bits, so a rate point's cross rate does not
+    depend on the other cosines of its block."""
 
     @pytest.mark.parametrize("lmax", [1, 40, 150])
     def test_sph_jn_columns(self, lmax):
@@ -256,7 +271,7 @@ class TestArrayArguments:
         x = np.array([-1.0, -0.3, 0.0, 0.5, 0.9999, 1.0])
         cols = legendre_all(200, x)
         for k, xk in enumerate(x):
-            assert np.all(np.abs(cols[:, k] - legendre_all(200, xk)[:, 0]) <= 1e-13)
+            assert np.array_equal(cols[:, k], legendre_all(200, xk)[:, 0])
         with pytest.raises(ValueError):
             legendre_all(3, np.array([0.5, 1.5]))
 
@@ -278,7 +293,7 @@ DEMO_J_ARGS = np.concatenate([
 
 
 def test_jn_product_at_demo_arguments():
-    """The running product of the sph_jn_ratios rows, on both paths, against
+    """The running product of the j rows, on both paths, against
     mpmath, to 1e-13 of max(|j_l|, |y_l|): the scale of h_l, which does not
     vanish where j_l nears a zero."""
     cols = jn(200, DEMO_J_ARGS)
@@ -312,30 +327,28 @@ class TestBesselRatios:
     @pytest.mark.parametrize("kind", ["J", "H1"])
     def test_against_multiprecision(self, name, kind):
         l, z1, z2 = RATIO_POINTS[name]
-        ratio = sph_jn_ratio if kind == "J" else sph_h1n_ratio
         # the search reads j_l at n k R and h_l at k R; j_l is checked at both
         for z in (z1, z2) if kind == "J" else (z1,):
-            cols = ratio(l, z)
+            cols = ratios(kind, l, z)
             for k, zk in enumerate(z):
                 want = mp_bessel_ratio(kind, l, zk)
-                assert abs(ratio(l, zk)[0] - want) <= 1e-12 * abs(want)
+                assert abs(ratios(kind, l, zk)[0] - want) <= 1e-12 * abs(want)
                 assert abs(cols[k] - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("kind", ["J", "H1"])
     def test_scalar_and_column_paths_agree(self, name, kind):
         l, z1, z2 = RATIO_POINTS[name]
-        ratio = sph_jn_ratio if kind == "J" else sph_h1n_ratio
         z = np.concatenate([z1, z2]) if kind == "J" else z1
-        cols = ratio(l, z)
+        cols = ratios(kind, l, z)
         assert cols.shape == z.shape
         for k, zk in enumerate(z):
-            (one,) = ratio(l, zk)
+            (one,) = ratios(kind, l, zk)
             # the two paths make the same operations (they agree to the
             # last bit with numpy 2.4), so a point's ratio does not depend
             # on the other arguments of its call
             assert abs(cols[k] - one) <= 1e-15 * abs(one)
             # a one-element array takes the scalar loop
-            assert ratio(l, z[k : k + 1])[0] == one
+            assert ratios(kind, l, z[k : k + 1])[0] == one
 
 
 # k R of the demo sphere at real and complex frequencies, k r, and
@@ -348,14 +361,14 @@ H_ROW_ARGS = np.concatenate([
 
 
 class TestHankelRatioRows:
-    """The rows of sph_h1n_ratios, h_0 and h_n/h_{n-1}, on the column loop
-    (all arguments in one call) and on the scalar loop (one argument)."""
+    """The h rows, h_0 and h_n/h_{n-1}, on the column loop (all arguments in
+    one call) and on the scalar loop (one argument)."""
 
     def test_against_multiprecision(self):
-        cols = sph_h1n_ratios(300, H_ROW_ARGS)
+        cols = ratios("H1", 300, H_ROW_ARGS, rows=True)
         assert cols.shape == (301, len(H_ROW_ARGS))
         for k, z in enumerate(H_ROW_ARGS):
-            one = sph_h1n_ratios(300, z)[:, 0]
+            one = ratios("H1", 300, z, rows=True)[:, 0]
             for l in (1, 121, 300):
                 want = mp_bessel_ratio("H1", l, z)
                 assert abs(cols[l, k] - want) <= 1e-12 * abs(want)
@@ -363,44 +376,45 @@ class TestHankelRatioRows:
             want = mp_spherical_h1(0, z)
             assert abs(cols[0, k] - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("ratios", [sph_jn_ratios, sph_h1n_ratios])
-    def test_scalar_and_column_loops_agree_bit_for_bit(self, ratios):
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_scalar_and_column_loops_agree_bit_for_bit(self, kind):
         # a point's rows do not depend on the other arguments of its call,
         # so the rate kernel's values do not depend on how points are grouped
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
-        cols = ratios(300, z)
+        cols = ratios(kind, 300, z, rows=True)
         for k, zk in enumerate(z):
-            assert np.array_equal(cols[:, k], ratios(300, np.array([zk]))[:, 0], equal_nan=True)
+            one = ratios(kind, 300, np.array([zk]), rows=True)[:, 0]
+            assert np.array_equal(cols[:, k], one, equal_nan=True)
 
-    @pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
-    def test_single_order_loops_agree_bit_for_bit(self, ratio):
+    @pytest.mark.parametrize("kind", RATIO_KINDS)
+    def test_single_order_loops_agree_bit_for_bit(self, kind):
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
         for l in (1, 121, 300):
-            assert np.array_equal(ratio(l, z), [ratio(l, zk)[0] for zk in z])
+            assert np.array_equal(ratios(kind, l, z), [ratios(kind, l, zk)[0] for zk in z])
 
-    @pytest.mark.parametrize("ratios,ratio", [(sph_jn_ratios, sph_jn_ratio),
-                                              (sph_h1n_ratios, sph_h1n_ratio)])
+    @pytest.mark.parametrize("kind", [pytest.param("J", id="sph_jn_ratios-sph_jn_ratio"),
+                                      pytest.param("H1", id="sph_h1n_ratios-sph_h1n_ratio")])
     @pytest.mark.parametrize("count", [4, len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
                              ids=["scalar loop", "column loop"])
-    def test_last_row_is_the_single_order_ratio(self, ratios, ratio, count):
+    def test_last_row_is_the_single_order_ratio(self, kind, count):
         # the rows and the single-order ratio run the same loop, which
         # keeps the last lmax ratios or the last one
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])[:count]
         for l in (1, 121, 300):
-            assert np.array_equal(ratios(l, z)[l], ratio(l, z))
-        if ratio is sph_h1n_ratio:
+            assert np.array_equal(ratios(kind, l, z, rows=True)[l], ratios(kind, l, z))
+        if kind == "H1":
             # the upward run has no seed: every row is the ratio of its order
-            rows = ratios(300, z)
+            rows = ratios(kind, 300, z, rows=True)
             for n in range(1, 301):
-                assert np.array_equal(rows[n], ratio(n, z))
+                assert np.array_equal(rows[n], ratios(kind, n, z))
 
     def test_domain(self):
         below = 20.0 + (H1_IM_MIN - 0.5) * 1j
-        assert np.isnan(sph_h1n_ratios(5, below)).all()
-        rows = sph_h1n_ratios(5, np.array([below, 20.0]))
+        assert np.isnan(ratios("H1", 5, below, rows=True)).all()
+        rows = ratios("H1", 5, np.array([below, 20.0]), rows=True)
         assert np.isnan(rows[:, 0]).all() and np.isfinite(rows[:, 1]).all()
         with pytest.raises(ValueError):
-            sph_h1n_ratios(5, np.array([1.0, 0.0]))
+            ratios("H1", 5, np.array([1.0, 0.0]), rows=True)
 
 
 # orders of a many-order resonance search, one per argument, cycling
@@ -412,31 +426,30 @@ def mixed_orders(n):
     return np.resize(MIXED_ORDERS, n)
 
 
-@pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
+@pytest.mark.parametrize("kind", RATIO_KINDS)
 class TestOrderPerArgument:
-    """sph_jn_ratio and sph_h1n_ratio with one order per argument: one
-    recurrence run serves arguments of many orders."""
+    """The single-order ratios with one order per argument: one recurrence
+    run serves arguments of many orders."""
 
-    def test_bits_of_single_order_calls(self, ratio):
+    def test_bits_of_single_order_calls(self, kind):
         # the column loop seeds and reads out each argument at its own
         # order, so its value is the bits of a call of that order alone,
         # on the scalar loop and on the column loop of one order
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
         orders = mixed_orders(len(z))
-        cols = ratio(orders, z)
+        cols = ratios(kind, orders, z)
         assert cols.shape == z.shape
-        one_order = {l: ratio(l, z) for l in MIXED_ORDERS}
+        one_order = {l: ratios(kind, l, z) for l in MIXED_ORDERS}
         for k, (l, zk) in enumerate(zip(orders.tolist(), z)):
-            assert np.array_equal(cols[k], ratio(l, zk)[0], equal_nan=True)
+            assert np.array_equal(cols[k], ratios(kind, l, zk)[0], equal_nan=True)
             assert np.array_equal(cols[k], one_order[l][k], equal_nan=True)
         # up to the scalar-loop size the loop runs per argument
-        few = ratio(orders[:4], z[:4])
+        few = ratios(kind, orders[:4], z[:4])
         assert np.array_equal(few, cols[:4], equal_nan=True)
 
-    def test_against_multiprecision_at_mixed_orders(self, ratio):
+    def test_against_multiprecision_at_mixed_orders(self, kind):
         # the RATIO_POINTS of orders 1, 121, 300 and 1000 in one call; j_l
         # is read at k R and n k R, h_l at k R
-        kind = "J" if ratio is sph_jn_ratio else "H1"
         points = [RATIO_POINTS[name] for name in ("complex omega", "band gap", "l = 300",
                                                   "l = 1000")]
         orders = np.concatenate([np.full(len(z1), l) for l, z1, _ in points])
@@ -445,27 +458,27 @@ class TestOrderPerArgument:
             orders = np.concatenate([orders, orders])
             z = np.concatenate([z] + [z2 for _, _, z2 in points])
         assert len(z) > 6  # the column loop
-        for l, zk, got in zip(orders.tolist(), z, ratio(orders, z)):
+        for l, zk, got in zip(orders.tolist(), z, ratios(kind, orders, z)):
             want = mp_bessel_ratio(kind, l, zk)
             assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_orders_checked(self, ratio):
+    def test_orders_checked(self, kind):
         z = np.linspace(1.0, 9.0, 9)
         with pytest.raises(ValueError):
-            ratio(np.resize([5, 0], len(z)), z)
+            ratios(kind, np.resize([5, 0], len(z)), z)
         # one order per argument, on the column loop (9 arguments) and on
         # the scalar loop (2), and a 1-D order array only
         for orders, args in ((np.array([5, 6]), z), (np.array([5]), z[:2]),
                              (np.array([5, 6, 7]), z[:2]), (np.full((9, 1), 5), z),
                              (np.full((2, 1), 5), z[:2])):
             with pytest.raises(ValueError, match=re.escape(f"{orders.shape} for {len(args)} arg")):
-                ratio(orders, args)
+                ratios(kind, orders, args)
 
 
 class TestMixedRun:
     """One run of the column loop over j and h columns together: every
-    column has the bits of a one-kind call on one argument, which runs the
-    scalar loop."""
+    column has the bits of a call on its argument alone, with no argument of
+    the other kind, which runs the scalar loop."""
 
     @pytest.mark.parametrize("h_orders", [MIXED_ORDERS, (1, 7, 64)], ids=["mixed", "low"])
     def test_columns_of_one_run(self, h_orders):
@@ -485,9 +498,9 @@ class TestMixedRun:
             got = rows[len(rows) - depth :, k]
             if k < jcount:
                 # from order l_k down
-                want = sph_jn_ratio(l, zk) if depth == 1 else sph_jn_ratios(l, zk)[:0:-1, 0]
+                want = ratios("J", l, zk) if depth == 1 else ratios("J", l, zk, rows=True)[:0:-1, 0]
             else:
-                want = sph_h1n_ratio(l, zk) if depth == 1 else sph_h1n_ratios(l, zk)[1:, 0]
+                want = ratios("H1", l, zk) if depth == 1 else ratios("H1", l, zk, rows=True)[1:, 0]
             assert np.array_equal(got, want)
 
     def test_both_kinds_from_one_call(self):
@@ -500,30 +513,30 @@ class TestMixedRun:
             js, hs = jz[:count], hz[: count // 2]
             rj, rh = sph_jn_h1n_ratios(121, js, hs)
             assert rj.shape == (122, count) and rh.shape == (122, count // 2)
-            assert np.array_equal(rj, np.hstack([sph_jn_ratios(121, z) for z in js]))
-            assert np.array_equal(rh, np.hstack([sph_h1n_ratios(121, z) for z in hs]),
+            assert np.array_equal(rj, np.hstack([ratios("J", 121, z, rows=True) for z in js]))
+            assert np.array_equal(rh, np.hstack([ratios("H1", 121, z, rows=True) for z in hs]),
                                   equal_nan=True)
             r, q = sph_jn_h1n_ratio(orders[:count], jz[:count], hz[:count])
             for l, zj, zh, rk, qk in zip(orders.tolist(), jz, hz, r, q):
-                assert rk == sph_jn_ratio(l, zj)[0]
-                assert np.array_equal(qk, sph_h1n_ratio(l, zh)[0], equal_nan=True)
+                assert rk == ratios("J", l, zj)[0]
+                assert np.array_equal(qk, ratios("H1", l, zh)[0], equal_nan=True)
 
 
 class TestBesselRatioDomain:
     def test_hankel_ratio_refused_below_the_line(self):
         z = 20.0 + (H1_IM_MIN - 0.5) * 1j
         for args in (z, np.array([z]), np.array([z, 20.0])):
-            q = sph_h1n_ratio(5, args)
+            q = ratios("H1", 5, args)
             assert np.isnan(q[0]) and np.isfinite(q[1:]).all()
 
-    @pytest.mark.parametrize("ratio", [sph_jn_ratio, sph_h1n_ratio])
-    def test_order_and_argument_checked(self, ratio):
+    @pytest.mark.parametrize("kind", RATIO_KINDS)
+    def test_order_and_argument_checked(self, kind):
         with pytest.raises(ValueError):
-            ratio(0, 1.0)
+            ratios(kind, 0, 1.0)
         with pytest.raises(ValueError):
-            ratio(3, 0.0)
+            ratios(kind, 3, 0.0)
         with pytest.raises(ValueError):
-            ratio(3, np.array([1.0, 0.0]))
+            ratios(kind, 3, np.array([1.0, 0.0]))
 
 
 def test_one_column_per_argument():
@@ -534,21 +547,22 @@ def test_one_column_per_argument():
     z = np.array([20.0 + 1j, 0.8 + 0.3j, 66.0, 2 + 30j, 8 - 2j, 1.0, 3.0, 45.0])
     for args in (z[0], z[:1], z):
         n = np.size(args)
-        for rows in (sph_jn_ratios, sph_h1n_ratios):
-            assert rows(5, args).shape == (6, n)
-            assert np.array_equal(rows(5, args), rows(5, np.array(z[:n])))
-        for ratio in (sph_jn_ratio, sph_h1n_ratio):
-            assert ratio(5, args).shape == (n,)
-            assert np.array_equal(ratio(5, args), ratio(5, np.array(z[:n])))
+        for kind in ("J", "H1"):
+            rows = ratios(kind, 5, args, rows=True)
+            assert rows.shape == (6, n)
+            assert np.array_equal(rows, ratios(kind, 5, np.array(z[:n]), rows=True))
+            assert ratios(kind, 5, args).shape == (n,)
+            assert np.array_equal(ratios(kind, 5, args), ratios(kind, 5, np.array(z[:n])))
         assert legendre_all(5, np.real(args) / 70.0).shape == (6, n)
-    for rows in (sph_jn_ratios, sph_h1n_ratios):
+    for kind in ("J", "H1"):
         for lmax, args in ((0, 1.0), (0, z), (3, 0.0), (3, np.array([1.0, 0.0]))):
             with pytest.raises(ValueError):
-                rows(lmax, args)
+                ratios(kind, lmax, args, rows=True)
     below = 20.0 + (H1_IM_MIN - 0.5) * 1j
-    assert sph_h1n_ratios(5, below).shape == (6, 1)
-    assert np.isnan(sph_h1n_ratios(5, below)).all()
-    assert sph_h1n_ratio(5, below).shape == (1,) and np.isnan(sph_h1n_ratio(5, below)).all()
+    assert ratios("H1", 5, below, rows=True).shape == (6, 1)
+    assert np.isnan(ratios("H1", 5, below, rows=True)).all()
+    q = ratios("H1", 5, below)
+    assert q.shape == (1,) and np.isnan(q).all()
 
 
 # property-based invariants
@@ -592,7 +606,7 @@ def test_three_term_recurrence_j(z, l):
 def test_three_term_recurrence_h(z, l):
     assume(abs(z) > 1.0)
     if z.imag < H1_IM_MIN:
-        assert np.isnan(sph_h1n_ratios(l + 1, z)).all()
+        assert np.isnan(ratios("H1", l + 1, z, rows=True)).all()
         return
     arr = h1n(l + 1, z)[:, 0]
     assume(np.all(np.isfinite(arr)))

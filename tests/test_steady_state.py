@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sphereqed.dynamics import CouplingParams, DriveSpec, amplitude_closed, prepare_drive, regime_classify
 from sphereqed.steady_state import (
-    BASIS_LABELS,
     SteadyState,
     TwoQubitDensity,
     UndecayedTrajectoryError,
@@ -207,9 +206,6 @@ class TestAssembleDensity:
         evals = np.linalg.eigvalsh(rho)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.min(evals) > -1e-10
-
-    def test_basis_labels_exported(self):
-        assert BASIS_LABELS == ("11", "12", "21", "22")
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
