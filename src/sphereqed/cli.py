@@ -471,17 +471,20 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         else:
             resonance = min(resonances, key=lambda r: abs(r.omega_c - omega31_base))
         rate_unit = anchor_a * v["anchor.gamma0_over_omega_t"]
-        # in Gamma_0 units: Gamma31 at omega31, the Gamma32 ratio at omega32,
-        # and the equidistant drive's cross rate at theta / 2
+        # in Gamma_0 units: Gamma31 and the equidistant drive's cross rate
+        # at theta / 2 at omega_c, the heights of the resonance's Lorentzian
+        # (the kernel's detuning omega_c - omega31 gives its shape), and the
+        # Gamma32 ratio at omega32
         r, omega31, theta = _sweep_points(sys0, v["sweep.axis"], values, omega31_base)
-        s31aa, s31ab = _rates_at(sys0, values, r, omega31, theta)
+        omega_c = [resonance.omega_c] * len(values)
+        s31aa, s31ab = _rates_at(sys0, values, r, omega_c, theta)
         if omega32 is not None:
             s32aa, s32ab = _rates_at(sys0, values, r, omega32, theta)
             ratios = s32ab / s32aa
         else:
             ratios = np.full(len(values), ratio32)
         if equidistant:
-            s_half = _rates_at(sys0, values, r, omega31, [t / 2.0 for t in theta])[1]
+            s_half = _rates_at(sys0, values, r, omega_c, [t / 2.0 for t in theta])[1]
         detuning = (resonance.omega_c - np.asarray(omega31)) / rate_unit
 
         def columns(n):

@@ -1,31 +1,39 @@
 """Spherical Bessel/Hankel functions of complex argument and Legendre polynomials.
 
 Everything here is recurrence based and table free.  The Bessel functions
-come as rows: j_0 or h_0^(1) and the ratios f_l/f_{l-1}, for j from a
-downward continued fraction (j is the minimal solution as l grows), for h
-from the upward recurrence (h is the dominant one).  The ratios stay
+come as rows: j_0 or h_0^(1) and the ratios f_l/f_{l-1}.  The ratios stay
 bounded where j_l and h_l leave float64 (h_l overflows near l = 300 at
 k R ~ 12, j_l(z) for |Im z| beyond ~700); a caller that needs j_l or h_l
 forms the running product of the rows.
 
 Every function ravels its argument and returns one column per argument; a
 scalar is one argument.  Both kinds come from one three-term recurrence,
-x <- (2n + 1)/z - 1/x, run in opposite directions (Gautschi 1967, SIAM
-Rev. 9, 24): x = h_{n+1}/h_n upward from h_1/h_0 = 1/z - i, and
-x = j_{n-1}/j_n downward from a Miller start, the continued fraction of
-Lentz (1976, Appl. Opt. 15, 668).  So one column loop serves both kinds, in
-any mix: numpy runs each step for all columns at once, two calls per step,
-and column k runs to its own order l_k and keeps its last d_k ratios.  The
-two entry points give both kinds from one run, sph_jn_h1n_ratios all lmax
-rows and sph_jn_h1n_ratio the ratio of order l; a kind with no arguments
-gives an empty result.
-Up to _SCALAR_POINTS (6) arguments of a kind a scalar loop per argument
-runs instead, which is faster there and gives the same bits.  The
-single-order ratios also take one order per argument: one run of the
-recurrence then serves arguments of many orders, each ended at its own
-order, with the bits of a call of that order alone.  The Bessel functions
-take orders l >= 1 and z != 0, and give h_l^(1) a NaN column below
-H1_IM_MIN.
+x <- (2n + 1)/z - 1/x, and each column runs in the direction its order
+and argument allow (Gautschi 1967, SIAM Rev. 9, 24; DLMF 3.6(ii)).  Up:
+x = h_{n+1}/h_n from h_1/h_0 = 1/z - i (h is dominant), and
+x = j_{n+1}/j_n from j_1/j_0 = 1/z - cot z below the turning point
+n ~ |z|, where neither solution is minimal: the j column of order l runs
+up where l <= |z| - 3 |z|^(1/3) - 2 |Im z| and |Im z| <= 3 (_upward).
+Down: x = j_{n-1}/j_n from a Miller start, the continued fraction of Lentz
+(1976, Appl. Opt. 15, 668), everywhere else (j is minimal above the
+turning point).  Against 50-digit ratios, on 463 points inside the rule
+(|z| 20 to 1000), the upward ratio was never more than twice the larger
+of the continued fraction's error and 1e-13; both reach 2e-12 only next
+to a zero of j_l at real z.  Above |Im z| = 3 the upward error grows like
+e^(2 |Im z|) near the turning point (1e-12 at Im z = 5, |z| = 86, l = |z|).
+
+So one column loop serves both kinds and both directions, in any mix:
+numpy runs each step for all columns at once, two calls per step, and
+column k runs to its own order l_k and keeps its last d_k ratios.  The two
+entry points give both kinds from one run, sph_jn_h1n_ratios all lmax rows
+and sph_jn_h1n_ratio the ratio of order l; a kind with no arguments gives
+an empty result.  Up to _SCALAR_POINTS (6) columns of a direction a scalar
+loop per column runs instead, which is faster there and gives the same
+bits.  The single-order ratios also take one order per argument: one run
+of the recurrence then serves arguments of many orders, each ended at its
+own order, with the bits of a call of that order alone.  The Bessel
+functions take orders l >= 1 and z != 0, and give h_l^(1) a NaN column
+below H1_IM_MIN.
 """
 
 from __future__ import annotations
@@ -43,9 +51,16 @@ H1_IM_MIN = -5.0
 _ODD_ROWS = 32
 _ODD_SIZE = 8192
 
-# up to this many arguments of a kind a scalar loop per argument beats the
-# column loop
+# up to this many columns of a direction a scalar loop per column beats
+# the column loop
 _SCALAR_POINTS = 6
+
+# a j column runs upward where l <= |z| - _UP_MARGIN |z|^(1/3) - 2 |Im z|
+# and |Im z| <= _UP_IM_MAX (see _upward): measured against 50-digit
+# ratios, as the module docstring states
+_UP_MARGIN = 3.0
+_UP_IM_MAX = 3.0
+
 
 def _arguments(l, z) -> np.ndarray:
     """z raveled to a 1-D complex array, one column per argument, after the
@@ -56,11 +71,11 @@ def _arguments(l, z) -> np.ndarray:
         if np.ndim(l) != 1 or len(l) != len(points):
             raise ValueError(f"Bessel ratios need a 1-D array of one order per argument, "
                              f"got orders of shape {np.shape(l)} for {len(points)} arguments")
-        if np.any(l < 1):
+        if (l < 1).any():
             raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
     elif l < 1:
         raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
-    if np.any(points == 0):
+    if (points == 0).any():
         raise ValueError("Bessel ratios need z != 0")
     return points
 
@@ -71,73 +86,103 @@ def _miller_start(lmax: int, size):
     return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
 
 
-def _jn_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
-    """The ratios r_n for n = hi down to lo, from one continued fraction
-    started at _miller_start(hi, |z|)."""
+def _downward_loop(lo: int, hi: int, z: complex) -> list[complex]:
+    """The ratios r_n = j_n/j_{n-1} for n = hi down to lo, from one
+    continued fraction started at _miller_start(hi, |z|)."""
     zinv = 1.0 / z
     r = 0j
-    for n in range(_miller_start(hi, abs(z)), hi, -1):
-        r = 1.0 / ((2 * n + 1) * zinv - r)
+    # odd = 2n + 1 for n = M down to hi + 1, then hi down to lo
+    for odd in range(2 * _miller_start(hi, abs(z)) + 1, 2 * hi + 1, -2):
+        r = 1.0 / (odd * zinv - r)
     rows = []
-    for n in range(hi, lo - 1, -1):
-        r = 1.0 / ((2 * n + 1) * zinv - r)
+    for odd in range(2 * hi + 1, 2 * lo - 1, -2):
+        r = 1.0 / (odd * zinv - r)
         rows.append(r)
     return rows
 
 
-def _h1n_ratio_loop(lo: int, hi: int, z: complex) -> list[complex]:
-    """The ratios q_n for n = lo..hi of the upward recurrence."""
+def _upward_loop(lo: int, hi: int, z: complex, first: complex) -> list[complex]:
+    """The ratios x_n for n = lo..hi of the upward recurrence from its first
+    value x_1 = first (see _first_ratios)."""
     zinv = 1.0 / z
-    q = zinv - 1j
-    for n in range(1, lo):
-        q = (2 * n + 1) * zinv - 1.0 / q
-    rows = [q]
-    for n in range(lo, hi):
-        q = (2 * n + 1) * zinv - 1.0 / q
-        rows.append(q)
+    x = first
+    # odd = 2n + 1 for the steps from x_n to x_{n+1}, n = 1 to lo - 1, then
+    # lo to hi - 1
+    for odd in range(3, 2 * lo, 2):
+        x = odd * zinv - 1.0 / x
+    rows = [x]
+    for odd in range(2 * lo + 1, 2 * hi, 2):
+        x = odd * zinv - 1.0 / x
+        rows.append(x)
     return rows
 
 
-def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, jcount: int,
+def _upward(l, z: np.ndarray) -> np.ndarray:
+    """Where the j column of order l (one, or one per argument) at z runs
+    upward: l <= |z| - _UP_MARGIN |z|^(1/3) - 2 |Im z| and |Im z| <= _UP_IM_MAX."""
+    size, im = np.abs(z), np.abs(z.imag)
+    return (im <= _UP_IM_MAX) & (l <= size - _UP_MARGIN * np.cbrt(size) - 2.0 * im)
+
+
+def _first_ratios(z: np.ndarray, jcount: int) -> np.ndarray:
+    """The first values of upward columns at z: j_1/j_0 = 1/z - cot z in
+    the first jcount, h_1/h_0 = 1/z - i in the others."""
+    first = np.reciprocal(z)
+    first[jcount:] -= 1j
+    if jcount:
+        first[:jcount] -= np.cos(z[:jcount]) / np.sin(z[:jcount])
+    return first
+
+
+def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
                    rows: np.ndarray) -> None:
     """The ratios of orders l_k - d_k + 1 .. l_k of column k into the last
     d_k of the rows (shape (D, len(z)), D = max d_k), from one run of
-    x <- (2n + 1)/z - 1/x for all columns: j_n/j_{n-1} in the columns
-    k < jcount, one per row from order l_k down, and h_n/h_{n-1} in the
-    others, one per row up to order l_k.  orders holds l_k and depths d_k
-    (or one depth for all).
+    x <- (2n + 1)/z - 1/x for all columns: j_n/j_{n-1} downward in the
+    columns before the last len(first), one per row from order l_k down,
+    and j_n/j_{n-1} or h_n/h_{n-1} upward from the first values `first`
+    (see _first_ratios) in the last len(first), one per row up to order
+    l_k.  orders holds l_k and depths d_k (or one depth for all).
 
-    A j column steps s_n = 1/r_n = j_{n-1}/j_n down from
+    A downward column steps s_n = 1/r_n = j_{n-1}/j_n down from
     s = (2M + 1)/z (r = 0 above M = _miller_start(l_k, |z_k|)) to order
     l_k - d_k + 1, and its rows hold s until one call at the end inverts
-    them; an h column steps q_n up from h_1/h_0 = 1/z - i to order l_k.
-    The run ends with every column's last step: column k joins at the step
+    them; an upward column steps x_n from x_1 = first to order l_k.  The
+    run ends with every column's last step: column k joins at the step
     from which its own steps just reach the last row, and until then holds
     values that nothing reads.  So a column's values depend on its own
-    argument and order alone, and are the bits of the scalar loop.  A kind
-    steps from the join of its first column on, so that a run of both kinds
-    does the work of one run per kind.  The steps at which columns join and
-    the rows the steps write are laid out before the loop, so a step is two
-    numpy calls.
+    argument and order alone, and are the bits of the scalar loop.  A
+    direction steps from the join of its first column on, so that a run of
+    both does the work of one run per direction.  The steps at which
+    columns join and the rows the steps write are laid out before the
+    loop, so a step is two numpy calls.
+
+    The caller puts a j column upward where _upward holds,
+    l_k <= |z_k| - 3 |z_k|^(1/3) - 2 |Im z_k| and |Im z_k| <= 3: below the
+    turning point n ~ |z| neither solution of the recurrence is minimal
+    (Gautschi 1967; DLMF 3.6(ii)), the ratios there were within twice the
+    continued fraction's error or 1e-13 of 50-digit values (see the module
+    docstring), and the column takes l_k steps instead of the continued
+    fraction's M - l_k + d_k.
     """
     n = len(z)
+    down = n - len(first)
     zinv = np.reciprocal(z)
     miller = np.array([_miller_start(l, size) for l, size in
-                       zip(orders[:jcount].tolist(), np.abs(z[:jcount]).tolist())], dtype=int)
+                       zip(orders[:down].tolist(), np.abs(z[:down]).tolist())], dtype=int)
     # the steps of each column, its first value included, and the step at
     # which it joins
-    steps = np.concatenate([miller - (orders - depths)[:jcount], orders[jcount:]])
+    steps = np.concatenate([miller - (orders - depths)[:down], orders[down:]])
     total = int(steps.max())
     join = total - steps
     # 2n + 1 at step t is base + slope t: n falls from the Miller start of
-    # a j column, and rises from order 0 at the join of an h column (the
-    # step from q_n to q_{n+1} takes 2n + 1)
+    # a downward column, and rises from order 0 at the join of an upward
+    # one (the step from x_n to x_{n+1} takes 2n + 1)
     slope = np.full(n, 2.0)
-    slope[:jcount] = -2.0
+    slope[:down] = -2.0
     base = 1.0 - slope * join
-    base[:jcount] += 2.0 * miller
-    first = zinv - 1j
-    first[:jcount] = (2.0 * miller + 1.0) * zinv[:jcount]
+    base[:down] += 2.0 * miller
+    starts = np.concatenate([(2.0 * miller + 1.0) * zinv[:down], first])
     x = np.ones(n, dtype=complex)
     inverse = np.empty_like(x)
     # the state array takes the steps before the last D, which write the rows
@@ -149,11 +194,11 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, jcount: int,
     joining: list = [None] * total
     for t, columns in groups.items():
         joining[t] = outs[t], np.array(columns)
-    # until the first join of the later kind, the other kind steps alone
-    kinds = [kind for kind in (slice(0, jcount), slice(jcount, n)) if kind.start < kind.stop]
-    firsts = [int(join[kind].min()) for kind in kinds]
+    # until the first join of the later direction, the other steps alone
+    ways = [way for way in (slice(0, down), slice(down, n)) if way.start < way.stop]
+    firsts = [int(join[way].min()) for way in ways]
     split = max(firsts)
-    alone = kinds[firsts.index(0)] if split else slice(0, n)
+    alone = ways[firsts.index(0)] if split else slice(0, n)
     for start, stop, cols in ((0, split, alone), (split, total, slice(0, n))):
         width = cols.stop - cols.start
         size = max(1, min(_ODD_ROWS, _ODD_SIZE // width))
@@ -172,31 +217,45 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, jcount: int,
                 x = out
                 if joined is not None:
                     full, columns = joined
-                    full[columns] = first[columns]
-    np.reciprocal(rows[:, :jcount], out=rows[:, :jcount])
+                    full[columns] = starts[columns]
+    np.reciprocal(rows[:, :down], out=rows[:, :down])
 
 
 def _ratios(l, jz: np.ndarray, hz: np.ndarray, rows: np.ndarray) -> None:
     """The ratios of orders l_k - depth + 1 .. l_k (depth = len(rows)) of
     j_l at each argument of jz and h_l^(1) at each of hz into the columns
     of rows, j first, from order l_k down, then h, up to order l_k, where l
-    is an order or one order l_k per column.  A kind with up to
-    _SCALAR_POINTS arguments runs the scalar loop per argument, the others
-    share one run of _ratio_columns (the same bits)."""
+    is an order or one order l_k per column.
+
+    The run takes the j columns that _upward selects with the h columns,
+    upward, and the others downward.  A direction with up to _SCALAR_POINTS
+    columns runs the scalar loop per column, the others share one run of
+    _ratio_columns (the same bits).  An upward j column's rows are turned
+    to run from order l_k down, like the others."""
     depth = len(rows)
-    nj = len(jz)
-    z = np.concatenate([jz, hz])
-    orders = np.zeros(len(z), dtype=int) + l
-    # the columns of the run: a contiguous range, j before h
-    lo = 0 if nj > _SCALAR_POINTS else nj
-    hi = len(z) if len(hz) > _SCALAR_POINTS else nj
+    nj, n = len(jz), len(jz) + len(hz)
+    orders = np.zeros(n, dtype=int) + l
+    up = _upward(orders[:nj], jz)
+    down = nj - int(np.count_nonzero(up))
+    z, out = np.concatenate([jz, hz]), rows
+    if down < nj:
+        # the columns by direction: downward j, then upward j, then h
+        order = np.concatenate([np.flatnonzero(~up), np.flatnonzero(up), np.arange(nj, n)])
+        z, orders, out = z[order], orders[order], np.empty_like(rows)
+    # the columns of the run: a contiguous range, downward before upward
+    lo = 0 if down > _SCALAR_POINTS else down
+    hi = n if n - down > _SCALAR_POINTS else down
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = _first_ratios(z[down:], nj - down)
         if hi > lo:
-            _ratio_columns(orders[lo:hi], depth, z[lo:hi], nj - lo, rows[:, lo:hi])
-        for k in [*range(lo), *range(hi, len(z))]:
-            top = int(orders[k])
-            loop = _jn_ratio_loop if k < nj else _h1n_ratio_loop
-            rows[:, k] = loop(top - depth + 1, top, complex(z[k]))
+            _ratio_columns(orders[lo:hi], depth, z[lo:hi], first[: hi - down], out[:, lo:hi])
+        for k in [*range(lo), *range(hi, n)]:
+            top, zk = int(orders[k]), complex(z[k])
+            out[:, k] = (_downward_loop(top - depth + 1, top, zk) if k < down else
+                         _upward_loop(top - depth + 1, top, zk, complex(first[k - down])))
+    if out is not rows:
+        out[:, down:nj] = out[::-1, down:nj]
+        rows[:, order] = out
 
 
 def sph_jn_h1n_ratios(lmax: int, jz, hz) -> tuple[np.ndarray, np.ndarray]:

@@ -80,16 +80,23 @@ class TwoQubitDensity:
 
 def _mode_overlap(modes_a, modes_b):
     """integral_0^inf C_a(t) conj(C_b(t)) dt for exponential-mode sums, at
-    every point of the modes."""
-    total = 0j
-    for ca, la, pa in modes_a:
-        for cb, lb, pb in modes_b:
-            sigma = la + np.conj(lb)
-            _check(sigma.real >= 0, "mode integral diverges: non-decaying amplitude product")
-            n = pa + pb
-            # n! for the mode powers n = pa + pb <= 2
-            total = total + ca * np.conj(cb) * np.maximum(n, 1) / (-sigma) ** (n + 1)
-    return total
+    every point of the modes.
+
+    The terms of mode pairs (1, 1) and (2, 2), and of (1, 2) and (2, 1), are
+    added first: where the two modes of each branch are complex conjugates
+    (complex roots of a real ODE) those terms are too, so an exactly real
+    integral comes out with imaginary part 0."""
+
+    def term(a, b):
+        (ca, la, pa), (cb, lb, pb) = a, b
+        sigma = la + np.conj(lb)
+        _check(sigma.real >= 0, "mode integral diverges: non-decaying amplitude product")
+        n = pa + pb
+        # n! for the mode powers n = pa + pb <= 2
+        return ca * np.conj(cb) * np.maximum(n, 1) / (-sigma) ** (n + 1)
+
+    (a1, a2), (b1, b2) = modes_a, modes_b
+    return (term(a1, b1) + term(a2, b2)) + (term(a1, b2) + term(a2, b1))
 
 
 def steady_state_from_params(p: CouplingParams, d: DriveSpec) -> SteadyState:

@@ -852,6 +852,71 @@ class TestEntangle:
         assert am[-1] > 0.9
         assert conc[-1] == max(conc)
 
+    @pytest.mark.parametrize("l,branch", [(121, "-"), (120, "+")])
+    def test_weak_coupling_decay_is_the_sphere_rate(self, tmp_path, monkeypatch, l, branch):
+        # the kernel is a Lorentzian of height Gamma31 at omega_c and half
+        # width delta_omega_c, so in weak coupling (g < 1e-3 delta_omega_c,
+        # Gamma32 << delta_omega_c) the slow root of C'' + a1 C' + a2 C = 0
+        # decays the population at Gamma31 delta^2/(Delta^2 + delta^2) plus
+        # Gamma32_AA.  That must be the sphere's own Gamma(omega31) at
+        # omega31 = omega_c + k delta_omega_c, k = -5..5, within the
+        # Lorentzian accuracy of the resonance (2e-4 at 5 widths).  At
+        # theta = pi the odd l = 121 root drives Gamma_- and the even
+        # l = 120 root Gamma_+; the other branch has no pole there
+        calls = []
+        entangle_columns = cli._entangle_columns
+
+        def recorded(v, p, unit=1.0, gamma_ad=None):
+            calls.append((v, p))
+            return entangle_columns(v, p, unit, gamma_ad)
+
+        monkeypatch.setattr(cli, "_entangle_columns", recorded)
+        window = (1.0495, 1.0507, range(l, l + 1))
+        sys0 = cli._sphere_system(resolve(parse_config(SPHERE_ENTANGLE + RESONANCE_WINDOW),
+                                          cli._ENTANGLE_SPHERE)[0])
+        (res,) = ms.find_resonances(sys0, *window)
+        lo, hi = res.omega_c - 5.0 * res.delta_omega_c, res.omega_c + 5.0 * res.delta_omega_c
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text(
+            SPHERE_ENTANGLE.replace("sweep.axis = theta", "sweep.axis = omega")
+            .replace("sweep.lo = 3.0", f"sweep.lo = {lo!r}")
+            .replace("sweep.hi = 3.14", f"sweep.hi = {hi!r}")
+            .replace("sweep.count = 2", "sweep.count = 11")
+            .replace("0.5\n", "1.0\n").replace("5.6e-5", "1e-16")
+            + f"resonance.omega_lo = {window[0]}\nresonance.omega_hi = {window[1]}\n"
+            f"resonance.l_lo = {l}\nresonance.l_hi = {l}\n")
+        assert run_cli(["entangle", "--config", cfg, "--out", tmp_path / "weak.csv"]) == 0
+        (v, p), = calls
+        assert v["anchor.gamma32_aa_over_gamma0"] == 1.0 and v["sweep.axis"] == "omega"
+        assert np.all(dynamics.rabi_g(p.gamma31_pm(branch), p.delta_omega_c)
+                      < 1e-3 * p.delta_omega_c)
+        a1, a2 = dynamics.ode_coeffs(p, branch)
+        fast = (-a1 - np.sqrt(a1 * a1 - 4.0 * a2)) / 2.0
+        decay = -2.0 * (a2 / fast).real - p.gamma32_aa
+        # the sweep's omega31, as the CLI spaces them; Gamma_0 units are
+        # Gamma32_AA units at this anchor
+        omega31 = np.linspace(lo, hi, 11)
+        gaa, gab = ms.collective_rates(sys0.params, sys0.radius, np.full(11, sys0.r),
+                                        omega31, math.cos(sys0.theta))
+        sphere = gaa + gab if branch == "+" else gaa - gab
+        assert np.max(np.abs(decay / sphere - 1.0)) < 2e-4
+
+    def test_demo_beta_is_exactly_real(self, tmp_path):
+        # the demo drives on resonance (Delta = 0) with a real drive, so each
+        # branch's two modes are complex conjugates and beta is real: the
+        # mode integral adds the conjugate terms in pairs, and every row
+        # prints beta_im 0, not rounding noise of 1e-17
+        script = pathlib.Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
+        demo = re.search(r'ENTANGLE_DEMO = """\\\n(.*?)"""', script.read_text(), re.S).group(1)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(demo)
+        out = tmp_path / "demo.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 41
+        assert column(header, rows, "beta_im", str) == ["0"] * 41
+        assert column(header, rows, "delta") == [0.0] * 41
+
     def test_sphere_mode_weak_channel_and_equidistant(self, tmp_path):
         # weak rates from the sphere at an explicit frequency, atom D on the
         # equator, strong transition pinned numerically

@@ -215,7 +215,7 @@ class TestBlockKernel:
             return rows(lmax, jz, hz)
 
         monkeypatch.setattr(microsphere, "sph_jn_h1n_ratios", spy)
-        for name in ("_ratio_columns", "_jn_ratio_loop", "_h1n_ratio_loop"):
+        for name in ("_ratio_columns", "_downward_loop", "_upward_loop"):
             def loop(*args, fn=getattr(special, name), name=name):
                 calls["loops"].append(name)
                 return fn(*args)
@@ -593,6 +593,45 @@ class TestBatchedRefinement:
         want = find_resonances(fig2_system, 1.04, 1.06, range(110, 129))
         monkeypatch.setattr(microsphere, "_GRID_PAIRS", 3 * 65 + 1)
         assert find_resonances(fig2_system, 1.04, 1.06, range(110, 129)) == want
+
+
+class TestRatioDirections:
+    """Which j columns the ratio loop runs upward (special._upward): none
+    where every order lies above |n k R| - 3 |n k R|^(1/3), as in a band-gap
+    search and in a rate block to the l = 300 cap up to figure4's top
+    frequency 0.995 (|n k R| = 319), and all of them in a below-gap search
+    over 0.985-0.995."""
+
+    @staticmethod
+    def spy_upward(monkeypatch):
+        """(columns, upward columns) of every direction choice."""
+        counts = []
+        rule = special._upward
+
+        def spy(l, z):
+            up = rule(l, z)
+            counts.append((len(up), int(np.count_nonzero(up))))
+            return up
+
+        monkeypatch.setattr(special, "_upward", spy)
+        return counts
+
+    def test_band_gap_search_and_rate_block_run_j_down(self, fig2_system, monkeypatch):
+        sys0 = fig2_system
+        counts = self.spy_upward(monkeypatch)
+        assert len(find_resonances(sys0, 1.04, 1.06, range(119, 123))) == 4
+        search = len(counts)
+        omega = np.linspace(0.98, 0.995, BLOCK)
+        microsphere._rate_orders(sys0.params, sys0.radius, np.full(BLOCK, sys0.r), omega, 300)
+        assert search > 1 and len(counts) == search + 1
+        assert sum(n for n, _ in counts) > 0
+        assert [up for _, up in counts] == [0] * len(counts)
+
+    def test_below_gap_search_runs_j_up(self, fig2_system, monkeypatch):
+        counts = self.spy_upward(monkeypatch)
+        assert find_resonances(fig2_system, 0.985, 0.995, (70, 71))
+        columns, up = np.sum(counts, axis=0)
+        assert up == columns
 
 
 class TestDenominatorSlope:

@@ -27,7 +27,10 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      # the one-kind ratio functions: the pair functions give
                      # both kinds from one run, and a kind may have no arguments
                      "sph_jn_ratios", "sph_h1n_ratios", "sph_jn_ratio", "sph_h1n_ratio",
-                     "_NONE", "_order_ratios")
+                     "_NONE", "_order_ratios",
+                     # the scalar loop per kind: one per direction, j running
+                     # upward below |z| like h
+                     "_jn_ratio_loop", "_h1n_ratio_loop")
 # B_l formed a second way, for tests only: the rate kernel forms -num/den
 GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError")
 GONE_FROM_STEADY_STATE = ("entanglement_check",

@@ -351,6 +351,12 @@ class TestBesselRatios:
             assert ratios(kind, l, z[k : k + 1])[0] == one
 
 
+# arguments whose j columns of orders UP_J_ORDERS (and of every lower
+# order) lie inside the rule of special._upward, real and complex, so
+# that j runs upward there
+UP_J_ARGS = np.array([1200.0, 400 + 2.5j, 150 - 1j, 80 + 0.5j, 20.0, 12.0])
+UP_J_ORDERS = np.array([1000, 300, 121, 64, 7, 1])
+
 # k R of the demo sphere at real and complex frequencies, k r, and
 # arguments on the line Im z = H1_IM_MIN: more than the scalar loop takes,
 # so a call on all of them runs the column loop
@@ -394,12 +400,14 @@ class TestHankelRatioRows:
 
     @pytest.mark.parametrize("kind", [pytest.param("J", id="sph_jn_ratios-sph_jn_ratio"),
                                       pytest.param("H1", id="sph_h1n_ratios-sph_h1n_ratio")])
-    @pytest.mark.parametrize("count", [4, len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
+    @pytest.mark.parametrize("count", [4, len(UP_J_ARGS) + len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
                              ids=["scalar loop", "column loop"])
     def test_last_row_is_the_single_order_ratio(self, kind, count):
         # the rows and the single-order ratio run the same loop, which
-        # keeps the last lmax ratios or the last one
-        z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])[:count]
+        # keeps the last lmax ratios or the last one; the UP_J_ARGS take j
+        # upward up to their orders, and the loop turns their rows to run
+        # from order lmax down
+        z = np.concatenate([UP_J_ARGS, H_ROW_ARGS, DEMO_J_ARGS])[:count]
         for l in (1, 121, 300):
             assert np.array_equal(ratios(kind, l, z, rows=True)[l], ratios(kind, l, z))
         if kind == "H1":
@@ -476,31 +484,44 @@ class TestOrderPerArgument:
 
 
 class TestMixedRun:
-    """One run of the column loop over j and h columns together: every
-    column has the bits of a call on its argument alone, with no argument of
-    the other kind, which runs the scalar loop."""
+    """One run of the column loop over j and h columns, downward and upward
+    together: every column has the bits of a call on its argument alone,
+    with no argument of the other kind, which runs the scalar loop."""
 
     @pytest.mark.parametrize("h_orders", [MIXED_ORDERS, (1, 7, 64)], ids=["mixed", "low"])
     def test_columns_of_one_run(self, h_orders):
-        # j columns first, then h; j orders cycle through MIXED_ORDERS, and
-        # every other column keeps all l_k ratios instead of the last one.
-        # With low h orders the h columns join inside the rows the j
-        # columns write, which until then step alone
+        # the j columns that _upward puts downward, then the upward j
+        # columns (UP_J_ARGS among them), then h; j orders cycle through
+        # MIXED_ORDERS, and every other column keeps all l_k ratios instead
+        # of the last one.  With low h orders the h columns join inside the
+        # rows the downward columns write, which until then step alone
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
-        jcount = len(z) // 2
-        orders = np.concatenate([mixed_orders(jcount), np.resize(h_orders, len(z) - jcount)])
+        half = len(z) // 2
+        jz = np.concatenate([z[:half], UP_J_ARGS])
+        j_orders = np.concatenate([mixed_orders(half), UP_J_ORDERS])
+        up = special._upward(j_orders, jz)
+        by_way = np.argsort(up, kind="stable")
+        down, jcount = int(np.count_nonzero(~up)), len(jz)
+        z = np.concatenate([jz[by_way], z[half:]])
+        orders = np.concatenate([j_orders[by_way], np.resize(h_orders, len(z) - jcount)])
         depths = np.where(np.arange(len(z)) % 2, orders, 1)
-        assert set(depths[:jcount]) > {1} and set(depths[jcount:]) > {1}
+        for way in (slice(0, down), slice(down, jcount), slice(jcount, len(z))):
+            assert set(depths[way]) > {1}
         rows = np.empty((depths.max(), len(z)), dtype=complex)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            special._ratio_columns(orders, depths, z, jcount, rows)
+            first = special._first_ratios(z[down:], jcount - down)
+            special._ratio_columns(orders, depths, z, first, rows)
         for k, (l, depth, zk) in enumerate(zip(orders.tolist(), depths.tolist(), z)):
             got = rows[len(rows) - depth :, k]
-            if k < jcount:
+            kind = "J" if k < jcount else "H1"
+            if depth == 1:
+                want = ratios(kind, l, zk)
+            elif k < down:
                 # from order l_k down
-                want = ratios("J", l, zk) if depth == 1 else ratios("J", l, zk, rows=True)[:0:-1, 0]
+                want = ratios(kind, l, zk, rows=True)[:0:-1, 0]
             else:
-                want = ratios("H1", l, zk) if depth == 1 else ratios("H1", l, zk, rows=True)[1:, 0]
+                # up to order l_k
+                want = ratios(kind, l, zk, rows=True)[1:, 0]
             assert np.array_equal(got, want)
 
     def test_both_kinds_from_one_call(self):
@@ -520,6 +541,46 @@ class TestMixedRun:
             for l, zj, zh, rk, qk in zip(orders.tolist(), jz, hz, r, q):
                 assert rk == ratios("J", l, zj)[0]
                 assert np.array_equal(qk, ratios("H1", l, zh)[0], equal_nan=True)
+
+
+# n k R of the demo sphere below the gap, where |n k R| runs from 86 to 319
+# (real and complex frequencies), and arguments at |z| ~ 86 and 318 off the
+# real axis up to the rule's |Im z| = 3
+RULE_ARGS = np.concatenate([
+    demo_arguments(0, [0.90, 0.9025, 0.995, 0.9945, 0.95 - 0.002j, 0.99 - 1e-4j])[2],
+    [86.0 + 3.0j, 86.5 - 2.0j, 318.0 + 3.0j, 317.0 - 1.5j, 85.7, 318.4],
+])
+
+
+class TestUpwardRule:
+    """Where special._upward puts a j column upward, and that both
+    directions hold next to the rule's edge."""
+
+    def test_against_multiprecision_at_the_edge(self):
+        # the largest order inside the rule runs upward and the next one the
+        # continued fraction; orders 63-77 of the below-gap search as well;
+        # all in one call on the column loop, and each alone on the scalar
+        # loop, to the 1e-12 of TestBesselRatios
+        cases = []
+        for z in RULE_ARGS:
+            size = abs(z)
+            edge = math.floor(size - special._UP_MARGIN * size ** (1 / 3) - 2 * abs(z.imag))
+            assert special._upward(np.array([edge, edge + 1]), np.array([z, z])).tolist() == [
+                True, False]
+            cases += [(z, l) for l in sorted({edge, edge + 1, *range(63, 78)})]
+        z = np.array([z for z, _ in cases])
+        orders = np.array([l for _, l in cases])
+        assert 0 < np.count_nonzero(special._upward(orders, z)) < len(z)
+        for (zk, l), got in zip(cases, ratios("J", orders, z)):
+            want = mp_bessel_ratio("J", l, zk)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert ratios("J", l, zk)[0] == got
+
+    def test_imaginary_part_limit(self):
+        # above |Im z| = 3 the upward error grows like e^(2 |Im z|) at the
+        # turning point, so j runs down there even far below it
+        z = np.array([400 + 3.0j, 400 + 3.01j, 400 - 3.01j])
+        assert special._upward(np.array([1, 1, 1]), z).tolist() == [True, False, False]
 
 
 class TestBesselRatioDomain:
