@@ -20,9 +20,7 @@ from .dynamics import (
 from .microsphere import (
     DrudeLorentzParams,
     SphereSystem,
-    collective_rate,
     find_resonances,
-    rates_pm,
 )
 from .steady_state import (
     SteadyState,
@@ -45,14 +43,12 @@ __all__ = [
     "alpha_beta_regime",
     "amplitude_closed",
     "assemble_density",
-    "collective_rate",
     "concurrence_oracle",
     "concurrence_closed_form",
     "decayed_steady_state",
     "find_resonances",
     "ode_coeffs",
     "prepare_drive",
-    "rates_pm",
     "regime_amplitude",
     "regime_classify",
     "steady_state_from_params",

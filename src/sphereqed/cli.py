@@ -341,20 +341,21 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     if v["dynamics.method"] == "closed":
         if v["dynamics.samples"] < 2:
             raise ConfigError("dynamics.samples must be >= 2")
-        traj = dyn.sample_closed(p, d, t_max, v["dynamics.samples"])
+        t = np.linspace(0.0, t_max, v["dynamics.samples"])
+        c_plus, c_minus = (dyn.amplitude_closed(p, d, b, t) for b in dyn.BRANCHES)
     else:
         step = v["dynamics.step"]
         # with t_max checked, the integrator's one ValueError is its step bound
         try:
-            traj = dyn.amplitude_volterra(p, d, t_max, step)
+            t, c_plus = dyn.volterra_branch(p, d, "+", t_max, step)
+            _, c_minus = dyn.volterra_branch(p, d, "-", t_max, step)
         except ValueError as exc:
             raise ConfigError(f"key 'dynamics.step': {exc}") from exc
-    columns = (traj.times, traj.c_plus.real, traj.c_plus.imag,
-               traj.c_minus.real, traj.c_minus.imag)
+    columns = (t, c_plus.real, c_plus.imag, c_minus.real, c_minus.imag)
     # Python floats, converted 1024 rows at a time
     rows = (
         row
-        for k in range(0, len(traj.times), 1024)
+        for k in range(0, len(t), 1024)
         for row in np.column_stack([col[k : k + 1024] for col in columns]).tolist()
     )
     resolved = {

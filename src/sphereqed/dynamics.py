@@ -12,12 +12,12 @@ predictor-corrector step once, for one block of steps on unit inputs, and
 then advances block by block with that exact linear map; the history of
 completed blocks enters through FFT convolutions over a hierarchy of tiles.
 
-The closed-form chain (rabi_g, ode_coeffs, amplitude_modes,
-amplitude_closed, prepare_drive) works elementwise: each rate field of
-CouplingParams, each drive amplitude of DriveSpec and each rate argument may
-be an array with one value per point (a sweep), and a float is one point.
-Every check is made per point and raises PointError naming the first point
-that fails it.  volterra_branch and the regime forms take one point.
+The closed-form chain (rabi_g, ode_coeffs, amplitude_modes, amplitude_closed,
+prepare_drive) works elementwise: each rate field of CouplingParams, each
+drive amplitude of DriveSpec and each rate argument may be an array with one
+value per point (a sweep), and a float is one point.  Every check is made per
+point and raises PointError naming the first point that fails it.
+volterra_branch, one branch per call, and the regime forms take one point.
 
 All rates and frequencies in this module share one unit.  The natural choice
 is Gamma32_AA = 1 (the clock of the irreversible decay channel); conversion
@@ -128,15 +128,6 @@ class DriveSpec:
 
     def f0(self, branch: str):
         return self.f_plus0 if branch == "+" else self.f_minus0
-
-
-@dataclass(frozen=True)
-class AmplitudeTrajectory:
-    """C_+(t) and C_-(t) sampled at the same times."""
-
-    times: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
 
 
 def rabi_g(gamma31_pm, delta_omega_c):
@@ -296,27 +287,6 @@ def volterra_branch(
         reach = min(size, n_steps - stop)
         far[stop : stop + reach] += np.fft.ifft(history)[size : size + reach]
     return t, c
-
-
-def amplitude_volterra(
-    p: CouplingParams, d: DriveSpec, t_max: float, step: float
-) -> AmplitudeTrajectory:
-    """Volterra-integrated trajectory of both branches."""
-    times, c_plus = volterra_branch(p, d, "+", t_max, step)
-    _, c_minus = volterra_branch(p, d, "-", t_max, step)
-    return AmplitudeTrajectory(times=times, c_plus=c_plus, c_minus=c_minus)
-
-
-def sample_closed(
-    p: CouplingParams, d: DriveSpec, t_max: float, n_samples: int = 2000
-) -> AmplitudeTrajectory:
-    """Closed-form trajectory sampled on a uniform grid (both branches)."""
-    t = np.linspace(0.0, t_max, n_samples)
-    return AmplitudeTrajectory(
-        times=t,
-        c_plus=amplitude_closed(p, d, "+", t),
-        c_minus=amplitude_closed(p, d, "-", t),
-    )
 
 
 def prepare_drive(

@@ -46,7 +46,7 @@ _TAIL_WIDTH = 12
 # A point's value does not depend on its block: no column reads another.
 BLOCK = 32
 
-# real-frequency grid points per unit omega_T of the resonance search
+# real-frequency grid intervals per unit omega_T of the resonance search
 GRID_PER_UNIT = 2000
 # (order, grid point) pairs per grid call of the resonance search: the work
 # arrays of the ratio recurrences take about 1.5 kB per pair, so a call
@@ -147,11 +147,9 @@ def permittivity(p: DrudeLorentzParams, omega):
 
 def refractive_index(p: DrudeLorentzParams, omega):
     """Principal sqrt of the permittivity with Im >= 0 (decaying field inside
-    the absorbing medium), elementwise for an array omega."""
+    the absorbing medium), elementwise: an array of omega's shape."""
     n = np.sqrt(permittivity(p, omega))
-    if np.ndim(n):
-        return np.where(n.imag < 0, -n, n)
-    return -n if n.imag < 0 else n
+    return np.where(n.imag < 0, -n, n)
 
 
 def size_parameter(omega: complex, length: float) -> complex:
@@ -212,12 +210,12 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     return num, den, rj[:, 2 * m :], rh[:, m:]
 
 
-def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
+def _rate_orders(params: DrudeLorentzParams, radius: float, kr: np.ndarray,
                  omega: np.ndarray, lmax: int):
     """Per-order contributions to Gamma_AA/Gamma_0 for l = 1..lmax (rows) at
-    each point (columns), and a Legendre-free magnitude envelope of the last
-    2 _TAIL_WIDTH orders, which is all _tail_bound reads; order 0 carries no
-    weight and is not part of the series.
+    each point (columns), a frequency of omega and a k r of kr, and a
+    Legendre-free magnitude envelope of the last 2 _TAIL_WIDTH orders, all
+    that _tail_bound reads; order 0 carries no weight and is not summed.
 
     The cross rate Gamma_AB differs only by the factor P_l(cos theta), and
     the single-atom rate has P_l(1) = 1.  |terms| = weight * |Re h(j + Bh)|
@@ -231,7 +229,6 @@ def _rate_orders(params: DrudeLorentzParams, radius: float, r: np.ndarray,
     h_l(k r) are formed in the array the ratio loop wrote, which is let go
     before the terms are weighted.
     """
-    kr = 2.0 * math.pi * omega * r
     (omega, kr), at_point = np.unique(np.stack([omega, kr]), axis=1, return_inverse=True)
     freqs, at_freq = np.unique(omega, return_inverse=True)
     num, den, rj, rh = _mie_arrays(params, radius, lmax, freqs, kr)
@@ -295,19 +292,19 @@ def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
     return np.where(decays, bound, np.inf)
 
 
-def _block_rates(params: DrudeLorentzParams, radius: float, r: np.ndarray,
+def _block_rates(params: DrudeLorentzParams, radius: float, kr: np.ndarray,
                  omega: np.ndarray, legendre: np.ndarray, start: int):
-    """collective_rates for one block of points, in one pass to the
-    L_MAX_SUPPORTED cap.  legendre holds P_l(cos theta) of each point from
-    l = 1, a column-major copy of the block's own in which the cross-rate
-    terms are formed, so that the sums over l run along memory.
+    """collective_rates for one block of points, given their k r, in one
+    pass to the L_MAX_SUPPORTED cap.  legendre holds P_l(cos theta) of each
+    point from l = 1, a column-major copy of the block's own in which the
+    cross-rate terms are formed, so that the sums over l run along memory.
 
     Each sum takes the five-term rule where it settles; a column that does
     not settle takes its full sum when the tail bound beyond the cap allows.
     NonConvergenceError names the first failing column, start + its index
     in the block, as its point."""
     with np.errstate(invalid="ignore", over="ignore"):
-        terms, env_mag = _rate_orders(params, radius, r, omega, L_MAX_SUPPORTED)
+        terms, env_mag = _rate_orders(params, radius, kr, omega, L_MAX_SUPPORTED)
         # the cross-rate terms, P_l(cos theta) times the terms, in place
         cross = legendre
         cross *= terms
@@ -339,9 +336,11 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     r outside a sphere of the given radius, at frequency omega, with
     cos(theta) between the dipole directions.  r, omega and cos_theta
     broadcast against each other; both results have the broadcast shape.
+    Gamma_AA is the single-atom rate, and Gamma_pm = Gamma_AA +/- Gamma_AB.
 
     Points are evaluated in blocks sized by their recurrence columns (see
     BLOCK): 32 points of a frequency sweep, 64 of a distance or angle sweep.
+    k r is formed once per point, for the blocks' sizes and their terms.
     The Bessel, Mie and Legendre recurrences loop over the order l and run
     for every point of a block at once, the Bessel ratios of both kinds in
     one run, every block to the l = 300 cap, and the per-order terms are
@@ -378,7 +377,7 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
         if not np.array_equal(distinct, cosines):
             cosines, rows = distinct, legendre_all(L_MAX_SUPPORTED, distinct)[1:]
         rates[:, block] = _block_rates(
-            params, radius, r[block], omega[block], rows[:, at_cos], start)
+            params, radius, kr[block], omega[block], rows[:, at_cos], start)
         start = block.stop
     return rates[0].reshape(shape), rates[1].reshape(shape)
 
@@ -395,23 +394,6 @@ def _block_end(omega: np.ndarray, kr: np.ndarray, start: int) -> int:
         if 2 * len(freqs) + len(pairs) > 3 * BLOCK:
             return start + count
     return min(start + 2 * BLOCK, len(omega))
-
-
-def collective_rate(sys: SphereSystem, omega: float, same_atom: bool = False) -> float:
-    """Collective decay rate Gamma_{A'A''}/Gamma_0 for radial dipoles: one
-    point of collective_rates.
-
-    same_atom selects the single-atom rate (theta_eff = 0); otherwise the
-    cross rate at the system's dipole angle.
-    """
-    cos_theta = 1.0 if same_atom else math.cos(sys.theta)
-    return float(collective_rates(sys.params, sys.radius, sys.r, omega, cos_theta)[1])
-
-
-def rates_pm(sys: SphereSystem, omega: float) -> tuple[float, float]:
-    """(Gamma_+, Gamma_-) = Gamma_AA +/- Gamma_AB in Gamma_0 units."""
-    gaa, gab = collective_rates(sys.params, sys.radius, sys.r, omega, math.cos(sys.theta))
-    return float(gaa + gab), float(gaa - gab)
 
 
 def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
@@ -560,6 +542,13 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
     return 0.5 * (a + b)
 
 
+def _search_grid(omega_lo: float, omega_hi: float) -> np.ndarray:
+    """find_resonances' real grid: GRID_PER_UNIT intervals per unit omega_T,
+    at least 64, a count within 1e-9 below an integer taken as that integer."""
+    intervals = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo) + 1e-9))
+    return np.linspace(omega_lo, omega_hi, intervals + 1)
+
+
 def find_resonances(
     sys: SphereSystem,
     omega_lo: float,
@@ -572,9 +561,8 @@ def find_resonances(
     f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
     from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows,
     so the orders have no cap.  The balance ratio of the two terms is
-    sampled on a real grid (GRID_PER_UNIT points per unit omega_T, at least
-    64 across the window) for every order in one call, one column per
-    (order, grid point) pair, up to _GRID_PAIRS pairs per call.  The
+    sampled on a real grid (_search_grid) for every order in one call, one
+    column per (order, grid point) pair, _GRID_PAIRS pairs at most.  The
     interior local minima of every order are then refined in one stream:
     a golden-section search on the same ratio down to HANDOVER_WIDTH, then
     a complex Newton iteration on f with its closed-form derivative, each
@@ -593,8 +581,8 @@ def find_resonances(
     ls = np.fromiter(l_range, dtype=int)
     if np.any(ls < 1):
         raise ValueError(f"l={ls[ls < 1][0]} must be >= 1")
-    npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
-    grid = np.linspace(omega_lo, omega_hi, npts)
+    grid = _search_grid(omega_lo, omega_hi)
+    npts = len(grid)
     vals = np.empty((len(ls), npts))
     per_call = max(1, _GRID_PAIRS // npts)
     for k in range(0, len(ls), per_call):

@@ -23,9 +23,9 @@ import numpy as np
 
 from sphereqed.microsphere import (
     BLOCK,
-    GRID_PER_UNIT,
     HANDOVER_WIDTH,
     Resonance,
+    _search_grid,
     permittivity,
     refractive_index,
     resonance_kind,
@@ -331,8 +331,8 @@ def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range):
     iteration caps, window and width filters, acceptance checks, dedup rule
     and sort."""
     found = []
-    npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
-    grid = np.linspace(omega_lo, omega_hi, npts)
+    grid = _search_grid(omega_lo, omega_hi)
+    npts = len(grid)
     for l in l_range:
         vals = np.concatenate(
             [_balance(sys, l, grid[i : i + BLOCK]) for i in range(0, npts, BLOCK)]

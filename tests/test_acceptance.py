@@ -14,6 +14,7 @@ from scipy.optimize import least_squares
 import sphereqed as sq
 from sphereqed.cli import main as cli_main
 from sphereqed.dynamics import volterra_branch
+from sphereqed.microsphere import collective_rates
 
 from oracles import free_space_cross_rate
 from test_cli import column, read_csv
@@ -56,12 +57,9 @@ def test_criterion_1_free_space_reduction():
     t0 = time.time()
     for kr in (1.0, 5.0, 20.0, 66.0, 100.0):
         r = kr / (2 * math.pi)
-        sys0 = sq.SphereSystem(
-            sq.DrudeLorentzParams(0.0, 1e-9), radius=r / 2, atom_distance=r / 2, theta=math.pi
-        )
-        gaa = sq.collective_rate(sys0, 1.0, same_atom=True)
+        gaa, gab = collective_rates(sq.DrudeLorentzParams(0.0, 1e-9), r / 2, r, 1.0,
+                                    math.cos(math.pi))
         assert abs(gaa - 1.0) <= 1e-6, f"kr={kr}: Gamma_AA={gaa}"
-        gab = sq.collective_rate(sys0, 1.0, same_atom=False)
         assert abs(gab - free_space_cross_rate(kr, math.pi)) <= 1e-6, f"kr={kr}"
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds 5s"
@@ -100,7 +98,7 @@ def test_criterion_2_resonance_recovery(fig2_system, resonance_scan):
     l_star, wc, dwc = min(hits, key=lambda r: abs(r[1] - 1.0501))
 
     om = np.linspace(wc - 5 * dwc, wc + 5 * dwc, 25)
-    gaa = np.array([sq.collective_rate(fig2_system, w, same_atom=True) for w in om])
+    gaa, _ = collective_rates(fig2_system.params, fig2_system.radius, fig2_system.r, om, 1.0)
 
     def resid(q):
         base, ar, ai, w0, hw = q
@@ -119,17 +117,17 @@ def test_criterion_2_resonance_recovery(fig2_system, resonance_scan):
 def test_criterion_3_diametric_enhancement(fig2_system, fig2_resonance):
     t0 = time.time()
     wc = fig2_resonance.omega_c
-    gp, gm = sq.rates_pm(fig2_system, wc)
-    assert max(gp / gm, gm / gp) >= 10.0
-
+    params, radius = fig2_system.params, fig2_system.radius
     dr_grid = np.geomspace(0.06, 3.0, 22)
-    ratios = []
-    for dr in dr_grid:
-        sys_dr = sq.SphereSystem(fig2_system.params, fig2_system.radius, dr, math.pi)
-        p, m = sq.rates_pm(sys_dr, wc)
-        ratios.append(max(p / m, m / p))
-        if dr == dr_grid[-1]:
-            assert abs(p - 1.0) <= 0.2 and abs(m - 1.0) <= 0.2
+    # the demo distance first, then the distance sweep, in one call
+    dr = np.append(fig2_system.atom_distance, dr_grid)
+    gaa, gab = collective_rates(params, radius, radius + dr, wc, math.cos(math.pi))
+    gp, gm = gaa + gab, gaa - gab
+    assert max(gp[0] / gm[0], gm[0] / gp[0]) >= 10.0
+
+    p, m = gp[1:], gm[1:]
+    ratios = np.maximum(p / m, m / p)
+    assert abs(p[-1] - 1.0) <= 0.2 and abs(m[-1] - 1.0) <= 0.2
     imax = int(np.argmax(ratios))
     assert 0 < imax < len(dr_grid) - 1, f"ratio max at boundary: {ratios}"
     announce(3, "diametric enhancement", t0)

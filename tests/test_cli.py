@@ -329,7 +329,6 @@ class TestExitCodes:
             DrudeLorentzParams,
             NonConvergenceError,
             SphereSystem,
-            rates_pm,
         )
 
         omegas = np.linspace(1.04, 1.0545, 40)
@@ -337,7 +336,7 @@ class TestExitCodes:
         failing = []
         for k, om in enumerate(omegas):
             try:
-                rates_pm(sys0, om)
+                ms.collective_rates(sys0.params, sys0.radius, sys0.r, om, math.cos(sys0.theta))
             except (NonConvergenceError, ArithmeticError):
                 failing.append(k)
         assert failing and BLOCK <= failing[0] < len(omegas)
@@ -647,30 +646,50 @@ class TestDynamicsCommand:
         assert "resolved.f_plus0_re" in meta
 
     def test_streamed_csv_equals_list_built_rows(self, tmp_path):
-        text = (
+        # the closed form on 2500 samples and the integrator over 2000 steps,
+        # both more rows than one 1024-row chunk of the row conversion
+        base = (
             "dynamics.gamma31_aa = 3.0\ndynamics.gamma31_ab = 2.0\n"
             "dynamics.gamma32_ab = 0.9\ndynamics.delta_omega_c = 0.4\n"
-            "dynamics.t_max = 60\ndynamics.samples = 2500\n"
         )
-        cfg = tmp_path / "dyn.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "dyn.csv"
-        assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
-        streamed = out.read_text()
-        # the whole file built in memory from a list of rows, as one string
-        values, _ = resolve(parse_config(text), cli._DYNAMICS)
-        p = cli._coupling_from_cfg(values)
-        traj = dynamics.sample_closed(p, cli._drive_from_cfg(values, p), 60.0, 2500)
-        rows = [
-            (t, cp.real, cp.imag, cm.real, cm.imag)
-            for t, cp, cm in zip(traj.times, traj.c_plus, traj.c_minus)
-        ]
-        lines = [line for line in streamed.splitlines() if line.startswith("#")]
-        lines.append("t,c_plus_re,c_plus_im,c_minus_re,c_minus_im")
-        lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
-        # more rows than one 1024-row chunk of the row conversion
-        assert len(rows) == 2500
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        methods = {
+            "closed": ("dynamics.t_max = 60\ndynamics.samples = 2500\n", 2500),
+            "volterra": ("dynamics.method = volterra\ndynamics.step = 0.002\n"
+                         "dynamics.t_max = 4\n", 2001),
+        }
+        for method, (keys, count) in methods.items():
+            text = base + keys
+            cfg = tmp_path / f"{method}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"{method}.csv"
+            assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 0
+            streamed = out.read_text()
+            # the whole file built in memory from a list of rows, as one
+            # string: the closed form on the sample times, or the integrator
+            # once per branch
+            values, _ = resolve(parse_config(text), cli._DYNAMICS)
+            p = cli._coupling_from_cfg(values)
+            d = cli._drive_from_cfg(values, p)
+            t_max = values["dynamics.t_max"]
+            if method == "closed":
+                t = np.linspace(0.0, t_max, values["dynamics.samples"])
+                c_plus = dynamics.amplitude_closed(p, d, "+", t)
+                c_minus = dynamics.amplitude_closed(p, d, "-", t)
+            else:
+                t, c_plus = dynamics.volterra_branch(p, d, "+", t_max, 0.002)
+                _, c_minus = dynamics.volterra_branch(p, d, "-", t_max, 0.002)
+            rows = [
+                (time, cp.real, cp.imag, cm.real, cm.imag)
+                for time, cp, cm in zip(t, c_plus, c_minus)
+            ]
+            lines = [line for line in streamed.splitlines() if line.startswith("#")]
+            lines.append("t,c_plus_re,c_plus_im,c_minus_re,c_minus_im")
+            lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+            assert len(rows) == count
+            # from t = 0, where C_+ = C_- = 0, to t_max
+            assert rows[0] == (0.0, 0.0, 0.0, 0.0, 0.0)
+            assert rows[-1][0] == pytest.approx(t_max, rel=1e-15)
+            assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_volterra_method_agrees_with_closed(self, tmp_path):
         base = (
@@ -760,8 +779,8 @@ class TestEntangle:
             )
             d = cli._drive_from_cfg(cfg, p)
             t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-            traj = dynamics.sample_closed(p, d, t_end, 2000)
-            assert max(abs(traj.c_plus[-1]), abs(traj.c_minus[-1])) < 1e-6
+            for branch in "+-":
+                assert abs(dynamics.amplitude_closed(p, d, branch, t_end)) < 1e-6
             state = steady_state.steady_state_from_params(p, d)
             want = (
                 p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,

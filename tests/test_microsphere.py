@@ -8,15 +8,12 @@ from sphereqed import microsphere, special
 from sphereqed.microsphere import (
     BLOCK,
     DrudeLorentzParams,
-    GRID_PER_UNIT,
     NonConvergenceError,
     Resonance,
     SphereSystem,
-    collective_rate,
     collective_rates,
     find_resonances,
     permittivity,
-    rates_pm,
     refractive_index,
     resonance_kind,
     size_parameter,
@@ -134,32 +131,34 @@ class TestCollectiveRate:
     @pytest.mark.parametrize("kr", [1.0, 5.0, 20.0, 66.0, 100.0])
     def test_free_space_single_atom(self, kr):
         sys0 = free_space_system(kr / (2 * math.pi))
-        assert collective_rate(sys0, 1.0, same_atom=True) == pytest.approx(1.0, abs=1e-6)
+        gaa, _ = collective_rates(sys0.params, sys0.radius, sys0.r, 1.0, math.cos(sys0.theta))
+        assert gaa == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("theta", [math.pi, 2.2, 1.1, 0.4])
     @pytest.mark.parametrize("kr", [2.0, 18.0, 66.0])
     def test_free_space_cross_vs_green_tensor(self, kr, theta):
         sys0 = free_space_system(kr / (2 * math.pi), theta=theta)
-        got = collective_rate(sys0, 1.0, same_atom=False)
+        _, got = collective_rates(sys0.params, sys0.radius, sys0.r, 1.0, math.cos(theta))
         want = free_space_cross_rate(kr, theta)
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_strong_diametric_interaction(self, fig2_system, fig2_resonance):
-        gaa = collective_rate(fig2_system, fig2_resonance.omega_c, same_atom=True)
-        gab = collective_rate(fig2_system, fig2_resonance.omega_c, same_atom=False)
+        sys0 = fig2_system
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.r, fig2_resonance.omega_c,
+                                    math.cos(sys0.theta))
         assert abs(gab) > gaa / 2
 
     def test_positivity_and_cross_bound(self, fig2_system):
-        for om in (0.4, 0.85, 0.97, 1.0501, 1.08):
-            gaa = collective_rate(fig2_system, om, same_atom=True)
-            gab = collective_rate(fig2_system, om, same_atom=False)
-            assert gaa > 0
-            assert abs(gab) <= gaa + 1e-6
+        sys0 = fig2_system
+        om = [0.4, 0.85, 0.97, 1.0501, 1.08]
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.r, om, math.cos(sys0.theta))
+        assert np.all(gaa > 0)
+        assert np.all(np.abs(gab) <= gaa + 1e-6)
 
     def test_too_close_to_surface_raises(self):
         sys0 = SphereSystem(DrudeLorentzParams(0.5, 1e-6), 10.0, 0.005)
         with pytest.raises(NonConvergenceError):
-            collective_rate(sys0, 1.0501, same_atom=True)
+            collective_rates(sys0.params, sys0.radius, sys0.r, 1.0501, math.cos(sys0.theta))
 
     @pytest.mark.parametrize(
         "omega_p,gamma,radius,dr,theta,om",
@@ -172,7 +171,7 @@ class TestCollectiveRate:
         # whole-sum cross-check: every piece (Mie, Bessel, Legendre, weights)
         # reassembled in mpmath, summed far past where the package truncates
         sys0 = SphereSystem(DrudeLorentzParams(omega_p, gamma), radius, dr, theta)
-        got = collective_rate(sys0, om, same_atom=False)
+        _, got = collective_rates(sys0.params, sys0.radius, sys0.r, om, math.cos(theta))
         lmax = int(2 * math.pi * om * (radius + dr)) + 40
         want = mp_collective_rate(omega_p, gamma, radius, dr, theta, om, lmax)
         assert got == pytest.approx(want, abs=1e-8)
@@ -226,7 +225,8 @@ class TestBlockKernel:
         sys0 = fig2_system
         omega = np.linspace(1.0495, 1.0505, BLOCK)
         calls = self.spy_ratio_runs(monkeypatch)
-        microsphere._rate_orders(sys0.params, sys0.radius, np.full(BLOCK, sys0.r), omega, 150)
+        kr = size_parameter(omega, sys0.r)
+        microsphere._rate_orders(sys0.params, sys0.radius, kr, omega, 150)
         # j on concat(k R, n k R, k r) and h on concat(k R, k r), each
         # argument once, in one run of the column loop
         assert [len(z) for z in calls["j"]] == [3 * BLOCK]
@@ -264,9 +264,9 @@ class TestBlockKernel:
         sizes = []
         rate_orders = microsphere._rate_orders
 
-        def spy(params, radius, r, omega, lmax):
+        def spy(params, radius, kr, omega, lmax):
             sizes.append((lmax, len(omega)))
-            return rate_orders(params, radius, r, omega, lmax)
+            return rate_orders(params, radius, kr, omega, lmax)
 
         monkeypatch.setattr(microsphere, "_rate_orders", spy)
         collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
@@ -332,29 +332,36 @@ class TestBlockKernel:
 
 
 class TestRatesPm:
+    """Gamma_pm = Gamma_AA +/- Gamma_AB of one collective_rates call."""
+
     def test_sum_identity(self, fig2_system):
-        for om in (0.9, 1.0501):
-            gaa = collective_rate(fig2_system, om, same_atom=True)
-            gp, gm = rates_pm(fig2_system, om)
-            assert gp + gm == pytest.approx(2 * gaa, rel=1e-12)
+        # Gamma_AA, so (Gamma_+ + Gamma_-)/2, is bit for bit the cross rate
+        # at cos theta = 1, as P_l(1) = 1
+        sys0, om = fig2_system, [0.9, 1.0501]
+        gaa, _ = collective_rates(sys0.params, sys0.radius, sys0.r, om, math.cos(sys0.theta))
+        _, aligned = collective_rates(sys0.params, sys0.radius, sys0.r, om, 1.0)
+        assert np.array_equal(gaa, aligned)
 
     def test_symmetric_split_without_cross_rate(self):
         # far from the sphere the cross rate vanishes and the split is even
         sys0 = free_space_system(40.0, theta=2.0)
-        gp, gm = rates_pm(sys0, 1.0)
-        gab = collective_rate(sys0, 1.0, same_atom=False)
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.r, 1.0, math.cos(sys0.theta))
         assert abs(gab) < 1e-2
-        assert gp == pytest.approx(gm, abs=2 * abs(gab) + 1e-12)
+        assert gaa + gab == pytest.approx(gaa - gab, abs=2 * abs(gab) + 1e-12)
 
     def test_drastic_enhancement_at_resonance(self, fig2_system, fig2_resonance):
-        gp, gm = rates_pm(fig2_system, fig2_resonance.omega_c)
+        sys0 = fig2_system
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.r, fig2_resonance.omega_c,
+                                    math.cos(sys0.theta))
+        gp, gm = gaa + gab, gaa - gab
         assert max(gp / gm, gm / gp) > 100
 
     def test_free_space_recovery_far_away(self, fig2_system, fig2_resonance):
-        far = SphereSystem(fig2_system.params, fig2_system.radius, 3.0, math.pi)
-        gp, gm = rates_pm(far, fig2_resonance.omega_c)
-        assert gp == pytest.approx(1.0, abs=0.2)
-        assert gm == pytest.approx(1.0, abs=0.2)
+        sys0 = fig2_system
+        gaa, gab = collective_rates(sys0.params, sys0.radius, sys0.radius + 3.0,
+                                    fig2_resonance.omega_c, -1.0)
+        assert gaa + gab == pytest.approx(1.0, abs=0.2)
+        assert gaa - gab == pytest.approx(1.0, abs=0.2)
 
 
 @pytest.fixture
@@ -426,7 +433,7 @@ class TestFindResonances:
 
         wc, dwc = fig2_resonance.omega_c, fig2_resonance.delta_omega_c
         om = np.linspace(wc - 5 * dwc, wc + 5 * dwc, 25)
-        gaa = np.array([collective_rate(fig2_system, w, same_atom=True) for w in om])
+        gaa, _ = collective_rates(fig2_system.params, fig2_system.radius, fig2_system.r, om, 1.0)
 
         def resid(q):
             base, ar, ai, w0, hw = q
@@ -580,8 +587,7 @@ class TestBatchedRefinement:
         monkeypatch.setattr(microsphere, "_denominator_balance", spy)
         find_resonances(fig2_system, omega_lo, omega_hi, orders)
         l, omega, vals = seen[0]
-        npts = max(64, int(GRID_PER_UNIT * (omega_hi - omega_lo))) + 1
-        grid = np.linspace(omega_lo, omega_hi, npts)
+        grid = microsphere._search_grid(omega_lo, omega_hi)
         assert np.array_equal(l, np.repeat(orders, len(grid)))
         assert np.array_equal(omega, np.tile(grid, len(orders)))
         per_order = [balance(fig2_system, order, grid) for order in orders]
@@ -593,6 +599,15 @@ class TestBatchedRefinement:
         want = find_resonances(fig2_system, 1.04, 1.06, range(110, 129))
         monkeypatch.setattr(microsphere, "_GRID_PAIRS", 3 * 65 + 1)
         assert find_resonances(fig2_system, 1.04, 1.06, range(110, 129)) == want
+
+    def test_grid_has_one_interval_per_grid_step(self):
+        # 2000 (0.995 - 0.90) is 189.99999999999994 in float64, and 2000
+        # (2.095 - 2.0) is 190.0000000000004: both windows take 190 intervals
+        # of 5e-4.  A window 0.02 wide takes the 64-interval floor
+        grid = microsphere._search_grid(0.90, 0.995)
+        assert len(grid) == 191 and (grid[0], grid[-1]) == (0.90, 0.995)
+        assert len(microsphere._search_grid(2.0, 2.095)) == 191
+        assert len(microsphere._search_grid(1.04, 1.06)) == 65
 
 
 class TestRatioDirections:
@@ -622,7 +637,8 @@ class TestRatioDirections:
         assert len(find_resonances(sys0, 1.04, 1.06, range(119, 123))) == 4
         search = len(counts)
         omega = np.linspace(0.98, 0.995, BLOCK)
-        microsphere._rate_orders(sys0.params, sys0.radius, np.full(BLOCK, sys0.r), omega, 300)
+        microsphere._rate_orders(sys0.params, sys0.radius, size_parameter(omega, sys0.r), omega,
+                                 300)
         assert search > 1 and len(counts) == search + 1
         assert sum(n for n, _ in counts) > 0
         assert [up for _, up in counts] == [0] * len(counts)
@@ -720,14 +736,16 @@ def single_term(sys: SphereSystem, res: Resonance, same_atom: bool) -> float:
     """The l = res.l term of the rate sum alone at omega_c: row res.l of the
     kernel's per-order terms, times P_l(cos theta)."""
     cos_theta = 1.0 if same_atom else math.cos(sys.theta)
-    terms, _ = microsphere._rate_orders(sys.params, sys.radius, np.array([sys.r]),
-                                        np.array([res.omega_c]), res.l)
+    omega = np.array([res.omega_c])
+    terms, _ = microsphere._rate_orders(sys.params, sys.radius, size_parameter(omega, sys.r),
+                                        omega, res.l)
     return float(terms[res.l - 1, 0] * legendre_all(res.l, cos_theta)[res.l, 0])
 
 
 class TestSingleTermRate:
     def test_dominates_at_resonance(self, fig2_system, fig2_resonance):
-        full = collective_rate(fig2_system, fig2_resonance.omega_c, same_atom=True)
+        full, _ = collective_rates(fig2_system.params, fig2_system.radius, fig2_system.r,
+                                   fig2_resonance.omega_c, 1.0)
         one = single_term(fig2_system, fig2_resonance, same_atom=True)
         assert one == pytest.approx(full, rel=0.1)
 
