@@ -158,27 +158,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
-    """Metadata lines, the header and one line per row of the iterable
-    rows, each line written as soon as it is formatted.
+def write_csv(path: str, meta: dict, header: list[str], columns) -> None:
+    """Metadata lines, the header and one line per row of the columns:
+    arrays or lists, all of one length.
 
-    Every row has the value types of the first one.  A row is one %-format:
-    floats (Python or numpy) print as %.12g, which gives the bytes of
-    _fmt, and any other value as str().
+    A float column (Python or numpy floats) prints as %.12g, which gives
+    the bytes of _fmt, and any other column as str().  The rows are
+    converted to Python values and written 1024 at a time.
     """
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.12g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {k} = {_fmt(v)}\n" for k, v in meta.items())
         fh.write(",".join(header) + "\n")
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
-            return
-        line = ",".join(
-            "%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in first
-        ) + "\n"
-        fh.write(line % tuple(first))
-        for row in rows:
-            fh.write(line % tuple(row))
+        for k in range(0, len(columns[0]), 1024):
+            fh.writelines(line % row for row in zip(*(col[k : k + 1024].tolist()
+                                                      for col in columns)))
 
 
 def _sphere_system(v: dict) -> ms.SphereSystem:
@@ -260,11 +255,10 @@ _RESONANCE_HEADER = ["l", "omega_c", "delta_omega_c", "kind"]
 
 
 def cmd_resonances(cfg: dict, out: str) -> None:
-    """Locate field resonances in a frequency window for a range of orders."""
     v, meta = resolve(cfg, _RESONANCES)
     resonances = ms.find_resonances(_sphere_system(v), *_resonance_window(v))
-    rows = [(r.l, r.omega_c, r.delta_omega_c, r.kind) for r in resonances]
-    write_csv(out, meta, _RESONANCE_HEADER, rows)
+    columns = [[getattr(r, field) for r in resonances] for field in _RESONANCE_HEADER]
+    write_csv(out, meta, _RESONANCE_HEADER, columns)
 
 
 def _rate_sweep(cfg: dict, out: str, table: dict, columns: tuple[str, ...]) -> None:
@@ -277,12 +271,7 @@ def _rate_sweep(cfg: dict, out: str, table: dict, columns: tuple[str, ...]) -> N
     values = _sphere_sweep(v, sys0)
     gaa, gab = _rates_at(sys0, values, *_sweep_points(sys0, axis, values, v["rates.omega"]))
     rates = dict(zip(RATE_COLUMNS, (gaa, gab, gaa + gab, gaa - gab)))
-    write_csv(out, meta, [axis, *columns], zip(values, *(rates[c] for c in columns)))
-
-
-def cmd_rates(cfg: dict, out: str) -> None:
-    """Sweep the collective decay rates over theta, omega or delta_r."""
-    _rate_sweep(cfg, out, _RATES, RATE_COLUMNS)
+    write_csv(out, meta, [axis, *columns], [values, *(rates[c] for c in columns)])
 
 
 def _coupling_from_cfg(v: dict) -> dyn.CouplingParams:
@@ -333,7 +322,6 @@ _DYNAMICS_HEADER = ["t", "c_plus_re", "c_plus_im", "c_minus_re", "c_minus_im"]
 
 
 def cmd_dynamics(cfg: dict, out: str) -> None:
-    """Emit sampled amplitudes C_pm(t) for an explicit dynamics rate set."""
     v, meta = resolve(cfg, _DYNAMICS)
     p = _coupling_from_cfg(v)
     d = _drive_from_cfg(v, p)
@@ -351,20 +339,14 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
             _, c_minus = dyn.volterra_branch(p, d, "-", t_max, step)
         except ValueError as exc:
             raise ConfigError(f"key 'dynamics.step': {exc}") from exc
-    columns = (t, c_plus.real, c_plus.imag, c_minus.real, c_minus.imag)
-    # Python floats, converted 1024 rows at a time
-    rows = (
-        row
-        for k in range(0, len(t), 1024)
-        for row in np.column_stack([col[k : k + 1024] for col in columns]).tolist()
-    )
     resolved = {
         "resolved.f_plus0_re": d.f_plus0.real,
         "resolved.f_plus0_im": d.f_plus0.imag,
         "resolved.f_minus0_re": d.f_minus0.real,
         "resolved.f_minus0_im": d.f_minus0.imag,
     }
-    write_csv(out, {**meta, **resolved}, _DYNAMICS_HEADER, rows)
+    columns = [t, c_plus.real, c_plus.imag, c_minus.real, c_minus.imag]
+    write_csv(out, {**meta, **resolved}, _DYNAMICS_HEADER, columns)
 
 
 def _entangle_columns(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
@@ -394,9 +376,9 @@ def _entangle_columns(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
     )
 
 
-def _sweep_rows(values, columns) -> list:
-    """Rows (value, *columns) of the sweep; columns(n) gives the columns of
-    the first n sweep points from one array call.
+def _sweep_rows(values, columns):
+    """The write_csv columns (values, *columns) of the sweep, one array each;
+    columns(n) gives the columns of the first n sweep points from one call.
 
     A failing check is reported at the lowest sweep point that fails any
     check, as a loop over the points in order would report it: each check
@@ -414,7 +396,7 @@ def _sweep_rows(values, columns) -> list:
             n, failure = exc.point, exc
             continue
         if failure is None:
-            return np.column_stack(np.broadcast_arrays(values, *cols)).tolist()
+            return np.broadcast_arrays(values, *cols)
         break
     raise _at_point(values, failure.point, failure) from failure
 
@@ -441,7 +423,6 @@ _ENTANGLE_HEADER = [
 
 
 def cmd_entangle(cfg: dict, out: str) -> None:
-    """Full pipeline: rates, drive, amplitudes, stationary state, concurrence."""
     explicit = cfg.get("entangle.rates") == "explicit"
     v, meta = resolve(cfg, _ENTANGLE_EXPLICIT if explicit else _ENTANGLE_SPHERE)
     if explicit:
@@ -504,11 +485,20 @@ def cmd_entangle(cfg: dict, out: str) -> None:
     write_csv(out, meta, _ENTANGLE_HEADER, _sweep_rows(values, columns))
 
 
+# subcommand: help line, run(cfg, out) and the CSV columns --help lists
 _COMMANDS = {
-    "resonances": (cmd_resonances, _RESONANCE_HEADER),
-    "rates": (cmd_rates, ("<axis>", *RATE_COLUMNS)),
-    "dynamics": (cmd_dynamics, _DYNAMICS_HEADER),
-    "entangle": (cmd_entangle, _ENTANGLE_HEADER),
+    "resonances": ("Locate field resonances in a frequency window for a range of orders.",
+                   cmd_resonances, _RESONANCE_HEADER),
+    "rates": ("Sweep the collective decay rates over theta, omega or delta_r.",
+              functools.partial(_rate_sweep, table=_RATES, columns=RATE_COLUMNS),
+              ("<axis>", *RATE_COLUMNS)),
+    "dynamics": ("Emit sampled amplitudes C_pm(t) for an explicit dynamics rate set.",
+                 cmd_dynamics, _DYNAMICS_HEADER),
+    "entangle": ("Full pipeline: rates, drive, amplitudes, stationary state, concurrence.",
+                 cmd_entangle, _ENTANGLE_HEADER),
+    **{name: (doc, functools.partial(_rate_sweep, table=table, columns=columns),
+              (table["sweep.axis"][1], *columns))
+       for name, (doc, table, columns) in _FIGURES.items()},
 }
 
 
@@ -522,11 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: (fn.__doc__.splitlines()[0], header)
-                for name, (fn, header) in _COMMANDS.items()}
-    for name, (doc, table, columns) in _FIGURES.items():
-        commands[name] = (doc, (table["sweep.axis"][1], *columns))
-    for name, (doc, header) in commands.items():
+    for name, (doc, _, header) in _COMMANDS.items():
         sp = sub.add_parser(
             name,
             help=doc,
@@ -536,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--config",
             required=name not in _FIGURES,
-            default=None,
             help="scenario config file (section.key = value lines)",
         )
         sp.add_argument("--out", default=None, help="output CSV path")
@@ -552,11 +537,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         out = args.out or cfg.get("output.path") or f"{args.command}.csv"
-        if args.command in _FIGURES:
-            _, table, columns = _FIGURES[args.command]
-            _rate_sweep(cfg, out, table, columns)
-        else:
-            _COMMANDS[args.command][0](cfg, out)
+        _COMMANDS[args.command][1](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

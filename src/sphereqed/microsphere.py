@@ -366,7 +366,7 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     shape = omega.shape
     r, omega, cos_theta = r.ravel(), omega.ravel(), cos_theta.ravel()
     rates = np.empty((2, omega.size))
-    kr = 2.0 * math.pi * omega * r
+    kr = size_parameter(omega, r)
     start, cosines = 0, None
     while start < omega.size:
         block = slice(start, _block_end(omega, kr, start))
@@ -422,8 +422,10 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     return eps, z1, z2, dh, dj
 
 
-def _balance(t1, t2):
-    """|t1 - t2| / (|t1| + |t2|), and 1 where both terms vanish.
+def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
+    """|t1 - t2| / (|t1| + |t2|) of the terms t1 = eps D_h and t2 = D_j of f,
+    and 1 where both vanish, of order l, one order or one per frequency, at
+    each frequency of the 1-D array omega (see _order_terms).
 
     The denominator rides an exponential envelope in omega (through j_l(z2)
     inside the gap), and f has poles at the zeros of j_l(z2); the
@@ -431,28 +433,16 @@ def _balance(t1, t2):
     resonance and dipping sharply at one, which makes it the right quantity
     to bracket on a real-frequency grid.
     """
+    *_, t1, t2 = _order_terms(sys, l, omega)
     denom = np.abs(t1) + np.abs(t2)
     with np.errstate(invalid="ignore"):
         return np.where(denom == 0.0, 1.0, np.abs(t1 - t2) / denom)
 
 
-def _reduced_denominator(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
-    """f = eps D_h - D_j of order l, one order or one per frequency, at each
-    frequency of the 1-D array omega (see _order_terms)."""
-    *_, dh, dj = _order_terms(sys, l, omega)
-    return dh - dj
-
-
-def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
-    """The balance ratio of order l, one order or one per frequency, at each
-    frequency of the 1-D array omega (see _order_terms and _balance)."""
-    return _balance(*_order_terms(sys, l, omega)[3:])
-
-
 def _denominator_slope(sys: SphereSystem, l, omega: np.ndarray):
-    """f (see _reduced_denominator) and its derivative df/domega in closed
-    form, of order l (one order or one per frequency) at each frequency of
-    the 1-D array omega, from one call of the ratio recurrences.
+    """f = eps D_h - D_j (see _order_terms) and its derivative df/domega in
+    closed form, of order l (one order or one per frequency) at each
+    frequency of the 1-D array omega, from one call of the ratio recurrences.
 
     The log-derivative D(z) = [z f_l(z)]'/f_l(z) obeys
     dD/dz = (D - D^2 + l(l+1))/z - z, from the Riccati-Bessel equation
@@ -570,11 +560,11 @@ def find_resonances(
     recurrences per candidate, read out at its own order (a few candidates
     run the scalar loop each).  Converged roots are kept when they fall
     inside the window, have positive width and suppress f by at least 1e-8
-    relative to its off-resonance value at omega_c + 3*delta_omega_c (one
-    call each for all candidates); roots of one order closer than 10
-    widths count once.  A candidate's value never depends on the other
-    candidates of its call, so the roots are exactly those of each order
-    searched alone.
+    relative to its off-resonance value at omega_c + 3*delta_omega_c (f
+    from the terms of _order_terms, one call each for all candidates);
+    roots of one order closer than 10 widths count once.  A candidate's
+    value never depends on the other candidates of its call, so the roots
+    are exactly those of each order searched alone.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
@@ -602,8 +592,9 @@ def find_resonances(
     ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
     roots, orders = roots[ok], orders[ok]
     if roots.size:
-        ref = np.abs(_reduced_denominator(sys, orders, wc[ok] + 3.0 * dwc[ok]))
-        suppressed = np.abs(_reduced_denominator(sys, orders, roots)) < 1e-8 * ref
+        ref, at_root = (np.abs(np.subtract(*_order_terms(sys, orders, w)[3:]))
+                        for w in (wc[ok] + 3.0 * dwc[ok], roots))
+        suppressed = at_root < 1e-8 * ref
         roots, orders = roots[suppressed], orders[suppressed]
     found: list[Resonance] = []
     unique: dict[int, list[complex]] = {}

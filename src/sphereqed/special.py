@@ -45,10 +45,8 @@ import numpy as np
 # Im z = -5, 1e-7 at -10, O(1) at -20), so it refuses Im z below this.
 H1_IM_MIN = -5.0
 
-# rows of (2n + 1)/z that the column loop builds per numpy call, fewer in
-# a run wider than _ODD_SIZE / _ODD_ROWS columns, so that a chunk holds at
-# most _ODD_SIZE numbers (128 kB)
-_ODD_ROWS = 32
+# the column loop builds the rows of (2n + 1)/z in chunks of at most
+# _ODD_SIZE numbers (128 kB), and of at least one row
 _ODD_SIZE = 8192
 
 # up to this many columns of a direction a scalar loop per column beats
@@ -201,7 +199,7 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
     alone = ways[firsts.index(0)] if split else slice(0, n)
     for start, stop, cols in ((0, split, alone), (split, total, slice(0, n))):
         width = cols.stop - cols.start
-        size = max(1, min(_ODD_ROWS, _ODD_SIZE // width))
+        size = max(1, _ODD_SIZE // width)
         # the state before the first step, and the arrays the steps write
         x = (outs[start - 1] if start else x)[cols]
         targets = [out[cols] for out in outs[start:stop]] if width < n else outs[start:stop]

@@ -117,6 +117,18 @@ class TestConfigParsing:
             parse_config("a.b = 1\nnot a key value\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [("a.b = 1\nab = 2\n", "key 'ab' must look like 'section.key'", 2),
+         ("= 1\n", "key '' must look like 'section.key'", 1),
+         ("a.b = 1\nc.d = # no value\n", "empty value for key 'c.d'", 2)],
+        ids=["no_section", "no_key", "empty_value"],
+    )
+    def test_malformed_line_rejected(self, text, message, line):
+        with pytest.raises(ConfigError, match=re.escape(f"line {line}: {message}")) as err:
+            parse_config(text)
+        assert err.value.line == line
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("a.b = 1\na.b = 2\n")
@@ -715,11 +727,11 @@ class TestDynamicsCommand:
         assert np.max(np.abs(cp - amplitude_closed(p, d, "+", t))) < 1e-6
 
 
-def _fmt_join(meta, header, rows) -> bytes:
+def _fmt_join(meta, header, columns) -> bytes:
     """The CSV of write_csv's arguments, one _fmt call per value."""
     lines = [f"# {k} = {cli._fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(header))
-    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in zip(*columns))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -727,27 +739,33 @@ class TestWriteCsv:
     META = {"sweep.count": "3", "resolved.x": 0.1 + 0.2}
 
     @pytest.mark.parametrize(
-        "header, rows",
+        "header, columns",
         [
+            # an int and a str column, and a float column of Python and
+            # numpy floats, as lists
             (cli._RESONANCE_HEADER,
-             [(121, 1.0501234567891234, 3.2e-5, "SG"), (7, 0.93, np.float64(1e-3), "WG")]),
+             [[121, 7], [1.0501234567891234, 0.93], [3.2e-5, np.float64(1e-3)], ["SG", "WG"]]),
+            # a float32 value in a float64 array and in a list, a float32
+            # array, and a scalar broadcast to a read-only column
             (cli._ENTANGLE_HEADER,
-             [[np.float64(0.1 + 0.2), *[1.0 / k for k in range(1, 11)],
-               *np.linspace(0.1, 0.9, 4), np.float32(0.1), np.float64(-2.5e-17)],
-              [0.3, *np.geomspace(1e-300, 1e300, 15), 2.0 / 3.0]]),
+             [np.array([np.float32(0.1), 0.3]), [np.float32(0.1), 2.0 / 3.0],
+              np.array([0.1, 1.0 / 3.0], dtype=np.float32),
+              *np.broadcast_arrays(np.linspace(0.1, 0.9, 2), 2.5e-17),
+              *np.geomspace(1e-300, 1e300, 24).reshape(12, 2)]),
             (cli._DYNAMICS_HEADER,
-             [[0.0, math.nan, math.inf, -math.inf, -0.0],
-              [5e-324, 1e16, -1e16, 1.0 / 3.0, 123456789012.5],
-              [2.0e-3, -5e-324, 0.1, 1e-5, 1e22]]),
-            (cli._DYNAMICS_HEADER, iter(())),
+             [np.array([0.0, 5e-324, 2.0e-3]), np.array([math.nan, 1e16, -5e-324]),
+              np.array([math.inf, -1e16, 0.1]), np.array([-math.inf, 1.0 / 3.0, 1e-5]),
+              np.array([-0.0, 123456789012.5, 1e22])]),
+            (cli._DYNAMICS_HEADER, [np.empty(0)] * 5),
+            # 2500 rows, more than two 1024-row chunks of the conversion
+            (["k", "x"], [np.arange(2500), np.linspace(0.0, 1.0, 2500) ** 3]),
         ],
-        ids=["resonances", "entangle", "dynamics", "empty"],
+        ids=["resonances", "entangle", "dynamics", "empty", "chunks"],
     )
-    def test_bytes_equal_per_value_format(self, tmp_path, header, rows):
-        rows = list(rows)
+    def test_bytes_equal_per_value_format(self, tmp_path, header, columns):
         out = tmp_path / "out.csv"
-        cli.write_csv(out, self.META, header, iter(rows))
-        assert out.read_bytes() == _fmt_join(self.META, header, rows)
+        cli.write_csv(out, self.META, header, columns)
+        assert out.read_bytes() == _fmt_join(self.META, header, columns)
 
 
 class TestEntangle:
@@ -833,6 +851,26 @@ class TestEntangle:
             a1 = dynamics.ode_coeffs(p, "+")[0][2]
             want = d.f_plus0[2] * t * np.exp(-a1 * t / 2.0)
             assert np.max(np.abs(c_plus[:, 2] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_equidistant_drive_reads_gamma_dd(self, tmp_path):
+        # an equidistant atom D with its own Gamma31_DD, not gamma31_aa: the
+        # drive of each row is that of (Gamma31_DD, gamma_AD, gamma_AD)
+        cfg = tmp_path / "ent.cfg"
+        cfg.write_text(ROW_SWEEPS["explicit"] + "drive.placement = equidistant\n"
+                       "drive.gamma_ad = 0.7\ndrive.gamma_dd = 2.5\n")
+        out = tmp_path / "ent.csv"
+        assert run_cli(["entangle", "--config", cfg, "--out", out]) == 0
+        meta, header, rows = read_csv(out)
+        assert meta["drive.gamma_dd"] == "2.5"
+        f_columns = ("f_plus_re", "f_plus_im", "f_minus_re", "f_minus_im")
+        got = np.array([column(header, rows, name) for name in f_columns]).T
+        for dwc, f in zip(column(header, rows, "delta_omega_c"), got):
+            d = dynamics.prepare_drive((2.5, 0.7, 0.7), dwc)
+            want = [d.f_plus0.real, d.f_plus0.imag, d.f_minus0.real, d.f_minus0.imag]
+            assert f == pytest.approx(want, rel=1e-11, abs=1e-300)
+            # the default, Gamma31_DD = gamma31_aa = 2, drives otherwise
+            default = dynamics.prepare_drive((2.0, 0.7, 0.7), dwc)
+            assert default.f_plus0 != pytest.approx(d.f_plus0, rel=1e-6)
 
     def test_branch_at_the_coupling_bound_is_uncoupled(self, tmp_path):
         # |gamma31_ab| may exceed gamma31_aa by 1e-12 relative, so Gamma31_-
@@ -1112,6 +1150,34 @@ class TestFigurePresets:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         assert run_cli(["figure2", "--config", cfg, "--out", tmp_path / "out.csv"]) == 1
+
+
+def test_help_lists_the_columns_each_command_writes(tmp_path, capsys):
+    # every _COMMANDS entry: its help line in the parser's --help, and its
+    # CSV columns in its own --help, which are the header of the CSV it
+    # writes; <axis> stands for sweep.axis
+    configs = {
+        "resonances": RESONANCE_WINDOW,
+        "rates": "rates.omega = 1.0501\n" + THETA_SWEEP,
+        "dynamics": DYNAMICS_RATES + "dynamics.samples = 3\n",
+        "entangle": REGIME_A_EXPLICIT,
+    }
+    with pytest.raises(SystemExit):
+        run_cli(["--help"])
+    # the help lines, wrapped to the terminal width
+    usage = " ".join(capsys.readouterr().out.split())
+    for name, (doc, _, columns) in cli._COMMANDS.items():
+        assert doc in usage
+        with pytest.raises(SystemExit):
+            run_cli([name, "--help"])
+        listed = capsys.readouterr().out.split("CSV columns: ")[1].splitlines()[0]
+        assert listed.split(", ") == list(columns)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(configs.get(name, "sweep.count = 3\n"))
+        out = tmp_path / f"{name}.csv"
+        assert run_cli([name, "--config", cfg, "--out", out]) == 0
+        meta, header, _ = read_csv(out)
+        assert [meta["sweep.axis"] if c == "<axis>" else c for c in listed.split(", ")] == header
 
 
 def test_readme_lists_every_declared_key():

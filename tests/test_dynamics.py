@@ -83,6 +83,16 @@ class TestOdeCoeffs:
 
 
 class TestAmplitudeClosed:
+    def test_unknown_branch_rejected(self):
+        p, d = generic_params(), DriveSpec(1.0, 0.5j)
+        match = r"branch must be '\+' or '-', got '0'"
+        with pytest.raises(ValueError, match=match):
+            amplitude_closed(p, d, "0", 1.0)
+        with pytest.raises(ValueError, match=match):
+            volterra_branch(p, d, "0", 1.0, 0.01)
+        with pytest.raises(ValueError, match=match):
+            p.gamma31_pm("0")
+
     def test_initial_condition(self):
         p = generic_params()
         d = DriveSpec(1.0, 0.5j)

@@ -123,7 +123,7 @@ class TestMieCoefficient:
         h = mp_spherical_h1(l, size_parameter(om, sys0.radius))
         omega = np.array([om])
         *_, dh, dj = microsphere._order_terms(sys0, l, omega)
-        f = microsphere._reduced_denominator(sys0, l, omega)[0]
+        f = microsphere._denominator_slope(sys0, l, omega)[0][0]
         assert abs(den[l - 1, 0] / h - f) <= 1e-12 * (abs(dh[0]) + abs(dj[0]))
 
 
@@ -387,6 +387,10 @@ class TestFindResonances:
         assert fig2_resonance.kind == "SG"
         assert fig2_resonance.l == 121
 
+    def test_order_below_one_rejected(self, fig2_system):
+        with pytest.raises(ValueError, match=r"l=0 must be >= 1"):
+            find_resonances(fig2_system, 1.04, 1.06, range(0, 3))
+
     def test_vacuum_sphere_has_no_resonances(self):
         sys0 = free_space_system(2.0)
         assert find_resonances(sys0, 0.8, 1.2, range(1, 10)) == []
@@ -419,7 +423,7 @@ class TestFindResonances:
         below = 0.3 - 0.1j
         assert size_parameter(below, fig2_system.radius).imag < H1_IM_MIN
         for omega in (np.array([below]), np.array([below, 0.3])):
-            f = microsphere._reduced_denominator(fig2_system, 1, omega)
+            f = microsphere._denominator_slope(fig2_system, 1, omega)[0]
             assert np.isnan(f[0]) and np.isfinite(f[1:]).all()
 
     def test_newton_iterates_of_demo_root_stay_near_axis(self, fig2_system, fig2_resonance,
@@ -486,12 +490,12 @@ class TestBatchedRefinement:
 
         monkeypatch.setattr(microsphere, "sph_jn_h1n_ratio", overflowing)
         with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502"):
-            microsphere._reduced_denominator(fig2_system, 121, np.array([1.0501, 1.0502]))
+            microsphere._denominator_slope(fig2_system, 121, np.array([1.0501, 1.0502]))
         # with one order per column the error names the failing column's
         # order, not the array of orders
         with pytest.raises(OverflowError, match=r"l=121 at omega=1\.0502$"):
-            microsphere._reduced_denominator(fig2_system, np.array([120, 121]),
-                                             np.array([1.0501, 1.0502]))
+            microsphere._denominator_slope(fig2_system, np.array([120, 121]),
+                                           np.array([1.0501, 1.0502]))
 
         # in a two-order window only order 121 overflows, and only in the
         # refinement stream, where both orders share one call
@@ -511,7 +515,10 @@ class TestBatchedRefinement:
         # in-place complex multiply takes another loop for one element
         omega = np.linspace(1.04, 1.06, 40) - 1j * np.linspace(0.0, 1e-6, 40)
         orders = np.resize([153, 121, 60, 200], len(omega))
-        for fn in (microsphere._reduced_denominator, microsphere._denominator_balance):
+        def f(*args):
+            return microsphere._denominator_slope(*args)[0]
+
+        for fn in (f, microsphere._denominator_balance):
             batch = fn(fig2_system, 153, omega)
             mixed = fn(fig2_system, orders, omega)
             for k, om in enumerate(omega):
@@ -539,8 +546,10 @@ class TestBatchedRefinement:
         # a 4-order band-gap search makes one grid call in all, and its
         # refinement as many calls as that of each of its orders alone: one
         # stream for all candidates, and one ratio recurrence call per
-        # Newton step, which gives f and its derivative
-        names = ("_denominator_balance", "_denominator_slope", "_reduced_denominator",
+        # Newton step, which gives f and its derivative.  Every evaluation
+        # goes through _order_terms: the calls beyond those of the balance
+        # ratio and the Newton steps are the suppression check's
+        names = ("_denominator_balance", "_denominator_slope", "_order_terms",
                  "sph_jn_h1n_ratio")
         calls = {name: [] for name in names}
         for name in names:
@@ -559,9 +568,12 @@ class TestBatchedRefinement:
             # the first balance call is the 65-point grid of every order
             grid, *golden = calls["_denominator_balance"]
             assert grid == 65 * len(orders)
-            evaluations = sum(len(calls[name]) for name in names[:3])
+            evaluations = len(calls["_order_terms"])
             assert len(calls["sph_jn_h1n_ratio"]) == evaluations
-            return len(golden), len(calls["_denominator_slope"]), len(calls["_reduced_denominator"])
+            newton = len(calls["_denominator_slope"])
+            suppression = evaluations - 1 - len(golden) - newton
+            assert suppression == 2
+            return len(golden), newton, suppression
 
         four = search_calls([119, 120, 121, 122])
         for l in (119, 120, 121, 122):
@@ -672,7 +684,9 @@ class TestDenominatorSlope:
         # measured: at most 1.4e-13 (l = 5), 2e-14 to 6e-14 elsewhere; a
         # central difference with step 1e-7 omega is off by 5.6e-7 at l = 77
         assert abs(slope[0] / want - 1) < 3e-13
-        assert f == microsphere._reduced_denominator(fig2_system, l, np.array([omega]))
+        # the f of the Newton step is the f of the suppression check
+        *_, dh, dj = microsphere._order_terms(fig2_system, l, np.array([omega], dtype=complex))
+        assert f == dh - dj
 
     @pytest.mark.parametrize(
         "omega_lo,omega_hi,l,count",
@@ -784,3 +798,13 @@ class TestTypes:
             SphereSystem(DrudeLorentzParams(0.5, 1e-6), 1.0, 0.0)
         with pytest.raises(ValueError):
             Resonance(omega_c=1.0, delta_omega_c=-1e-6, l=3)
+
+    def test_negative_plasma_frequency_rejected(self):
+        # omega_p = 0 is the vacuum sphere; below it the model has no meaning
+        DrudeLorentzParams(0.0, 1e-6)
+        with pytest.raises(ValueError, match="omega_p must be >= 0"):
+            DrudeLorentzParams(-0.1, 1e-6)
+
+    def test_unknown_resonance_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be 'SG' or 'WG'"):
+            Resonance(omega_c=1.05, delta_omega_c=1e-6, l=121, kind="TM")

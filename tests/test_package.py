@@ -30,12 +30,17 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      "_NONE", "_order_ratios",
                      # the scalar loop per kind: one per direction, j running
                      # upward below |z| like h
-                     "_jn_ratio_loop", "_h1n_ratio_loop")
+                     "_jn_ratio_loop", "_h1n_ratio_loop",
+                     # the column loop's row cap: a chunk is sized by _ODD_SIZE alone
+                     "_ODD_ROWS")
 # B_l formed a second way, for tests only: the rate kernel forms -num/den
 GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "PoleError",
                          # one point of collective_rates, and Gamma_AA +/- Gamma_AB
                          # of it: callers take both rates from collective_rates
-                         "collective_rate", "rates_pm")
+                         "collective_rate", "rates_pm",
+                         # f and the balance ratio: the search forms them from
+                         # the terms of _order_terms
+                         "_reduced_denominator", "_balance")
 # the trajectory wrappers: the CLI calls amplitude_closed on its sample
 # times, or volterra_branch once per branch
 GONE_FROM_DYNAMICS = ("AmplitudeTrajectory", "amplitude_volterra", "sample_closed")
@@ -44,7 +49,9 @@ GONE_FROM_STEADY_STATE = ("entanglement_check",
                           "BASIS_LABELS")
 GONE_FROM_CLI = ("_given",
                  # the per-point entangle loop: a sweep is one array call
-                 "_steady_row", "_rows")
+                 "_steady_row", "_rows",
+                 # the rates wrapper: one _COMMANDS row runs every rate sweep
+                 "cmd_rates")
 GONE_FROM_PACKAGE = ("integrate_alpha_beta", *GONE_FROM_DYNAMICS, *GONE_FROM_MICROSPHERE,
                      *GONE_FROM_SPECIAL)
 

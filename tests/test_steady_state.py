@@ -215,6 +215,17 @@ class TestAssembleDensity:
         with pytest.raises(ValueError):
             TwoQubitDensity(np.eye(4, dtype=complex))  # trace 4
 
+    def test_density_checks(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            TwoQubitDensity(np.eye(3) / 3)
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 0.1j
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            TwoQubitDensity(skew)
+        # Hermitian with trace 1, and an eigenvalue of -0.5
+        with pytest.raises(ValueError, match="must be positive semidefinite"):
+            TwoQubitDensity(np.diag([1.5, -0.5, 0.0, 0.0]))
+
 
 class TestConcurrence:
     def test_maximally_entangled(self):
