@@ -27,13 +27,13 @@ numpy runs each step for all columns at once, two calls per step, and
 column k runs to its own order l_k and keeps its last d_k ratios.  The two
 entry points give both kinds from one run, sph_jn_h1n_ratios all lmax rows
 and sph_jn_h1n_ratio the ratio of order l; a kind with no arguments gives
-an empty result.  Up to _SCALAR_POINTS (6) columns of a direction a scalar
-loop per column runs instead, which is faster there and gives the same
-bits.  The single-order ratios also take one order per argument: one run
-of the recurrence then serves arguments of many orders, each ended at its
-own order, with the bits of a call of that order alone.  The Bessel
-functions take orders l >= 1 and z != 0, and give h_l^(1) a NaN column
-below H1_IM_MIN.
+an empty result.  A call of up to _SCALAR_POINTS (12) columns in all runs
+a scalar loop per column instead, which is faster there and gives the
+same bits; so each call runs one loop.  The single-order ratios also take
+one order per argument: one run of the recurrence then serves arguments
+of many orders, each ended at its own order, with the bits of a call of
+that order alone.  The Bessel functions take orders l >= 1 and z != 0,
+and give h_l^(1) a NaN column below H1_IM_MIN.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ H1_IM_MIN = -5.0
 # _ODD_SIZE numbers (128 kB), and of at least one row
 _ODD_SIZE = 8192
 
-# up to this many columns of a direction a scalar loop per column beats
-# the column loop
-_SCALAR_POINTS = 6
+# up to this many columns of a call, of both kinds and directions, a
+# scalar loop per column beats the column loop
+_SCALAR_POINTS = 12
 
 # a j column runs upward where l <= |z| - _UP_MARGIN |z|^(1/3) - 2 |Im z|
 # and |Im z| <= _UP_IM_MAX (see _upward): measured against 50-digit
@@ -84,35 +84,19 @@ def _miller_start(lmax: int, size):
     return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
 
 
-def _downward_loop(lo: int, hi: int, z: complex) -> list[complex]:
-    """The ratios r_n = j_n/j_{n-1} for n = hi down to lo, from one
-    continued fraction started at _miller_start(hi, |z|)."""
+def _scalar_loop(x: complex, odds: range, z: complex, depth: int) -> list[complex]:
+    """The last depth values of x, then of x <- odd (1/z) - 1/x for each odd
+    in odds: one column of _ratio_columns, with its arithmetic."""
     zinv = 1.0 / z
-    r = 0j
-    # odd = 2n + 1 for n = M down to hi + 1, then hi down to lo
-    for odd in range(2 * _miller_start(hi, abs(z)) + 1, 2 * hi + 1, -2):
-        r = 1.0 / (odd * zinv - r)
-    rows = []
-    for odd in range(2 * hi + 1, 2 * lo - 1, -2):
-        r = 1.0 / (odd * zinv - r)
-        rows.append(r)
-    return rows
-
-
-def _upward_loop(lo: int, hi: int, z: complex, first: complex) -> list[complex]:
-    """The ratios x_n for n = lo..hi of the upward recurrence from its first
-    value x_1 = first (see _first_ratios)."""
-    zinv = 1.0 / z
-    x = first
-    # odd = 2n + 1 for the steps from x_n to x_{n+1}, n = 1 to lo - 1, then
-    # lo to hi - 1
-    for odd in range(3, 2 * lo, 2):
+    # the steps before the first kept value keep nothing
+    skip = len(odds) + 1 - depth
+    for odd in odds[:skip]:
         x = odd * zinv - 1.0 / x
-    rows = [x]
-    for odd in range(2 * lo + 1, 2 * hi, 2):
+    values = [x]
+    for odd in odds[skip:]:
         x = odd * zinv - 1.0 / x
-        rows.append(x)
-    return rows
+        values.append(x)
+    return values
 
 
 def _upward(l, z: np.ndarray) -> np.ndarray:
@@ -149,11 +133,9 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
     run ends with every column's last step: column k joins at the step
     from which its own steps just reach the last row, and until then holds
     values that nothing reads.  So a column's values depend on its own
-    argument and order alone, and are the bits of the scalar loop.  A
-    direction steps from the join of its first column on, so that a run of
-    both does the work of one run per direction.  The steps at which
-    columns join and the rows the steps write are laid out before the
-    loop, so a step is two numpy calls.
+    argument and order alone, and are the bits of the scalar loop.  The
+    steps at which columns join and the rows the steps write are laid out
+    before the loop, so a step is two numpy calls.
 
     The caller puts a j column upward where _upward holds,
     l_k <= |z_k| - 3 |z_k|^(1/3) - 2 |Im z_k| and |Im z_k| <= 3: below the
@@ -185,37 +167,24 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
     inverse = np.empty_like(x)
     # the state array takes the steps before the last D, which write the rows
     outs = [x] * (total - len(rows)) + list(rows)
-    # the columns that join at each step, with the full array it writes
+    # the columns that join at each step
     groups: dict = {}
     for column, t in enumerate(join.tolist()):
         groups.setdefault(t, []).append(column)
     joining: list = [None] * total
     for t, columns in groups.items():
-        joining[t] = outs[t], np.array(columns)
-    # until the first join of the later direction, the other steps alone
-    ways = [way for way in (slice(0, down), slice(down, n)) if way.start < way.stop]
-    firsts = [int(join[way].min()) for way in ways]
-    split = max(firsts)
-    alone = ways[firsts.index(0)] if split else slice(0, n)
-    for start, stop, cols in ((0, split, alone), (split, total, slice(0, n))):
-        width = cols.stop - cols.start
-        size = max(1, _ODD_SIZE // width)
-        # the state before the first step, and the arrays the steps write
-        x = (outs[start - 1] if start else x)[cols]
-        targets = [out[cols] for out in outs[start:stop]] if width < n else outs[start:stop]
-        inv, ratio, offset, over_z = inverse[cols], slope[cols], base[cols], zinv[cols]
-        for t in range(start, stop, size):
-            end = min(t + size, stop)
-            factor = np.multiply.outer(np.arange(t, end, dtype=float), ratio)
-            factor += offset
-            for odd, out, joined in zip(factor * over_z, targets[t - start : end - start],
-                                        joining[t:end]):
-                np.reciprocal(x, out=inv)
-                np.subtract(odd, inv, out=out)
-                x = out
-                if joined is not None:
-                    full, columns = joined
-                    full[columns] = starts[columns]
+        joining[t] = np.array(columns)
+    size = max(1, _ODD_SIZE // n)
+    for t in range(0, total, size):
+        end = min(t + size, total)
+        factor = np.multiply.outer(np.arange(t, end, dtype=float), slope)
+        factor += base
+        for odd, out, columns in zip(factor * zinv, outs[t:end], joining[t:end]):
+            np.reciprocal(x, out=inverse)
+            np.subtract(odd, inverse, out=out)
+            x = out
+            if columns is not None:
+                out[columns] = starts[columns]
     np.reciprocal(rows[:, :down], out=rows[:, :down])
 
 
@@ -226,10 +195,10 @@ def _ratios(l, jz: np.ndarray, hz: np.ndarray, rows: np.ndarray) -> None:
     is an order or one order l_k per column.
 
     The run takes the j columns that _upward selects with the h columns,
-    upward, and the others downward.  A direction with up to _SCALAR_POINTS
-    columns runs the scalar loop per column, the others share one run of
-    _ratio_columns (the same bits).  An upward j column's rows are turned
-    to run from order l_k down, like the others."""
+    upward, and the others downward.  A call of up to _SCALAR_POINTS
+    columns runs the scalar loop per column, a wider one a single run of
+    _ratio_columns over all of them (the same bits).  An upward j column's
+    rows are turned to run from order l_k down, like the others."""
     depth = len(rows)
     nj, n = len(jz), len(jz) + len(hz)
     orders = np.zeros(n, dtype=int) + l
@@ -240,17 +209,21 @@ def _ratios(l, jz: np.ndarray, hz: np.ndarray, rows: np.ndarray) -> None:
         # the columns by direction: downward j, then upward j, then h
         order = np.concatenate([np.flatnonzero(~up), np.flatnonzero(up), np.arange(nj, n)])
         z, orders, out = z[order], orders[order], np.empty_like(rows)
-    # the columns of the run: a contiguous range, downward before upward
-    lo = 0 if down > _SCALAR_POINTS else down
-    hi = n if n - down > _SCALAR_POINTS else down
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         first = _first_ratios(z[down:], nj - down)
-        if hi > lo:
-            _ratio_columns(orders[lo:hi], depth, z[lo:hi], first[: hi - down], out[:, lo:hi])
-        for k in [*range(lo), *range(hi, n)]:
-            top, zk = int(orders[k]), complex(z[k])
-            out[:, k] = (_downward_loop(top - depth + 1, top, zk) if k < down else
-                         _upward_loop(top - depth + 1, top, zk, complex(first[k - down])))
+        if n > _SCALAR_POINTS:
+            _ratio_columns(orders, depth, z, first, out)
+        else:
+            starts = first.tolist()
+            for k, (top, zk) in enumerate(zip(orders.tolist(), z.tolist())):
+                if k < down:
+                    # s = 1/r from (2M + 1)/z down to order top - depth + 1
+                    miller = _miller_start(top, abs(zk))
+                    odds = range(2 * miller - 1, 2 * (top - depth) + 1, -2)
+                    s = _scalar_loop((2 * miller + 1) * (1.0 / zk), odds, zk, depth)
+                    out[:, k] = [1.0 / v for v in s]
+                else:
+                    out[:, k] = _scalar_loop(starts[k - down], range(3, 2 * top, 2), zk, depth)
     if out is not rows:
         out[:, down:nj] = out[::-1, down:nj]
         rows[:, order] = out

@@ -372,6 +372,36 @@ class TestExitCodes:
         assert len(calls) == 1
         assert not out.exists()
 
+    def test_overflowed_term_in_second_block_is_named(self, tmp_path, capsys, monkeypatch):
+        # a non-finite multipole term at one point of the second rate block
+        # of a 40-point omega sweep: the kernel raises the overflow error
+        # with that point's flat index, and the CLI exits 2 naming it
+        omegas = np.linspace(1.04, 1.05, 40)
+        bad = ms.BLOCK + 3
+        rate_orders, blocks = ms._rate_orders, []
+
+        def overflowing(params, radius, kr, omega, lmax):
+            terms, env_mag = rate_orders(params, radius, kr, omega, lmax)
+            hit = omega == omegas[bad]
+            blocks.append(bool(hit.any()))
+            terms[0, hit] = np.inf
+            return terms, env_mag
+
+        monkeypatch.setattr(ms, "_rate_orders", overflowing)
+        sys0 = ms.SphereSystem(ms.DrudeLorentzParams(0.5, 1e-6), 10.0, 0.14, math.pi)
+        why = f"multipole term overflow at omega={float(omegas[bad])} (resonant order"
+        with pytest.raises(ms.NonConvergenceError, match=re.escape(why)) as err:
+            ms.collective_rates(sys0.params, sys0.radius, sys0.r, omegas.reshape(4, 10),
+                                math.cos(sys0.theta))
+        assert err.value.point == bad
+        assert blocks == [False, True]
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.05\nsweep.count = 40\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
+        assert f"sweep point {bad} (value {omegas[bad]:.12g}): {why}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_error_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "close.cfg"
         # atoms far too close to the surface for the l <= 300 multipole sum

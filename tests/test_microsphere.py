@@ -214,7 +214,7 @@ class TestBlockKernel:
             return rows(lmax, jz, hz)
 
         monkeypatch.setattr(microsphere, "sph_jn_h1n_ratios", spy)
-        for name in ("_ratio_columns", "_downward_loop", "_upward_loop"):
+        for name in ("_ratio_columns", "_scalar_loop"):
             def loop(*args, fn=getattr(special, name), name=name):
                 calls["loops"].append(name)
                 return fn(*args)

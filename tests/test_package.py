@@ -31,6 +31,9 @@ GONE_FROM_SPECIAL = ("spherical_j", "spherical_h1", "spherical_y", "sph_yn_all",
                      # the scalar loop per kind: one per direction, j running
                      # upward below |z| like h
                      "_jn_ratio_loop", "_h1n_ratio_loop",
+                     # the scalar loop per direction: one scalar loop steps
+                     # a column either way, as the column loop does
+                     "_downward_loop", "_upward_loop",
                      # the column loop's row cap: a chunk is sized by _ODD_SIZE alone
                      "_ODD_ROWS")
 # B_l formed a second way, for tests only: the rate kernel forms -num/den

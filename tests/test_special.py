@@ -361,7 +361,8 @@ UP_J_ORDERS = np.array([1000, 300, 121, 64, 7, 1])
 # arguments on the line Im z = H1_IM_MIN: more than the scalar loop takes,
 # so a call on all of them runs the column loop
 H_ROW_ARGS = np.concatenate([
-    size_parameter(np.array([1.0501, 0.925, 0.3, 0.2, 0.3 - 0.07j, 1.0501 - 5e-7j]), 10.0),
+    size_parameter(np.array([1.0501, 0.925, 0.3, 0.2, 0.3 - 0.07j, 1.0501 - 5e-7j, 0.95, 1.04]),
+                   10.0),
     [80.0, 0.8 + 1j * H1_IM_MIN, 22.3 + 1j * H1_IM_MIN, 59.7 + 1j * H1_IM_MIN, 3 + 2j],
 ])
 
@@ -371,6 +372,7 @@ class TestHankelRatioRows:
     one call) and on the scalar loop (one argument)."""
 
     def test_against_multiprecision(self):
+        assert len(H_ROW_ARGS) > special._SCALAR_POINTS
         cols = ratios("H1", 300, H_ROW_ARGS, rows=True)
         assert cols.shape == (301, len(H_ROW_ARGS))
         for k, z in enumerate(H_ROW_ARGS):
@@ -400,21 +402,33 @@ class TestHankelRatioRows:
 
     @pytest.mark.parametrize("kind", [pytest.param("J", id="sph_jn_ratios-sph_jn_ratio"),
                                       pytest.param("H1", id="sph_h1n_ratios-sph_h1n_ratio")])
-    @pytest.mark.parametrize("count", [4, len(UP_J_ARGS) + len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
-                             ids=["scalar loop", "column loop"])
+    @pytest.mark.parametrize("count", [4, special._SCALAR_POINTS, special._SCALAR_POINTS + 1,
+                                       len(UP_J_ARGS) + len(H_ROW_ARGS) + len(DEMO_J_ARGS)],
+                             ids=["scalar loop", "scalar loop, both kinds",
+                                  "column loop, both kinds", "column loop"])
     def test_last_row_is_the_single_order_ratio(self, kind, count):
         # the rows and the single-order ratio run the same loop, which
         # keeps the last lmax ratios or the last one; the UP_J_ARGS take j
         # upward up to their orders, and the loop turns their rows to run
-        # from order lmax down
+        # from order lmax down.  A call of _SCALAR_POINTS columns, the widest
+        # on the scalar loop, and one of a column more mix downward j, upward
+        # j and h columns
         z = np.concatenate([UP_J_ARGS, H_ROW_ARGS, DEMO_J_ARGS])[:count]
+        jz, hz = (z, z[:0]) if kind == "J" else (z[:0], z)
+        if count in (special._SCALAR_POINTS, special._SCALAR_POINTS + 1):
+            jz = np.concatenate([UP_J_ARGS[:3], DEMO_J_ARGS[:3]])
+            hz = H_ROW_ARGS[: count - len(jz)]
+            up = special._upward(121, jz)
+            assert up.any() and not up.all()
         for l in (1, 121, 300):
-            assert np.array_equal(ratios(kind, l, z, rows=True)[l], ratios(kind, l, z))
+            rj, rh = sph_jn_h1n_ratios(l, jz, hz)
+            r, q = sph_jn_h1n_ratio(l, jz, hz)
+            assert np.array_equal(rj[l], r) and np.array_equal(rh[l], q)
         if kind == "H1":
             # the upward run has no seed: every row is the ratio of its order
-            rows = ratios(kind, 300, z, rows=True)
+            rh = sph_jn_h1n_ratios(300, jz, hz)[1]
             for n in range(1, 301):
-                assert np.array_equal(rows[n], ratios(kind, n, z))
+                assert np.array_equal(rh[n], sph_jn_h1n_ratio(n, jz, hz)[1])
 
     def test_domain(self):
         below = 20.0 + (H1_IM_MIN - 0.5) * 1j
@@ -456,16 +470,16 @@ class TestOrderPerArgument:
         assert np.array_equal(few, cols[:4], equal_nan=True)
 
     def test_against_multiprecision_at_mixed_orders(self, kind):
-        # the RATIO_POINTS of orders 1, 121, 300 and 1000 in one call; j_l
+        # the RATIO_POINTS of orders 1, 121, 300, 400 and 1000 in one call; j_l
         # is read at k R and n k R, h_l at k R
         points = [RATIO_POINTS[name] for name in ("complex omega", "band gap", "l = 300",
-                                                  "l = 1000")]
+                                                  "l = 400", "l = 1000")]
         orders = np.concatenate([np.full(len(z1), l) for l, z1, _ in points])
         z = np.concatenate([z1 for _, z1, _ in points])
         if kind == "J":
             orders = np.concatenate([orders, orders])
             z = np.concatenate([z] + [z2 for _, _, z2 in points])
-        assert len(z) > 6  # the column loop
+        assert len(z) > special._SCALAR_POINTS  # the column loop
         for l, zk, got in zip(orders.tolist(), z, ratios(kind, orders, z)):
             want = mp_bessel_ratio(kind, l, zk)
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -494,7 +508,8 @@ class TestMixedRun:
         # columns (UP_J_ARGS among them), then h; j orders cycle through
         # MIXED_ORDERS, and every other column keeps all l_k ratios instead
         # of the last one.  With low h orders the h columns join inside the
-        # rows the downward columns write, which until then step alone
+        # rows the downward columns write, and every column steps from the
+        # run's first step
         z = np.concatenate([H_ROW_ARGS, DEMO_J_ARGS])
         half = len(z) // 2
         jz = np.concatenate([z[:half], UP_J_ARGS])
@@ -525,9 +540,10 @@ class TestMixedRun:
             assert np.array_equal(got, want)
 
     def test_both_kinds_from_one_call(self):
-        # the pair functions, with the rows and with one order per argument,
-        # with both kinds on the scalar loop (3 arguments and 1), j alone on
-        # the column loop (9 and 4) and both on it (21 and 10)
+        # the pair functions, with the rows (3 j and 1 h arguments, 9 and 4,
+        # 21 and 10) and with one order per argument (3 of each kind, 9, 21):
+        # the first call of each on the scalar loop, the others on the
+        # column loop
         jz, hz = DEMO_J_ARGS, np.resize(H_ROW_ARGS, len(DEMO_J_ARGS))
         orders = mixed_orders(len(jz))
         for count in (3, 9, len(jz)):
