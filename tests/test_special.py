@@ -235,9 +235,9 @@ J_ARGS = np.concatenate([
     _RNG.uniform(0.5, 200.0, 8),
     _RNG.uniform(-60.0, 60.0, 8) + 1j * _RNG.uniform(-25.0, 25.0, 8),
 ])
-H_ARGS = np.array(
-    [1.0, 66.0, 0.8 + 0.3j, 2.5, 55.0, 80.0, 45.0, 8 - 2j, 90 + 10j, 15 + 3j, 5 + 20j]
-)
+# more arguments than the scalar loop takes, so that h1n runs the column loop
+H_ARGS = np.array([1.0, 66.0, 0.8 + 0.3j, 2.5, 55.0, 80.0, 45.0, 8 - 2j, 90 + 10j, 15 + 3j,
+                   5 + 20j, 30.0, 3 + 1j])
 
 
 class TestArrayArguments:
@@ -256,6 +256,7 @@ class TestArrayArguments:
 
     @pytest.mark.parametrize("lmax", [1, 15, 60, 120])
     def test_sph_h1n_columns(self, lmax):
+        assert len(H_ARGS) > special._SCALAR_POINTS
         cols = h1n(lmax, H_ARGS)
         assert cols.shape == (lmax + 1, len(H_ARGS))
         for k, z in enumerate(H_ARGS):
@@ -319,28 +320,45 @@ RATIO_POINTS = {
 }
 
 
+def ratio_point_call(kind, name):
+    """One call on the arguments of every RATIO_POINTS entry, each at its
+    own order: more columns than the scalar loop takes, so the column loop
+    runs them.  Returns the call's ratios at the arguments of `name`, and
+    those arguments (j at k R and n k R, h at k R)."""
+    orders, args, start = [], [], 0
+    for key, (l, z1, z2) in RATIO_POINTS.items():
+        z = np.concatenate([z1, z2]) if kind == "J" else z1
+        if key == name:
+            own = slice(start, start + len(z))
+        orders.append(np.full(len(z), l))
+        args.append(z)
+        start += len(z)
+    z = np.concatenate(args)
+    assert len(z) > special._SCALAR_POINTS
+    return ratios(kind, np.concatenate(orders), z)[own], z[own]
+
+
 @pytest.mark.parametrize("name", list(RATIO_POINTS))
 class TestBesselRatios:
     """j_l/j_{l-1} and h_l/h_{l-1} on both paths against mpmath ratios that
-    never pass through complex128, at k R and n k R of the demo sphere."""
+    never pass through complex128, at k R and n k R of the demo sphere: the
+    scalar loop by one argument, the column loop by one call on the
+    arguments of every entry."""
 
     @pytest.mark.parametrize("kind", ["J", "H1"])
     def test_against_multiprecision(self, name, kind):
-        l, z1, z2 = RATIO_POINTS[name]
+        cols, z = ratio_point_call(kind, name)
+        l = RATIO_POINTS[name][0]
         # the search reads j_l at n k R and h_l at k R; j_l is checked at both
-        for z in (z1, z2) if kind == "J" else (z1,):
-            cols = ratios(kind, l, z)
-            for k, zk in enumerate(z):
-                want = mp_bessel_ratio(kind, l, zk)
-                assert abs(ratios(kind, l, zk)[0] - want) <= 1e-12 * abs(want)
-                assert abs(cols[k] - want) <= 1e-12 * abs(want)
+        for k, zk in enumerate(z):
+            want = mp_bessel_ratio(kind, l, zk)
+            assert abs(ratios(kind, l, zk)[0] - want) <= 1e-12 * abs(want)
+            assert abs(cols[k] - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("kind", ["J", "H1"])
     def test_scalar_and_column_paths_agree(self, name, kind):
-        l, z1, z2 = RATIO_POINTS[name]
-        z = np.concatenate([z1, z2]) if kind == "J" else z1
-        cols = ratios(kind, l, z)
-        assert cols.shape == z.shape
+        cols, z = ratio_point_call(kind, name)
+        l = RATIO_POINTS[name][0]
         for k, zk in enumerate(z):
             (one,) = ratios(kind, l, zk)
             # the two paths make the same operations (they agree to the
@@ -349,6 +367,8 @@ class TestBesselRatios:
             assert abs(cols[k] - one) <= 1e-15 * abs(one)
             # a one-element array takes the scalar loop
             assert ratios(kind, l, z[k : k + 1])[0] == one
+        # and so does a call on this entry's arguments alone
+        assert np.array_equal(ratios(kind, l, z), [ratios(kind, l, zk)[0] for zk in z])
 
 
 # arguments whose j columns of orders UP_J_ORDERS (and of every lower
@@ -485,13 +505,14 @@ class TestOrderPerArgument:
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_orders_checked(self, kind):
-        z = np.linspace(1.0, 9.0, 9)
+        z = np.linspace(1.0, 13.0, 13)
+        assert len(z) > special._SCALAR_POINTS
         with pytest.raises(ValueError):
             ratios(kind, np.resize([5, 0], len(z)), z)
-        # one order per argument, on the column loop (9 arguments) and on
+        # one order per argument, on the column loop (13 arguments) and on
         # the scalar loop (2), and a 1-D order array only
         for orders, args in ((np.array([5, 6]), z), (np.array([5]), z[:2]),
-                             (np.array([5, 6, 7]), z[:2]), (np.full((9, 1), 5), z),
+                             (np.array([5, 6, 7]), z[:2]), (np.full((len(z), 1), 5), z),
                              (np.full((2, 1), 5), z[:2])):
             with pytest.raises(ValueError, match=re.escape(f"{orders.shape} for {len(args)} arg")):
                 ratios(kind, orders, args)
