@@ -76,16 +76,14 @@ _DRIVE = {
     "drive.gamma_bd": (number, REQUIRED, "drive.placement", "explicit"),
 }
 _ENTANGLE_RATES = {"entangle.rates": (choice("sphere", "explicit"), "sphere")}
-_OUTPUT = {"output.path": (str, None)}
 
-_RESONANCES = {**_SPHERE, **_RESONANCE, **_OUTPUT}
+_RESONANCES = {**_SPHERE, **_RESONANCE}
 _RATES = {
     **_SPHERE, **_SWEEP,
     "rates.omega": (positive, REQUIRED, "sweep.axis", "theta", "delta_r"),
-    **_OUTPUT,
 }
 _DYNAMICS = {
-    **_COUPLING, **_DRIVE, **_OUTPUT,
+    **_COUPLING, **_DRIVE,
     "dynamics.method": (choice("closed", "volterra"), "closed"),
     "dynamics.samples": (int, "2000", "dynamics.method", "closed"),
     "dynamics.step": (number, REQUIRED, "dynamics.method", "volterra"),
@@ -93,11 +91,11 @@ _DYNAMICS = {
     "dynamics.t_max": (positive, lambda v: repr(float(_t_end(_coupling_from_cfg(v))))),
 }
 _ENTANGLE_EXPLICIT = {
-    **_ENTANGLE_RATES, **_COUPLING, **_DRIVE, **_SWEEP, **_OUTPUT,
+    **_ENTANGLE_RATES, **_COUPLING, **_DRIVE, **_SWEEP,
     "sweep.axis": (choice("delta_omega_c"), REQUIRED),
 }
 _ENTANGLE_SPHERE = {
-    **_ENTANGLE_RATES, **_SPHERE, **_SWEEP, **_RESONANCE, **_DRIVE, **_OUTPUT,
+    **_ENTANGLE_RATES, **_SPHERE, **_SWEEP, **_RESONANCE, **_DRIVE,
     "strong.omega31": (lambda text: text if text == "auto" else positive(text), "auto"),
     "weak.omega32": (positive, None),
     "weak.gamma32_ratio": (number, None),
@@ -287,29 +285,17 @@ def _t_end(p: dyn.CouplingParams):
     return 40.0 / np.minimum(p.delta_omega_c, 0.5 * p.gamma32_aa)
 
 
-def _drive_from_cfg(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
-                    gamma_ad: float | None = None) -> dyn.DriveSpec:
-    """Drive preparation from the drive.* values, at each point of p.
-
-    Rates read from the config are divided by unit (sphere-mode entangle
-    reads them in Gamma_0 units).  gamma_ad, when given, is the cross rate
-    gamma_AD = gamma_BD of an equidistant atom D, one per point; sphere mode
-    computes it from the sphere instead of reading drive.gamma_ad.
-    """
+def _drive_from_cfg(v: dict, p: dyn.CouplingParams) -> dyn.DriveSpec:
+    """Drive preparation from the drive.* values, at each point of p: every
+    rate is in the unit of p, Gamma32_AA = 1, a number or one per point."""
     placement = v["drive.placement"]
     if placement == "site_of_a":
         rates = (p.gamma31_aa, p.gamma31_aa, p.gamma31_ab)
     elif placement == "equidistant":
-        if gamma_ad is None:
-            gamma_ad = v["drive.gamma_ad"] / unit
-        gamma_dd = p.gamma31_aa
-        if v["drive.gamma_dd"] is not None:
-            gamma_dd = v["drive.gamma_dd"] / unit
-        rates = (gamma_dd, gamma_ad, gamma_ad)
+        gamma_dd = p.gamma31_aa if v["drive.gamma_dd"] is None else v["drive.gamma_dd"]
+        rates = (gamma_dd, v["drive.gamma_ad"], v["drive.gamma_ad"])
     else:
-        rates = tuple(
-            v[key] / unit for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd")
-        )
+        rates = tuple(v[key] for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd"))
     # Gamma31_DD, the one rate prepare_drive checks, is drive.gamma_dd
     # unless it is the positive gamma31_aa
     try:
@@ -349,12 +335,11 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
     write_csv(out, {**meta, **resolved}, _DYNAMICS_HEADER, columns)
 
 
-def _entangle_columns(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
-                      gamma_ad=None) -> tuple:
-    """The CSV columns after axis_value at the points of p: the drive, the
-    stationary state and its concurrence of every point from one call of
-    each step."""
-    d = _drive_from_cfg(v, p, unit, gamma_ad)
+def _entangle_columns(v: dict, p: dyn.CouplingParams) -> tuple:
+    """The CSV columns after axis_value at the points of p: the drive of the
+    drive.* values (_drive_from_cfg), the stationary state and its
+    concurrence of every point from one call of each step."""
+    d = _drive_from_cfg(v, p)
     state = ss.decayed_steady_state(p, d, _t_end(p))
     return (
         p.gamma31_aa,
@@ -362,8 +347,8 @@ def _entangle_columns(v: dict, p: dyn.CouplingParams, unit: float = 1.0,
         p.gamma32_ab,
         p.delta_omega_c,
         p.detuning_delta,
-        p.g_plus,
-        p.g_minus,
+        p.g("+"),
+        p.g("-"),
         d.f_plus0.real,
         d.f_plus0.imag,
         d.f_minus0.real,
@@ -441,7 +426,6 @@ def cmd_entangle(cfg: dict, out: str) -> None:
             raise ConfigError("give exactly one of weak.omega32 and weak.gamma32_ratio")
         if ratio32 is not None and not -1.0 <= ratio32 <= 1.0:
             raise ConfigError("weak.gamma32_ratio must lie in [-1, 1]")
-        equidistant = v["drive.placement"] == "equidistant"
         resonances = ms.find_resonances(sys0, *_resonance_window(v))
         if not resonances:
             raise ConfigError("no resonance found in the window of resonance.omega_lo, "
@@ -453,10 +437,9 @@ def cmd_entangle(cfg: dict, out: str) -> None:
         else:
             resonance = min(resonances, key=lambda r: abs(r.omega_c - omega31_base))
         rate_unit = anchor_a * v["anchor.gamma0_over_omega_t"]
-        # in Gamma_0 units: Gamma31 and the equidistant drive's cross rate
-        # at theta / 2 at omega_c, the heights of the resonance's Lorentzian
-        # (the kernel's detuning omega_c - omega31 gives its shape), and the
-        # Gamma32 ratio at omega32
+        # in Gamma_0 units: Gamma31 at omega_c, the heights of the
+        # resonance's Lorentzian (the kernel's detuning omega_c - omega31
+        # gives its shape), and the Gamma32 ratio at omega32
         r, omega31, theta = _sweep_points(sys0, v["sweep.axis"], values, omega31_base)
         omega_c = [resonance.omega_c] * len(values)
         s31aa, s31ab = _rates_at(sys0, values, r, omega_c, theta)
@@ -465,8 +448,14 @@ def cmd_entangle(cfg: dict, out: str) -> None:
             ratios = s32ab / s32aa
         else:
             ratios = np.full(len(values), ratio32)
+        # the drive rates in the unit of p, Gamma32_AA = 1: the given ones, and
+        # an equidistant atom D's cross rate at theta / 2 at omega_c, per point
+        for key in ("drive.gamma_dd", "drive.gamma_ad", "drive.gamma_bd"):
+            v[key] = None if v[key] is None else v[key] / anchor_a
+        equidistant = v["drive.placement"] == "equidistant"
         if equidistant:
             s_half = _rates_at(sys0, values, r, omega_c, [t / 2.0 for t in theta])[1]
+            v["drive.gamma_ad"] = s_half / anchor_a
         detuning = (resonance.omega_c - np.asarray(omega31)) / rate_unit
 
         def columns(n):
@@ -479,8 +468,8 @@ def cmd_entangle(cfg: dict, out: str) -> None:
                 detuning_delta=detuning[:n],
                 dipole_shift=v["dynamics.dipole_shift"],
             )
-            gamma_ad = s_half[:n] / anchor_a if equidistant else None
-            return _entangle_columns(v, p, anchor_a, gamma_ad)
+            cut = {"drive.gamma_ad": v["drive.gamma_ad"][:n]} if equidistant else {}
+            return _entangle_columns({**v, **cut}, p)
 
     write_csv(out, meta, _ENTANGLE_HEADER, _sweep_rows(values, columns))
 
@@ -536,8 +525,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
-        out = args.out or cfg.get("output.path") or f"{args.command}.csv"
-        _COMMANDS[args.command][1](cfg, out)
+        _COMMANDS[args.command][1](cfg, args.out or f"{args.command}.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

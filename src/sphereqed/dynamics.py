@@ -104,14 +104,6 @@ class CouplingParams:
     def gamma32_pm(self, branch: str):
         return self.gamma32_aa + _branch_sign(branch) * self.gamma32_ab
 
-    @property
-    def g_plus(self):
-        return rabi_g(self.gamma31_pm("+"), self.delta_omega_c)
-
-    @property
-    def g_minus(self):
-        return rabi_g(self.gamma31_pm("-"), self.delta_omega_c)
-
     def g(self, branch: str):
         return rabi_g(self.gamma31_pm(branch), self.delta_omega_c)
 
@@ -322,8 +314,8 @@ def regime_classify(p: CouplingParams, ratio_min: float) -> str | None:
     """
     if ratio_min <= 1:
         raise ValueError("ratio_min must exceed 1")
-    g_big = max(p.g_plus, p.g_minus)
-    g_small = min(p.g_plus, p.g_minus)
+    g_pm = p.g("+"), p.g("-")
+    g_big, g_small = max(g_pm), min(g_pm)
     gaa = p.gamma32_aa
     dwc = p.delta_omega_c
 

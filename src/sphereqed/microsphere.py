@@ -145,10 +145,10 @@ def permittivity(p: DrudeLorentzParams, omega):
     return 1.0 + p.omega_p**2 / (1.0 - omega * omega - 1j * omega * p.gamma)
 
 
-def refractive_index(p: DrudeLorentzParams, omega):
-    """Principal sqrt of the permittivity with Im >= 0 (decaying field inside
-    the absorbing medium), elementwise: an array of omega's shape."""
-    n = np.sqrt(permittivity(p, omega))
+def refractive_index(eps):
+    """Principal sqrt of the permittivity eps with Im >= 0 (decaying field
+    inside the absorbing medium), elementwise: an array of eps's shape."""
+    n = np.sqrt(eps)
     return np.where(n.imag < 0, -n, n)
 
 
@@ -158,10 +158,10 @@ def size_parameter(omega: complex, length: float) -> complex:
 
 
 def _sphere_arguments(params: DrudeLorentzParams, radius: float, omega):
-    """eps, z1 = k R and z2 = n k R at each frequency of omega: the
-    arguments of the Mie terms, with n on the branch of refractive_index."""
-    z1 = size_parameter(omega, radius)
-    return permittivity(params, omega), z1, refractive_index(params, omega) * z1
+    """eps, z1 = k R and z2 = n k R at each frequency of omega: the Mie
+    terms' arguments, with n = refractive_index(eps) of the one eps."""
+    eps, z1 = permittivity(params, omega), size_parameter(omega, radius)
+    return eps, z1, refractive_index(eps) * z1
 
 
 def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):

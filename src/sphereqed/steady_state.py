@@ -145,7 +145,7 @@ def alpha_beta_regime(
     gaa = p.gamma32_aa
     dwc = p.delta_omega_c
     fp, fm = complex(d.f_plus0), complex(d.f_minus0)
-    gp, gm = p.g_plus, p.g_minus
+    gp, gm = p.g("+"), p.g("-")
     dom_plus = gp >= gm
     g_dom = gp if dom_plus else gm
     g_sub = gm if dom_plus else gp

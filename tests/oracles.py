@@ -190,6 +190,32 @@ def free_space_cross_rate(kr: float, theta: float) -> float:
     return 1.5 / x * (trans * cos_ab + longi * proj)
 
 
+def pole_fit(omega, rate, omega_c: float, delta_omega_c: float):
+    """(half width, fitted rates) of the one-pole model
+    rate = b + Re[A / (omega - w0 + i w)] fitted to samples near a root
+    omega_c - i delta_omega_c, by one linear least-squares solve.
+
+    With x = (omega - omega_c)/delta_omega_c and h = w/delta_omega_c the
+    model reads (rate - b)((x - x0)^2 + h^2) = Re A (x - x0) + Im A h, so
+    rate x^2 is linear in (rate x, rate, x^2, x, 1) with the coefficients
+    2 x0 and -(x0^2 + h^2) on the first two (Levy 1959, IRE Trans. Autom.
+    Control 4, 37).  The rates are scaled to a peak of 1 for the solve.
+    """
+    x = (np.asarray(omega) - omega_c) / delta_omega_c
+    scale = np.max(np.abs(rate))
+    g = np.asarray(rate) / scale
+    basis = np.column_stack([g * x, g, x * x, x, np.ones_like(x)])
+    c = np.linalg.lstsq(basis, g * x * x, rcond=None)[0]
+    x0 = c[0] / 2.0
+    h2 = -c[1] - x0 * x0
+    b = c[2]
+    re_a = c[3] + 2.0 * b * x0
+    im_a_h = c[4] - b * (x0 * x0 + h2) + re_a * x0
+    u = x - x0
+    fitted = b + (re_a * u + im_a_h) / (u * u + h2)
+    return math.sqrt(h2) * delta_omega_c, fitted * scale
+
+
 def trapezoid_steady_state(times, c_plus, c_minus, gamma32_pm):
     """(alpha_+, alpha_-, beta) by trapezoid quadrature on sampled amplitudes."""
     g32p, g32m = gamma32_pm
@@ -242,7 +268,7 @@ def _denominator_terms(sys, l: int, omega):
     the ratio rows."""
     eps = permittivity(sys.params, omega)
     z1 = size_parameter(omega, sys.radius)
-    z2 = refractive_index(sys.params, omega) * z1
+    z2 = refractive_index(eps) * z1
     j2, h1 = (np.cumprod(rows, axis=0) for rows in sph_jn_h1n_ratios(l, z2, z1))
     rj2 = z2 * j2[l - 1] - l * j2[l]
     rh1 = z1 * h1[l - 1] - l * h1[l]
@@ -258,7 +284,7 @@ def _denominator_slope(sys, l: int, omega: complex) -> complex:
     eps = permittivity(p, omega)
     deps = p.omega_p**2 * (2.0 * omega + 1j * p.gamma) / (
         1.0 - omega * omega - 1j * omega * p.gamma) ** 2
-    n = refractive_index(p, omega)
+    n = refractive_index(eps)
     z1 = size_parameter(omega, sys.radius)
     z2 = n * z1
     dz1 = 2.0 * math.pi * sys.radius

@@ -191,6 +191,22 @@ class TestExitCodes:
         assert "config error" in err and "'sphere.radus'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("rates", "rates.omega = 1.0501\n" + THETA_SWEEP),
+        ("dynamics", DYNAMICS_RATES),
+        ("figure2", ""),
+    ], ids=["rates", "dynamics", "figure2"])
+    def test_output_path_key_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                             command, text):
+        # --out is the one output-path setting: output.path is a key like any
+        # other undeclared one, and no CSV is written, at it or at the default
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(text + f"output.path = {tmp_path / 'given.csv'}\n")
+        assert run_cli([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: unknown key 'output.path'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cfg"]
+
     @pytest.mark.parametrize(
         "command, text, name",
         [
@@ -415,9 +431,10 @@ class TestExitCodes:
         assert "sweep point 0 (value 0): " in capsys.readouterr().err
 
     @staticmethod
-    def _entangle_with_undecayed(tmp_path, monkeypatch, undecayed):
-        """Exit status and CSV path of a 4-point sphere-mode entangle sweep
-        whose amplitude C_b(T_end) is 1 at the point undecayed[b]."""
+    def _entangle_with_undecayed(tmp_path, monkeypatch, undecayed, drive=""):
+        """Exit status and CSV path of a 4-point sphere-mode entangle sweep,
+        with the drive.* lines drive, whose amplitude C_b(T_end) is 1 at the
+        point undecayed[b]."""
         amplitude_closed = steady_state.amplitude_closed
 
         def alive_at(p, d, branch, t):
@@ -430,6 +447,7 @@ class TestExitCodes:
         cfg = tmp_path / "ent.cfg"
         cfg.write_text(
             SPHERE_ENTANGLE.replace("sweep.count = 2", "sweep.count = 4") + RESONANCE_WINDOW
+            + drive
         )
         out = tmp_path / "out.csv"
         return run_cli(["entangle", "--config", cfg, "--out", out]), out
@@ -455,6 +473,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (f"numerical error: sweep point 1 (value {value}): "
                 "|C_-(T_end)| = 1.000e+00 >= 1e-6; extend the trajectory") in err
+        assert not out.exists()
+
+    def test_retry_cuts_the_equidistant_drive(self, tmp_path, capsys, monkeypatch):
+        # the retries after a failing point run on the first 3 points and on
+        # the first point: the sphere's per-point cross rate drive.gamma_ad
+        # of the equidistant drive is cut with the coupling rates
+        status, out = self._entangle_with_undecayed(
+            tmp_path, monkeypatch, {"+": 3, "-": 1}, "drive.placement = equidistant\n")
+        assert status == 2
+        value = f"{np.linspace(3.0, 3.14, 4)[1]:.12g}"
+        assert capsys.readouterr().err == (f"numerical error: sweep point 1 (value {value}): "
+                                           "|C_-(T_end)| = 1.000e+00 >= 1e-6; extend the "
+                                           "trajectory\n")
         assert not out.exists()
 
     def test_overflowing_resonance_order_is_named(self, tmp_path, capsys, monkeypatch):
@@ -618,8 +649,9 @@ class TestResonances:
 
         def f(l, omega):
             z1 = ms.size_parameter(omega, 10.0)
-            z2 = ms.refractive_index(params, omega) * z1
-            return (ms.permittivity(params, omega) * mp_log_derivative("H1", l, z1)
+            eps = ms.permittivity(params, omega)
+            z2 = ms.refractive_index(eps) * z1
+            return (eps * mp_log_derivative("H1", l, z1)
                     - mp_log_derivative("J", l, z2))
 
         for l, wc, dwc in zip(column(header, rows, "l", int), column(header, rows, "omega_c"),
@@ -832,7 +864,7 @@ class TestEntangle:
             state = steady_state.steady_state_from_params(p, d)
             want = (
                 p.gamma31_aa, p.gamma31_ab, p.gamma32_ab, p.delta_omega_c,
-                p.detuning_delta, p.g_plus, p.g_minus, d.f_plus0.real, d.f_plus0.imag,
+                p.detuning_delta, p.g("+"), p.g("-"), d.f_plus0.real, d.f_plus0.imag,
                 d.f_minus0.real, d.f_minus0.imag, state.alpha_plus, state.alpha_minus,
                 state.beta.real, state.beta.imag, steady_state.concurrence_closed_form(state),
             )
@@ -849,24 +881,28 @@ class TestEntangle:
         calls = []
         entangle_columns = cli._entangle_columns
 
-        def recorded(v, p, unit=1.0, gamma_ad=None):
-            calls.append((v, p, unit, gamma_ad))
-            return entangle_columns(v, p, unit, gamma_ad)
+        def recorded(v, p):
+            calls.append((v, p))
+            return entangle_columns(v, p)
 
         monkeypatch.setattr(cli, "_entangle_columns", recorded)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(ROW_SWEEPS[rates] + ROW_PLACEMENTS[rates][placement])
         assert run_cli(["entangle", "--config", cfg, "--out", tmp_path / "out.csv"]) == 0
-        (v, p, unit, gamma_ad), = calls
+        (v, p), = calls
         n = int(v["sweep.count"])
-        columns = [np.broadcast_to(c, (n,)) for c in entangle_columns(v, p, unit, gamma_ad)]
+        columns = [np.broadcast_to(c, (n,)) for c in entangle_columns(v, p)]
         fields = [getattr(p, f.name) for f in dataclasses.fields(p)]
+        # the sphere's equidistant cross rate is one drive.gamma_ad per point
+        per_point = np.ndim(v["drive.gamma_ad"]) == 1
+        assert per_point == (rates == "sphere" and placement == "equidistant")
         for k in range(n):
             def point(x):
                 return np.broadcast_to(x, (n,))[k : k + 1]
 
             p_k = dynamics.CouplingParams(*map(point, fields))
-            one = entangle_columns(v, p_k, unit, None if gamma_ad is None else point(gamma_ad))
+            v_k = {**v, "drive.gamma_ad": point(v["drive.gamma_ad"])} if per_point else v
+            one = entangle_columns(v_k, p_k)
             assert [c[k].tobytes() for c in columns] == [
                 np.broadcast_to(c, (1,)).tobytes() for c in one]
         if rates == "explicit":
@@ -953,9 +989,9 @@ class TestEntangle:
         calls = []
         entangle_columns = cli._entangle_columns
 
-        def recorded(v, p, unit=1.0, gamma_ad=None):
+        def recorded(v, p):
             calls.append((v, p))
-            return entangle_columns(v, p, unit, gamma_ad)
+            return entangle_columns(v, p)
 
         monkeypatch.setattr(cli, "_entangle_columns", recorded)
         window = (1.0495, 1.0507, range(l, l + 1))

@@ -243,8 +243,8 @@ class TestRegimeClassify:
             gamma32_ab=0.0,
             delta_omega_c=0.1,
         )
-        assert p.g_plus == pytest.approx(10.0)
-        assert p.g_minus == pytest.approx(0.01)
+        assert p.g("+") == pytest.approx(10.0)
+        assert p.g("-") == pytest.approx(0.01)
         assert regime_classify(p, 5.0) == "A"
 
     def test_regime_b(self):
@@ -255,7 +255,7 @@ class TestRegimeClassify:
             gamma32_ab=0.0,
             delta_omega_c=0.1,
         )
-        assert (p.g_plus, p.g_minus) == (pytest.approx(100.0), pytest.approx(10.0))
+        assert (p.g("+"), p.g("-")) == (pytest.approx(100.0), pytest.approx(10.0))
         assert regime_classify(p, 5.0) == "B"
 
     def test_regime_c(self):
@@ -266,7 +266,7 @@ class TestRegimeClassify:
             gamma32_ab=0.0,
             delta_omega_c=0.1,
         )
-        assert (p.g_plus, p.g_minus) == (pytest.approx(1.0), pytest.approx(0.1))
+        assert (p.g("+"), p.g("-")) == (pytest.approx(1.0), pytest.approx(0.1))
         assert regime_classify(p, 5.0) == "C"
 
     def test_no_regime(self):
@@ -298,16 +298,16 @@ def regime_a_params(ratio=20.0):
 class TestRegimeAmplitude:
     def test_strong_branch_peak_value(self):
         p = regime_a_params()
-        d = DriveSpec(-p.g_plus, -p.g_minus**2 / p.g_plus)
-        g = p.g_plus
+        d = DriveSpec(-p.g("+"), -p.g("-")**2 / p.g("+"))
+        g = p.g("+")
         t_peak = math.pi / (2 * g)
         got = regime_amplitude(p, d, "A", "+", t_peak)
-        want = abs(-p.g_plus / g) * math.exp(-p.gamma32_aa * math.pi / (8 * g))
+        want = abs(-p.g("+") / g) * math.exp(-p.gamma32_aa * math.pi / (8 * g))
         assert abs(got) == pytest.approx(want, rel=1e-12)
 
     def test_weak_branch_late_decay_constant(self):
         p = regime_a_params()
-        d = DriveSpec(-p.g_plus, -0.3)
+        d = DriveSpec(-p.g("+"), -0.3)
         t = np.array([30.0, 40.0]) / p.delta_omega_c
         vals = regime_amplitude(p, d, "A", "-", t)
         # the slow channel e^{-dwc t} dominates; successive samples scale accordingly
@@ -325,7 +325,7 @@ class TestRegimeAmplitude:
 
     def test_regime_a_envelope_tracks_closed_form(self):
         p = regime_a_params()
-        d = DriveSpec(-p.g_plus, -p.g_minus**2 / p.g_plus)
+        d = DriveSpec(-p.g("+"), -p.g("-")**2 / p.g("+"))
         assert regime_classify(p, 20.0) == "A"
         # damped-Rabi form within 5% of peak over the first decay times
         t_5 = np.linspace(0, 4.0 / p.gamma32_aa, 1500)

@@ -54,7 +54,9 @@ GONE_FROM_CLI = ("_given",
                  # the per-point entangle loop: a sweep is one array call
                  "_steady_row", "_rows",
                  # the rates wrapper: one _COMMANDS row runs every rate sweep
-                 "cmd_rates")
+                 "cmd_rates",
+                 # the output.path key: --out is the one output-path setting
+                 "_OUTPUT")
 GONE_FROM_PACKAGE = ("integrate_alpha_beta", *GONE_FROM_DYNAMICS, *GONE_FROM_MICROSPHERE,
                      *GONE_FROM_SPECIAL)
 
@@ -68,6 +70,8 @@ def test_public_names_resolve_and_removed_names_stay_gone():
     assert [n for n in GONE_FROM_DYNAMICS if hasattr(dynamics, n)] == []
     assert [n for n in GONE_FROM_STEADY_STATE if hasattr(steady_state, n)] == []
     assert [n for n in GONE_FROM_CLI if hasattr(cli, n)] == []
+    # one accessor for g_pm: CouplingParams.g(branch)
+    assert [n for n in ("g_plus", "g_minus") if hasattr(dynamics.CouplingParams, n)] == []
     # one grid density is ever used: a module constant, not an option
     assert "grid_per_unit" not in inspect.signature(microsphere.find_resonances).parameters
 

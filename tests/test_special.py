@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphereqed import special
-from sphereqed.microsphere import DrudeLorentzParams, refractive_index, size_parameter
+from sphereqed.microsphere import DrudeLorentzParams, permittivity, refractive_index, size_parameter
 from sphereqed.special import (
     H1_IM_MIN,
     legendre_all,
@@ -281,7 +281,7 @@ def demo_arguments(l, omegas):
     """(l, z1, z2) at k R and n k R of the demo sphere (omega_p = 0.5,
     gamma = 1e-6, R = 10), one entry per frequency."""
     z1 = size_parameter(np.asarray(omegas), 10.0)
-    z2 = refractive_index(DrudeLorentzParams(0.5, 1e-6), np.asarray(omegas)) * z1
+    z2 = refractive_index(permittivity(DrudeLorentzParams(0.5, 1e-6), np.asarray(omegas))) * z1
     return l, z1, z2
 
 

@@ -139,9 +139,9 @@ class TestAlphaBetaRegime:
             delta_omega_c=dwc,
         )
         assert regime_classify(p, 5.0) == "C"
-        d = DriveSpec(-p.g_plus, -p.g_minus**2 / p.g_plus)
+        d = DriveSpec(-p.g("+"), -p.g("-")**2 / p.g("+"))
         s = alpha_beta_regime(p, d, "C")
-        transfer = 2 * p.g_plus**2 / p.gamma32_aa
+        transfer = 2 * p.g("+")**2 / p.gamma32_aa
         assert s.alpha_plus == pytest.approx(
             0.99 * transfer / (dwc + transfer), rel=0.05
         )
