@@ -54,10 +54,13 @@ GRID_PER_UNIT = 2000
 # makes one call
 _GRID_PAIRS = 2**14
 # relative bracket width at which the resonance search's golden section
-# hands its candidate to Newton.  Measured on 574 searches (the
-# resonance_scan job lists of seeds 0-10, passes 0-3, the demo window and
-# l 60-200 over 1.04-1.06): the root sets stay identical at 1e-5 and first
-# differ at 1e-4, and the narrowest width found is delta_omega_c = 3.6e-7
+# hands a candidate below omega_T or above omega_L to Newton, where f has
+# poles near the real axis.  Measured on 574 searches (the resonance_scan
+# job lists of seeds 0-10, passes 0-3, the demo window and l 60-200 over
+# 1.04-1.06): the root sets stay identical at 1e-5 and first differ at
+# 1e-4, and the narrowest width found is delta_omega_c = 3.6e-7.  A band-gap
+# root, found by Newton from its grid point, restarts once from the nearest
+# multiple of this width, so that its bits do not depend on the grid
 HANDOVER_WIDTH = 1e-7
 
 
@@ -481,19 +484,17 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
+        if not active.size:
+            break
         f, slope = _denominator_slope(sys, orders[active], om[active])
         # f is NaN once an iterate leaves the accurate region
         moving = ~np.isnan(f) & (slope != 0)
         active = active[moving]
-        if not active.size:
-            break
         step = f[moving] / slope[moving]
         om[active] -= step
         done = np.abs(step) < 1e-12
         roots[active[done]] = om[active[done]]
         active = active[~done]
-        if not active.size:
-            break
     return roots
 
 
@@ -507,7 +508,14 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
     brackets in one call, and a bracket closes when it is narrower than
     HANDOVER_WIDTH max(1, |a_k|), or after 60 steps; the midpoint is a
     Newton start.  A two-grid-step bracket of GRID_PER_UNIT points per unit
-    closes in about 20 steps (about 43 at a width of 1e-12)."""
+    closes in about 20 steps (about 43 at a width of 1e-12).
+
+    find_resonances takes it only below omega_T and above omega_L: there
+    n k R is nearly real and f has a pole at each zero of j_l(n k R) close
+    to the real axis, and Newton from the grid point can end on another
+    root (over 0.90-0.995, 12 of the 100 roots of l 63-66 move).  Inside
+    the band gap n k R is nearly imaginary, f has no such poles, and Newton
+    starts from the grid point."""
     a, b = a.copy(), b.copy()
     orders = np.broadcast_to(l, a.shape)
     x1 = b - _GOLDEN * (b - a)
@@ -553,12 +561,19 @@ def find_resonances(
     so the orders have no cap.  The balance ratio of the two terms is
     sampled on a real grid (_search_grid) for every order in one call, one
     column per (order, grid point) pair, _GRID_PAIRS pairs at most.  The
-    interior local minima of every order are then refined in one stream:
-    a golden-section search on the same ratio down to HANDOVER_WIDTH, then
+    interior local minima of every order are then refined in one stream by
     a complex Newton iteration on f with its closed-form derivative, each
     step a call over the candidates of all orders, one column of the ratio
     recurrences per candidate, read out at its own order (a few candidates
-    run the scalar loop each).  Converged roots are kept when they fall
+    run the scalar loop each).  A candidate inside the band gap (1, omega_L)
+    starts from its grid point: there n k R is nearly imaginary and f has
+    no poles near the real axis (the SG rule of resonance_kind).  Its root
+    restarts once from the nearest multiple of HANDOVER_WIDTH, so that the
+    root's bits do not depend on the window's grid.  A candidate below
+    omega_T or above omega_L, where f has a pole at each zero of
+    j_l(n k R) near the real axis, starts from a golden-section search on
+    the balance ratio down to HANDOVER_WIDTH (_refine_real_minimum), one
+    stream for all of them.  Converged roots are kept when they fall
     inside the window, have positive width and suppress f by at least 1e-8
     relative to its off-resonance value at omega_c + 3*delta_omega_c (f
     from the terms of _order_terms, one call each for all candidates);
@@ -585,8 +600,15 @@ def find_resonances(
         return []
     # every candidate of every order in one refinement stream
     orders, minima = ls[row], minima + 1
-    starts = _refine_real_minimum(sys, orders, grid[minima - 1], grid[minima + 1])
+    a, b = grid[minima - 1], grid[minima + 1]
+    starts = 0.5 * (a + b)
+    poles = ~((1.0 < starts) & (starts < sys.params.omega_l))
+    if poles.any():
+        starts[poles] = _refine_real_minimum(sys, orders[poles], a[poles], b[poles])
     roots = _newton_root(sys, orders, starts)
+    gap = ~poles & ~np.isnan(roots)
+    roots[gap] = _newton_root(
+        sys, orders[gap], np.round(roots[gap].real / HANDOVER_WIDTH) * HANDOVER_WIDTH)
     wc, dwc = roots.real, -roots.imag
     # dropped candidates are NaN and fail every comparison
     ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)

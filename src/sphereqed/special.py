@@ -32,7 +32,7 @@ a scalar loop per column instead, which is faster there and gives the
 same bits; so each call runs one loop.  The single-order ratios also take
 one order per argument: one run of the recurrence then serves arguments
 of many orders, each ended at its own order, with the bits of a call of
-that order alone.  The Bessel functions take orders l >= 1 and z != 0,
+that order alone.  The Bessel functions take orders l >= 1 and finite z != 0,
 and give h_l^(1) a NaN column below H1_IM_MIN.
 """
 
@@ -63,7 +63,8 @@ _UP_IM_MAX = 3.0
 def _arguments(l, z) -> np.ndarray:
     """z raveled to a 1-D complex array, one column per argument, after the
     check every Bessel function shares: the order l, or the 1-D array of
-    one order per argument, is >= 1, and z != 0."""
+    one order per argument, is >= 1, and z is finite and != 0 (a Miller
+    start is an integer of |z|)."""
     points = np.asarray(z, dtype=complex).ravel()
     if np.ndim(l):
         if np.ndim(l) != 1 or len(l) != len(points):
@@ -73,15 +74,21 @@ def _arguments(l, z) -> np.ndarray:
             raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
     elif l < 1:
         raise ValueError(f"Bessel ratios need l >= 1, got l={l}")
-    if (points == 0).any():
-        raise ValueError("Bessel ratios need z != 0")
+    if not (points.all() and np.isfinite(points).all()):
+        raise ValueError("Bessel ratios need finite z != 0")
     return points
 
 
-def _miller_start(lmax: int, size):
-    # start far enough above max(l, |z|) that seed contamination by the
-    # dominant solution decays below ~1e-12 by the time we reach lmax
-    return max(lmax, int(size)) + 60 + int(2.0 * size**0.5)
+def _miller_start(l: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Miller start M of the downward column of order l_k at each z_k:
+    far enough above max(l_k, |z_k|) that seed contamination by the
+    dominant solution decays below ~1e-12 by the time the column reaches
+    l_k."""
+    if not len(z):
+        # no downward column, as in a below-gap search: skip the numpy calls
+        return np.zeros(0, dtype=int)
+    size = np.abs(z)
+    return np.maximum(l, size.astype(int)) + 60 + (2.0 * np.sqrt(size)).astype(int)
 
 
 def _scalar_loop(x: complex, odds: range, z: complex, depth: int) -> list[complex]:
@@ -127,7 +134,7 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
     l_k.  orders holds l_k and depths d_k (or one depth for all).
 
     A downward column steps s_n = 1/r_n = j_{n-1}/j_n down from
-    s = (2M + 1)/z (r = 0 above M = _miller_start(l_k, |z_k|)) to order
+    s = (2M + 1)/z (r = 0 above M = _miller_start(l_k, z_k)) to order
     l_k - d_k + 1, and its rows hold s until one call at the end inverts
     them; an upward column steps x_n from x_1 = first to order l_k.  The
     run ends with every column's last step: column k joins at the step
@@ -148,8 +155,7 @@ def _ratio_columns(orders: np.ndarray, depths, z: np.ndarray, first: np.ndarray,
     n = len(z)
     down = n - len(first)
     zinv = np.reciprocal(z)
-    miller = np.array([_miller_start(l, size) for l, size in
-                       zip(orders[:down].tolist(), np.abs(z[:down]).tolist())], dtype=int)
+    miller = _miller_start(orders[:down], z[:down])
     # the steps of each column, its first value included, and the step at
     # which it joins
     steps = np.concatenate([miller - (orders - depths)[:down], orders[down:]])
@@ -215,10 +221,11 @@ def _ratios(l, jz: np.ndarray, hz: np.ndarray, rows: np.ndarray) -> None:
             _ratio_columns(orders, depth, z, first, out)
         else:
             starts = first.tolist()
+            millers = _miller_start(orders[:down], z[:down]).tolist()
             for k, (top, zk) in enumerate(zip(orders.tolist(), z.tolist())):
                 if k < down:
                     # s = 1/r from (2M + 1)/z down to order top - depth + 1
-                    miller = _miller_start(top, abs(zk))
+                    miller = millers[k]
                     odds = range(2 * miller - 1, 2 * (top - depth) + 1, -2)
                     s = _scalar_loop((2 * miller + 1) * (1.0 / zk), odds, zk, depth)
                     out[:, k] = [1.0 / v for v in s]

@@ -369,7 +369,8 @@ class TestRatesPm:
 def denominator_args(monkeypatch):
     """Every omega at which the resonance search evaluates the terms of f,
     the Mie denominator divided by j_l(n k R) h_l(k R): the grid, golden
-    section, Newton and acceptance calls alike."""
+    section (below omega_T and above omega_L), Newton and acceptance calls
+    alike."""
     seen = []
     terms = microsphere._order_terms
 
@@ -553,12 +554,12 @@ class TestBatchedRefinement:
 
             monkeypatch.setattr(microsphere, name, spy)
 
-        def search_calls(orders):
+        def search_calls(orders, omega_lo=1.04, omega_hi=1.06):
             for seen in calls.values():
                 seen.clear()
-            found = find_resonances(fig2_system, 1.04, 1.06, orders)
-            assert len(found) == len(orders)
-            # the first balance call is the 65-point grid of every order
+            found = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+            # the first balance call is the 65-point grid of every order,
+            # the others are golden-section steps
             grid, *golden = calls["_denominator_balance"]
             assert grid == 65 * len(orders)
             evaluations = len(calls["_order_terms"])
@@ -566,11 +567,40 @@ class TestBatchedRefinement:
             newton = len(calls["_denominator_slope"])
             suppression = evaluations - 1 - len(golden) - newton
             assert suppression == 2
-            return len(golden), newton, suppression
+            return len(found), len(golden), newton
 
+        # inside the band gap Newton starts from the grid point: no balance
+        # call after the grid call
         four = search_calls([119, 120, 121, 122])
+        assert four[:2] == (4, 0)
         for l in (119, 120, 121, 122):
-            assert search_calls([l]) == four
+            assert search_calls([l]) == (1, *four[1:])
+        # below the gap f has real-axis poles, and the candidates still take
+        # the golden section
+        roots, golden, _ = search_calls([70], 0.92, 0.93)
+        assert roots == 2 and golden > 0
+
+    def test_grid_starts_give_golden_section_roots(self, fig2_system):
+        # inside the band gap f has no poles near the real axis, so Newton
+        # from the grid point finds, to the CSV's 12 significant digits, the
+        # roots that Newton from a golden-section start finds
+        omega_lo, omega_hi, orders = 1.04, 1.0535, np.arange(92, 144)
+        found = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        assert len(found) == 52
+        grid = microsphere._search_grid(omega_lo, omega_hi)
+        vals = np.array([microsphere._denominator_balance(fig2_system, l, grid) for l in orders])
+        mid = vals[:, 1:-1]
+        row, minima = np.nonzero((mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid < 0.5))
+        starts = microsphere._refine_real_minimum(fig2_system, orders[row], grid[minima],
+                                                  grid[minima + 2])
+        roots = microsphere._newton_root(fig2_system, orders[row], starts)
+        inside = (omega_lo <= roots.real) & (roots.real <= omega_hi)
+        want = sorted(zip(roots.real[inside], -roots.imag[inside], orders[row][inside]))
+        assert len(want) == len(found)
+        for res, (wc, dwc, l) in zip(found, want):
+            assert res.l == l
+            assert f"{res.omega_c:.12g}" == f"{wc:.12g}"
+            assert f"{res.delta_omega_c:.12g}" == f"{dwc:.12g}"
 
     @pytest.mark.parametrize(
         "omega_lo,omega_hi,orders",

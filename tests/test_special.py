@@ -635,6 +635,12 @@ class TestBesselRatioDomain:
             ratios(kind, 3, 0.0)
         with pytest.raises(ValueError):
             ratios(kind, 3, np.array([1.0, 0.0]))
+        # a Miller start is an integer of |z|: a non-finite argument is
+        # refused on the scalar loop (1 argument) and the column loop (13)
+        for bad in (np.nan, np.inf, complex(1.0, np.inf)):
+            for args in (np.array([bad]), np.resize(np.array([1.0, bad]), 13)):
+                with pytest.raises(ValueError, match="finite"):
+                    ratios(kind, 3, args)
 
 
 def test_one_column_per_argument():
