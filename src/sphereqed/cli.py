@@ -156,22 +156,185 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# 10^0 .. 10^110 rounded to nearest: exact up to 10^22
+_POW10 = np.array([float(10**k) for k in range(111)])
+# the fewest values of a float chunk that _write_floats writes faster than
+# one '%.12g' per value (CHANGES.md has the timings)
+_ENCODE_MIN_VALUES = 1000
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of _write_floats, built on its first call:
+    - the words of quads 0000..9999 and then of .000 .. .999, the first
+      fraction quad (below 1000) with its leading 0 as the point;
+    - the trailing zeros of each quad, 4 for 0000;
+    - the exponents e-99 .. e+32, four bytes each;
+    - the run of bytes from first to last in row first * 32 + last."""
+    quads = np.arange(10_000, dtype=np.int16)
+    text = (np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1)
+            + ord("0")).astype(np.uint8)
+    point = text[:1000].copy()
+    point[:, 0] = ord(".")
+    words = np.concatenate([text, point]).view(np.uint32).ravel()
+    zeros = np.argmax(text[:, ::-1] != ord("0"), axis=1).astype(np.int8)
+    zeros[0] = 4
+    exponents = np.frombuffer(b"".join(b"e%+03d" % x for x in range(-99, 33)), dtype=np.uint8)
+    byte = np.arange(32)
+    runs = ((byte >= byte[:, None, None]) & (byte <= byte[:, None])).reshape(-1, 32)
+    return words, zeros, exponents.reshape(-1, 4), runs
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a * 10^(11 - x) for -99 <= x <= 32, with one rounding for x >= -11
+    (one of the two powers is 1 and the other exact) and two below."""
+    return a * _POW10[np.maximum(11 - x, 0)] / _POW10[np.maximum(x - 11, 0)]
+
+
+def _twelve_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, x, exact): the twelve significant digits of |v| rounded to
+    nearest as a whole float, its decimal exponent, and where both are
+    exact; zero has digits 0 and exponent 0.
+
+    For 1e-99 <= |v| < 1e32, y = |v| 10^(11 - x) carries the rounding of
+    the product and, for x < -11, of the power: below 10^12 that puts y at
+    most 2^-14 (one rounding) or 2.3e-4 (two) from the exact scaled value,
+    so rint(y) is the correctly rounded one unless y lies within 3e-4 of a
+    half.  Those values, the non-finite ones and the rest of the range are
+    not exact.
+    """
+    a = np.abs(v)
+    zero = v == 0
+    exact = (a >= 1e-99) & (a < 1e32)
+    a[~exact] = 1.0
+    # the decimal exponent, corrected once from where y falls
+    x = np.clip(np.floor(np.log10(a)), -99, 31).astype(np.intp)
+    y = _scaled(a, x)
+    off = (y >= 1e12).astype(np.intp) - (y < 1e11)
+    moved = np.flatnonzero(off)
+    x[moved] += off[moved]
+    y[moved] = _scaled(a[moved], x[moved])
+    digits = np.rint(y)
+    exact &= np.abs(y - digits) < 0.4997
+    exact |= zero
+    # a rounding up to 10^12 carries into the exponent
+    carry = digits == 1e12
+    digits[carry] = 1e11
+    x += carry
+    digits[zero] = 0.0
+    return digits, x, exact
+
+
+def _quads(values: np.ndarray, count: int):
+    """The lowest `count` base-10^4 digits of whole non-negative floats,
+    the lowest first."""
+    values = values.astype(np.int64)
+    for _ in range(count):
+        high = values // 10_000
+        yield values - high * 10_000
+        values = high
+
+
+def _digit_words(words: np.ndarray, digits: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Fill words 1-7 of each row with the twelve digits, their point after
+    digit `point` (before the first for point < 0), and return the count
+    of significant fraction digits."""
+    quad_words, quad_zeros, _, _ = _float_tables()
+    whole = np.floor(digits / _POW10[11 - point])
+    for j, quad in enumerate(_quads(whole, 3)):
+        words[:, 3 - j] = quad_words[quad]
+    zeros = np.zeros(len(words), dtype=np.int8)
+    fraction = (digits - whole * _POW10[11 - point]) * _POW10[4 + point]
+    for j, quad in enumerate(_quads(fraction, 4)):
+        zeros += (zeros == 4 * j) * quad_zeros[quad]
+        words[:, 7 - j] = quad_words[quad + (10_000 if j == 3 else 0)]
+    return np.maximum(15 - zeros, 0)
+
+
+def _write_floats(fh, block: np.ndarray, work: np.ndarray) -> None:
+    """Write the CSV lines of the rows of a 2-D float64 block to the binary
+    file fh, each value as '%.12g' prints it.  work is a (2, m, 32) uint8
+    array with m >= block.size, which the call overwrites.
+
+    A value prints from a row of 32 bytes, eight 4-byte words of digit
+    quads: its integer digits end at byte 15, its point is byte 16 and
+    fifteen fraction digits follow.  The separator before the value and
+    its sign go in front of the integer digits and the exponent after the
+    last significant digit, so that the value is one run of bytes.  The
+    values whose digits _twelve_digits does not give exactly take '%.12g'
+    one at a time, which rounds correctly (Gay 1990).
+    """
+    _, _, exponents, runs = _float_tables()
+    v = block.ravel()
+    n = v.size
+    digits, x, exact = _twelve_digits(v)
+    # %g's notation: fixed for -4 <= x < 12, with the point after digit x
+    fixed = (x >= -4) & (x < 12)
+    point = np.where(fixed, x, 0)
+    chars, keep = work[0, :n], work[1, :n].view(bool)
+    figures = _digit_words(chars.view(np.uint32), digits, point)
+    # each value's run of bytes, from its sign or first digit to its last
+    # significant digit or its exponent
+    flat = chars.ravel()
+    row = np.arange(0, flat.size, 32)
+    negative = np.signbit(v)
+    first = 15 - np.maximum(point, 0)
+    # the sign, or a leading 0 that is not printed
+    flat[row + first - 1] = np.where(negative, ord("-"), ord("0"))
+    first -= negative
+    last = 15 + (figures > 0) + figures
+    exponent = np.flatnonzero(~fixed & exact)
+    flat[(row + last)[exponent, None] + np.arange(1, 5)] = exponents[x[exponent] + 99]
+    last[exponent] += 4
+
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = ["%.12g" % value for value in v[slow].tolist()]
+        chars[slow, 8:] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+        first[slow] = 8
+        last[slow] = [7 + len(t) for t in text]
+    # the separator before each value: a newline before a row's first
+    first -= 1
+    flat[row + first] = ord(",")
+    cols = block.shape[1]
+    flat[row[::cols] + first[::cols]] = ord("\n")
+    np.take(runs, first * 32 + last, axis=0, out=keep, mode="clip")
+    # the first row's newline goes at the end instead
+    fh.write(flat[keep.ravel()][1:])
+    fh.write(b"\n")
+
+
 def write_csv(path: str, meta: dict, header: list[str], columns) -> None:
     """Metadata lines, the header and one line per row of the columns:
     arrays or lists, all of one length.
 
     A float column (Python or numpy floats) prints as %.12g, which gives
-    the bytes of _fmt, and any other column as str().  The rows are
-    converted to Python values and written 1024 at a time.
+    the bytes of _fmt, and any other column as str().  The rows are written
+    1024 at a time: a chunk of float columns only and of at least
+    _ENCODE_MIN_VALUES values through _write_floats, any other converted
+    to Python values.  A path that cannot be opened is a ConfigError.
     """
     columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0])
     line = ",".join("%.12g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"# {k} = {_fmt(v)}\n" for k, v in meta.items())
-        fh.write(",".join(header) + "\n")
-        for k in range(0, len(columns[0]), 1024):
-            fh.writelines(line % row for row in zip(*(col[k : k + 1024].tolist()
-                                                      for col in columns)))
+    # _write_floats' work array, sized for the first chunk
+    width = min(rows, 1024) * len(columns)
+    work = None
+    if all(col.dtype.kind == "f" for col in columns) and width >= _ENCODE_MIN_VALUES:
+        work = np.empty((2, width, 32), dtype=np.uint8)
+    try:
+        fh = open(path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {str(path)!r}: {exc}") from exc
+    with fh:
+        fh.write("".join(f"# {k} = {_fmt(v)}\n" for k, v in meta.items()).encode())
+        fh.write((",".join(header) + "\n").encode())
+        for k in range(0, rows, 1024):
+            chunk = [col[k : k + 1024] for col in columns]
+            if work is not None and len(chunk[0]) * len(chunk) >= _ENCODE_MIN_VALUES:
+                _write_floats(fh, np.stack(chunk, axis=1, dtype=np.float64), work)
+            else:
+                fh.write("".join(line % row for row in zip(*(c.tolist() for c in chunk))).encode())
 
 
 def _sphere_system(v: dict) -> ms.SphereSystem:

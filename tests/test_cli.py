@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphereqed import cli, dynamics, steady_state
 from sphereqed import microsphere as ms
@@ -335,6 +337,13 @@ class TestExitCodes:
 
     def test_missing_file_is_exit_1(self, tmp_path):
         assert run_cli(["rates", "--config", tmp_path / "nope.cfg"]) == 1
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "figure5.csv"
+        assert run_cli(["figure5", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {str(out)!r}: ")
+        assert not out.parent.exists()
 
     def test_bug_is_not_a_numerical_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -797,37 +806,145 @@ def _fmt_join(meta, header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# values that the encoder hands to '%.12g' (non-finite, subnormal, the
+# upper end of its range), powers of ten on both sides of the exact powers
+# 10^0 .. 10^22, and float32 values in a float64 array
+_HARD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf,
+                -math.inf, 1e-11, 1e32, 1e16, 1e22, 1e23, *np.float32([0.1, -1.0 / 3.0, 3e-5])]
+# %.12g of values whose rounding carries into the exponent or meets a tie,
+# which rounds half to even
+_CARRIES_AND_TIES = {9.9999999999995e-05: "0.0001", 999999999999.5: "1e+12",
+                     100000000000.5: "100000000000", 100000000001.5: "100000000002"}
+
+
+def _float_table(values, rows: int, cols: int) -> list[np.ndarray]:
+    """A rows x cols float64 table of the values over and over, each column
+    starting one value further on."""
+    values = np.asarray(values, dtype=np.float64)
+    return [np.resize(np.roll(values, -j), rows) for j in range(cols)]
+
+
+def _write_and_count(tmp_path, monkeypatch, header, columns) -> int:
+    """write_csv's bytes must equal one _fmt call per value; returns the
+    number of values that went through the encoder."""
+    encoded = []
+    write_floats = cli._write_floats
+
+    def counted(fh, block, work):
+        encoded.append(block.size)
+        write_floats(fh, block, work)
+
+    monkeypatch.setattr(cli, "_write_floats", counted)
+    out = tmp_path / "out.csv"
+    cli.write_csv(out, TestWriteCsv.META, header, columns)
+    assert out.read_bytes() == _fmt_join(TestWriteCsv.META, header, columns)
+    return sum(encoded)
+
+
 class TestWriteCsv:
     META = {"sweep.count": "3", "resolved.x": 0.1 + 0.2}
 
     @pytest.mark.parametrize(
-        "header, columns",
+        "header, columns, encoded",
         [
             # an int and a str column, and a float column of Python and
             # numpy floats, as lists
             (cli._RESONANCE_HEADER,
-             [[121, 7], [1.0501234567891234, 0.93], [3.2e-5, np.float64(1e-3)], ["SG", "WG"]]),
+             [[121, 7], [1.0501234567891234, 0.93], [3.2e-5, np.float64(1e-3)], ["SG", "WG"]],
+             False),
             # a float32 value in a float64 array and in a list, a float32
             # array, and a scalar broadcast to a read-only column
             (cli._ENTANGLE_HEADER,
              [np.array([np.float32(0.1), 0.3]), [np.float32(0.1), 2.0 / 3.0],
               np.array([0.1, 1.0 / 3.0], dtype=np.float32),
               *np.broadcast_arrays(np.linspace(0.1, 0.9, 2), 2.5e-17),
-              *np.geomspace(1e-300, 1e300, 24).reshape(12, 2)]),
+              *np.geomspace(1e-300, 1e300, 24).reshape(12, 2)],
+             False),
             (cli._DYNAMICS_HEADER,
              [np.array([0.0, 5e-324, 2.0e-3]), np.array([math.nan, 1e16, -5e-324]),
               np.array([math.inf, -1e16, 0.1]), np.array([-math.inf, 1.0 / 3.0, 1e-5]),
-              np.array([-0.0, 123456789012.5, 1e22])]),
-            (cli._DYNAMICS_HEADER, [np.empty(0)] * 5),
+              np.array([-0.0, 123456789012.5, 1e22])],
+             False),
+            (cli._DYNAMICS_HEADER, [np.empty(0)] * 5, False),
             # 2500 rows, more than two 1024-row chunks of the conversion
-            (["k", "x"], [np.arange(2500), np.linspace(0.0, 1.0, 2500) ** 3]),
+            (["k", "x"], [np.arange(2500), np.linspace(0.0, 1.0, 2500) ** 3], False),
+            # float tables over the encoder's size: the hard values over
+            # two chunks and a part, carries and ties, and random bit
+            # patterns whose last chunk of 452 rows goes below the size
+            (cli._DYNAMICS_HEADER, _float_table(_HARD_VALUES, 2100, 5), True),
+            (cli._DYNAMICS_HEADER, _float_table(list(_CARRIES_AND_TIES), 600, 5), True),
+            (["x", "y"],
+             list(np.random.default_rng(28).integers(0, 2**64, (2, 2500), np.uint64,
+                                                     endpoint=False).view(np.float64)),
+             True),
         ],
-        ids=["resonances", "entangle", "dynamics", "empty", "chunks"],
+        ids=["resonances", "entangle", "dynamics", "empty", "chunks",
+             "float-hard", "float-carries-ties", "float-bits"],
     )
-    def test_bytes_equal_per_value_format(self, tmp_path, header, columns):
-        out = tmp_path / "out.csv"
-        cli.write_csv(out, self.META, header, columns)
-        assert out.read_bytes() == _fmt_join(self.META, header, columns)
+    def test_bytes_equal_per_value_format(self, tmp_path, monkeypatch, header, columns, encoded):
+        values = _write_and_count(tmp_path, monkeypatch, header, columns)
+        # the encoder cases reach it: their tables exceed its size
+        assert (values > 0) == encoded
+        if encoded:
+            assert len(columns[0]) * len(columns) > cli._ENCODE_MIN_VALUES
+
+    def test_carries_and_ties(self, tmp_path, monkeypatch):
+        columns = _float_table(list(_CARRIES_AND_TIES), 250, len(_CARRIES_AND_TIES))
+        assert _write_and_count(tmp_path, monkeypatch, ["a", "b", "c", "d"], columns) == 1000
+        first_row = (tmp_path / "out.csv").read_text().splitlines()[3]
+        assert first_row == ",".join(_CARRIES_AND_TIES.values())
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_off_by_one_is_corrected(self, tmp_path, monkeypatch, shift):
+        # a log10 that puts the first guess of the decimal exponent one off
+        # for half the values: the correction from where the scaled value
+        # falls must give the same bytes
+        columns = list(10.0 ** np.random.default_rng(5).uniform(-98, 31, (3, 400)))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert _write_and_count(tmp_path, monkeypatch, ["x", "y", "z"], columns) == 1200
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path, monkeypatch):
+        # 10^k for k = -12 .. 33, the floats next to it and next to the
+        # 12-digit rounding boundary below it, of both signs: the encoder's
+        # exponent correction, its carry, and the switch between fixed
+        # and exponent notation at 1e-4 and 1e12
+        values = []
+        for k in range(-12, 34):
+            for center in (float(f"1e{k}"), float(f"9.999999999995e{k - 1}")):
+                below = above = center
+                for _ in range(5):
+                    below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+                    values += [below, above]
+                values.append(center)
+        values = np.array(values)
+        # one chunk of 1012 rows
+        columns = [values, -values]
+        assert _write_and_count(tmp_path, monkeypatch, ["x", "y"], columns) == 2 * len(values)
+        assert 2 * len(values) > cli._ENCODE_MIN_VALUES
+
+
+@st.composite
+def _bit_tables(draw):
+    """A float64 table of arbitrary 64-bit patterns, with fewer or more
+    values than the encoder's size: random patterns, and drawn ones at
+    drawn places."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 2 * cli._ENCODE_MIN_VALUES // cols))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        0, 2**64, rows * cols, np.uint64, endpoint=False)
+    for pattern in draw(st.lists(st.integers(0, 2**64 - 1), max_size=20)):
+        bits[draw(st.integers(0, rows * cols - 1))] = pattern
+    return list(bits.view(np.float64).reshape(cols, rows))
+
+
+@given(columns=_bit_tables())
+@settings(max_examples=40, deadline=None)
+def test_float_tables_equal_per_value_format(tmp_path_factory, columns):
+    out = tmp_path_factory.mktemp("bits") / "out.csv"
+    header = [f"c{j}" for j in range(len(columns))]
+    cli.write_csv(out, {}, header, columns)
+    assert out.read_bytes() == _fmt_join({}, header, columns)
 
 
 class TestEntangle:
