@@ -19,8 +19,10 @@ identical files.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -684,11 +686,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """write_csv's ConfigError, with open's reason, raised before the run
+    for an output path that open cannot create: one in a missing
+    directory, or a directory."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    reason = OSError(code, os.strerror(code), path)
+    raise ConfigError(f"cannot write output {str(path)!r}: {reason}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = args.out or f"{args.command}.csv"
     try:
         cfg = load_config(args.config) if args.config else {}
-        _COMMANDS[args.command][1](cfg, args.out or f"{args.command}.csv")
+        _check_out(out)
+        _COMMANDS[args.command][1](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

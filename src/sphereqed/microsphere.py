@@ -38,13 +38,18 @@ _TAIL_WIDTH = 12
 # points of a frequency sweep that collective_rates evaluates together.  A
 # block takes sweep points while they need at most 3 BLOCK columns of the j
 # recurrence (k R and n k R per distinct frequency, k r per distinct
-# (frequency, k r) pair) and are at most 2 BLOCK points: 32 points of a
-# frequency sweep, 64 of a delta_r or theta sweep.  So the work arrays,
-# orders x up to 3 BLOCK columns, stay a few hundred kB each; the point cap
-# is measured (over three rate_sweep benchmark passes, blocks of 80 or 94
-# distance points raised the peak RSS by about 0.5 MB, of 64 by 0.1 MB).
+# (frequency, k r) pair) and are at most 2 BLOCK points: 75 points of a
+# frequency sweep, 150 of a delta_r or theta sweep.  Each block pays one run
+# of the ratio loop, about 380 steps at a fixed numpy-call cost of about
+# 0.9 us each plus about 5 ns per column (2-core Xeon VM), so the fewer
+# blocks the better; 75 is the least BLOCK that takes the 150-point distance
+# presets in one block, and an 801-point frequency sweep takes 11.  The
+# block's ratio array, 300 orders x up to 375 columns of complex values, is
+# 1.8 MB (1.45 MB for 150 distances), and a block call peaks at 2.7 MB
+# (distance) to 3.6 MB (frequency) under tracemalloc; the array grows with
+# the order cap, so blocks need re-sizing if L_MAX_SUPPORTED grows.
 # A point's value does not depend on its block: no column reads another.
-BLOCK = 32
+BLOCK = 75
 
 # real-frequency grid intervals per unit omega_T of the resonance search
 GRID_PER_UNIT = 2000
@@ -342,7 +347,7 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     Gamma_AA is the single-atom rate, and Gamma_pm = Gamma_AA +/- Gamma_AB.
 
     Points are evaluated in blocks sized by their recurrence columns (see
-    BLOCK): 32 points of a frequency sweep, 64 of a distance or angle sweep.
+    BLOCK): 75 points of a frequency sweep, 150 of a distance or angle sweep.
     k r is formed once per point, for the blocks' sizes and their terms.
     The Bessel, Mie and Legendre recurrences loop over the order l and run
     for every point of a block at once, the Bessel ratios of both kinds in

@@ -22,7 +22,6 @@ import mpmath as mp
 import numpy as np
 
 from sphereqed.microsphere import (
-    BLOCK,
     HANDOVER_WIDTH,
     Resonance,
     _search_grid,
@@ -34,6 +33,10 @@ from sphereqed.microsphere import (
 from sphereqed.special import sph_jn_h1n_ratios
 
 mp.mp.dps = 40
+
+# grid points per _balance call of scalar_find_resonances: its own size, so
+# that retuning the package's rate blocks leaves the oracle's calls alone
+_GRID_CHUNK = 32
 
 
 def mp_spherical_j(l: int, z: complex) -> complex:
@@ -363,7 +366,7 @@ def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range):
     npts = len(grid)
     for l in l_range:
         vals = np.concatenate(
-            [_balance(sys, l, grid[i : i + BLOCK]) for i in range(0, npts, BLOCK)]
+            [_balance(sys, l, grid[i : i + _GRID_CHUNK]) for i in range(0, npts, _GRID_CHUNK)]
         )
         minima = [
             i

@@ -345,6 +345,23 @@ class TestExitCodes:
         assert err.startswith(f"config error: cannot write output {str(out)!r}: ")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
+        # the output path is checked before the subcommand runs: a Volterra
+        # job never reaches the integrator, and no CSV is left
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(dynamics, "volterra_branch", unreachable)
+        cfg = tmp_path / "volterra.cfg"
+        cfg.write_text(DYNAMICS_RATES + "dynamics.method = volterra\ndynamics.step = 0.002\n"
+                       "dynamics.t_max = 4\n")
+        out = tmp_path / "missing" / "dyn.csv" if where == "missing-directory" else tmp_path
+        assert run_cli(["dynamics", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {str(out)!r}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["volterra.cfg"]
+
     def test_bug_is_not_a_numerical_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise IndexError("bug in block slicing")
@@ -368,7 +385,7 @@ class TestExitCodes:
             SphereSystem,
         )
 
-        omegas = np.linspace(1.04, 1.0545, 40)
+        omegas = np.linspace(1.04, 1.0545, 100)
         sys0 = SphereSystem(DrudeLorentzParams(0.5, 1e-6), 10.0, 0.14, math.pi)
         failing = []
         for k, om in enumerate(omegas):
@@ -388,7 +405,7 @@ class TestExitCodes:
         monkeypatch.setattr(ms, "collective_rates", counted)
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(
-            "sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.0545\nsweep.count = 40\n"
+            "sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.0545\nsweep.count = 100\n"
         )
         out = tmp_path / "out.csv"
         assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
@@ -399,9 +416,9 @@ class TestExitCodes:
 
     def test_overflowed_term_in_second_block_is_named(self, tmp_path, capsys, monkeypatch):
         # a non-finite multipole term at one point of the second rate block
-        # of a 40-point omega sweep: the kernel raises the overflow error
+        # of a 100-point omega sweep: the kernel raises the overflow error
         # with that point's flat index, and the CLI exits 2 naming it
-        omegas = np.linspace(1.04, 1.05, 40)
+        omegas = np.linspace(1.04, 1.05, 100)
         bad = ms.BLOCK + 3
         rate_orders, blocks = ms._rate_orders, []
 
@@ -416,12 +433,12 @@ class TestExitCodes:
         sys0 = ms.SphereSystem(ms.DrudeLorentzParams(0.5, 1e-6), 10.0, 0.14, math.pi)
         why = f"multipole term overflow at omega={float(omegas[bad])} (resonant order"
         with pytest.raises(ms.NonConvergenceError, match=re.escape(why)) as err:
-            ms.collective_rates(sys0.params, sys0.radius, sys0.r, omegas.reshape(4, 10),
+            ms.collective_rates(sys0.params, sys0.radius, sys0.r, omegas.reshape(10, 10),
                                 math.cos(sys0.theta))
         assert err.value.point == bad
         assert blocks == [False, True]
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text("sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.05\nsweep.count = 40\n")
+        cfg.write_text("sweep.axis = omega\nsweep.lo = 1.04\nsweep.hi = 1.05\nsweep.count = 100\n")
         out = tmp_path / "out.csv"
         assert run_cli(["rates", "--config", cfg, "--out", out]) == 2
         assert f"sweep point {bad} (value {omegas[bad]:.12g}): {why}" in capsys.readouterr().err

@@ -252,8 +252,8 @@ class TestBlockKernel:
     def test_one_rate_orders_call_per_block_at_the_cap(self, fig2_system, monkeypatch, axis):
         # a figure3-window omega sweep over two blocks of BLOCK points (3
         # BLOCK j columns each), a theta sweep in one block of 2 BLOCK
-        # points, and a 150-point distance sweep over three blocks whose
-        # near points need the cap and far ones do not
+        # points, and a distance sweep over three blocks whose near points
+        # need the cap and far ones do not
         sys0 = fig2_system
         r, omega, cos_theta = sys0.r, 1.0501, -1.0
         if axis == "omega":
@@ -261,7 +261,7 @@ class TestBlockKernel:
         elif axis == "theta":
             cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK))
         else:
-            r = sys0.radius + np.linspace(0.05, 3.0, 150)
+            r = sys0.radius + np.linspace(0.05, 3.0, 4 * BLOCK + 10)
         sizes = []
         rate_orders = microsphere._rate_orders
 
@@ -272,12 +272,18 @@ class TestBlockKernel:
         monkeypatch.setattr(microsphere, "_rate_orders", spy)
         collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
         blocks = {"omega": [BLOCK, BLOCK], "theta": [2 * BLOCK],
-                  "delta_r": [2 * BLOCK, 2 * BLOCK, 150 - 4 * BLOCK]}[axis]
+                  "delta_r": [2 * BLOCK, 2 * BLOCK, 10]}[axis]
         assert sizes == [(300, size) for size in blocks]
+        if axis == "delta_r":
+            # the 150-point distance presets fill one block
+            sizes.clear()
+            collective_rates(sys0.params, sys0.radius, sys0.radius + np.linspace(0.05, 3.0, 150),
+                             omega, cos_theta)
+            assert sizes == [(300, 150)]
 
     @pytest.mark.parametrize("axis", ["theta", "delta_r"])
     def test_legendre_rows_once_per_run_of_equal_cosines(self, fig2_system, monkeypatch, axis):
-        # a 150-point distance sweep over three blocks has one cosine, so one
+        # a distance sweep over three blocks has one cosine, so one
         # legendre_all call serves every block; the two blocks of a theta
         # sweep have cosines of their own, one call each
         sys0 = fig2_system
@@ -285,7 +291,7 @@ class TestBlockKernel:
         if axis == "theta":
             cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK + 9))
         else:
-            r = sys0.radius + np.linspace(0.05, 3.0, 150)
+            r = sys0.radius + np.linspace(0.05, 3.0, 4 * BLOCK + 10)
         sizes = []
         legendre_all = microsphere.legendre_all
 
