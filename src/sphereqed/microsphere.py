@@ -581,7 +581,8 @@ def find_resonances(
     stream for all of them.  Converged roots are kept when they fall
     inside the window, have positive width and suppress f by at least 1e-8
     relative to its off-resonance value at omega_c + 3*delta_omega_c (f
-    from the terms of _order_terms, one call each for all candidates);
+    from the terms of _order_terms, one call for both frequencies of all
+    candidates);
     roots of one order closer than 10 widths count once.  A candidate's
     value never depends on the other candidates of its call, so the roots
     are exactly those of each order searched alone.
@@ -619,8 +620,12 @@ def find_resonances(
     ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)
     roots, orders = roots[ok], orders[ok]
     if roots.size:
-        ref, at_root = (np.abs(np.subtract(*_order_terms(sys, orders, w)[3:]))
-                        for w in (wc[ok] + 3.0 * dwc[ok], roots))
+        # f off resonance, at omega_c + 3 delta_omega_c, and at the root, in
+        # one call
+        f = np.abs(np.subtract(*_order_terms(
+            sys, np.concatenate([orders, orders]),
+            np.concatenate([wc[ok] + 3.0 * dwc[ok], roots]))[3:]))
+        ref, at_root = f[: roots.size], f[roots.size :]
         suppressed = at_root < 1e-8 * ref
         roots, orders = roots[suppressed], orders[suppressed]
     found: list[Resonance] = []

@@ -78,6 +78,21 @@ def mp_bessel_ratio(kind: str, l: int, z: complex) -> complex:
         return complex(fn(l + half, zc) / fn(l - half, zc))
 
 
+def mp_growth(m: float, n: float, z: complex) -> float:
+    """How far the two solutions of x <- (2k + 1)/z - 1/x separate between
+    orders m and n, in e-folds: the integral of 2 Re acosh((k + 1/2)/z)
+    over k, by quadrature at 30 digits (no closed form), at Re z >= 0 (the
+    rate is the same at -z)."""
+    with mp.workdps(30):
+        zc = mp.mpc(z)
+        if mp.re(zc) < 0:
+            zc = -zc
+        rate = lambda k: 2 * mp.re(mp.acosh((k + mp.mpf(1) / 2) / zc))
+        # the rate has a kink at the turning point k + 1/2 = |z|
+        turning = abs(zc) - mp.mpf(1) / 2
+        return float(mp.quad(rate, [m, turning, n] if m < turning < n else [m, n]))
+
+
 def mp_log_derivative(kind: str, l: int, z: complex) -> complex:
     """[z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l, in mpmath throughout
     (see mp_bessel_ratio)."""

@@ -572,7 +572,7 @@ class TestBatchedRefinement:
             assert len(calls["sph_jn_h1n_ratio"]) == evaluations
             newton = len(calls["_denominator_slope"])
             suppression = evaluations - 1 - len(golden) - newton
-            assert suppression == 2
+            assert suppression == 1
             return len(found), len(golden), newton
 
         # inside the band gap Newton starts from the grid point: no balance

@@ -18,6 +18,7 @@ from sphereqed.special import (
 
 from oracles import (
     mp_bessel_ratio,
+    mp_growth,
     mp_riccati_deriv,
     mp_spherical_h1,
     mp_spherical_j,
@@ -45,6 +46,15 @@ def ratios(kind, l, z, rows=False):
     other = z if np.ndim(l) else ()
     rj, rh = pair(l, z, other) if kind == "J" else pair(l, other, z)
     return rj if kind == "J" else rh
+
+
+def forward_started(l, hz):
+    """Where the h column of order l that keeps only that order starts
+    above order 1 (special._forward_starts), at each argument of hz."""
+    hz = np.asarray(hz, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        starts = special._forward_starts(np.full(len(hz), l), hz)
+    return np.zeros(len(hz), dtype=bool) if starts is None else starts > 1
 
 
 # the kinds of the single-order ratio and of the rows, under their test ids
@@ -432,7 +442,10 @@ class TestHankelRatioRows:
         # upward up to their orders, and the loop turns their rows to run
         # from order lmax down.  A call of _SCALAR_POINTS columns, the widest
         # on the scalar loop, and one of a column more mix downward j, upward
-        # j and h columns
+        # j and h columns.  The j ratios and the h ratios that start at
+        # order 1 in both calls are the row's bits; an h ratio that keeps
+        # only order l may start higher (special._forward_starts), and is
+        # then held to the 1e-12 of TestBesselRatios against mpmath
         z = np.concatenate([UP_J_ARGS, H_ROW_ARGS, DEMO_J_ARGS])[:count]
         jz, hz = (z, z[:0]) if kind == "J" else (z[:0], z)
         if count in (special._SCALAR_POINTS, special._SCALAR_POINTS + 1):
@@ -443,12 +456,25 @@ class TestHankelRatioRows:
         for l in (1, 121, 300):
             rj, rh = sph_jn_h1n_ratios(l, jz, hz)
             r, q = sph_jn_h1n_ratio(l, jz, hz)
-            assert np.array_equal(rj[l], r) and np.array_equal(rh[l], q)
+            assert np.array_equal(rj[l], r)
+            ahead = forward_started(l, hz)
+            assert np.array_equal(rh[l][~ahead], q[~ahead], equal_nan=True)
+            for zk, got in zip(hz[ahead], q[ahead]):
+                want = mp_bessel_ratio("H1", l, zk)
+                assert abs(got - want) <= 1e-12 * abs(want)
+            # order 1 starts at 1; at 121 and 300 some h argument of every
+            # call lies far enough below its order to start higher
+            assert ahead.any() == (l > 1 and len(hz) > 0)
         if kind == "H1":
-            # the upward run has no seed: every row is the ratio of its order
+            # the rows start at order 1: row n is the ratio of order n, the
+            # bits of a call of order n where that starts at order 1 too,
+            # and within 1e-12 where it starts higher
             rh = sph_jn_h1n_ratios(300, jz, hz)[1]
             for n in range(1, 301):
-                assert np.array_equal(rh[n], sph_jn_h1n_ratio(n, jz, hz)[1])
+                q = sph_jn_h1n_ratio(n, jz, hz)[1]
+                ahead = forward_started(n, hz)
+                assert np.array_equal(rh[n][~ahead], q[~ahead], equal_nan=True)
+                assert np.all(np.abs(q[ahead] - rh[n][ahead]) <= 1e-12 * np.abs(rh[n][ahead]))
 
     def test_domain(self):
         below = 20.0 + (H1_IM_MIN - 0.5) * 1j
@@ -545,8 +571,13 @@ class TestMixedRun:
             assert set(depths[way]) > {1}
         rows = np.empty((depths.max(), len(z)), dtype=complex)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            first = special._first_ratios(z[down:], jcount - down)
-            special._ratio_columns(orders, depths, z, first, rows)
+            # the starts that _ratios takes: a column's start is that of a
+            # call on it alone
+            starts, forward = special._starts(orders, depths, z, down, jcount)
+            first = special._first_ratios(z[down:], jcount - down, forward)
+            special._ratio_columns(orders, depths, z, starts, first, rows)
+        # the depth-1 h columns of orders 121, 300 and 1000 start above 1
+        assert (starts[jcount:] > 1).any() == (h_orders == MIXED_ORDERS)
         for k, (l, depth, zk) in enumerate(zip(orders.tolist(), depths.tolist(), z)):
             got = rows[len(rows) - depth :, k]
             kind = "J" if k < jcount else "H1"
@@ -618,6 +649,175 @@ class TestUpwardRule:
         # turning point, so j runs down there even far below it
         z = np.array([400 + 3.0j, 400 + 3.01j, 400 - 3.01j])
         assert special._upward(np.array([1, 1, 1]), z).tolist() == [True, False, False]
+
+
+def miller_cap(l, z):
+    """The Miller start of every downward column before the growth rule,
+    special._miller_start, now its cap."""
+    return int(special._miller_start(np.array([l]), np.abs(np.array([z])))[0])
+
+
+def start_orders(l, jz, hz, depth=1):
+    """The start of each column of a call of order l on the j arguments jz
+    and the h arguments hz, in the order of the arguments, as _ratios lays
+    them out and takes them (j columns that _upward puts upward start at
+    1)."""
+    jz, hz = np.asarray(jz, dtype=complex), np.asarray(hz, dtype=complex)
+    up = special._upward(l, jz)
+    order = np.argsort(up, kind="stable")
+    z = np.concatenate([jz[order], hz])
+    orders = np.full(len(z), l)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        starts = special._starts(orders, depth, z, int(np.count_nonzero(~up)), len(jz))[0]
+    starts[: len(jz)][order] = starts[: len(jz)].copy()
+    return starts
+
+
+def growth(m, n, z):
+    """S(m, n) at z in the closed form of special._growth, which
+    TestStarts.test_growth_integral checks against quadrature."""
+    with np.errstate(invalid="ignore"):
+        g = special._growth(np.array([m, n], dtype=float), np.array([z, z], dtype=complex))[0]
+    return 2.0 * (g[1] - g[0])
+
+
+def ratio_from(kind, l, z, start):
+    """f_l/f_{l-1} of one column started at order `start` with the
+    arithmetic of the scalar loop: j downward from the Miller seed r = 0
+    above it, h upward from h_1/h_0 = 1/z - i at start 1, else from
+    (2 start - 1)/z."""
+    z = complex(z)
+    if kind == "J":
+        odds = range(2 * start - 1, 2 * (l - 1) + 1, -2)
+        return 1.0 / special._scalar_loop((2 * start + 1) * (1.0 / z), odds, z, 1)[-1]
+    first = 1.0 / z - 1j if start == 1 else (2 * start - 1) * (1.0 / z)
+    return special._scalar_loop(first, range(2 * start + 1, 2 * l, 2), z, 1)[-1]
+
+
+def near_omega_t(omegas):
+    """n k R of the demo sphere at each frequency (band gap and next to
+    omega_T), a complex array."""
+    return demo_arguments(0, omegas)[2]
+
+
+# the j points at which the Miller start was measured against mpmath when
+# the growth rule was drawn up: n k R at five frequencies from 1.0001 (|z|
+# ~ 2220) to 1.1 (|z| ~ 30) at six orders, and eight arguments from 0.3 to
+# 995 + 0.5i at four orders up to 1000
+START_J_POINTS = (
+    [(l, z) for z in near_omega_t([1.0001, 1.001, 1.01, 1.05, 1.1])
+     for l in (1, 30, 121, 200, 259, 300)]
+    + [(l, z) for z in (0.3, 5 + 1j, 66.0, 200j, 22.3 - 20.8j, 995 + 0.5j, 59.7 - 5j, 30 - 4j)
+       for l in (1, 121, 300, 1000)]
+)
+# k R of the demo sphere where the band-gap search reads h and j: orders
+# 110-131 at real and complex frequencies, and two more h arguments
+START_GAP_POINTS = [(l, z) for z in size_parameter(np.array([1.04, 1.0501, 1.06, 1.0501 - 5e-7j]),
+                                                    10.0)
+                    for l in (110, 116, 121, 126, 131)]
+START_H_POINTS = START_GAP_POINTS + [(l, z) for z in (59.7 - 5j, 22.3 - 4.9j) for l in (121, 300)]
+
+
+class TestStarts:
+    """The start of each column (special._starts): the Miller start of a
+    downward j column, where the growth integral S from its order reaches
+    40 plus 8 steps, never above the older rule, and the forward start of
+    an h column, where S up to its lowest kept row reaches 40."""
+
+    @pytest.mark.parametrize("m,n,z", [(120, 145, 79.1j), (120, 145, 66.0), (30, 90, 66.0),
+                                       (1, 300, 2220j + 5.6), (110, 200, -66.0 + 3j),
+                                       (95, 121, 65.98 - 3e-5j), (5, 40, 22.3 - 20.8j)])
+    def test_growth_integral(self, m, n, z):
+        # the closed form 2 (g(n) - g(m)) against quadrature of the rate
+        want = mp_growth(m, n, z)
+        assert abs(growth(m, n, z) - want) <= 1e-10 * max(abs(want), 1.0)
+
+    def test_accuracy_against_multiprecision(self):
+        # no ratio is further from the 50-digit one than with the start of
+        # the older rule, by more than one rounding (2^-53): a converged
+        # continued fraction forgets its start.  Every start leaves S >= 40
+        # between itself and the kept row (the Miller start less its 8
+        # spare steps)
+        points = ([("J", l, z) for l, z in START_J_POINTS + START_GAP_POINTS]
+                  + [("H1", l, z) for l, z in START_H_POINTS])
+        forward = 0
+        for kind, l, z in points:
+            jz, hz = ([z], []) if kind == "J" else ([], [z])
+            start = int(start_orders(l, jz, hz)[0])
+            got = ratios(kind, l, z)[0]
+            up = kind == "J" and special._upward(l, np.array([z]))[0]
+            if up:
+                assert start == 1
+                continue
+            old = ratio_from(kind, l, z, miller_cap(l, z) if kind == "J" else 1)
+            assert got == ratio_from(kind, l, z, start)
+            want = mp_bessel_ratio(kind, l, z)
+            assert abs(got - want) / abs(want) <= abs(old - want) / abs(want) + 2.0**-53
+            if kind == "J":
+                assert l < start - special._SPARE and growth(l, start - special._SPARE, z) >= 40
+            elif start > 1:
+                forward += 1
+                assert growth(start, l, z) >= 40
+        # the band-gap h columns start from a forward start
+        assert forward >= len(START_GAP_POINTS)
+
+    def test_miller_starts_below_the_cap(self):
+        points = START_J_POINTS + START_GAP_POINTS
+        for l, z in points:
+            start = int(start_orders(l, [z], [])[0])
+            assert start == 1 or l < start <= miller_cap(l, z)
+        # next to omega_T, where |n k R| ~ 2220, the start falls from 2374
+        starts = [int(start_orders(l, [z], [])[0]) for l, z in START_J_POINTS[:6]]
+        assert {miller_cap(l, z) for l, z in START_J_POINTS[:6]} == {2374}
+        assert max(starts) <= 432
+        # in the band gap (n k R ~ 79i), from 198 to 145 or less at l = 121
+        z = near_omega_t([1.05])[0]
+        assert miller_cap(121, z) == 198 and start_orders(121, [z], [])[0] <= 145
+
+    def test_forward_start_only_above_the_turning_point(self):
+        # the below-gap h columns of the search (k R ~ 57-62, l 63-77) and
+        # rows from order 1 start at order 1
+        kr = size_parameter(np.linspace(0.90, 0.995, 40) - 1e-4j, 10.0)
+        for l in range(63, 78):
+            assert (start_orders(l, [], kr) == 1).all()
+        for l in (1, 121, 300):
+            assert (start_orders(l, [], kr, depth=l) == 1).all()
+            gap = size_parameter(np.array([1.04, 1.0501, 1.06]), 10.0)
+            assert (start_orders(l, [], gap, depth=l) == 1).all()
+        # the band-gap ones do not, and rows from order 21 at l = 121 neither
+        gap = size_parameter(np.array([1.04, 1.0501, 1.06]), 10.0)
+        assert (start_orders(121, [], gap) > 1).all()
+        assert (start_orders(121, [], gap, depth=101) == 1).all()
+
+    def test_start_and_bits_do_not_depend_on_the_call(self):
+        # a column's start and ratio are those of a call on it alone, in a
+        # call on the scalar loop and in one on the column loop, also where
+        # the linear candidate l + 40/rate(l) of a Miller start, or
+        # lo - 40/rate(lo) of a forward start, falls next to an integer
+        l = 121
+        tie_j = (l + 0.5) / math.cosh(20.0 / 9.0)  # 40/rate(l) = 9
+        tie_h = (l + 0.5) / math.cosh(20.0 / 17.0)  # 40/rate(lo) = 17
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = 2.0 * special._growth(np.array([l, l], dtype=float),
+                                         np.array([tie_j, tie_h], dtype=complex))[1]
+        assert np.allclose(40.0 / rate, [9.0, 17.0], rtol=0, atol=1e-12)
+        jz = np.array([tie_j, near_omega_t([1.05])[0], 66.0])
+        hz = np.array([tie_h, size_parameter(1.0501, 10.0), 66.0 - 0.3j])
+        alone = np.concatenate([start_orders(l, [z], []) for z in jz]
+                               + [start_orders(l, [], [z]) for z in hz])
+        assert alone[0] == math.ceil(l + 40.0 / rate[0]) + special._SPARE
+        assert (alone[len(jz):] > 1).all()
+        others = np.array(H_ROW_ARGS[:5].tolist() * 4)
+        for count in (0, len(others)):
+            js = np.concatenate([jz, DEMO_J_ARGS[:count]])
+            hs = np.concatenate([hz, others[:count]])
+            assert (len(js) + len(hs) > special._SCALAR_POINTS) == (count > 0)
+            starts = start_orders(l, js, hs)
+            assert np.array_equal(starts[: len(jz)], alone[: len(jz)])
+            assert np.array_equal(starts[len(js) : len(js) + len(hz)], alone[len(jz) :])
+            r, q = sph_jn_h1n_ratio(l, js, hs)
+            assert np.array_equal(r[: len(jz)], [ratios("J", l, z)[0] for z in jz])
+            assert np.array_equal(q[: len(hz)], [ratios("H1", l, z)[0] for z in hz])
 
 
 class TestBesselRatioDomain:
