@@ -24,9 +24,9 @@ from .special import (
     sph_jn_h1n_ratios,
 )
 
-# Highest multipole order of the rate sum, to which every block sums: enough
-# for size parameters up to ~kR = 66 plus the evanescent tail.  B_l is
-# subnormal near this order.
+# Highest multipole order of the rate sum, the cap to which a sum that has
+# not settled runs: enough for size parameters up to ~kR = 66 plus the
+# evanescent tail.  B_l is subnormal near this order.
 L_MAX_SUPPORTED = 300
 
 # adaptive series truncation: stop after this many consecutive negligible terms
@@ -34,18 +34,27 @@ _TAIL_RUN = 5
 _TAIL_RTOL = 1e-12
 # orders per window of the geometric tail bound at the l = L_MAX_SUPPORTED cap
 _TAIL_WIDTH = 12
+# the order to which a rate block sums every point first when one of them
+# has an image bound at or below it (_image_bounds, _block_rates).  On the
+# 150-point figure5 sweep at omega = 1.0501, 103 points have bounds within
+# it and 113 settle by it, 93 by l = 128 and 117 by l = 160; the block
+# takes 2.8-2.9 ms at stages from 128 to 160 and 3.1 ms in one pass (min of
+# 40 interleaved rounds, 2-core Xeon VM)
+_STAGE = L_MAX_SUPPORTED // 2
 
 # points of a frequency sweep that collective_rates evaluates together.  A
 # block takes sweep points while they need at most 3 BLOCK columns of the j
 # recurrence (k R and n k R per distinct frequency, k r per distinct
 # (frequency, k r) pair) and are at most 2 BLOCK points: 75 points of a
 # frequency sweep, 150 of a delta_r or theta sweep.  Each block pays one run
-# of the ratio loop, about 380 steps at a fixed numpy-call cost of about
-# 0.9 us each plus about 5 ns per column (2-core Xeon VM), so the fewer
-# blocks the better; 75 is the least BLOCK that takes the 150-point distance
-# presets in one block, and an 801-point frequency sweep takes 11.  The
+# of the ratio loop to the l = 300 cap, about 380 steps at a fixed
+# numpy-call cost of about 0.9 us each plus about 5 ns per column (2-core
+# Xeon VM), so the fewer blocks the better; 75 is the least BLOCK that takes
+# the 150-point distance presets in one block, and an 801-point frequency
+# sweep takes 11.  The terms and sums run to the cap too, except in a block
+# with far points (_STAGE), whose settled points stop at the stage.  The
 # block's ratio array, 300 orders x up to 375 columns of complex values, is
-# 1.8 MB (1.45 MB for 150 distances), and a block call peaks at 2.7 MB
+# 1.8 MB (1.45 MB for 150 distances), and a block call peaks at 2.8 MB
 # (distance) to 3.6 MB (frequency) under tracemalloc; the array grows with
 # the order cap, so blocks need re-sizing if L_MAX_SUPPORTED grows.
 # A point's value does not depend on its block: no column reads another.
@@ -172,22 +181,22 @@ def _sphere_arguments(params: DrudeLorentzParams, radius: float, omega):
     return eps, z1, refractive_index(eps) * z1
 
 
-def _reduced_terms(eps, z1, ratio1, z2, ratio2, l):
-    """eps D_1(z1) and D_2(z2), with z1 = k R, z2 = n k R and the
-    log-derivative D(z) = [z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l formed
+def _log_derivative(z, ratio, l):
+    """The log-derivative D(z) = [z f_l(z)]'/f_l(z) = z f_{l-1}(z)/f_l(z) - l
     from ratio = f_l/f_{l-1}; l is an order or a column of orders.
 
-    With h_l^(1) at z1 and j_l at z2 these are the two terms of the TM Mie
-    denominator eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]' divided by
+    With D_h of h_l^(1) at z1 = k R and D_j of j_l at z2 = n k R, eps D_h(z1)
+    and D_j(z2) are the two terms of the TM Mie denominator
+    eps j_l(z2) [z1 h_l(z1)]' - h_l(z1) [z2 j_l(z2)]' divided by
     j_l(z2) h_l(z1), and their difference f = eps D_h - D_j has its zeros;
-    with j_l at z1 they are those of the numerator divided by j_l(z2) j_l(z1).
-    The ratios stay bounded where j_l(z2) or h_l(z1) leave float64.  The
-    arithmetic is out of place: numpy's in-place complex multiply takes
-    another loop for a one-element array, and a point's terms would depend
-    on how many points share its call.
+    eps D_j(z1) and D_j(z2) are those of the numerator divided by
+    j_l(z2) j_l(z1).  The ratios stay bounded where j_l(z2) or h_l(z1) leave
+    float64.  Callers scale by eps out of place, under their own errstate:
+    numpy's in-place complex multiply takes another loop for a one-element
+    array, and a point's terms would depend on how many points share its
+    call.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (z1 / ratio1 - l) * eps, z2 / ratio2 - l
+    return z / ratio - l
 
 
 def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr):
@@ -197,12 +206,12 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     from one sph_jn_h1n_ratios run for both kinds, j on
     concat(k R, n k R, kr) and h on concat(k R, kr).
     num = j_l(k R) (eps D_j(k R) - D_j(n k R)) and den = h_l(k R) f, the
-    Mie terms divided by j_l(n k R) (_reduced_terms).
+    Mie terms divided by j_l(n k R) (_log_derivative).
 
     Only the ratios of j_l(n k R) are formed, and D_j at k R and at n k R
-    come from the same code: a vacuum sphere gives num = 0 exactly.  B_l is
-    one quotient: near l = 300 it is subnormal, and j_l/h_l formed first
-    would round it differently.
+    come from the same code: a vacuum sphere gives num = 0 exactly.
+    D_j(n k R) is formed once for both.  B_l is one quotient: near l = 300
+    it is subnormal, and j_l/h_l formed first would round it differently.
     """
     eps, z1, z2 = _sphere_arguments(params, radius, omega)
     m = len(z1)
@@ -210,8 +219,9 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
     rj1, rj2, q1 = rj[:, :m], rj[1:, m : 2 * m], rh[:, :m]
     ls = np.arange(1, lmax + 1)[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num = np.subtract(*_reduced_terms(eps, z1, rj1[1:], z2, rj2, ls))
-        den = np.subtract(*_reduced_terms(eps, z1, q1[1:], z2, rj2, ls))
+        dj = _log_derivative(z2, rj2, ls)
+        num = _log_derivative(z1, rj1[1:], ls) * eps - dj
+        den = _log_derivative(z1, q1[1:], ls) * eps - dj
         # j_l and h_l at k R are the running products of their ratio rows
         num *= np.cumprod(rj1, axis=0)[1:]
         den *= np.cumprod(q1, axis=0)[1:]
@@ -219,68 +229,118 @@ def _mie_arrays(params: DrudeLorentzParams, radius: float, lmax: int, omega, kr)
 
 
 def _rate_orders(params: DrudeLorentzParams, radius: float, kr: np.ndarray,
-                 omega: np.ndarray, lmax: int):
-    """Per-order contributions to Gamma_AA/Gamma_0 for l = 1..lmax (rows) at
-    each point (columns), a frequency of omega and a k r of kr, and a
-    Legendre-free magnitude envelope of the last 2 _TAIL_WIDTH orders, all
-    that _tail_bound reads; order 0 carries no weight and is not summed.
+                 omega: np.ndarray, lmax: int, stage: int | None = None):
+    """Per-order contributions to Gamma_AA/Gamma_0 (rows) at the points of
+    a block (columns), a frequency of omega and a k r of kr each, from a
+    generator of stages.  With a stage it yields the terms of l = 1..stage
+    at every point, then those of stage+1..lmax at the points (an index
+    array) that it is sent; without one, the terms of l = 1..lmax in one
+    stage.  Order 0 carries no weight and is not summed.  The stage that
+    reaches lmax also yields a Legendre-free magnitude envelope of its last
+    2 _TAIL_WIDTH orders, all that _tail_bound reads (None before).
 
     The cross rate Gamma_AB differs only by the factor P_l(cos theta), and
     the single-atom rate has P_l(1) = 1.  |terms| = weight * |Re h(j + Bh)|
     bounds each cross-rate term (|P_l| <= 1) but beats through zero as the
     scattered phase rotates; env_mag = weight * (j^2 + |B h| |h|) is
     monotone in the tail and supplies a clean geometric decay rate.
-    |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.  The
-    terms and the Bessel rows at k r are built per distinct (frequency, k r),
-    the Mie arrays per distinct frequency: a theta sweep builds one column
-    of each, a delta_r sweep one Mie column.  The rows of j_l(k r) and
-    h_l(k r) are formed in the array the ratio loop wrote, which is let go
-    before the terms are weighted.
+    |B h^2| is assembled as |B h| * |h| to stay clear of h^2 overflow.
+
+    One ratio run serves every stage: the Mie arrays are built per distinct
+    frequency, the terms and the Bessel rows at k r per distinct
+    (frequency, k r) pair, the pairs of one complex key omega + i k r in
+    lexicographic order, so a theta sweep builds one column of each and a
+    delta_r sweep one Mie column.  The rows of j_l(k r) and h_l(k r) are the
+    running products of the ratio rows, formed in the array the ratio loop
+    wrote: the first stage leaves its last products there, and a later one
+    takes them from there with its own rows, in the same order of
+    operations, so that a point's terms keep the bits of one stage.  The
+    stage that reaches lmax lets that array go before the terms are
+    weighted.
     """
-    (omega, kr), at_point = np.unique(np.stack([omega, kr]), axis=1, return_inverse=True)
-    freqs, at_freq = np.unique(omega, return_inverse=True)
+    key, at_point = np.unique(omega + 1j * kr, return_inverse=True)
+    freqs, at_freq = np.unique(key.real, return_inverse=True)
+    kr = key.imag
     num, den, rj, rh = _mie_arrays(params, radius, lmax, freqs, kr)
-    # B_l = -num/den, and 0 where the denominator vanishes
+    # B_l = -num/den, and 0 where the denominator is 0 or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        bl = np.where(np.abs(den) > 0, -num / den, 0.0)
+        bl = np.divide(np.negative(num, out=num), den, out=np.zeros_like(den),
+                       where=np.abs(den) > 0)
     del num, den
-    # j_l and h_l at k r, the running products of the ratio rows, in place.
-    # A float64 product: Re h_l is off j_l by 8.65e-12 at l = 90, z = 80
-    # (4.4e-15 when formed in 80-bit long double)
-    jr = np.cumprod(rj, axis=0, out=rj)[1:]
-    hr = np.cumprod(rh, axis=0, out=rh)[1:]
-    scattered = np.take(bl, at_freq, axis=1)
-    scattered *= hr
-    del bl
-    tail = slice(-2 * _TAIL_WIDTH, None)
-    env_mag = np.abs(scattered[tail])
-    env_mag *= np.abs(hr[tail])
-    env_mag += np.abs(jr[tail]) ** 2
-    # h (j + B h), the scattered part already holding B h
-    scattered += jr
-    scattered *= hr
-    del rj, rh, jr, hr
-    ls = np.arange(1, lmax + 1, dtype=float)[:, None]
-    weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr**2
-    terms = weight * scattered.real
-    del scattered
-    env_mag *= weight[tail]
-    return terms[:, at_point], env_mag[:, at_point]
+    lo, pairs, at = 0, slice(None), at_point
+    for hi in (lmax,) if stage is None else (stage, lmax):
+        jr = rj[lo : hi + 1, pairs]
+        hr = rh[lo : hi + 1, pairs]
+        # in place: the first stage, on a slice of every pair, leaves its
+        # products in rj and rh, and the next gathers a copy from row lo.
+        # A float64 product: Re h_l is off j_l by 8.65e-12 at l = 90, z = 80
+        # (4.4e-15 when formed in 80-bit long double)
+        jr = np.cumprod(jr, axis=0, out=jr)[1:]
+        hr = np.cumprod(hr, axis=0, out=hr)[1:]
+        scattered = np.take(bl[lo:hi], at_freq[pairs], axis=1)
+        scattered *= hr
+        env_mag, tail = None, slice(-2 * _TAIL_WIDTH, None)
+        if hi == lmax:
+            env_mag = np.abs(scattered[tail])
+            env_mag *= np.abs(hr[tail])
+            env_mag += np.abs(jr[tail]) ** 2
+            del rj, rh, bl
+        # h (j + B h), the scattered part already holding B h
+        scattered += jr
+        scattered *= hr
+        del jr, hr
+        ls = np.arange(lo + 1, hi + 1, dtype=float)[:, None]
+        weight = 1.5 * ls * (ls + 1.0) * (2.0 * ls + 1.0) / kr[pairs] ** 2
+        terms = weight * scattered.real
+        del scattered
+        if env_mag is not None:
+            env_mag *= weight[tail]
+            env_mag = env_mag[:, at]
+        del weight
+        terms = terms[:, at]
+        points = yield terms, env_mag
+        lo = hi
+        pairs, at = np.unique(at_point[points], return_inverse=True)
 
 
-def _five_term_sums(terms: np.ndarray, env: np.ndarray):
+def _image_bounds(radius: float, kr: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per point: the order ln(1/_TAIL_RTOL) / (2 ln(r/R)), rounded up, past
+    which the quasi-static image term of the scattered part, (R/r)^{2l}
+    (Ruppin 1982), falls below _TAIL_RTOL, or the turning point k r where
+    that lies higher, as the terms decay so only beyond it.  On the demo
+    sphere the image order is 2771 at delta_r = 0.05, 314 at 0.45, 140 at
+    1.04 and 53 at 3.0, where k r = 85.8 at omega = 1.0501."""
+    with np.errstate(divide="ignore"):
+        image = math.log(1.0 / _TAIL_RTOL) / (2.0 * np.log(kr / size_parameter(omega, radius)))
+    return np.maximum(np.ceil(image), kr)
+
+
+def _five_term_sums(terms: np.ndarray, env: np.ndarray, carry=None):
     """Per column: the partial sum at the order where _TAIL_RUN consecutive
     envelopes first fall below _TAIL_RTOL of the running total (with a
-    Gamma_0 floor), whether that happened, and the sum of every term."""
-    total = np.cumsum(terms, axis=0)
+    Gamma_0 floor), whether that happened, and the carry of a call on the
+    orders after these: the sum of every term and the flags of the last
+    _TAIL_RUN - 1 orders whose envelopes fell below it.
+
+    Given a carry, the sum goes on from its total, with np.cumsum in the
+    same order of operations, and the runs from its flags, so that a sum
+    that had not settled gives the bits of one call on all its orders."""
+    if carry is None:
+        total = np.cumsum(terms, axis=0)
+    else:
+        total = np.cumsum(np.concatenate([carry[0][None], terms]), axis=0)[1:]
     small = env < _TAIL_RTOL * (np.abs(total) + 1.0)
+    if carry is not None:
+        small = np.concatenate([carry[1], small])
     count = len(small) - _TAIL_RUN + 1
     run = small[:count].copy()
     for k in range(1, _TAIL_RUN):
         run &= small[k : k + count]
     columns = np.arange(terms.shape[1])
     first = np.argmax(run, axis=0)
-    return total[first + _TAIL_RUN - 1, columns], run[first, columns], total[-1]
+    ends = first + _TAIL_RUN - 1 - (len(small) - len(total))
+    return (total[ends, columns], run[first, columns],
+            (total[-1].copy(), small[1 - _TAIL_RUN :].copy()))
 
 
 def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
@@ -302,30 +362,57 @@ def _tail_bound(env_re: np.ndarray, env_mag: np.ndarray) -> np.ndarray:
 
 def _block_rates(params: DrudeLorentzParams, radius: float, kr: np.ndarray,
                  omega: np.ndarray, legendre: np.ndarray, start: int):
-    """collective_rates for one block of points, given their k r, in one
-    pass to the L_MAX_SUPPORTED cap.  legendre holds P_l(cos theta) of each
-    point from l = 1, a column-major copy of the block's own in which the
-    cross-rate terms are formed, so that the sums over l run along memory.
+    """collective_rates for one block of points, given their k r, from one
+    ratio run to the L_MAX_SUPPORTED cap.  legendre holds P_l(cos theta) of
+    each point from l = 1, a column-major copy of the block's own in which
+    the cross-rate terms are formed, so that the sums over l run along
+    memory.
 
     Each sum takes the five-term rule where it settles; a column that does
     not settle takes its full sum when the tail bound beyond the cap allows.
-    NonConvergenceError names the first failing column, start + its index
-    in the block, as its point."""
+    A block with a point whose image bound (_image_bounds) lies at or below
+    _STAGE sums every point to _STAGE first: a point whose two sums settle
+    there is done, and the others go on to the cap from their carried
+    products, sums and runs, with the bits of one pass to the cap; a sum
+    that settled at the stage keeps that value.  Any other block makes the
+    one pass.  NonConvergenceError names the first failing column, start +
+    its index in the block, as its point."""
+    n = len(omega)
     with np.errstate(invalid="ignore", over="ignore"):
-        terms, env_mag = _rate_orders(params, radius, kr, omega, L_MAX_SUPPORTED)
-        # the cross-rate terms, P_l(cos theta) times the terms, in place
-        cross = legendre
-        cross *= terms
-        env_re = np.abs(terms)
-        bound = _tail_bound(env_re, env_mag)
-        rates = np.empty((2, len(omega)))
-        failed = np.zeros(len(omega), dtype=bool)
-        for which, series in enumerate((terms, cross)):
-            settled_sum, settled, full_sum = _five_term_sums(series, env_re)
-            rates[which] = np.where(settled, settled_sum, full_sum)
-            # 1e-5 Gamma_0 absolute floor, far below any resolvable
-            # feature of the near-surface sweeps this cap serves
-            failed |= ~(settled | (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0)))
+        far = (_image_bounds(radius, kr, omega) <= _STAGE).any()
+        stages = _rate_orders(params, radius, kr, omega, L_MAX_SUPPORTED, _STAGE if far else None)
+        rates = np.zeros((2, n))
+        settled = np.zeros((2, n), dtype=bool)
+        failed = np.zeros(n, dtype=bool)
+        lo, points, carry = 0, slice(None), [None, None]
+        terms, env_mag = next(stages)
+        while True:
+            hi = lo + len(terms)
+            # the cross-rate terms, P_l(cos theta) times the terms, in place
+            cross = legendre[lo:hi, points]
+            cross *= terms
+            env_re = np.abs(terms)
+            last = env_mag is not None
+            if last:
+                bound = _tail_bound(env_re, env_mag)
+            for which, series in enumerate((terms, cross)):
+                settled_sum, ok, carry[which] = _five_term_sums(series, env_re, carry[which])
+                full_sum = carry[which][0]
+                rates[which, points] = np.where(settled[which, points], rates[which, points],
+                                                np.where(ok, settled_sum, full_sum))
+                settled[which, points] |= ok
+                if last:
+                    # 1e-5 Gamma_0 absolute floor, far below any resolvable
+                    # feature of the near-surface sweeps this cap serves
+                    failed[points] |= ~(settled[which, points]
+                                        | (bound < 1e-5 * np.maximum(np.abs(full_sum), 1.0)))
+            # the points of the stage whose sums have not both settled go on
+            going = ~settled.all(axis=0)
+            if last or not going.any():
+                break
+            lo, points = hi, np.flatnonzero(going)
+            carry = [(full_sum[going], flags[:, going]) for full_sum, flags in carry]
+            terms, env_mag = stages.send(points)
     failed |= ~np.isfinite(rates).all(axis=0)
     if failed.any():
         k = int(np.argmax(failed))
@@ -351,17 +438,21 @@ def collective_rates(params: DrudeLorentzParams, radius: float, r, omega, cos_th
     k r is formed once per point, for the blocks' sizes and their terms.
     The Bessel, Mie and Legendre recurrences loop over the order l and run
     for every point of a block at once, the Bessel ratios of both kinds in
-    one run, every block to the l = 300 cap, and the per-order terms are
-    shared by Gamma_AA and Gamma_AB.  A point's rates are the bits of a
-    call on that point alone.  Each multipole sum is the partial sum where
-    five consecutive term envelopes first fall below 1e-12 of the running
-    total.  Close to the surface the scattered part only decays
-    geometrically as (R/r)^{2l}; for a sum that has not settled by the cap,
-    the remaining tail is bounded geometrically and the full sum accepted
-    when the bound is below 1e-5 of it (with a 1 Gamma_0 floor).  Beyond
-    that the geometry needs orders that overflow float64 and
-    NonConvergenceError is raised, naming the frequency of the first point
-    that failed and carrying its flat index as `point`.
+    one run to the l = 300 cap, and the per-order terms are shared by
+    Gamma_AA and Gamma_AB.  A block sums its points to the cap in one pass,
+    unless a point lies far enough out that its image term (R/r)^{2l} falls
+    below 1e-12 by l = 150 (and k r <= 150): then every point is summed to
+    l = 150 first, and only the points whose sums have not settled there go
+    on to the cap (see _block_rates).  A point's rates are the bits of a
+    call on that point alone, whichever way its block ran.  Each multipole
+    sum is the partial sum where five consecutive term envelopes first fall
+    below 1e-12 of the running total.  Close to the surface the scattered
+    part only decays geometrically as (R/r)^{2l}; for a sum that has not
+    settled by the cap, the remaining tail is bounded geometrically and the
+    full sum accepted when the bound is below 1e-5 of it (with a 1 Gamma_0
+    floor).  Beyond that the geometry needs orders that overflow float64
+    and NonConvergenceError is raised, naming the frequency of the first
+    point that failed and carrying its flat index as `point`.
     """
     r, omega, cos_theta = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
@@ -406,7 +497,7 @@ def _block_end(omega: np.ndarray, kr: np.ndarray, start: int) -> int:
 
 def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     """eps, z1 = k R and z2 = n k R (see _sphere_arguments) and the terms
-    eps D_h and D_j of f = eps D_h - D_j (see _reduced_terms) at order l, at
+    eps D_h and D_j of f = eps D_h - D_j (see _log_derivative) at order l, at
     each frequency of the 1-D array omega, from the single-order ratios
     j_l/j_{l-1} at n k R and h_l/h_{l-1} at k R, both from one run of the
     ratio loop; l is one order, or a 1-D array of orders, one per frequency.
@@ -418,7 +509,8 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     """
     eps, z1, z2 = _sphere_arguments(sys.params, sys.radius, omega)
     r, q = sph_jn_h1n_ratio(l, z2, z1)
-    dh, dj = _reduced_terms(eps, z1, q, z2, r, l)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dh, dj = _log_derivative(z1, q, l) * eps, _log_derivative(z2, r, l)
     finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
     finite |= np.imag(z1) < H1_IM_MIN
     if not finite.all():

@@ -70,11 +70,20 @@ def mp_bessel_ratio(kind: str, l: int, z: complex) -> complex:
     ratio of half-integer-order cylinder functions at 50 digits: the factor
     sqrt(pi/2z) cancels, and nothing passes through complex128 before the
     final rounding, so it holds where j_l or h_l leave float64 (l = 300 at
-    small z, where mp_spherical_j underflows)."""
-    fn = mp.besselj if kind == "J" else mp.hankel1
+    small z, where mp_spherical_j underflows).
+
+    Above Im z = 20 the h ratio is -i K_{l+1/2}(-iz)/K_{l-1/2}(-iz)
+    (DLMF 10.27.8): there H_nu^(1) = J_nu + i Y_nu cancels by about
+    e^{-2 Im z} below the order's turning point, so that mpmath's hankel1
+    keeps 10 of the 50 digits at l = 1, z = 3 + 50i and comes out 0 at
+    200i; both forms agree to the last bit below Im z = 40."""
+    half = mp.mpf(1) / 2
     with mp.workdps(50):
         zc = mp.mpc(z)
-        half = mp.mpf(1) / 2
+        if kind == "H1" and mp.im(zc) > 20:
+            w = -1j * zc
+            return complex(-1j * mp.besselk(l + half, w) / mp.besselk(l - half, w))
+        fn = mp.besselj if kind == "J" else mp.hankel1
         return complex(fn(l + half, zc) / fn(l - half, zc))
 
 

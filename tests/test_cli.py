@@ -422,12 +422,13 @@ class TestExitCodes:
         bad = ms.BLOCK + 3
         rate_orders, blocks = ms._rate_orders, []
 
-        def overflowing(params, radius, kr, omega, lmax):
-            terms, env_mag = rate_orders(params, radius, kr, omega, lmax)
+        def overflowing(params, radius, kr, omega, lmax, stage=None):
+            # the terms of a block of this sweep, one stage to the cap
+            terms, env_mag = next(rate_orders(params, radius, kr, omega, lmax, stage))
             hit = omega == omegas[bad]
             blocks.append(bool(hit.any()))
             terms[0, hit] = np.inf
-            return terms, env_mag
+            yield terms, env_mag
 
         monkeypatch.setattr(ms, "_rate_orders", overflowing)
         sys0 = ms.SphereSystem(ms.DrudeLorentzParams(0.5, 1e-6), 10.0, 0.14, math.pi)

@@ -227,7 +227,7 @@ class TestBlockKernel:
         omega = np.linspace(1.0495, 1.0505, BLOCK)
         calls = self.spy_ratio_runs(monkeypatch)
         kr = size_parameter(omega, sys0.r)
-        microsphere._rate_orders(sys0.params, sys0.radius, kr, omega, 150)
+        next(microsphere._rate_orders(sys0.params, sys0.radius, kr, omega, 150))
         # j on concat(k R, n k R, k r) and h on concat(k R, k r), each
         # argument once, in one run of the column loop
         assert [len(z) for z in calls["j"]] == [3 * BLOCK]
@@ -248,12 +248,39 @@ class TestBlockKernel:
             assert len(h) == 1 + count
         assert calls["loops"] == ["_ratio_columns", "_ratio_columns"]
 
+    @staticmethod
+    def spy_stages(monkeypatch):
+        """Per _rate_orders call, one per block: its lmax, its stage, its
+        number of points and the (orders, points) shape of the terms of each
+        stage that the block took."""
+        calls = []
+        rate_orders = microsphere._rate_orders
+
+        def spy(params, radius, kr, omega, lmax, stage=None):
+            shapes = []
+            calls.append((lmax, stage, len(omega), shapes))
+            stages = rate_orders(params, radius, kr, omega, lmax, stage)
+            points = None
+            while True:
+                try:
+                    terms, env_mag = stages.send(points)
+                except StopIteration:
+                    return
+                shapes.append(terms.shape)
+                points = yield terms, env_mag
+
+        monkeypatch.setattr(microsphere, "_rate_orders", spy)
+        return calls
+
     @pytest.mark.parametrize("axis", ["omega", "theta", "delta_r"])
     def test_one_rate_orders_call_per_block_at_the_cap(self, fig2_system, monkeypatch, axis):
         # a figure3-window omega sweep over two blocks of BLOCK points (3
-        # BLOCK j columns each), a theta sweep in one block of 2 BLOCK
-        # points, and a distance sweep over three blocks whose near points
-        # need the cap and far ones do not
+        # BLOCK j columns each) and a theta sweep in one block of 2 BLOCK
+        # points, at delta_r = 0.14, where no point has an image bound
+        # within the stage: each block makes one pass to the cap.  A
+        # distance sweep over three blocks has far points in each: every
+        # point goes to the stage, and only the 76 points of the first
+        # block below delta_r = 0.77, whose sums settle beyond it, go on
         sys0 = fig2_system
         r, omega, cos_theta = sys0.r, 1.0501, -1.0
         if axis == "omega":
@@ -262,24 +289,52 @@ class TestBlockKernel:
             cos_theta = np.cos(np.linspace(0.0, math.pi, 2 * BLOCK))
         else:
             r = sys0.radius + np.linspace(0.05, 3.0, 4 * BLOCK + 10)
-        sizes = []
-        rate_orders = microsphere._rate_orders
-
-        def spy(params, radius, kr, omega, lmax):
-            sizes.append((lmax, len(omega)))
-            return rate_orders(params, radius, kr, omega, lmax)
-
-        monkeypatch.setattr(microsphere, "_rate_orders", spy)
+        calls = self.spy_stages(monkeypatch)
         collective_rates(sys0.params, sys0.radius, r, omega, cos_theta)
-        blocks = {"omega": [BLOCK, BLOCK], "theta": [2 * BLOCK],
-                  "delta_r": [2 * BLOCK, 2 * BLOCK, 10]}[axis]
-        assert sizes == [(300, size) for size in blocks]
+        stage = microsphere._STAGE
+        assert stage == 150
+        blocks = {
+            "omega": [(300, None, BLOCK, [(300, BLOCK)])] * 2,
+            "theta": [(300, None, 2 * BLOCK, [(300, 2 * BLOCK)])],
+            "delta_r": [(300, stage, 2 * BLOCK, [(stage, 2 * BLOCK), (300 - stage, 76)]),
+                        (300, stage, 2 * BLOCK, [(stage, 2 * BLOCK)]),
+                        (300, stage, 10, [(stage, 10)])],
+        }[axis]
+        assert calls == blocks
         if axis == "delta_r":
-            # the 150-point distance presets fill one block
-            sizes.clear()
+            # the 150-point distance presets fill one block, whose 113
+            # points with both sums settled by the stage stop there
+            calls.clear()
             collective_rates(sys0.params, sys0.radius, sys0.radius + np.linspace(0.05, 3.0, 150),
                              omega, cos_theta)
-            assert sizes == [(300, 150)]
+            assert calls == [(300, stage, 150, [(stage, 150), (300 - stage, 37)])]
+
+    @pytest.mark.parametrize("omega", [1.0501, 0.95, 1.2])
+    @pytest.mark.parametrize("radius,stage,dr", [(2.0, 40, 6.0), (10.0, microsphere._STAGE, 3.0)])
+    def test_points_past_the_stage_keep_their_bits(self, fig2_system, monkeypatch, omega,
+                                                    radius, stage, dr):
+        # a stage of 40 on a sphere of radius 2, whose far points (image
+        # bounds of 35-40 from delta_r = 0.83 on) settle beyond it, and
+        # the stage on the demo sphere: the points that go on carry their
+        # products, sums and runs to the cap, and every rate is the bit of
+        # one pass to the cap (a stage that no point reaches)
+        params = fig2_system.params
+        r = radius + np.linspace(0.14, dr, 90)
+        cos_theta = np.cos(np.linspace(0.2, 3.1, 90))
+        calls = self.spy_stages(monkeypatch)
+        monkeypatch.setattr(microsphere, "_STAGE", 0)
+        one_pass = collective_rates(params, radius, r, omega, cos_theta)
+        assert calls == [(300, None, 90, [(300, 90)])]
+        calls.clear()
+        monkeypatch.setattr(microsphere, "_STAGE", stage)
+        staged = collective_rates(params, radius, r, omega, cos_theta)
+        far = microsphere._image_bounds(radius, size_parameter(omega, r), np.full(90, omega))
+        assert (far <= stage).any()
+        (_, _, _, shapes), = calls
+        assert shapes[0] == (stage, 90) and shapes[1][0] == 300 - stage
+        assert 0 < shapes[1][1] < 90
+        for got, want in zip(staged, one_pass):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("axis", ["theta", "delta_r"])
     def test_legendre_rows_once_per_run_of_equal_cosines(self, fig2_system, monkeypatch, axis):
@@ -678,8 +733,8 @@ class TestRatioDirections:
         assert len(find_resonances(sys0, 1.04, 1.06, range(119, 123))) == 4
         search = len(counts)
         omega = np.linspace(0.98, 0.995, BLOCK)
-        microsphere._rate_orders(sys0.params, sys0.radius, size_parameter(omega, sys0.r), omega,
-                                 300)
+        next(microsphere._rate_orders(sys0.params, sys0.radius, size_parameter(omega, sys0.r),
+                                      omega, 300))
         assert search > 1 and len(counts) == search + 1
         assert sum(n for n, _ in counts) > 0
         assert [up for _, up in counts] == [0] * len(counts)
@@ -781,8 +836,8 @@ def single_term(sys: SphereSystem, res: Resonance, same_atom: bool) -> float:
     kernel's per-order terms, times P_l(cos theta)."""
     cos_theta = 1.0 if same_atom else math.cos(sys.theta)
     omega = np.array([res.omega_c])
-    terms, _ = microsphere._rate_orders(sys.params, sys.radius, size_parameter(omega, sys.r),
-                                        omega, res.l)
+    terms, _ = next(microsphere._rate_orders(sys.params, sys.radius, size_parameter(omega, sys.r),
+                                             omega, res.l))
     return float(terms[res.l - 1, 0] * legendre_all(res.l, cos_theta)[res.l, 0])
 
 

@@ -476,6 +476,23 @@ class TestHankelRatioRows:
                 assert np.array_equal(rh[n][~ahead], q[~ahead], equal_nan=True)
                 assert np.all(np.abs(q[ahead] - rh[n][ahead]) <= 1e-12 * np.abs(rh[n][ahead]))
 
+    def test_far_above_the_axis(self):
+        # h ratios at Im z of 200-500, where h_l decays like e^{-Im z} and
+        # the 50-digit ratio comes through K_nu (oracles.mp_bessel_ratio):
+        # the single-order ratio on the column loop (all arguments in one
+        # call) and on the scalar loop (one argument), and the rows
+        hz = np.array([200j, 0.06 + 493.5j, 300 + 200j, -5 + 250j, 30 + 350j, 66 + 420j,
+                       1 + 300j, 500j, 120 + 260j, -80 + 380j, 10 + 225j, 250 + 450j, 0.5 + 333j])
+        assert len(hz) > special._SCALAR_POINTS
+        rows = ratios("H1", 121, hz, rows=True)
+        for l in (1, 2, 60, 121):
+            cols = ratios("H1", l, hz)
+            for k, z in enumerate(hz):
+                want = mp_bessel_ratio("H1", l, z)
+                assert abs(cols[k] - want) <= 1e-12 * abs(want)
+                assert abs(ratios("H1", l, z)[0] - want) <= 1e-12 * abs(want)
+                assert abs(rows[l, k] - want) <= 1e-12 * abs(want)
+
     def test_domain(self):
         below = 20.0 + (H1_IM_MIN - 0.5) * 1j
         assert np.isnan(ratios("H1", 5, below, rows=True)).all()
