@@ -14,8 +14,6 @@ from .dynamics import (
     amplitude_closed,
     ode_coeffs,
     prepare_drive,
-    regime_amplitude,
-    regime_classify,
 )
 from .microsphere import (
     DrudeLorentzParams,
@@ -24,7 +22,6 @@ from .microsphere import (
 )
 from .steady_state import (
     SteadyState,
-    alpha_beta_regime,
     assemble_density,
     concurrence_oracle,
     concurrence_closed_form,
@@ -40,7 +37,6 @@ __all__ = [
     "DrudeLorentzParams",
     "SphereSystem",
     "SteadyState",
-    "alpha_beta_regime",
     "amplitude_closed",
     "assemble_density",
     "concurrence_oracle",
@@ -49,7 +45,5 @@ __all__ = [
     "find_resonances",
     "ode_coeffs",
     "prepare_drive",
-    "regime_amplitude",
-    "regime_classify",
     "steady_state_from_params",
 ]

@@ -486,8 +486,7 @@ def cmd_dynamics(cfg: dict, out: str) -> None:
         step = v["dynamics.step"]
         # with t_max checked, the integrator's one ValueError is its step bound
         try:
-            t, c_plus = dyn.volterra_branch(p, d, "+", t_max, step)
-            _, c_minus = dyn.volterra_branch(p, d, "-", t_max, step)
+            t, c_plus, c_minus = dyn.volterra_amplitudes(p, d, t_max, step)
         except ValueError as exc:
             raise ConfigError(f"key 'dynamics.step': {exc}") from exc
     resolved = {

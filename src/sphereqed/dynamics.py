@@ -5,19 +5,21 @@ with a Lorentzian memory kernel
     K_pm(t) = -(1/2) Gamma31_pm * dwc * exp(-(i*Delta + dwc) t)
 and a drive that decays with the same complex rate.  Differentiating once
 turns each equation into a damped-oscillator ODE whose closed-form solution
-is implemented in amplitude_closed; volterra_branch integrates the original
-memory equation by trapezoid quadrature of the history and serves as an
-independent numerical cross-check of that closed form.  It runs its
-predictor-corrector step once, for one block of steps on unit inputs, and
-then advances block by block with that exact linear map; the history of
-completed blocks enters through FFT convolutions over a hierarchy of tiles.
+is implemented in amplitude_closed; volterra_amplitudes integrates the
+original memory equations of both branches by trapezoid quadrature of the
+history and serves as an independent numerical cross-check of that closed
+form.  It runs its predictor-corrector step once per branch, for one block
+of steps from a unit amplitude, forms from that response the exact linear
+map of a block, and then advances both branches block by block with it;
+the history of completed blocks enters through FFT convolutions over a
+hierarchy of tiles.
 
 The closed-form chain (rabi_g, ode_coeffs, amplitude_modes, amplitude_closed,
 prepare_drive) works elementwise: each rate field of CouplingParams, each
 drive amplitude of DriveSpec and each rate argument may be an array with one
 value per point (a sweep), and a float is one point.  Every check is made per
 point and raises PointError naming the first point that fails it.
-volterra_branch, one branch per call, and the regime forms take one point.
+volterra_amplitudes takes one point.
 
 All rates and frequencies in this module share one unit.  The natural choice
 is Gamma32_AA = 1 (the clock of the irreversible decay channel); conversion
@@ -171,114 +173,143 @@ def amplitude_closed(p: CouplingParams, d: DriveSpec, branch: str, t):
     point.  The degenerate double-root limit F(0) t e^{-a1 t/2} is used at
     the points where |q| < 1e-9 |a1| (removable singularity).
     """
-    t = np.asarray(t, dtype=float)
+    return _mode_sum(amplitude_modes(p, d, branch), np.asarray(t, dtype=float))
+
+
+def _mode_sum(modes, t):
+    """sum_k coeff_k t^power_k e^{rate_k t} of one branch's amplitude_modes
+    at the float times t."""
     out = 0j
-    for coeff, rate, power in amplitude_modes(p, d, branch):
+    for coeff, rate, power in modes:
         out = out + coeff * t**power * np.exp(rate * t)
     return out[()]
 
 
-def volterra_branch(
-    p: CouplingParams, d: DriveSpec, branch: str, t_max: float, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the memory-kernel equation for one branch by explicit
-    second-order stepping with trapezoid quadrature of the history integral.
+def volterra_amplitudes(
+    p: CouplingParams, d: DriveSpec, t_max: float, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, C_+, C_-): the memory-kernel equations of both branches,
+    integrated by explicit second-order stepping with trapezoid quadrature
+    of the history integral.
 
     Deliberately does NOT reduce the exponential kernel to an auxiliary ODE,
     so the result is numerically independent of amplitude_closed.  The step
-    must satisfy step * max(|a1|, sqrt|a2|) <= 0.01, and t_max must be > 0.
+    must satisfy step * max(|a1|, sqrt|a2|) <= 0.01 for both branches, and
+    t_max must be > 0.
 
     The history sum S_n = sum_{j=1..n} k_{n+1-j} c_j of step n is split at
-    blocks of VOLTERRA_BLOCK steps (Hairer, Lubich & Schlichte 1985, SIAM J.
-    Sci. Stat. Comput. 6, 532).  Inside a block the step is linear in the
-    state (c_s, f_s) at the block start and in g_r = far_r + drive_r, where
-    far_r is the part of the history sum from completed blocks.  The step
-    runs for one block on each of three unit inputs, which gives the exact
-    linear map of every block: c over the block is c_s u + f_s v + (col * g),
-    a causal convolution, and f at its end is c_s u_f + f_s v_f plus the dot
-    product of the reversed f response with g.  When block e completes, the
-    last 2^z blocks of history (z the number of trailing zero bits of e) are
-    added to the far sums of the next 2^z blocks by one FFT convolution
-    against the sampled kernel; these squares tile the history triangle
-    exactly once.  Cost is O(N log^2 N) for N steps, and no FFT has more
-    than 2N points.
+    blocks of B = VOLTERRA_BLOCK steps (Hairer, Lubich & Schlichte 1985,
+    SIAM J. Sci. Stat. Comput. 6, 532).  Inside a block the step is linear
+    in the state (c_s, f_s) at the block start and in g_r = far_r + drive_r,
+    where far_r is the part of the history sum from completed blocks.  With
+    w = s i dipole_shift - gamma32_AA/2, a = w + (h/2) k_0, rho = 1 + h a/2
+    and beta = (h/2)(1 + h a), one step is
+        c_{r+1} = rho c_r + beta f_r + (h/2)(g_r + near_r),
+        f_{r+1} = a c_{r+1} + g_r + near_r,
+    near_r being the in-block part of h S_r.  So c takes its inputs through
+    x_1 = rho c_s + beta f_s + (h/2) g_0 and x_{r+1} = beta g_{r-1} + (h/2)
+    g_r, and one run of the step per branch, the responses y and y_f of c
+    and f to x_1 = 1 with no input, gives the exact linear map of every
+    block: c over the block is c_s u + f_s v + (col * g), a causal
+    convolution, with u = rho y, v = beta y and col = (h/2) y + beta (y one
+    step later); f at its end is c_s u_f + f_s v_f + col_f . g, with u_f,
+    v_f and col_f formed from y_f the same way, col_f reversed and carrying
+    the direct term of g_{B-1}.  When block e completes, the last 2^z blocks
+    of history (z the number of trailing zero bits of e) are added to the
+    far sums of the next 2^z blocks by one FFT convolution against the
+    sampled kernel; these squares tile the history triangle exactly once.
+    Both branches advance together, each with its own kernel.  Cost is
+    O(N log^2 N) for N steps, and no FFT has more than 2N points.
     """
-    a1, a2 = ode_coeffs(p, branch)
-    scale = max(abs(a1), math.sqrt(abs(a2)))
+    scale = max(max(abs(a1), math.sqrt(abs(a2)))
+                for a1, a2 in (ode_coeffs(p, b) for b in BRANCHES))
     if step <= 0 or step * scale > 0.01 + 1e-12:
         raise ValueError(
             f"step {step} violates step*max(|a1|,sqrt|a2|) <= 0.01 (scale {scale:.3g})"
         )
     if t_max <= 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
-    s = _branch_sign(branch)
-    w = s * 1j * p.dipole_shift - 0.5 * p.gamma32_aa
-    mu = 1j * p.detuning_delta + p.delta_omega_c
-    kappa = -0.5 * p.gamma31_pm(branch) * p.delta_omega_c
-    f0 = complex(d.f0(branch))
-
-    n_steps = int(math.ceil(t_max / step))
-    t = np.arange(n_steps + 1) * step
-    karr = kappa * np.exp(-mu * t)
-    farr = f0 * np.exp(-mu * t)
-
     h = step
     half_h = 0.5 * h
-    end_weight = half_h * complex(karr[0])
-    first = min(VOLTERRA_BLOCK, n_steps)
-    # at the r-th step of a block, h k_r, ..., h k_1 pair with c of steps 1..r
-    reversed_kernel = h * karr[first - 1 : 0 : -1]
-    near_kernel = [reversed_kernel[first - 1 - r :] for r in range(first)]
-    dot = np.dot
-    # c and f after each step of one block from each unit input, the rows
-    # of (c_s, f_s, g_0) = I
-    c_unit = np.zeros((3, first + 1), dtype=complex)
-    f_unit = np.zeros((3, first), dtype=complex)
-    for k, (c_n, f_n, g_0) in enumerate(np.eye(3).tolist()):
-        c_k = c_unit[k]
-        g = [g_0] + [0.0] * (first - 1)
-        for r in range(first):
-            c_pred = c_n + h * f_n
-            # C(0) = 0, so the trapezoid end term at t = 0 vanishes
-            near = complex(dot(near_kernel[r], c_k[1 : r + 1]))
-            mem = g[r] + near + end_weight * c_pred
-            f_pred = w * c_pred + mem
-            c_next = c_n + half_h * (f_n + f_pred)
-            mem += end_weight * (c_next - c_pred)
-            f_n = w * c_next + mem
-            c_n = c_next
-            c_k[r + 1] = c_next
-            f_unit[k, r] = f_n
-    u, v, col = c_unit[:, 1:]
-    # f at the end of a full block; g_j reaches it through f_unit[2, -1 - j]
-    u_f, v_f = f_unit[:2, -1]
-    col_f = f_unit[2, ::-1]
+    n_steps = int(math.ceil(t_max / step))
+    t = np.arange(n_steps + 1) * step
+    # the kernel and the drive of each branch are its multiples kappa and
+    # F(0) of decay, sampled where they are used
+    decay = np.exp(-(1j * p.detuning_delta + p.delta_omega_c) * t)
+    kappa = np.array([[-0.5 * p.gamma31_pm(b) * p.delta_omega_c] for b in BRANCHES],
+                     dtype=complex)
+    f0 = np.array([[d.f0(b)] for b in BRANCHES], dtype=complex)
 
-    c = np.zeros(n_steps + 1, dtype=complex)
-    # far[n]: h times the part of S_n from completed blocks
-    far = np.zeros(n_steps, dtype=complex)
-    tile_kernels: dict[int, np.ndarray] = {}
-    c_s = 0j
-    f_s = complex(farr[0])
+    first = min(VOLTERRA_BLOCK, n_steps)
+    kernels = kappa * decay[:first]
+    # y[:, r], y_f[:, r]: c and f after step r of a block from x_1 = 1, and
+    # 0 at r = 0
+    y = np.zeros((2, first + 1), dtype=complex)
+    y_f = np.zeros((2, first + 1), dtype=complex)
+    w = np.array([_branch_sign(b) * 1j * p.dipole_shift - 0.5 * p.gamma32_aa
+                  for b in BRANCHES])
+    a = w + half_h * kernels[:, 0]
+    # rho = 1 + eps is applied as y + eps y, which keeps eps's digits
+    eps = half_h * a
+    beta = half_h * (1.0 + h * a)
+    dot = np.dot
+    for k in range(2):
+        a_k, eps_k, beta_k = complex(a[k]), complex(eps[k]), complex(beta[k])
+        # at step r of a block, h k_r, ..., h k_1 pair with c of steps 1..r
+        reversed_kernel = h * kernels[k, first - 1 : 0 : -1]
+        y_k = y[k]
+        c_r, f_r = 1.0, a_k
+        y_k[1], y_f[k, 1] = c_r, f_r
+        for r in range(1, first):
+            near = complex(dot(reversed_kernel[first - 1 - r :], y_k[1 : r + 1]))
+            c_r += eps_k * c_r + beta_k * f_r + half_h * near
+            f_r = a_k * c_r + near
+            y_k[r + 1], y_f[k, r + 1] = c_r, f_r
+
+    def block_map(response):
+        """(u, v, col) of a response, the maps of c_s, f_s and g_0."""
+        later = response[:, 1:]
+        return (later + eps[:, None] * later, beta[:, None] * later,
+                half_h * later + beta[:, None] * response[:, :-1])
+
+    u, v, col = block_map(y)
+    col_hat = np.fft.fft(col, 2 * VOLTERRA_BLOCK)
+    # f at the end of a full block; g_j reaches it through col_f[:, j]
+    u_f, v_f, col_f = block_map(y_f)
+    u_f, v_f = u_f[:, -1], v_f[:, -1]
+    col_f[:, 0] += 1.0
+    col_f = col_f[:, ::-1]
+
+    c = np.zeros((2, n_steps + 1), dtype=complex)
+    # far[:, n]: h times the part of S_n from completed blocks
+    far = np.zeros((2, n_steps), dtype=complex)
+    # the transforms of each branch's kernel, by tile size
+    tile_kernels: dict[int, list[np.ndarray]] = {}
+    c_s = np.zeros(2, dtype=complex)
+    f_s = f0[:, 0] * decay[0]
     for start in range(0, n_steps, VOLTERRA_BLOCK):
         stop = min(start + VOLTERRA_BLOCK, n_steps)
         m = stop - start
-        g = far[start:stop] + farr[start + 1 : stop + 1]
-        convolved = np.convolve(col[:m], g)[:m]
-        c[start + 1 : stop + 1] = c_s * u[:m] + f_s * v[:m] + convolved
+        g = far[:, start:stop] + f0 * decay[start + 1 : stop + 1]
+        convolved = np.fft.ifft(np.fft.fft(g, 2 * VOLTERRA_BLOCK) * col_hat)[:, :m]
+        c[:, start + 1 : stop + 1] = (c_s[:, None] * u[:, :m] + f_s[:, None] * v[:, :m]
+                                      + convolved)
         if stop == n_steps:
             break
-        f_s = c_s * u_f + f_s * v_f + complex(np.dot(col_f, g))
-        c_s = complex(c[stop])
+        f_s = c_s * u_f + f_s * v_f + np.einsum("ij,ij->i", col_f, g)
+        c_s = c[:, stop]
         blocks = stop // VOLTERRA_BLOCK
         size = (blocks & -blocks) * VOLTERRA_BLOCK
         if size not in tile_kernels:
-            tile_kernels[size] = np.fft.fft(h * karr[: 2 * size], 2 * size)
-        history = np.fft.fft(c[stop - size + 1 : stop + 1], 2 * size)
-        history *= tile_kernels[size]
+            tile_kernels[size] = [np.fft.fft(h * (kappa[k] * decay[: 2 * size]), 2 * size)
+                                  for k in range(2)]
         reach = min(size, n_steps - stop)
-        far[stop : stop + reach] += np.fft.ifft(history)[size : size + reach]
-    return t, c
+        # one branch at a time: a (2, 2 size) transform needs more memory
+        for k in range(2):
+            history = np.fft.fft(c[k, stop - size + 1 : stop + 1], 2 * size)
+            history *= tile_kernels[size][k]
+            far[k, stop : stop + reach] += np.fft.ifft(history)[size : size + reach]
+    return t, c[0], c[1]
 
 
 def prepare_drive(
@@ -302,64 +333,3 @@ def prepare_drive(
     gd_minus_sq = 0.5 * (gamma_ad - gamma_bd) * delta_omega_c
     pref = -loss / math.sqrt(2.0) / g_d
     return DriveSpec(f_plus0=pref * gd_plus_sq, f_minus0=pref * gd_minus_sq)
-
-
-def regime_classify(p: CouplingParams, ratio_min: float) -> str | None:
-    """First of the coupling regimes A, B, C whose inequality chain holds with
-    every 'much greater' read as a factor >= ratio_min; None otherwise.
-
-    A: g_big >> Gamma32_AA >> dwc >> g_small
-    B: g_big >> g_small >> Gamma32_AA >> dwc
-    C: Gamma32_AA >> g_big >> g_small, dwc
-    """
-    if ratio_min <= 1:
-        raise ValueError("ratio_min must exceed 1")
-    g_pm = p.g("+"), p.g("-")
-    g_big, g_small = max(g_pm), min(g_pm)
-    gaa = p.gamma32_aa
-    dwc = p.delta_omega_c
-
-    def gg(x, y):
-        return x >= ratio_min * y
-
-    if gg(g_big, gaa) and gg(gaa, dwc) and gg(dwc, g_small):
-        return "A"
-    if gg(g_big, g_small) and gg(g_small, gaa) and gg(gaa, dwc):
-        return "B"
-    if gg(gaa, g_big) and gg(g_big, g_small) and gg(g_big, dwc):
-        return "C"
-    return None
-
-
-def regime_amplitude(
-    p: CouplingParams, d: DriveSpec, regime: str, branch: str, t
-):
-    """Asymptotic amplitude formula for the given regime and branch.
-
-    Regime A uses damped Rabi oscillation on the strongly coupled branch and
-    two-channel exponential decay on the weak one; regime B applies the Rabi
-    form to both branches, regime C the two-channel decay to both.
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    f0 = complex(d.f0(branch))
-    g_b = p.g(branch)
-    g_other = p.g("-" if branch == "+" else "+")
-    gaa = p.gamma32_aa
-    dwc = p.delta_omega_c
-
-    def rabi():
-        return f0 / g_b * np.exp(-gaa * t / 4.0) * np.sin(g_b * t)
-
-    def two_channel():
-        return 2.0 * f0 / gaa * (np.exp(-dwc * t) - np.exp(-gaa * t / 2.0))
-
-    if regime == "A":
-        out = rabi() if g_b >= g_other else two_channel()
-    elif regime == "B":
-        out = rabi()
-    elif regime == "C":
-        out = two_channel()
-    else:
-        raise ValueError(f"no asymptotic formula for regime {regime!r}")
-    return complex(out) if scalar else np.asarray(out)

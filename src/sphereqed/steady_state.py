@@ -11,8 +11,7 @@ steady_state_from_params, decayed_steady_state, SteadyState and
 concurrence_closed_form) works elementwise on one value per point, as the
 dynamics chain does: a sweep is one call, a float is one point, and every
 check is made per point and raises a PointError that names the first point
-failing it.  assemble_density, concurrence_oracle and the regime forms take
-one state.
+failing it.  assemble_density and concurrence_oracle take one state.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .dynamics import (
     DriveSpec,
     PointError,
     _check,
-    amplitude_closed,
+    _mode_sum,
     amplitude_modes,
 )
 
@@ -101,9 +100,12 @@ def _mode_overlap(modes_a, modes_b):
 
 def steady_state_from_params(p: CouplingParams, d: DriveSpec) -> SteadyState:
     """Exact stationary (alpha_+, alpha_-, beta) from the closed-form modes."""
+    return _steady_state(p, *(amplitude_modes(p, d, b) for b in BRANCHES))
+
+
+def _steady_state(p: CouplingParams, modes_p, modes_m) -> SteadyState:
+    """(alpha_+, alpha_-, beta) from the amplitude_modes of both branches."""
     g32p, g32m = p.gamma32_pm("+"), p.gamma32_pm("-")
-    modes_p = amplitude_modes(p, d, "+")
-    modes_m = amplitude_modes(p, d, "-")
     ipp = _mode_overlap(modes_p, modes_p).real
     imm = _mode_overlap(modes_m, modes_m).real
     ipm = _mode_overlap(modes_p, modes_m)
@@ -122,60 +124,13 @@ def decayed_steady_state(p: CouplingParams, d: DriveSpec, t_end: float) -> Stead
     run to infinity, and an amplitude still alive at t_end means the
     horizon is too short.
     """
-    for b in BRANCHES:
-        c_end = np.ravel(np.abs(amplitude_closed(p, d, b, t_end)))
+    modes = [amplitude_modes(p, d, b) for b in BRANCHES]
+    t_end = np.asarray(t_end, dtype=float)
+    for b, branch_modes in zip(BRANCHES, modes):
+        c_end = np.ravel(np.abs(_mode_sum(branch_modes, t_end)))
         _check(c_end >= 1e-6, lambda k: UndecayedTrajectoryError(
             f"|C_{b}(T_end)| = {c_end[k]:.3e} >= 1e-6; extend the trajectory", k))
-    return steady_state_from_params(p, d)
-
-
-def alpha_beta_regime(
-    p: CouplingParams,
-    d: DriveSpec,
-    regime: str,
-    dominance_min: float = 5.0,
-) -> SteadyState:
-    """Regime closed forms for the stationary state.
-
-    The beta expressions hold only when one Rabi frequency clearly dominates
-    the other; below dominance_min the coherence is reported as None instead
-    of extrapolating the formula outside its derivation.
-    """
-    g32p, g32m = p.gamma32_pm("+"), p.gamma32_pm("-")
-    gaa = p.gamma32_aa
-    dwc = p.delta_omega_c
-    fp, fm = complex(d.f_plus0), complex(d.f_minus0)
-    gp, gm = p.g("+"), p.g("-")
-    dom_plus = gp >= gm
-    g_dom = gp if dom_plus else gm
-    g_sub = gm if dom_plus else gp
-    fp2, fm2 = abs(fp) ** 2, abs(fm) ** 2
-
-    if regime == "A":
-        # Rabi integral on the dominant branch, two-channel decay on the weak
-        i_plus = fp2 / (gp**2 * gaa) if dom_plus else 2.0 * fp2 / (gaa**2 * dwc)
-        i_minus = 2.0 * fm2 / (gaa**2 * dwc) if dom_plus else fm2 / (gm**2 * gaa)
-        alpha_p = 0.5 * g32p * i_plus + 0.5 * g32m * i_minus
-        alpha_m = 0.5 * g32m * i_plus + 0.5 * g32p * i_minus
-    elif regime == "B":
-        alpha_p = 0.5 * g32p * fp2 / (gp**2 * gaa) + 0.5 * g32m * fm2 / (gm**2 * gaa)
-        alpha_m = 0.5 * g32m * fp2 / (gp**2 * gaa) + 0.5 * g32p * fm2 / (gm**2 * gaa)
-    elif regime == "C":
-        den_p = gaa**2 * (dwc + 2.0 * gp**2 / gaa)
-        den_m = gaa**2 * (dwc + 2.0 * gm**2 / gaa)
-        alpha_p = g32p * fp2 / den_p + g32m * fm2 / den_m
-        alpha_m = g32m * fp2 / den_p + g32p * fm2 / den_m
-    else:
-        raise ValueError(f"no stationary closed form for regime {regime!r}")
-
-    cross = g32p * fp * np.conj(fm) + g32m * np.conj(fp) * fm
-    if g_sub > 0 and g_dom < dominance_min * g_sub:
-        beta = None
-    elif regime in ("A", "B"):
-        beta = complex(cross * gaa / (2.0 * g_dom**4))
-    else:
-        beta = complex(cross / (gaa**2 * (dwc + g_dom**2 / gaa)))
-    return SteadyState(alpha_plus=float(alpha_p), alpha_minus=float(alpha_m), beta=beta)
+    return _steady_state(p, *modes)
 
 
 def assemble_density(s: SteadyState) -> TwoQubitDensity:

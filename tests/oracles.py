@@ -10,7 +10,10 @@ package's recurrences.  The scalar resonance search oracle does: it takes
 its candidates one at a time through the package's ratio rows, forms j_l
 and h_l as its own float64 running products of them, and builds the Mie
 denominator and its derivative from their raw products instead of the
-package's log-derivative form.
+package's log-derivative form.  The paper's asymptotic regime forms
+(regime_classify, regime_amplitude, alpha_beta_regime) are the reference
+side of acceptance criterion 5, which compares the closed forms against
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from sphereqed.dynamics import CouplingParams, DriveSpec
 from sphereqed.microsphere import (
     HANDOVER_WIDTH,
     Resonance,
@@ -31,6 +35,7 @@ from sphereqed.microsphere import (
     size_parameter,
 )
 from sphereqed.special import sph_jn_h1n_ratios
+from sphereqed.steady_state import SteadyState
 
 mp.mp.dps = 40
 
@@ -259,7 +264,7 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
     """(t, C) of one branch of the memory-kernel equation by explicit
     second-order stepping with the whole trapezoid history summed directly at
     every step: O(N^2), the same weights and predictor-corrector step as
-    sphereqed.dynamics.volterra_branch without its blocked FFT history sum."""
+    sphereqed.dynamics.volterra_amplitudes without its blocked FFT history sum."""
     s = 1.0 if branch == "+" else -1.0
     w = s * 1j * p.dipole_shift - 0.5 * p.gamma32_aa
     mu = 1j * p.detuning_delta + p.delta_omega_c
@@ -287,6 +292,115 @@ def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
         f[n + 1] = w * c[n + 1] + mem + farr[n + 1]
     return t, c
 
+
+def regime_classify(p: CouplingParams, ratio_min: float) -> str | None:
+    """First of the coupling regimes A, B, C whose inequality chain holds with
+    every 'much greater' read as a factor >= ratio_min; None otherwise.
+
+    A: g_big >> Gamma32_AA >> dwc >> g_small
+    B: g_big >> g_small >> Gamma32_AA >> dwc
+    C: Gamma32_AA >> g_big >> g_small, dwc
+    """
+    if ratio_min <= 1:
+        raise ValueError("ratio_min must exceed 1")
+    g_pm = p.g("+"), p.g("-")
+    g_big, g_small = max(g_pm), min(g_pm)
+    gaa = p.gamma32_aa
+    dwc = p.delta_omega_c
+
+    def gg(x, y):
+        return x >= ratio_min * y
+
+    if gg(g_big, gaa) and gg(gaa, dwc) and gg(dwc, g_small):
+        return "A"
+    if gg(g_big, g_small) and gg(g_small, gaa) and gg(gaa, dwc):
+        return "B"
+    if gg(gaa, g_big) and gg(g_big, g_small) and gg(g_big, dwc):
+        return "C"
+    return None
+
+
+def regime_amplitude(
+    p: CouplingParams, d: DriveSpec, regime: str, branch: str, t
+):
+    """Asymptotic amplitude formula for the given regime and branch.
+
+    Regime A uses damped Rabi oscillation on the strongly coupled branch and
+    two-channel exponential decay on the weak one; regime B applies the Rabi
+    form to both branches, regime C the two-channel decay to both.
+    """
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    f0 = complex(d.f0(branch))
+    g_b = p.g(branch)
+    g_other = p.g("-" if branch == "+" else "+")
+    gaa = p.gamma32_aa
+    dwc = p.delta_omega_c
+
+    def rabi():
+        return f0 / g_b * np.exp(-gaa * t / 4.0) * np.sin(g_b * t)
+
+    def two_channel():
+        return 2.0 * f0 / gaa * (np.exp(-dwc * t) - np.exp(-gaa * t / 2.0))
+
+    if regime == "A":
+        out = rabi() if g_b >= g_other else two_channel()
+    elif regime == "B":
+        out = rabi()
+    elif regime == "C":
+        out = two_channel()
+    else:
+        raise ValueError(f"no asymptotic formula for regime {regime!r}")
+    return complex(out) if scalar else np.asarray(out)
+
+
+def alpha_beta_regime(
+    p: CouplingParams,
+    d: DriveSpec,
+    regime: str,
+    dominance_min: float = 5.0,
+) -> SteadyState:
+    """Regime closed forms for the stationary state.
+
+    The beta expressions hold only when one Rabi frequency clearly dominates
+    the other; below dominance_min the coherence is reported as None instead
+    of extrapolating the formula outside its derivation.
+    """
+    g32p, g32m = p.gamma32_pm("+"), p.gamma32_pm("-")
+    gaa = p.gamma32_aa
+    dwc = p.delta_omega_c
+    fp, fm = complex(d.f_plus0), complex(d.f_minus0)
+    gp, gm = p.g("+"), p.g("-")
+    dom_plus = gp >= gm
+    g_dom = gp if dom_plus else gm
+    g_sub = gm if dom_plus else gp
+    fp2, fm2 = abs(fp) ** 2, abs(fm) ** 2
+
+    if regime == "A":
+        # Rabi integral on the dominant branch, two-channel decay on the weak
+        i_plus = fp2 / (gp**2 * gaa) if dom_plus else 2.0 * fp2 / (gaa**2 * dwc)
+        i_minus = 2.0 * fm2 / (gaa**2 * dwc) if dom_plus else fm2 / (gm**2 * gaa)
+        alpha_p = 0.5 * g32p * i_plus + 0.5 * g32m * i_minus
+        alpha_m = 0.5 * g32m * i_plus + 0.5 * g32p * i_minus
+    elif regime == "B":
+        alpha_p = 0.5 * g32p * fp2 / (gp**2 * gaa) + 0.5 * g32m * fm2 / (gm**2 * gaa)
+        alpha_m = 0.5 * g32m * fp2 / (gp**2 * gaa) + 0.5 * g32p * fm2 / (gm**2 * gaa)
+    elif regime == "C":
+        den_p = gaa**2 * (dwc + 2.0 * gp**2 / gaa)
+        den_m = gaa**2 * (dwc + 2.0 * gm**2 / gaa)
+        alpha_p = g32p * fp2 / den_p + g32m * fm2 / den_m
+        alpha_m = g32m * fp2 / den_p + g32p * fm2 / den_m
+    else:
+        raise ValueError(f"no stationary closed form for regime {regime!r}")
+
+    cross = g32p * fp * np.conj(fm) + g32m * np.conj(fp) * fm
+    if g_sub > 0 and g_dom < dominance_min * g_sub:
+        beta = None
+    elif regime in ("A", "B"):
+        beta = complex(cross * gaa / (2.0 * g_dom**4))
+    else:
+        beta = complex(cross / (gaa**2 * (dwc + g_dom**2 / gaa)))
+    return SteadyState(alpha_plus=float(alpha_p), alpha_minus=float(alpha_m), beta=beta)
 
 def _denominator_terms(sys, l: int, omega):
     """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at each

@@ -12,10 +12,11 @@ import pytest
 
 import sphereqed as sq
 from sphereqed.cli import main as cli_main
-from sphereqed.dynamics import volterra_branch
+from sphereqed.dynamics import volterra_amplitudes
 from sphereqed.microsphere import collective_rates
 
-from oracles import free_space_cross_rate, pole_fit
+from oracles import (alpha_beta_regime, free_space_cross_rate, pole_fit, regime_amplitude,
+                     regime_classify)
 from test_cli import column, read_csv
 
 
@@ -147,10 +148,10 @@ def test_criterion_4_closed_volterra_equivalence():
             f_minus0=complex(rng.normal(), rng.normal()) / 2,
         )
         t_max = 10.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
-        for branch in "+-":
-            a1, a2 = sq.ode_coeffs(p, branch)
-            step = 2e-3 / max(abs(a1), abs(a2) ** 0.5)
-            t, c = volterra_branch(p, d, branch, t_max, step)
+        step = 2e-3 / max(max(abs(a1), abs(a2) ** 0.5)
+                          for a1, a2 in (sq.ode_coeffs(p, b) for b in "+-"))
+        t, *amplitudes = volterra_amplitudes(p, d, t_max, step)
+        for branch, c in zip("+-", amplitudes):
             dev = np.max(np.abs(c - sq.amplitude_closed(p, d, branch, t)))
             worst = max(worst, dev)
             assert dev <= 1e-6, f"set {_}, branch {branch}: deviation {dev:.2e}"
@@ -164,7 +165,7 @@ def test_criterion_5_regime_asymptotics():
     t0 = time.time()
     for regime in "ABC":
         p = chain_params(regime, ratio=20.0)
-        assert sq.regime_classify(p, 20.0) == regime
+        assert regime_classify(p, 20.0) == regime
         d = equal_site_drive(p)
         for branch in "+-":
             strong = p.g(branch) >= p.g("-" if branch == "+" else "+")
@@ -173,12 +174,12 @@ def test_criterion_5_regime_asymptotics():
             else:
                 t = np.linspace(0.0, 4.0 / p.delta_omega_c, 4000)
             exact = sq.amplitude_closed(p, d, branch, t)
-            approx = sq.regime_amplitude(p, d, regime, branch, t)
+            approx = regime_amplitude(p, d, regime, branch, t)
             peak = np.max(np.abs(exact))
             assert np.max(np.abs(exact - approx)) <= 0.10 * peak, (regime, branch)
         t_end = 40.0 / min(p.delta_omega_c, 0.5 * p.gamma32_aa)
         s = sq.decayed_steady_state(p, d, t_end)
-        s_reg = sq.alpha_beta_regime(p, d, regime)
+        s_reg = alpha_beta_regime(p, d, regime)
         assert s.alpha_plus == pytest.approx(s_reg.alpha_plus, rel=0.15), regime
         assert s.alpha_minus == pytest.approx(s_reg.alpha_minus, rel=0.15), regime
     announce(5, "regime asymptotics", t0)
@@ -196,7 +197,7 @@ def test_criterion_6_entanglement_headline():
         gamma32_ab=0.98 * gamma32,
         delta_omega_c=dwc,
     )
-    assert sq.regime_classify(p, 20.0) == "A"
+    assert regime_classify(p, 20.0) == "A"
     d = equal_site_drive(p)
     s = sq.steady_state_from_params(p, d)
     conc = sq.concurrence_closed_form(s)

@@ -352,7 +352,7 @@ class TestExitCodes:
         def unreachable(*args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(dynamics, "volterra_branch", unreachable)
+        monkeypatch.setattr(dynamics, "volterra_amplitudes", unreachable)
         cfg = tmp_path / "volterra.cfg"
         cfg.write_text(DYNAMICS_RATES + "dynamics.method = volterra\ndynamics.step = 0.002\n"
                        "dynamics.t_max = 4\n")
@@ -461,16 +461,20 @@ class TestExitCodes:
     def _entangle_with_undecayed(tmp_path, monkeypatch, undecayed, drive=""):
         """Exit status and CSV path of a 4-point sphere-mode entangle sweep,
         with the drive.* lines drive, whose amplitude C_b(T_end) is 1 at the
-        point undecayed[b]."""
-        amplitude_closed = steady_state.amplitude_closed
+        point undecayed[b]: there its first mode is the constant 1 and its
+        second mode 0."""
+        amplitude_modes = steady_state.amplitude_modes
 
-        def alive_at(p, d, branch, t):
-            c = np.array(amplitude_closed(p, d, branch, t))
-            if undecayed.get(branch, c.size) < c.size:
-                c[undecayed[branch]] = 1.0
-            return c
+        def alive_at(p, d, branch):
+            modes = [[np.array(x) for x in np.broadcast_arrays(*mode)]
+                     for mode in amplitude_modes(p, d, branch)]
+            (coeff, rate, power), (coeff_2, _, _) = modes
+            if undecayed.get(branch, coeff.size) < coeff.size:
+                k = undecayed[branch]
+                coeff[k], rate[k], power[k], coeff_2[k] = 1.0, 0.0, 0, 0.0
+            return modes
 
-        monkeypatch.setattr(steady_state, "amplitude_closed", alive_at)
+        monkeypatch.setattr(steady_state, "amplitude_modes", alive_at)
         cfg = tmp_path / "ent.cfg"
         cfg.write_text(
             SPHERE_ENTANGLE.replace("sweep.count = 2", "sweep.count = 4") + RESONANCE_WINDOW
@@ -767,7 +771,7 @@ class TestDynamicsCommand:
             streamed = out.read_text()
             # the whole file built in memory from a list of rows, as one
             # string: the closed form on the sample times, or the integrator
-            # once per branch
+            # for both branches
             values, _ = resolve(parse_config(text), cli._DYNAMICS)
             p = cli._coupling_from_cfg(values)
             d = cli._drive_from_cfg(values, p)
@@ -777,8 +781,7 @@ class TestDynamicsCommand:
                 c_plus = dynamics.amplitude_closed(p, d, "+", t)
                 c_minus = dynamics.amplitude_closed(p, d, "-", t)
             else:
-                t, c_plus = dynamics.volterra_branch(p, d, "+", t_max, 0.002)
-                _, c_minus = dynamics.volterra_branch(p, d, "-", t_max, 0.002)
+                t, c_plus, c_minus = dynamics.volterra_amplitudes(p, d, t_max, 0.002)
             rows = [
                 (time, cp.real, cp.imag, cm.real, cm.imag)
                 for time, cp, cm in zip(t, c_plus, c_minus)

@@ -12,13 +12,11 @@ from sphereqed.dynamics import (
     ode_coeffs,
     prepare_drive,
     rabi_g,
-    regime_amplitude,
-    regime_classify,
-    volterra_branch,
+    volterra_amplitudes,
     VOLTERRA_BLOCK,
 )
 
-from oracles import direct_volterra_branch
+from oracles import direct_volterra_branch, regime_amplitude, regime_classify
 
 
 def generic_params(**overrides):
@@ -89,8 +87,6 @@ class TestAmplitudeClosed:
         with pytest.raises(ValueError, match=match):
             amplitude_closed(p, d, "0", 1.0)
         with pytest.raises(ValueError, match=match):
-            volterra_branch(p, d, "0", 1.0, 0.01)
-        with pytest.raises(ValueError, match=match):
             p.gamma31_pm("0")
 
     def test_initial_condition(self):
@@ -149,16 +145,15 @@ class TestAmplitudeClosed:
 class TestVolterra:
     def test_zero_drive_is_zero(self):
         p = generic_params()
-        for branch in "+-":
-            _, c = volterra_branch(p, DriveSpec(0.0, 0.0), branch, 5.0, stepsize(p))
-            assert np.all(c == 0)
+        _, c_plus, c_minus = volterra_amplitudes(p, DriveSpec(0.0, 0.0), 5.0, stepsize(p))
+        assert np.all(c_plus == 0) and np.all(c_minus == 0)
 
     def test_kernel_free_branch_matches_linear_ode(self):
         # gamma31_+ = 0 kills the + kernel; the memoryless solution is
         # C(t) = F0 (e^{-(i Delta + dwc) t} - e^{-gamma32 t / 2}) / (gamma32/2 - dwc - i Delta)
         p = CouplingParams(2.0, -2.0, 1.0, 0.0, 0.3, detuning_delta=0.5, dipole_shift=0.0)
         f0 = 0.9 - 0.4j
-        t, c = volterra_branch(p, DriveSpec(f0, 0.0), "+", 12.0, stepsize(p))
+        t, c, _ = volterra_amplitudes(p, DriveSpec(f0, 0.0), 12.0, stepsize(p))
         denom = 0.5 * p.gamma32_aa - p.delta_omega_c - 1j * p.detuning_delta
         want = f0 * (np.exp(-(1j * p.detuning_delta + p.delta_omega_c) * t) - np.exp(-0.5 * p.gamma32_aa * t)) / denom
         assert np.max(np.abs(c - want)) < 1e-6
@@ -166,8 +161,8 @@ class TestVolterra:
     def test_matches_closed_form_both_branches(self):
         p = generic_params()
         d = DriveSpec(1.0, 0.5 - 0.2j)
-        for branch in "+-":
-            t, c = volterra_branch(p, d, branch, 20.0, stepsize(p))
+        t, *amplitudes = volterra_amplitudes(p, d, 20.0, stepsize(p))
+        for branch, c in zip("+-", amplitudes):
             dev = np.abs(c - amplitude_closed(p, d, branch, t))
             assert np.max(dev) < 1e-6
 
@@ -179,28 +174,50 @@ class TestVolterra:
     def test_matches_direct_history_sum(self, n_steps):
         # step counts on both sides of the block boundaries, where the FFT
         # tiles of the history start to feed the sums, and where the tile
-        # size doubles (after blocks 2 and 4) or is about to (before block 8)
-        p = generic_params()
-        d = DriveSpec(0.9 - 0.3j, 0.5 + 0.4j)
-        for branch in "+-":
+        # size doubles (after blocks 2 and 4) or is about to (before block 8);
+        # both branches driven and coupled, then the - branch uncoupled
+        # (gamma31_ab = gamma31_aa, so its kernel is 0), then the + branch
+        # undriven
+        cases = [
+            (generic_params(), DriveSpec(0.9 - 0.3j, 0.5 + 0.4j)),
+            (generic_params(gamma31_ab=3.0), DriveSpec(0.9 - 0.3j, 0.5 + 0.4j)),
+            (generic_params(), DriveSpec(0.0, 0.5 + 0.4j)),
+        ]
+        for p, d in cases:
             step = stepsize(p)
             t_max = (n_steps - 0.5) * step
-            t, c = volterra_branch(p, d, branch, t_max, step)
-            t_ref, c_ref = direct_volterra_branch(p, d, branch, t_max, step)
-            assert len(c) == n_steps + 1
-            assert np.array_equal(t, t_ref)
-            assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+            t, *amplitudes = volterra_amplitudes(p, d, t_max, step)
+            for branch, c in zip("+-", amplitudes):
+                t_ref, c_ref = direct_volterra_branch(p, d, branch, t_max, step)
+                assert len(c) == n_steps + 1
+                assert np.array_equal(t, t_ref)
+                # an undriven branch stays exactly 0, as c_ref does
+                assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
 
     def test_step_precondition_enforced(self):
         p = generic_params()
         with pytest.raises(ValueError):
-            volterra_branch(p, DriveSpec(1.0, 0.0), "+", 5.0, 1.0)
+            volterra_amplitudes(p, DriveSpec(1.0, 0.0), 5.0, 1.0)
+
+    @pytest.mark.parametrize("gamma31_ab", [5.9, -5.9])
+    def test_step_bound_holds_for_each_branch(self, gamma31_ab):
+        # gamma31_ab = 5.9 couples the + branch strongly and -5.9 the -
+        # branch: a step within the weak branch's bound and above the strong
+        # one's raises, whichever branch is the strong one
+        p = generic_params(gamma31_aa=6.0, gamma31_ab=gamma31_ab)
+        scales = [max(abs(a1), abs(a2) ** 0.5) for a1, a2 in (ode_coeffs(p, b) for b in "+-")]
+        strong = 0 if gamma31_ab > 0 else 1
+        assert scales[strong] > 1.5 * scales[1 - strong]
+        d = DriveSpec(1.0, 1.0)
+        with pytest.raises(ValueError, match="violates"):
+            volterra_amplitudes(p, d, 1.0, 0.01 / scales[1 - strong])
+        volterra_amplitudes(p, d, 1.0, 0.01 / scales[strong])
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0])
     def test_t_max_precondition_enforced(self, t_max):
         p = generic_params()
         with pytest.raises(ValueError):
-            volterra_branch(p, DriveSpec(1.0, 0.0), "+", t_max, stepsize(p))
+            volterra_amplitudes(p, DriveSpec(1.0, 0.0), t_max, stepsize(p))
 
 
 class TestPrepareDrive:

@@ -45,11 +45,18 @@ GONE_FROM_MICROSPHERE = ("_shared", "single_term_rate", "mie_coefficient", "Pole
                          # the terms of _order_terms
                          "_reduced_denominator", "_balance")
 # the trajectory wrappers: the CLI calls amplitude_closed on its sample
-# times, or volterra_branch once per branch
-GONE_FROM_DYNAMICS = ("AmplitudeTrajectory", "amplitude_volterra", "sample_closed")
+# times, or volterra_amplitudes once for both branches
+GONE_FROM_DYNAMICS = ("AmplitudeTrajectory", "amplitude_volterra", "sample_closed",
+                      # one branch per call: volterra_amplitudes steps both
+                      "volterra_branch",
+                      # the paper's regime forms, the reference side of
+                      # acceptance criterion 5: now in tests/oracles.py
+                      "regime_classify", "regime_amplitude")
 GONE_FROM_STEADY_STATE = ("entanglement_check",
                           # TwoQubitDensity's docstring states the basis order
-                          "BASIS_LABELS")
+                          "BASIS_LABELS",
+                          # a regime form, now in tests/oracles.py
+                          "alpha_beta_regime")
 GONE_FROM_CLI = ("_given",
                  # the per-point entangle loop: a sweep is one array call
                  "_steady_row", "_rows",
@@ -57,8 +64,8 @@ GONE_FROM_CLI = ("_given",
                  "cmd_rates",
                  # the output.path key: --out is the one output-path setting
                  "_OUTPUT")
-GONE_FROM_PACKAGE = ("integrate_alpha_beta", *GONE_FROM_DYNAMICS, *GONE_FROM_MICROSPHERE,
-                     *GONE_FROM_SPECIAL)
+GONE_FROM_PACKAGE = ("integrate_alpha_beta", *GONE_FROM_DYNAMICS, *GONE_FROM_STEADY_STATE,
+                     *GONE_FROM_MICROSPHERE, *GONE_FROM_SPECIAL)
 
 
 def test_public_names_resolve_and_removed_names_stay_gone():
@@ -80,9 +87,9 @@ def test_public_names_resolve_and_removed_names_stay_gone():
 LAYERS = ("special", "microsphere", "dynamics", "steady_state", "cli", "config")
 # public names that no pipeline step reads, kept for the tests
 KEPT_FOR_TESTS = (
-    # the paper's regime results, which acceptance criterion 5 checks
-    # against the closed form
-    "regime_classify", "regime_amplitude", "alpha_beta_regime",
+    # the stationary state without decayed_steady_state's horizon check,
+    # which acceptance criteria 6 and 8 read
+    "steady_state_from_params",
     # the Wootters construction of acceptance criterion 7, which the
     # benchmark's concurrence gate also reads
     "assemble_density", "concurrence_oracle",

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereqed.dynamics import CouplingParams, DriveSpec, amplitude_closed, prepare_drive, regime_classify
+from sphereqed.dynamics import CouplingParams, DriveSpec, amplitude_closed, prepare_drive
 from sphereqed.steady_state import (
     SteadyState,
     TwoQubitDensity,
     UndecayedTrajectoryError,
-    alpha_beta_regime,
     assemble_density,
     concurrence_oracle,
     concurrence_closed_form,
@@ -18,7 +17,7 @@ from sphereqed.steady_state import (
     steady_state_from_params,
 )
 
-from oracles import trapezoid_steady_state
+from oracles import alpha_beta_regime, regime_classify, trapezoid_steady_state
 from test_dynamics import generic_params, regime_a_params
 
 
