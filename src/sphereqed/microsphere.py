@@ -21,6 +21,7 @@ from .special import (
     H1_IM_MIN,
     legendre_all,
     sph_jn_h1n_ratio,
+    sph_jn_h1n_ratio_rows,
     sph_jn_h1n_ratios,
 )
 
@@ -62,11 +63,13 @@ BLOCK = 75
 
 # real-frequency grid intervals per unit omega_T of the resonance search
 GRID_PER_UNIT = 2000
-# (order, grid point) pairs per grid call of the resonance search: the work
-# arrays of the ratio recurrences take about 1.5 kB per pair, so a call
-# stays near 25 MB, and a search of up to 40 orders on 400 grid points
-# makes one call
-_GRID_PAIRS = 2**14
+# (order, grid point) pairs per grid call of the resonance search, counted
+# over every order from a call's least to its highest: a call peaks at
+# about 200 B per pair under tracemalloc (the shared ratio rows and the
+# pairs' terms; 500-600 B when each pair took its own columns, at 2**14
+# pairs), so it stays near 6.5 MB, and a search of up to 81 orders on 400
+# grid points, or l 1-259 on a 0.01-wide window, makes one call
+_GRID_PAIRS = 2**15
 # relative bracket width at which the resonance search's golden section
 # hands a candidate below omega_T or above omega_L to Newton, where f has
 # poles near the real axis.  Measured on 574 searches (the resonance_scan
@@ -495,12 +498,14 @@ def _block_end(omega: np.ndarray, kr: np.ndarray, start: int) -> int:
     return min(start + 2 * BLOCK, len(omega))
 
 
-def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
+def _order_terms(sys: SphereSystem, l, omega: np.ndarray, ratios=None):
     """eps, z1 = k R and z2 = n k R (see _sphere_arguments) and the terms
     eps D_h and D_j of f = eps D_h - D_j (see _log_derivative) at order l, at
     each frequency of the 1-D array omega, from the single-order ratios
     j_l/j_{l-1} at n k R and h_l/h_{l-1} at k R, both from one run of the
-    ratio loop; l is one order, or a 1-D array of orders, one per frequency.
+    ratio loop, or from ratios = (j ratios, h ratios) when given (the
+    search grid's rows); l is one order, or a 1-D array of orders, one per
+    frequency.
 
     The first term, and so f and the balance ratio, is NaN at a point where
     k R lies below H1_IM_MIN, where h_l^(1) is not accurate, so that the
@@ -508,7 +513,7 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     OverflowError, naming the order and frequency of the first such point.
     """
     eps, z1, z2 = _sphere_arguments(sys.params, sys.radius, omega)
-    r, q = sph_jn_h1n_ratio(l, z2, z1)
+    r, q = sph_jn_h1n_ratio(l, z2, z1) if ratios is None else ratios
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dh, dj = _log_derivative(z1, q, l) * eps, _log_derivative(z2, r, l)
     finite = np.isfinite(q) & np.isfinite(r) & np.isfinite(dh) & np.isfinite(dj)
@@ -522,10 +527,11 @@ def _order_terms(sys: SphereSystem, l, omega: np.ndarray):
     return eps, z1, z2, dh, dj
 
 
-def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
+def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray, ratios=None) -> np.ndarray:
     """|t1 - t2| / (|t1| + |t2|) of the terms t1 = eps D_h and t2 = D_j of f,
     and 1 where both vanish, of order l, one order or one per frequency, at
-    each frequency of the 1-D array omega (see _order_terms).
+    each frequency of the 1-D array omega (see _order_terms, which takes
+    ratios).
 
     The denominator rides an exponential envelope in omega (through j_l(z2)
     inside the gap), and f has poles at the zeros of j_l(z2); the
@@ -533,10 +539,26 @@ def _denominator_balance(sys: SphereSystem, l, omega: np.ndarray) -> np.ndarray:
     resonance and dipping sharply at one, which makes it the right quantity
     to bracket on a real-frequency grid.
     """
-    *_, t1, t2 = _order_terms(sys, l, omega)
+    *_, t1, t2 = _order_terms(sys, l, omega, ratios)
     denom = np.abs(t1) + np.abs(t2)
     with np.errstate(invalid="ignore"):
         return np.where(denom == 0.0, 1.0, np.abs(t1 - t2) / denom)
+
+
+def _grid_balance(sys: SphereSystem, ls: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The balance ratio of each order of ls at each frequency of grid, one
+    row per order, with the bits of _denominator_balance(sys, l, grid) for
+    each order l: the ratios of every order from min(ls) to max(ls) come
+    from one sph_jn_h1n_ratio_rows call, with one or two columns of each
+    kind per grid frequency, and the balance of the (order, frequency)
+    pairs, order by order, from one _denominator_balance call on them, so
+    that an overflow names the first failing pair."""
+    _, z1, z2 = _sphere_arguments(sys.params, sys.radius, grid)
+    lo = int(ls.min())
+    rj, rh = sph_jn_h1n_ratio_rows(lo, int(ls.max()), z2, z1)
+    rows = ls - lo
+    return _denominator_balance(sys, np.repeat(ls, len(grid)), np.tile(grid, len(ls)),
+                                (rj[rows].ravel(), rh[rows].ravel())).reshape(len(ls), len(grid))
 
 
 def _denominator_slope(sys: SphereSystem, l, omega: np.ndarray):
@@ -564,7 +586,7 @@ def _denominator_slope(sys: SphereSystem, l, omega: np.ndarray):
     return dh - dj, deps * d_h + eps * slope_h * dz1 - slope_j * dz2
 
 
-def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
+def _newton_root(sys: SphereSystem, l, omega0: np.ndarray, tol=1e-12) -> np.ndarray:
     """Complex Newton iteration on f (see _order_terms) from the 1-D array
     of real starts omega0, of order l: one order, or one per start.
 
@@ -572,12 +594,20 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
     step makes one call of the ratio recurrences over the iterates still
     active, which gives f and its closed-form derivative
     (_denominator_slope).  An iterate converges when its step falls below
-    1e-12; it is dropped when the derivative vanishes, when it leaves the
-    region where h_l^(1) is accurate, or after 50 steps.  Returns an array
-    of roots, NaN where a start was dropped.
+    tol (one, or one per start); it is dropped when the derivative
+    vanishes, when it leaves the region where h_l^(1) is accurate, or after
+    50 steps.  Returns an array of roots, NaN where a start was dropped.
+
+    A printed root takes tol = 1e-12.  The first pass of a band-gap
+    candidate only picks the HANDOVER_WIDTH lattice point from which it
+    restarts (find_resonances), and stops at 1e-3 HANDOVER_WIDTH: the steps
+    there fall about quadratically, with a constant of 20-25 per unit omega
+    (1e-4, 2e-7, 1e-12), so the iterate is then within rounding of the
+    root, and the step to 1e-12 is not taken.
     """
     om = np.array(omega0, dtype=complex)
     orders = np.broadcast_to(l, om.shape)
+    tol = np.broadcast_to(tol, om.shape)
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
@@ -589,7 +619,7 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray) -> np.ndarray:
         active = active[moving]
         step = f[moving] / slope[moving]
         om[active] -= step
-        done = np.abs(step) < 1e-12
+        done = np.abs(step) < tol[active]
         roots[active[done]] = om[active[done]]
         active = active[~done]
     return roots
@@ -656,17 +686,21 @@ def find_resonances(
     f = eps D_h - D_j of the TM Mie denominator (see _order_terms), built
     from the Bessel ratios j_l/j_{l-1} and h_l/h_{l-1}: nothing overflows,
     so the orders have no cap.  The balance ratio of the two terms is
-    sampled on a real grid (_search_grid) for every order in one call, one
-    column per (order, grid point) pair, _GRID_PAIRS pairs at most.  The
-    interior local minima of every order are then refined in one stream by
+    sampled on a real grid (_search_grid) for every order in one call
+    (_grid_balance), whose ratios come from one j and one h column per grid
+    point run through all its orders, split in two where a one-order call
+    would change column, with the bits of one call per order; a call spans
+    _GRID_PAIRS (order, grid point) pairs at most.  The interior local
+    minima of every order are then refined in one stream by
     a complex Newton iteration on f with its closed-form derivative, each
     step a call over the candidates of all orders, one column of the ratio
     recurrences per candidate, read out at its own order (a few candidates
     run the scalar loop each).  A candidate inside the band gap (1, omega_L)
     starts from its grid point: there n k R is nearly imaginary and f has
-    no poles near the real axis (the SG rule of resonance_kind).  Its root
-    restarts once from the nearest multiple of HANDOVER_WIDTH, so that the
-    root's bits do not depend on the window's grid.  A candidate below
+    no poles near the real axis (the SG rule of resonance_kind).  Its first
+    pass stops at a step of 1e-3 HANDOVER_WIDTH (see _newton_root), and its
+    root restarts once from the nearest multiple of HANDOVER_WIDTH, so that
+    the root's bits do not depend on the window's grid.  A candidate below
     omega_T or above omega_L, where f has a pole at each zero of
     j_l(n k R) near the real axis, starts from a golden-section search on
     the balance ratio down to HANDOVER_WIDTH (_refine_real_minimum), one
@@ -684,14 +718,18 @@ def find_resonances(
     ls = np.fromiter(l_range, dtype=int)
     if np.any(ls < 1):
         raise ValueError(f"l={ls[ls < 1][0]} must be >= 1")
+    if not ls.size:
+        return []
     grid = _search_grid(omega_lo, omega_hi)
-    npts = len(grid)
-    vals = np.empty((len(ls), npts))
-    per_call = max(1, _GRID_PAIRS // npts)
-    for k in range(0, len(ls), per_call):
-        chunk = ls[k : k + per_call]
-        vals[k : k + per_call] = _denominator_balance(
-            sys, np.repeat(chunk, npts), np.tile(grid, len(chunk))).reshape(len(chunk), npts)
+    vals = np.empty((len(ls), len(grid)))
+    # a grid call takes the next orders while they span at most per_call rows
+    per_call, begin, least, most = max(1, _GRID_PAIRS // len(grid)), 0, ls[0], ls[0]
+    for end, l in enumerate(ls.tolist()):
+        least, most = min(least, l), max(most, l)
+        if most - least >= per_call:
+            vals[begin:end] = _grid_balance(sys, ls[begin:end], grid)
+            begin, least, most = end, l, l
+    vals[begin:] = _grid_balance(sys, ls[begin:], grid)
     mid = vals[:, 1:-1]
     row, minima = np.nonzero((mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid < 0.5))
     if not minima.size:
@@ -703,7 +741,7 @@ def find_resonances(
     poles = ~((1.0 < starts) & (starts < sys.params.omega_l))
     if poles.any():
         starts[poles] = _refine_real_minimum(sys, orders[poles], a[poles], b[poles])
-    roots = _newton_root(sys, orders, starts)
+    roots = _newton_root(sys, orders, starts, np.where(poles, 1e-12, 1e-3 * HANDOVER_WIDTH))
     gap = ~poles & ~np.isnan(roots)
     roots[gap] = _newton_root(
         sys, orders[gap], np.round(roots[gap].real / HANDOVER_WIDTH) * HANDOVER_WIDTH)

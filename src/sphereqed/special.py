@@ -38,9 +38,11 @@ order 1 carries the j part of h = j + i y, about 1e-17 of it.
 So one column loop serves both kinds and both directions, in any mix:
 numpy runs each step for all columns at once, two calls per step, and
 column k runs from its own start to its own order l_k and keeps its last
-d_k ratios.  The two entry points give both kinds from one run,
-sph_jn_h1n_ratios all lmax rows and sph_jn_h1n_ratio the ratio of order l;
-a kind with no arguments gives an empty result.  A call of up to
+d_k ratios.  The three entry points give both kinds from one run,
+sph_jn_h1n_ratios all lmax rows, sph_jn_h1n_ratio the ratio of order l,
+and sph_jn_h1n_ratio_rows the ratios of orders lo..hi with the bits of
+the one-order calls, from a column or two per argument and kind; a kind
+with no arguments gives an empty result.  A call of up to
 _SCALAR_POINTS (12) columns in all runs a scalar loop per column instead,
 which is faster there and gives the same bits; so each call runs one loop.
 The single-order ratios also take one order per argument: one run of the
@@ -154,6 +156,30 @@ def _downward_starts(l: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fmin(top, cap).astype(int)
 
 
+def _forward_reaches(low: float, nearest: float) -> bool:
+    """The call-level test of _forward_starts: whether an h column of a
+    call whose highest lowest kept row is low and whose least |z| is
+    nearest can start above order 1."""
+    rise = low + 0.5 - nearest
+    # 440 < 450 leaves the test room for rounding
+    return rise > 0.0 and rise * rise * rise >= 440.0 * nearest
+
+
+def _forward_rule(lows: np.ndarray, z: np.ndarray):
+    """(start, settled): the forward start s_k of the h column at each z_k
+    whose lowest kept row is lows_k, and where that start holds (see
+    _forward_starts)."""
+    size = np.abs(z)
+    turning = size * size / np.abs(z.real)
+    top = (lows + 0.5) / turning
+    # NaN where top < 1, and so is every value that follows from it
+    start = np.floor(lows - 0.5 * _SETTLE / np.arccosh(top)) - _SPARE
+    # G at L/T and at (s + 1/2)/T, in one array
+    v = np.concatenate([top, np.maximum((start + 0.5) / turning, 1.0)])
+    big = v * np.arccosh(v) - np.sqrt(v * v - 1.0)
+    return start, (start > 1.0) & (turning * (big[: len(z)] - big[len(z) :]) >= 0.5 * _SETTLE)
+
+
 def _forward_starts(lows: np.ndarray, z: np.ndarray):
     """The start s_k of the upward h column at each z_k whose lowest kept
     row is lows_k, or None where every column starts at order 1.
@@ -164,32 +190,60 @@ def _forward_starts(lows: np.ndarray, z: np.ndarray):
     G(v) = v acosh v - sqrt(v^2 - 1) (0 below v = 1): equal at real z.  The
     column starts at s = floor(lo - _SETTLE/(2 rho)) - _SPARE,
     rho = acosh(L/T), from x_s = (2s - 1)/z, the mirror of the Miller seed
-    r = 0, where s > 1 and that bound reaches _SETTLE: the growth falls
-    below lo, and the spare steps make up for it.  It starts at 1
-    elsewhere: rows from order 1, and h columns at or near their turning
-    point, such as the below-gap ones (k R ~ 57-62, l 63-77).  As
+    r = 0, where s > 1 and that bound reaches _SETTLE (_forward_rule): the
+    growth falls below lo, and the spare steps make up for it.  It starts
+    at 1 elsewhere: rows from order 1, and h columns at or near their
+    turning point, such as the below-gap ones (k R ~ 57-62, l 63-77).  As
     G(v) <= (2 sqrt 2/3) (v - 1)^(3/2), the bound needs (L - T)^3 >= 450 T,
     and T >= |z|; so a call whose largest lo + 1/2 and least |z| fail that
-    ends in three numpy calls."""
-    if not lows.size:
+    (_forward_reaches) ends in three numpy calls."""
+    if not (lows.size and _forward_reaches(float(lows.max()), float(np.abs(z).min()))):
         return None
-    size = np.abs(z)
-    nearest = float(size.min())
-    rise = float(lows.max()) + 0.5 - nearest
-    # 440 < 450 leaves the test room for rounding
-    if not (rise > 0.0 and rise * rise * rise >= 440.0 * nearest):
-        return None
-    turning = size * size / np.abs(z.real)
-    top = (lows + 0.5) / turning
-    # NaN where top < 1, and so is every value that follows from it
-    start = np.floor(lows - 0.5 * _SETTLE / np.arccosh(top)) - _SPARE
-    # G at L/T and at (s + 1/2)/T, in one array
-    v = np.concatenate([top, np.maximum((start + 0.5) / turning, 1.0)])
-    big = v * np.arccosh(v) - np.sqrt(v * v - 1.0)
-    settled = (start > 1.0) & (turning * (big[: len(z)] - big[len(z) :]) >= 0.5 * _SETTLE)
+    start, settled = _forward_rule(lows, z)
     if not settled.any():
         return None
     return np.where(settled, start, 1.0).astype(int)
+
+
+def _forward_orders(lo: int, hi: int, z: np.ndarray):
+    """(low, start): at each z_k the least order low_k of lo..hi at which a
+    one-order call over all of z (sph_jn_h1n_ratio(low_k, ., z)) starts the
+    h column at z_k above order 1, or hi + 1 where none does, and that
+    start (1 where none).
+
+    The call-level test (_forward_reaches, on the order and the least |z|)
+    holds from one order on, found first.  A column's own rule
+    (_forward_rule) holds from one order on too wherever T = |z|^2/|Re z|
+    stays below about 280; above that an order or a few just past the first
+    one that holds can fail it again, where the floor of the start jumps by
+    two.  So each argument's order comes from a bisection on its rule, all
+    arguments together, and where the rule changes back an order on the
+    other side of low_k from its own call's kind takes the other column:
+    the two differ by the j part of h = j + i y, e^(-40) of h or less past
+    the first order that holds (about 1e-20 at k R = 279, l = 334), below
+    one rounding (see sph_jn_h1n_ratio)."""
+    n = len(z)
+    low, start = np.full(n, hi + 1), np.ones(n)
+    nearest = float(np.abs(z).min())
+    if not _forward_reaches(float(hi), nearest):
+        return low, start
+    # the least order of the call-level test, from its root
+    first = max(lo, int(nearest + (440.0 * nearest) ** (1.0 / 3.0)))
+    while first > lo and _forward_reaches(float(first - 1), nearest):
+        first -= 1
+    while not _forward_reaches(float(first), nearest):
+        first += 1
+    # each argument's bracket (fail, low]: the rule fails at fail (or fail
+    # lies below first) and holds at low (or low = hi + 1)
+    fail = np.full(n, first - 1)
+    pending, probe = np.arange(n), np.full(n, first)
+    while pending.size:
+        s, settled = _forward_rule(probe, z[pending])
+        low[pending[settled]], start[pending[settled]] = probe[settled], s[settled]
+        fail[pending[~settled]] = probe[~settled]
+        pending = pending[low[pending] - fail[pending] > 1]
+        probe = (low[pending] + fail[pending]) // 2
+    return low, start
 
 
 def _starts(orders: np.ndarray, depths, z: np.ndarray, down: int, jcount: int):
@@ -226,11 +280,18 @@ def _scalar_loop(x: complex, odds: range, z: complex, depth: int) -> list[comple
     return values
 
 
+def _upward_top(z: np.ndarray) -> np.ndarray:
+    """The highest order whose j column at z runs upward, 0 where none:
+    the floor of |z| - _UP_MARGIN |z|^(1/3) - 2 |Im z| where
+    |Im z| <= _UP_IM_MAX."""
+    size, im = np.abs(z), np.abs(z.imag)
+    return np.where(im <= _UP_IM_MAX, np.floor(size - _UP_MARGIN * np.cbrt(size) - 2.0 * im), 0.0)
+
+
 def _upward(l, z: np.ndarray) -> np.ndarray:
     """Where the j column of order l (one, or one per argument) at z runs
-    upward: l <= |z| - _UP_MARGIN |z|^(1/3) - 2 |Im z| and |Im z| <= _UP_IM_MAX."""
-    size, im = np.abs(z), np.abs(z.imag)
-    return (im <= _UP_IM_MAX) & (l <= size - _UP_MARGIN * np.cbrt(size) - 2.0 * im)
+    upward (_upward_top)."""
+    return l <= _upward_top(z)
 
 
 def _first_ratios(z: np.ndarray, jcount: int, forward) -> np.ndarray:
@@ -414,6 +475,64 @@ def sph_jn_h1n_ratio(l, jz, hz) -> tuple[np.ndarray, np.ndarray]:
     r, q = rows[0, :nj], rows[0, nj:]
     q[z[nj:].imag < H1_IM_MIN] = np.nan
     return r, q
+
+
+def sph_jn_h1n_ratio_rows(lo: int, hi: int, jz, hz) -> tuple[np.ndarray, np.ndarray]:
+    """(j_l/j_{l-1} at each argument of jz, h_l^(1)/h_{l-1}^(1) at each of
+    hz) for l = lo..hi, one row per order from lo and one column per
+    argument, each with the bits of sph_jn_h1n_ratio(l, jz, hz), from one
+    run of the column loop with one or two columns per argument and kind,
+    each keeping the rows lo..hi.
+
+    An argument's orders split where a one-order call would change its
+    column: the j orders up to the highest that runs upward (_upward_top)
+    are read from a column upward from order 1, the others from one
+    downward from the Miller start of hi; the h orders below the least one
+    whose one-order call starts above 1 (_forward_orders) from a column
+    from order 1, the others from one from that order's forward start.  An
+    upward run from order 1 is the one sequence of all its orders, so it
+    keeps their bits exactly; the continued fraction from hi's start and
+    the forward start of the least order forget their starts after _SETTLE
+    e-folds, as those of one-order calls do, and keep the bits but for a
+    rounding tie.  Each column keeps all the rows, and a two-column
+    argument reads each from its own orders.  A call always runs the column
+    loop, never the scalar one.
+    """
+    z, nj = _arguments(hi, jz, hz)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"Bessel ratio rows need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    depth, hz = hi - lo + 1, z[nj:]
+    out = np.empty((depth, len(z)), dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        low, forward = _forward_orders(lo, hi, hz)
+        # the first order of each argument's upper column: downward j, or
+        # forward h; the orders below it take the column from order 1
+        split = np.concatenate([np.clip(_upward_top(z[:nj]) + 1, lo, hi + 1), low]).astype(int)
+        upper, lower = np.flatnonzero(split <= hi), np.flatnonzero(split > lo)
+        down = int(np.searchsorted(upper, nj))
+        args = np.concatenate([upper[:down], lower, upper[down:]])
+        ahead = down + len(lower)
+        starts = np.ones(len(args), dtype=int)
+        if down:
+            starts[:down] = _downward_starts(np.full(down, hi), z[args[:down]])
+        starts[ahead:] = forward[args[ahead:] - nj]
+        jcount = down + int(np.searchsorted(lower, nj))
+        first = _first_ratios(z[args[down:]], jcount - down, starts[jcount:])
+        rows = np.empty((depth, len(args)), dtype=complex)
+        _ratio_columns(np.full(len(args), hi), depth, z[args], starts, first, rows)
+    # a downward column's rows run from order hi down
+    rows[:, :down] = rows[::-1, :down]
+    if len(args) == len(z):
+        out[:, args] = rows
+    else:
+        # an argument with two columns reads its upper one from its split on
+        out[:, args[down:ahead]] = rows[:, down:ahead]
+        cols = np.r_[:down, ahead : len(args)]
+        above = np.arange(lo, hi + 1)[:, None] >= split[args[cols]]
+        out[:, args[cols]] = np.where(above, rows[:, cols], out[:, args[cols]])
+    rj, rh = out[:, :nj], out[:, nj:]
+    rh[:, hz.imag < H1_IM_MIN] = np.nan
+    return rj, rh
 
 
 def legendre_all(lmax: int, x) -> np.ndarray:

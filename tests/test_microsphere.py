@@ -7,6 +7,7 @@ import pytest
 from sphereqed import microsphere, special
 from sphereqed.microsphere import (
     BLOCK,
+    HANDOVER_WIDTH,
     DrudeLorentzParams,
     NonConvergenceError,
     Resonance,
@@ -435,9 +436,9 @@ def denominator_args(monkeypatch):
     seen = []
     terms = microsphere._order_terms
 
-    def spy(sys, l, omega):
+    def spy(sys, l, omega, ratios=None):
         seen.extend(complex(om) for om in np.atleast_1d(omega))
-        return terms(sys, l, omega)
+        return terms(sys, l, omega, ratios)
 
     monkeypatch.setattr(microsphere, "_order_terms", spy)
     return seen
@@ -564,6 +565,43 @@ class TestBatchedRefinement:
         with pytest.raises(OverflowError, match=r"overflowed for l=121 at omega="):
             find_resonances(fig2_system, 1.04, 1.06, [120, 121])
 
+    def test_overflowed_grid_pair_raises(self, fig2_system, monkeypatch):
+        # a non-finite ratio of the grid names the first failing (order,
+        # grid point) pair, order by order: here order 120 at the 31st
+        # point, though order 121 fails at the 11th
+        rows = microsphere.sph_jn_h1n_ratio_rows
+
+        def overflowing(lo, hi, jz, hz):
+            rj, rh = rows(lo, hi, jz, hz)
+            rj[121 - lo, 10] = np.inf
+            rh[120 - lo, 30] = np.inf
+            return rj, rh
+
+        monkeypatch.setattr(microsphere, "sph_jn_h1n_ratio_rows", overflowing)
+        grid = microsphere._search_grid(1.04, 1.06)
+        with pytest.raises(OverflowError, match=rf"l=120 at omega={grid[30]}$"):
+            find_resonances(fig2_system, 1.04, 1.06, [120, 121])
+
+    @pytest.mark.parametrize("omega_lo,omega_hi,orders", [(1.04, 1.06, (119, 120, 121, 122)),
+                                                          (1.0499, 1.0503, (121,))],
+                             ids=["four-orders", "demo"])
+    def test_looser_first_pass_keeps_the_roots(self, fig2_system, monkeypatch, omega_lo,
+                                               omega_hi, orders):
+        # a band-gap candidate's first Newton pass stops at
+        # 1e-3 HANDOVER_WIDTH: it restarts from the lattice point of a first
+        # pass run to 1e-12, and its root keeps its bits
+        found = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        assert len(found) == len(orders)
+        newton, tolerances = microsphere._newton_root, []
+
+        def strict(sys, l, omega0, tol=1e-12):
+            tolerances.append(np.max(tol))
+            return newton(sys, l, omega0)
+
+        monkeypatch.setattr(microsphere, "_newton_root", strict)
+        assert find_resonances(fig2_system, omega_lo, omega_hi, orders) == found
+        assert tolerances == [1e-3 * HANDOVER_WIDTH, 1e-12]
+
     def test_point_does_not_depend_on_call_size(self, fig2_system):
         # f and the balance ratio at a point are the same bits in a one-point
         # call, a batch of one order and a batch of mixed orders: numpy's
@@ -587,8 +625,9 @@ class TestBatchedRefinement:
             (1.04, 1.06, range(110, 129), 19),  # band gap, one root per order
             (0.90, 0.995, range(63, 67), 100),  # below the gap, many roots per order
             (1.04, 1.06, range(60, 201), 100),  # the wide band-gap search
+            (1.04, 1.0535, range(92, 144), 52),  # figure3's window
         ],
-        ids=["band-gap", "below-gap", "wide"],
+        ids=["band-gap", "below-gap", "wide", "figure3"],
     )
     def test_many_orders_equal_each_order_alone(self, fig2_system, omega_lo, omega_hi,
                                                 orders, min_roots):
@@ -598,33 +637,48 @@ class TestBatchedRefinement:
         assert got == sorted(alone, key=lambda r: (r.omega_c, r.l))
 
     def test_refinement_calls_do_not_grow_with_orders(self, fig2_system, monkeypatch):
-        # a 4-order band-gap search makes one grid call in all, and its
+        # a 4-order band-gap search makes one grid call in all, one ratio
+        # call whose columns do not depend on the orders, and its
         # refinement as many calls as that of each of its orders alone: one
         # stream for all candidates, and one ratio recurrence call per
         # Newton step, which gives f and its derivative.  Every evaluation
-        # goes through _order_terms: the calls beyond those of the balance
-        # ratio and the Newton steps are the suppression check's
-        names = ("_denominator_balance", "_denominator_slope", "_order_terms",
-                 "sph_jn_h1n_ratio")
+        # goes through _order_terms: the calls beyond the grid's, those of
+        # the balance ratio and the Newton steps are the suppression check's
+        names = ("_grid_balance", "_denominator_balance", "_denominator_slope", "_order_terms",
+                 "sph_jn_h1n_ratio", "sph_jn_h1n_ratio_rows")
         calls = {name: [] for name in names}
         for name in names:
             def spy(*args, _fn=getattr(microsphere, name), _name=name):
-                # the last argument holds the frequencies or the Bessel arguments
-                calls[_name].append(np.size(args[-1]))
+                # the frequencies, or the h arguments of a ratio call
+                calls[_name].append(np.size(args[2] if _name[0] == "_" else args[-1]))
                 return _fn(*args)
 
             monkeypatch.setattr(microsphere, name, spy)
+        columns = []
+        ratio_columns = special._ratio_columns
+
+        def spy_columns(orders, depths, z, starts, first, rows):
+            columns.append(len(z))
+            return ratio_columns(orders, depths, z, starts, first, rows)
+
+        monkeypatch.setattr(special, "_ratio_columns", spy_columns)
 
         def search_calls(orders, omega_lo=1.04, omega_hi=1.06):
-            for seen in calls.values():
+            for seen in (*calls.values(), columns):
                 seen.clear()
             found = find_resonances(fig2_system, omega_lo, omega_hi, orders)
-            # the first balance call is the 65-point grid of every order,
-            # the others are golden-section steps
+            # one grid call, over the 65 grid points, and its one ratio
+            # call: one j and one h column per grid point, the first run of
+            # the column loop
+            assert calls["_grid_balance"] == [65]
+            assert calls["sph_jn_h1n_ratio_rows"] == [65]
+            assert columns[0] == 2 * 65
+            # the first balance call is the grid's, over every (order, grid
+            # point) pair, and the others are golden-section steps
             grid, *golden = calls["_denominator_balance"]
             assert grid == 65 * len(orders)
             evaluations = len(calls["_order_terms"])
-            assert len(calls["sph_jn_h1n_ratio"]) == evaluations
+            assert len(calls["sph_jn_h1n_ratio"]) == evaluations - 1
             newton = len(calls["_denominator_slope"])
             suppression = evaluations - 1 - len(golden) - newton
             assert suppression == 1
@@ -665,36 +719,59 @@ class TestBatchedRefinement:
 
     @pytest.mark.parametrize(
         "omega_lo,omega_hi,orders",
-        [(1.04, 1.06, range(60, 201)), (0.90, 0.995, (63, 64))],
-        ids=["wide", "below-gap"],
+        [(1.04, 1.06, range(60, 201)), (0.90, 0.995, (63, 64)),
+         # the j column at n k R of 726 of the 1201 grid points, and of 124
+         # of the 761, runs upward for the lower orders and downward for
+         # the higher ones; in the wide band-gap window the h column at k R
+         # starts at order 1 below l = 97 or 98 and above it from there
+         (0.3, 0.9, range(1, 40)), (1.12, 1.5, range(20, 40))],
+        ids=["wide", "below-gap", "j-split", "j-split-above-gap"],
     )
     def test_one_grid_call_equals_per_order_calls(self, fig2_system, monkeypatch, omega_lo,
                                                    omega_hi, orders):
         # the search's one grid call over every (order, grid point) pair
         # gives, bit for bit, the balance ratios of one call per order
-        balance = microsphere._denominator_balance
+        grid_balance = microsphere._grid_balance
         seen = []
 
-        def spy(sys, l, omega):
-            out = balance(sys, l, omega)
-            seen.append((np.copy(l), np.copy(omega), out))
+        def spy(sys, ls, grid):
+            out = grid_balance(sys, ls, grid)
+            seen.append((np.copy(ls), np.copy(grid), out))
             return out
 
-        monkeypatch.setattr(microsphere, "_denominator_balance", spy)
+        monkeypatch.setattr(microsphere, "_grid_balance", spy)
         find_resonances(fig2_system, omega_lo, omega_hi, orders)
-        l, omega, vals = seen[0]
         grid = microsphere._search_grid(omega_lo, omega_hi)
-        assert np.array_equal(l, np.repeat(orders, len(grid)))
-        assert np.array_equal(omega, np.tile(grid, len(orders)))
-        per_order = [balance(fig2_system, order, grid) for order in orders]
-        assert np.array_equal(vals, np.concatenate(per_order))
+        # 39 orders of 1201 points take two calls of at most _GRID_PAIRS pairs
+        assert len(seen) == -(-len(orders) * len(grid) // microsphere._GRID_PAIRS)
+        for _, omega, _ in seen:
+            assert np.array_equal(omega, grid)
+        ls, vals = (np.concatenate([call[k] for call in seen]) for k in (0, 2))
+        assert np.array_equal(ls, orders)
+        per_order = [microsphere._denominator_balance(fig2_system, order, grid)
+                     for order in orders]
+        assert np.array_equal(vals, per_order)
 
     def test_grid_split_into_calls_gives_the_same_roots(self, fig2_system, monkeypatch):
-        # past _GRID_PAIRS (order, grid point) pairs the grid takes several
-        # calls, here of three 65-point orders each, with the same roots
-        want = find_resonances(fig2_system, 1.04, 1.06, range(110, 129))
+        # a grid call takes the next orders while its rows, the orders from
+        # the least to the highest, times the grid points stay within
+        # _GRID_PAIRS: here three 65-point orders, so 19 consecutive orders
+        # take 7 calls and three spread ones a call each, with the same roots
+        cases = ((range(110, 129), 7), ((110, 128, 111), 3))
+        want = [find_resonances(fig2_system, 1.04, 1.06, orders) for orders, _ in cases]
+        grid_balance, calls = microsphere._grid_balance, []
+
+        def spy(sys, ls, grid):
+            calls.append(ls.tolist())
+            return grid_balance(sys, ls, grid)
+
+        monkeypatch.setattr(microsphere, "_grid_balance", spy)
         monkeypatch.setattr(microsphere, "_GRID_PAIRS", 3 * 65 + 1)
-        assert find_resonances(fig2_system, 1.04, 1.06, range(110, 129)) == want
+        for (orders, count), roots in zip(cases, want):
+            calls.clear()
+            assert find_resonances(fig2_system, 1.04, 1.06, orders) == roots
+            assert len(calls) == count and sum(calls, []) == list(orders)
+            assert max(max(ls) - min(ls) for ls in calls) < 3
 
     def test_grid_has_one_interval_per_grid_step(self):
         # 2000 (0.995 - 0.90) is 189.99999999999994 in float64, and 2000

@@ -13,6 +13,7 @@ from sphereqed.special import (
     H1_IM_MIN,
     legendre_all,
     sph_jn_h1n_ratio,
+    sph_jn_h1n_ratio_rows,
     sph_jn_h1n_ratios,
 )
 
@@ -835,6 +836,91 @@ class TestStarts:
             r, q = sph_jn_h1n_ratio(l, js, hs)
             assert np.array_equal(r[: len(jz)], [ratios("J", l, z)[0] for z in jz])
             assert np.array_equal(q[: len(hz)], [ratios("H1", l, z)[0] for z in hz])
+
+
+# n k R of the demo sphere where the j column of orders 60-90 changes
+# direction (below the gap and above omega_L), with the rule's edge
+# arguments, and k R in the band gap, where the h column of orders 90-130
+# starts at order 1 below l ~ 97 and forward from there, with complex
+# arguments and one below H1_IM_MIN
+ROWS_J_ARGS = np.concatenate([demo_arguments(0, [0.90, 0.92, 0.95, 1.2, 1.5])[2], RULE_ARGS])
+ROWS_H_ARGS = np.concatenate([size_parameter(np.array([1.04, 1.0501, 1.06]), 10.0),
+                              [66.0 - 0.3j, 59.7 - 5j, 120.0 + 2j, 22.3 - 5.5j]])
+
+
+class TestRatioRows:
+    """sph_jn_h1n_ratio_rows: the ratios of every order lo..hi from one or
+    two columns per argument and kind, with the bits of a one-order call."""
+
+    @pytest.mark.parametrize("lo,hi", [(60, 90), (90, 130), (1, 40), (121, 121), (1, 300)])
+    def test_rows_are_the_one_order_ratios(self, lo, hi):
+        # a run from order 1 (upward j, h below its forward orders) keeps
+        # the bits of every one-order call; the continued fraction from the
+        # start of hi and the forward start of the least forward order keep
+        # them but for rounding ties (1 of the 984 ratios of l 90-130 and 4
+        # of the 7200 of l 1-300, each within 3.2e-18 of its one-order ratio)
+        rj, rh = sph_jn_h1n_ratio_rows(lo, hi, ROWS_J_ARGS, ROWS_H_ARGS)
+        assert rj.shape == (hi - lo + 1, len(ROWS_J_ARGS))
+        assert rh.shape == (hi - lo + 1, len(ROWS_H_ARGS))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = special._upward_top(ROWS_J_ARGS.astype(complex))
+            low = special._forward_orders(lo, hi, ROWS_H_ARGS.astype(complex))[0]
+        ties = 0
+        for l in range(lo, hi + 1):
+            r, q = sph_jn_h1n_ratio(l, ROWS_J_ARGS, ROWS_H_ARGS)
+            got, want = np.concatenate([rj[l - lo], rh[l - lo]]), np.concatenate([r, q])
+            same = (got == want) | (np.isnan(got) & np.isnan(want))
+            assert same[: len(r)][l <= top].all() and same[len(r) :][l < low].all()
+            assert np.all(np.abs(got - want)[~same] < 2.0**-53 * np.abs(want)[~same])
+            ties += np.count_nonzero(~same)
+        assert ties <= 0.01 * (rj.size + rh.size)
+        assert np.isnan(rh[:, -1]).all()
+        # the splits these orders cross: j at the rule's edge, h where the
+        # forward start begins
+        assert np.any((lo <= top) & (top < hi)) == (lo < hi)
+        assert np.any((lo < low) & (low <= hi)) == ((lo, hi) in ((90, 130), (1, 300)))
+
+    def test_forward_orders_are_the_least_of_the_rule(self):
+        # the least order whose one-order call starts the h column above
+        # order 1, call-level test included, and its start, on k R of the
+        # demo sphere from 0.3 to 1.5 and off the axis
+        hz = np.concatenate([size_parameter(np.linspace(0.3, 1.5, 25), 10.0),
+                             [66.0 - 0.3j, 59.7 - 5j, 120.0 + 2j]]).astype(complex)
+        for lo, hi in ((1, 260), (90, 130), (150, 260)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                low, start = special._forward_orders(lo, hi, hz)
+            for k, z in enumerate(hz):
+                ahead = [l for l in range(lo, hi + 1) if forward_started(l, hz)[k]]
+                assert low[k] == (ahead[0] if ahead else hi + 1)
+                if ahead:
+                    assert start[k] == start_orders(low[k], [], hz)[k]
+                else:
+                    assert start[k] == 1
+
+    def test_order_past_the_first_one_of_the_rule(self):
+        # above T ~ 280 the rule can fail again just past its first order:
+        # at k R = 278.96 it holds at l = 334, fails at 335 and holds from
+        # 336, where the bisection stops.  So 334 takes the column from
+        # order 1, and differs from its one-order call only in the imaginary
+        # part, the j part of h = j + i y, about 1e-20 of h
+        z = np.array([278.9579158316633 + 0j])
+        assert [forward_started(l, z)[0] for l in (333, 334, 335, 336, 337)] == [
+            False, True, False, True, True]
+        rh = sph_jn_h1n_ratio_rows(300, 400, [], z)[1][:, 0]
+        for l in range(300, 401):
+            q = sph_jn_h1n_ratio(l, [], z)[1][0]
+            assert rh[l - 300].real == q.real
+            if l == 334:
+                assert 0 < abs(rh[l - 300] - q) < 1e-20 * abs(q)
+            else:
+                assert rh[l - 300] == q
+
+    def test_orders_checked(self):
+        for lo, hi in ((0, 5), (6, 5)):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                sph_jn_h1n_ratio_rows(lo, hi, [1.0], [1.0])
+        rj, rh = sph_jn_h1n_ratio_rows(3, 5, [], [2.0])
+        assert rj.shape == (3, 0) and rh.shape == (3, 1)
 
 
 class TestBesselRatioDomain:
