@@ -13,6 +13,7 @@ from sphereqed.dynamics import (
     prepare_drive,
     rabi_g,
     volterra_amplitudes,
+    VOLTERRA_BASE,
     VOLTERRA_BLOCK,
 )
 
@@ -168,14 +169,19 @@ class TestVolterra:
 
     @pytest.mark.parametrize(
         "n_steps",
-        [1, VOLTERRA_BLOCK - 1, VOLTERRA_BLOCK, VOLTERRA_BLOCK + 1, 2 * VOLTERRA_BLOCK,
-         4 * VOLTERRA_BLOCK + 1, 5 * VOLTERRA_BLOCK + 3, 8 * VOLTERRA_BLOCK - 1, 3001],
+        [1, VOLTERRA_BASE - 1, VOLTERRA_BASE, VOLTERRA_BASE + 1, 2 * VOLTERRA_BASE + 1,
+         4 * VOLTERRA_BASE - 1, 4 * VOLTERRA_BASE, 4 * VOLTERRA_BASE + 1, 8 * VOLTERRA_BASE,
+         VOLTERRA_BLOCK // 2 + 1, 20 * VOLTERRA_BASE + 3, VOLTERRA_BLOCK - 1, VOLTERRA_BLOCK,
+         VOLTERRA_BLOCK + 1, 2 * VOLTERRA_BLOCK + 1, 4 * VOLTERRA_BLOCK + 1, 3001],
     )
     def test_matches_direct_history_sum(self, n_steps):
-        # step counts on both sides of the block boundaries, where the FFT
-        # tiles of the history start to feed the sums, and where the tile
-        # size doubles (after blocks 2 and 4) or is about to (before block 8);
-        # both branches driven and coupled, then the - branch uncoupled
+        # step counts on both sides of the end of the stepped response, where
+        # its doubling starts, one step into the second doubling, on both
+        # sides of the end of the third and at the end of the fourth, one step
+        # into the last doubling and inside it, on both sides of the block
+        # boundary, where the FFT tiles of the history start to feed the sums,
+        # and one step past the first tile of each size (after blocks 2 and
+        # 4); both branches driven and coupled, then the - branch uncoupled
         # (gamma31_ab = gamma31_aa, so its kernel is 0), then the + branch
         # undriven
         cases = [
@@ -193,6 +199,41 @@ class TestVolterra:
                 assert np.array_equal(t, t_ref)
                 # an undriven branch stays exactly 0, as c_ref does
                 assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+
+    def test_block_size_only_rounds(self, monkeypatch):
+        # blocks of the stepped response's own length (no doubling, and the
+        # history in 79 blocks and their tiles) give the default's amplitudes
+        # but for rounding in each CSV column, and an undriven branch stays
+        # exactly 0
+        p = generic_params()
+        step = stepsize(p)
+        drives = [DriveSpec(0.9 - 0.3j, 0.5 + 0.4j), DriveSpec(0.9 - 0.3j, 0.0)]
+        default = [volterra_amplitudes(p, d, 5000 * step, step) for d in drives]
+        monkeypatch.setattr("sphereqed.dynamics.VOLTERRA_BLOCK", VOLTERRA_BASE)
+        for d, (t, *want) in zip(drives, default):
+            t_small, *got = volterra_amplitudes(p, d, 5000 * step, step)
+            assert len(t) == 5001 and np.array_equal(t_small, t)
+            for branch, c, c_want in zip("+-", got, want):
+                if d.f0(branch) == 0:
+                    assert not c.any() and not c_want.any()
+                else:
+                    for part in (np.real, np.imag):
+                        column = part(c_want)
+                        assert np.max(np.abs(part(c) - column)) <= 1e-14 * np.max(np.abs(column))
+
+    def test_step_count_rounds_a_float_t_max(self):
+        # t_max = 16000 * 0.0013 is 16000.000000000002 steps in floats: a
+        # ratio within 1e-9 above an integer is that integer, while half a
+        # step more is one step more
+        p = generic_params()
+        step = 0.0013
+        assert (16000 * step) / step > 16000
+        t, c_plus, _ = volterra_amplitudes(p, DriveSpec(1.0, 0.0), 16000 * step, step)
+        assert len(t) == len(c_plus) == 16001
+        assert t[-1] == 16000 * step
+        for n_steps in (1, 2, 16000):
+            t, _, _ = volterra_amplitudes(p, DriveSpec(1.0, 0.0), (n_steps - 0.5) * step, step)
+            assert len(t) == n_steps + 1
 
     def test_step_precondition_enforced(self):
         p = generic_params()
