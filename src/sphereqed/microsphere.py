@@ -70,15 +70,18 @@ GRID_PER_UNIT = 2000
 # pairs), so it stays near 6.5 MB, and a search of up to 81 orders on 400
 # grid points, or l 1-259 on a 0.01-wide window, makes one call
 _GRID_PAIRS = 2**15
+# lattice spacing of the resonance search's Newton restart: every root
+# found by a first Newton pass restarts once from the nearest multiple of
+# this width, so that its bits do not depend on the window's grid or on
+# the first pass's start
+HANDOVER_WIDTH = 1e-7
 # relative bracket width at which the resonance search's golden section
-# hands a candidate below omega_T or above omega_L to Newton, where f has
-# poles near the real axis.  Measured on 574 searches (the resonance_scan
+# hands a candidate below omega_T or above omega_L, where f has poles near
+# the real axis, to Newton.  Measured on 574 searches (the resonance_scan
 # job lists of seeds 0-10, passes 0-3, the demo window and l 60-200 over
 # 1.04-1.06): the root sets stay identical at 1e-5 and first differ at
-# 1e-4, and the narrowest width found is delta_omega_c = 3.6e-7.  A band-gap
-# root, found by Newton from its grid point, restarts once from the nearest
-# multiple of this width, so that its bits do not depend on the grid
-HANDOVER_WIDTH = 1e-7
+# 1e-4, and the narrowest width found is delta_omega_c = 3.6e-7
+_GOLDEN_WIDTH = 1e-5
 
 
 class NonConvergenceError(RuntimeError):
@@ -594,20 +597,19 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray, tol=1e-12) -> np.ndar
     step makes one call of the ratio recurrences over the iterates still
     active, which gives f and its closed-form derivative
     (_denominator_slope).  An iterate converges when its step falls below
-    tol (one, or one per start); it is dropped when the derivative
-    vanishes, when it leaves the region where h_l^(1) is accurate, or after
-    50 steps.  Returns an array of roots, NaN where a start was dropped.
+    tol; it is dropped when the derivative vanishes, when it leaves the
+    region where h_l^(1) is accurate, or after 50 steps.  Returns an array
+    of roots, NaN where a start was dropped.
 
-    A printed root takes tol = 1e-12.  The first pass of a band-gap
-    candidate only picks the HANDOVER_WIDTH lattice point from which it
-    restarts (find_resonances), and stops at 1e-3 HANDOVER_WIDTH: the steps
-    there fall about quadratically, with a constant of 20-25 per unit omega
+    A printed root takes tol = 1e-12.  A candidate's first pass only picks
+    the HANDOVER_WIDTH lattice point from which it restarts
+    (find_resonances), and stops at 1e-3 HANDOVER_WIDTH: the steps there
+    fall about quadratically, with a constant of 20-25 per unit omega
     (1e-4, 2e-7, 1e-12), so the iterate is then within rounding of the
     root, and the step to 1e-12 is not taken.
     """
     om = np.array(omega0, dtype=complex)
     orders = np.broadcast_to(l, om.shape)
-    tol = np.broadcast_to(tol, om.shape)
     roots = np.full(len(om), np.nan, dtype=complex)
     active = np.arange(len(om))
     for _ in range(50):
@@ -619,7 +621,7 @@ def _newton_root(sys: SphereSystem, l, omega0: np.ndarray, tol=1e-12) -> np.ndar
         active = active[moving]
         step = f[moving] / slope[moving]
         om[active] -= step
-        done = np.abs(step) < tol[active]
+        done = np.abs(step) < tol
         roots[active[done]] = om[active[done]]
         active = active[~done]
     return roots
@@ -633,16 +635,18 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
     order, or one per bracket) on each bracket [a_k, b_k], all brackets
     together, whatever their orders: each step probes the still-open
     brackets in one call, and a bracket closes when it is narrower than
-    HANDOVER_WIDTH max(1, |a_k|), or after 60 steps; the midpoint is a
+    _GOLDEN_WIDTH max(1, |a_k|), or after 60 steps; the midpoint is a
     Newton start.  A two-grid-step bracket of GRID_PER_UNIT points per unit
-    closes in about 20 steps (about 43 at a width of 1e-12).
+    closes in about 10 steps (about 20 at HANDOVER_WIDTH).
 
     find_resonances takes it only below omega_T and above omega_L: there
     n k R is nearly real and f has a pole at each zero of j_l(n k R) close
     to the real axis, and Newton from the grid point can end on another
     root (over 0.90-0.995, 12 of the 100 roots of l 63-66 move).  Inside
     the band gap n k R is nearly imaginary, f has no such poles, and Newton
-    starts from the grid point."""
+    starts from the grid point.  The bracket only has to lead Newton to
+    the right root: the root's bits come from its restart on the
+    HANDOVER_WIDTH lattice, not from this start."""
     a, b = a.copy(), b.copy()
     orders = np.broadcast_to(l, a.shape)
     x1 = b - _GOLDEN * (b - a)
@@ -661,7 +665,7 @@ def _refine_real_minimum(sys: SphereSystem, l, a: np.ndarray, b: np.ndarray) -> 
         f = _denominator_balance(sys, orders[open_], np.where(left, x1[open_], x2[open_]))
         f1[lo], f2[hi] = f[left], f[~left]
         a_open = a[open_]
-        open_ = open_[~(b[open_] - a_open < HANDOVER_WIDTH * np.maximum(1.0, np.abs(a_open)))]
+        open_ = open_[~(b[open_] - a_open < _GOLDEN_WIDTH * np.maximum(1.0, np.abs(a_open)))]
         if not open_.size:
             break
     return 0.5 * (a + b)
@@ -697,14 +701,16 @@ def find_resonances(
     recurrences per candidate, read out at its own order (a few candidates
     run the scalar loop each).  A candidate inside the band gap (1, omega_L)
     starts from its grid point: there n k R is nearly imaginary and f has
-    no poles near the real axis (the SG rule of resonance_kind).  Its first
-    pass stops at a step of 1e-3 HANDOVER_WIDTH (see _newton_root), and its
-    root restarts once from the nearest multiple of HANDOVER_WIDTH, so that
-    the root's bits do not depend on the window's grid.  A candidate below
-    omega_T or above omega_L, where f has a pole at each zero of
-    j_l(n k R) near the real axis, starts from a golden-section search on
-    the balance ratio down to HANDOVER_WIDTH (_refine_real_minimum), one
-    stream for all of them.  Converged roots are kept when they fall
+    no poles near the real axis (the SG rule of resonance_kind).  A
+    candidate below omega_T or above omega_L, where f has a pole at each
+    zero of j_l(n k R) near the real axis, starts from a golden-section
+    search on the balance ratio down to _GOLDEN_WIDTH
+    (_refine_real_minimum), one stream for all of them.  Every candidate
+    then takes the same two Newton passes: the first stops at a step of
+    1e-3 HANDOVER_WIDTH (see _newton_root), and its root restarts once from
+    the nearest multiple of HANDOVER_WIDTH, so that the root's bits depend
+    neither on the window's grid nor on the golden section's start.
+    Converged roots are kept when they fall
     inside the window, have positive width and suppress f by at least 1e-8
     relative to its off-resonance value at omega_c + 3*delta_omega_c (f
     from the terms of _order_terms, one call for both frequencies of all
@@ -741,10 +747,10 @@ def find_resonances(
     poles = ~((1.0 < starts) & (starts < sys.params.omega_l))
     if poles.any():
         starts[poles] = _refine_real_minimum(sys, orders[poles], a[poles], b[poles])
-    roots = _newton_root(sys, orders, starts, np.where(poles, 1e-12, 1e-3 * HANDOVER_WIDTH))
-    gap = ~poles & ~np.isnan(roots)
-    roots[gap] = _newton_root(
-        sys, orders[gap], np.round(roots[gap].real / HANDOVER_WIDTH) * HANDOVER_WIDTH)
+    roots = _newton_root(sys, orders, starts, 1e-3 * HANDOVER_WIDTH)
+    converged = ~np.isnan(roots)
+    roots[converged] = _newton_root(
+        sys, orders[converged], np.round(roots[converged].real / HANDOVER_WIDTH) * HANDOVER_WIDTH)
     wc, dwc = roots.real, -roots.imag
     # dropped candidates are NaN and fail every comparison
     ok = (omega_lo <= wc) & (wc <= omega_hi) & (dwc > 0)

@@ -494,11 +494,13 @@ def scalar_find_resonances(sys, omega_lo: float, omega_hi: float, l_range):
     """sphereqed.microsphere.find_resonances with every candidate refined
     on its own: golden section and Newton steps are single-point calls of
     the scalar recurrences, Newton on the raw Mie denominator F with its
-    own closed-form derivative.  Same grid, thresholds, hand-over width,
-    iteration caps, window and width filters, acceptance checks, dedup rule
-    and sort.  Every candidate takes the golden-section start, the band-gap
-    ones too, which find_resonances starts from their grid points: the
-    roots agree to rel 1e-12 all the same."""
+    own closed-form derivative.  Same grid, thresholds, iteration caps,
+    window and width filters, acceptance checks, dedup rule and sort.
+    Every candidate, the band-gap ones too (which find_resonances starts
+    from their grid points), takes a golden-section start closed at
+    HANDOVER_WIDTH, a stricter reference than find_resonances'
+    _GOLDEN_WIDTH, and one Newton pass to 1e-12, with no restart from the
+    HANDOVER_WIDTH lattice: the roots agree to rel 1e-12 all the same."""
     found = []
     grid = _search_grid(omega_lo, omega_hi)
     npts = len(grid)

@@ -602,6 +602,20 @@ class TestBatchedRefinement:
         assert find_resonances(fig2_system, omega_lo, omega_hi, orders) == found
         assert tolerances == [1e-3 * HANDOVER_WIDTH, 1e-12]
 
+    @pytest.mark.parametrize("omega_lo,omega_hi,orders", [(0.90, 0.995, range(63, 67)),
+                                                          (0.92, 0.93, (70,))],
+                             ids=["l63-66", "l70"])
+    def test_coarser_golden_section_keeps_the_roots(self, fig2_system, monkeypatch, omega_lo,
+                                                    omega_hi, orders):
+        # the golden section only brackets a below-gap root for Newton,
+        # which restarts from the HANDOVER_WIDTH lattice: closing its
+        # brackets at _GOLDEN_WIDTH instead of HANDOVER_WIDTH keeps every
+        # root bit for bit
+        found = find_resonances(fig2_system, omega_lo, omega_hi, orders)
+        assert found
+        monkeypatch.setattr(microsphere, "_GOLDEN_WIDTH", HANDOVER_WIDTH)
+        assert find_resonances(fig2_system, omega_lo, omega_hi, orders) == found
+
     def test_point_does_not_depend_on_call_size(self, fig2_system):
         # f and the balance ratio at a point are the same bits in a one-point
         # call, a batch of one order and a batch of mixed orders: numpy's
@@ -691,9 +705,10 @@ class TestBatchedRefinement:
         for l in (119, 120, 121, 122):
             assert search_calls([l]) == (1, *four[1:])
         # below the gap f has real-axis poles, and the candidates still take
-        # the golden section
+        # the golden section: its first two probes, then 8 steps to a
+        # bracket of _GOLDEN_WIDTH
         roots, golden, _ = search_calls([70], 0.92, 0.93)
-        assert roots == 2 and golden > 0
+        assert (roots, golden) == (2, 10)
 
     def test_grid_starts_give_golden_section_roots(self, fig2_system):
         # inside the band gap f has no poles near the real axis, so Newton
@@ -906,6 +921,16 @@ class TestGridScanRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_resonances(fig2_system, 1.0, 1.1, [121]) == [fig2_resonance]
+
+    def test_below_gap_root_does_not_depend_on_window(self, fig2_system):
+        # below the gap a root restarts Newton from the HANDOVER_WIDTH
+        # lattice too, so the l = 70 root at 0.92990 is one float from
+        # windows whose golden sections start from different grid points
+        roots = [[r for r in find_resonances(fig2_system, lo, hi, [70])
+                  if abs(r.omega_c - 0.92990) < 1e-4]
+                 for lo, hi in ((0.92, 0.93), (0.90, 0.995), (0.915, 0.935))]
+        assert all(len(found) == 1 for found in roots)
+        assert roots[1] == roots[0] and roots[2] == roots[0]
 
 
 def single_term(sys: SphereSystem, res: Resonance, same_atom: bool) -> float:
