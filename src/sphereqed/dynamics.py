@@ -16,10 +16,10 @@ linear map, C' at each block end following from C.  The history of
 completed blocks enters through FFT convolutions over a hierarchy of
 tiles.
 
-The closed-form chain (rabi_g, ode_coeffs, amplitude_modes, amplitude_closed,
-prepare_drive) works elementwise: each rate field of CouplingParams, each
-drive amplitude of DriveSpec and each rate argument may be an array with one
-value per point (a sweep), and a float is one point.  Every check is made per
+The closed-form chain (rabi_g, ode_coeffs, amplitude_closed, prepare_drive)
+works elementwise: each rate field of CouplingParams, each drive amplitude
+of DriveSpec and each rate argument may be an array with one value per
+point (a sweep), and a float is one point.  Every check is made per
 point and raises PointError naming the first point that fails it.
 volterra_amplitudes takes one point.
 
@@ -150,47 +150,26 @@ def ode_coeffs(p: CouplingParams, branch: str):
     return a1, a2
 
 
-def amplitude_modes(p: CouplingParams, d: DriveSpec, branch: str):
-    """Exponential-mode decomposition C(t) = sum_k coeff_k t^power_k e^{rate_k t}.
-
-    Returns two modes (coeff, rate, power), each entry one value per point.
-    A point has power 0 in both modes in the generic case.  Where the two
-    ODE roots collide (|q| < 1e-9 |a1|, a removable singularity) the first
-    mode is the degenerate one, (F(0), -a1/2, 1), and the second has
-    coefficient 0 at the same rate.
-    """
-    a1, a2 = ode_coeffs(p, branch)
-    f0 = np.asarray(d.f0(branch), dtype=complex)
-    q = np.sqrt(a1 * a1 - 4.0 * a2)
-    double = np.abs(q) < 1e-9 * np.maximum(np.abs(a1), 1e-30)
-    q_or_1 = np.where(double, 1.0, q)
-    half = -a1 / 2.0
-    lam1 = np.where(double, half, (-a1 + q) / 2.0)
-    lam2 = np.where(double, half, (-a1 - q) / 2.0)
-    return [
-        (np.where(double, f0, f0 / q_or_1), lam1, double.astype(int)),
-        (np.where(double, 0.0, -f0 / q_or_1), lam2, 0),
-    ]
-
-
 def amplitude_closed(p: CouplingParams, d: DriveSpec, branch: str, t):
     """Closed-form amplitude C_pm(t) under C(0) = 0, C'(0) = F(0).
 
     Exact for the exponentially decaying drive model.  t broadcasts
     against the points of p and d: times of one point, or one time per
-    point.  The degenerate double-root limit F(0) t e^{-a1 t/2} is used at
-    the points where |q| < 1e-9 |a1| (removable singularity).
+    point.  With q the principal sqrt(a1^2 - 4 a2) and lambda_1 =
+    (q - a1)/2 the slow root,
+        C(t) = F(0) e^{lambda_1 t} (1 - e^{-q t})/q,
+    the last factor by expm1, and t where q == 0 (a double root).  Re q >= 0,
+    so |e^{-q t}| <= 1 and nothing overflows, and the factor is smooth in q:
+    the formula holds its accuracy next to critical coupling.
     """
-    return _mode_sum(amplitude_modes(p, d, branch), np.asarray(t, dtype=float))
-
-
-def _mode_sum(modes, t):
-    """sum_k coeff_k t^power_k e^{rate_k t} of one branch's amplitude_modes
-    at the float times t."""
-    out = 0j
-    for coeff, rate, power in modes:
-        out = out + coeff * t**power * np.exp(rate * t)
-    return out[()]
+    a1, a2 = ode_coeffs(p, branch)
+    f0 = np.asarray(d.f0(branch), dtype=complex)
+    t = np.asarray(t, dtype=float)
+    q = np.sqrt(a1 * a1 - 4.0 * a2)
+    double = q == 0
+    factor = np.where(double, t, -np.expm1(-q * t) / np.where(double, 1.0, q))
+    # + 0.0 turns the signed zero F(0) * 0 of a negative drive at t = 0 into 0
+    return (f0 * np.exp(0.5 * (q - a1) * t) * factor + 0.0)[()]
 
 
 def volterra_amplitudes(

@@ -2,11 +2,13 @@
 
 The populations alpha_pm of the symmetric/antisymmetric metastable states and
 their coherence beta are time integrals of bilinear combinations of the
-amplitudes C_pm(t).  Because the closed-form amplitudes are finite sums of
-t^p e^{lambda t} modes, every integral has an exact closed form; quadrature on
-a sampled trajectory is kept in the test suite as an independent check.
+amplitudes C_pm(t).  Each amplitude solves C'' + a1 C' + a2 C = 0 with
+C(0) = 0 and C'(0) = F(0), so each integral is a rational function of the
+ODE coefficients of its two branches and of their drives (_overlap);
+quadrature on a sampled trajectory is kept in the test suite as an
+independent check.
 
-The chain from the closed-form modes to the concurrence (_mode_overlap,
+The chain from the ODE coefficients to the concurrence (_overlap,
 steady_state_from_params, decayed_steady_state, SteadyState and
 concurrence_closed_form) works elementwise on one value per point, as the
 dynamics chain does: a sweep is one call, a float is one point, and every
@@ -27,8 +29,8 @@ from .dynamics import (
     DriveSpec,
     PointError,
     _check,
-    _mode_sum,
-    amplitude_modes,
+    amplitude_closed,
+    ode_coeffs,
 )
 
 class UndecayedTrajectoryError(PointError):
@@ -39,23 +41,18 @@ class UndecayedTrajectoryError(PointError):
 @dataclass(frozen=True)
 class SteadyState:
     """(alpha_+, alpha_-, beta) of the stationary density operator, each a
-    number or one value per point.
-
-    beta may be None when a regime closed form does not provide it (no
-    dominant Rabi branch to expand around).
-    """
+    number or one value per point."""
 
     alpha_plus: float
     alpha_minus: float
-    beta: complex | None
+    beta: complex
 
     def __post_init__(self):
         ap, am = self.alpha_plus, self.alpha_minus
         _check((ap < -1e-12) | (am < -1e-12), "populations must be non-negative")
         _check(ap + am > 1.0 + 1e-9, "alpha_+ + alpha_- must not exceed 1")
-        if self.beta is not None:
-            _check(np.abs(self.beta) ** 2 > ap * am + 1e-9,
-                   "|beta|^2 exceeds alpha_+ alpha_- (coherence block not positive)")
+        _check(np.abs(self.beta) ** 2 > ap * am + 1e-9,
+               "|beta|^2 exceeds alpha_+ alpha_- (coherence block not positive)")
 
 
 @dataclass(frozen=True)
@@ -77,38 +74,43 @@ class TwoQubitDensity:
         object.__setattr__(self, "matrix", m)
 
 
-def _mode_overlap(modes_a, modes_b):
-    """integral_0^inf C_a(t) conj(C_b(t)) dt for exponential-mode sums, at
-    every point of the modes.
+def _overlap(a, f_a, b, f_b):
+    """integral_0^inf C_a(t) conj(C_b(t)) dt of two branches with ODE
+    coefficients a = (a1, a2), b = (b1, b2) and drives f_a, f_b, at every
+    point.
 
-    The terms of mode pairs (1, 1) and (2, 2), and of (1, 2) and (2, 1), are
-    added first: where the two modes of each branch are complex conjugates
-    (complex roots of a real ODE) those terms are too, so an exactly real
-    integral comes out with imaginary part 0."""
-
-    def term(a, b):
-        (ca, la, pa), (cb, lb, pb) = a, b
-        sigma = la + np.conj(lb)
-        _check(sigma.real >= 0, "mode integral diverges: non-decaying amplitude product")
-        n = pa + pb
-        # n! for the mode powers n = pa + pb <= 2
-        return ca * np.conj(cb) * np.maximum(n, 1) / (-sigma) ** (n + 1)
-
-    (a1, a2), (b1, b2) = modes_a, modes_b
-    return (term(a1, b1) + term(a2, b2)) + (term(a1, b2) + term(a2, b1))
+    With x = (C, C'), x' = A x, A = [[0, 1], [-a2, -a1]] and x(0) = (0, F(0)),
+    the integral of x_a x_b^dagger solves the Sylvester equation
+    A_a P + P A_b^dagger = -x_a(0) x_b(0)^dagger (Bartels & Stewart 1972,
+    Comm. ACM 15, 820), whose (1, 1) entry is, with s = a1 + conj(b1),
+        f_a conj(f_b) s / ((a2 - conj(b2))^2 + s (a1 conj(b2) + a2 conj(b1))).
+    It holds for both branches decaying, and has no root difference in it:
+    a double root (critical coupling) is an ordinary point."""
+    a1, a2 = a
+    c1, c2 = np.conj(b[0]), np.conj(b[1])
+    s = a1 + c1
+    return f_a * np.conj(f_b) * s / ((a2 - c2) ** 2 + s * (a1 * c2 + a2 * c1))
 
 
 def steady_state_from_params(p: CouplingParams, d: DriveSpec) -> SteadyState:
-    """Exact stationary (alpha_+, alpha_-, beta) from the closed-form modes."""
-    return _steady_state(p, *(amplitude_modes(p, d, b) for b in BRANCHES))
+    """Exact stationary (alpha_+, alpha_-, beta) from the ODE coefficients
+    and drives of both branches (_overlap).
 
-
-def _steady_state(p: CouplingParams, modes_p, modes_m) -> SteadyState:
-    """(alpha_+, alpha_-, beta) from the amplitude_modes of both branches."""
+    Raises PointError where an amplitude does not decay: by the Routh-Hurwitz
+    conditions for a complex quadratic, both roots of a branch lie in the
+    left half plane iff Re a1 > 0 and Re a1 Re(a1 conj(a2)) > (Im a2)^2, the
+    second being the sign of the denominator of the branch's own
+    integral of |C|^2.
+    """
+    cp, cm = (ode_coeffs(p, b) for b in BRANCHES)
+    for a1, a2 in (cp, cm):
+        _check((a1.real <= 0) | (a1.real * (a1 * np.conj(a2)).real <= a2.imag**2),
+               "stationary integral diverges: non-decaying amplitude")
+    fp, fm = (np.asarray(d.f0(b), dtype=complex) for b in BRANCHES)
     g32p, g32m = p.gamma32_pm("+"), p.gamma32_pm("-")
-    ipp = _mode_overlap(modes_p, modes_p).real
-    imm = _mode_overlap(modes_m, modes_m).real
-    ipm = _mode_overlap(modes_p, modes_m)
+    ipp = _overlap(cp, fp, cp, fp).real
+    imm = _overlap(cm, fm, cm, fm).real
+    ipm = _overlap(cp, fp, cm, fm)
     alpha_plus = 0.5 * g32p * ipp + 0.5 * g32m * imm
     alpha_minus = 0.5 * g32m * ipp + 0.5 * g32p * imm
     beta = 0.5 * g32p * ipm + 0.5 * g32m * np.conj(ipm)
@@ -116,21 +118,19 @@ def _steady_state(p: CouplingParams, modes_p, modes_m) -> SteadyState:
 
 
 def decayed_steady_state(p: CouplingParams, d: DriveSpec, t_end: float) -> SteadyState:
-    """Stationary state from the closed-form modes, once the closed-form
-    amplitudes have decayed at t_end.
+    """steady_state_from_params, once the closed-form amplitudes have
+    decayed at t_end.
 
     Raises UndecayedTrajectoryError unless |C_pm(t_end)| < 1e-6 at every
     point (t_end is a number or one per point): the stationary integrals
     run to infinity, and an amplitude still alive at t_end means the
     horizon is too short.
     """
-    modes = [amplitude_modes(p, d, b) for b in BRANCHES]
-    t_end = np.asarray(t_end, dtype=float)
-    for b, branch_modes in zip(BRANCHES, modes):
-        c_end = np.ravel(np.abs(_mode_sum(branch_modes, t_end)))
+    for b in BRANCHES:
+        c_end = np.ravel(np.abs(amplitude_closed(p, d, b, t_end)))
         _check(c_end >= 1e-6, lambda k: UndecayedTrajectoryError(
             f"|C_{b}(T_end)| = {c_end[k]:.3e} >= 1e-6; extend the trajectory", k))
-    return _steady_state(p, *modes)
+    return steady_state_from_params(p, d)
 
 
 def assemble_density(s: SteadyState) -> TwoQubitDensity:
@@ -140,7 +140,6 @@ def assemble_density(s: SteadyState) -> TwoQubitDensity:
           + (1 - alpha_+ - alpha_-) |1,1><1,1|
     with |+-> = (|2,1> +- |1,2>)/sqrt(2).
     """
-    beta = 0.0 + 0.0j if s.beta is None else complex(s.beta)
     plus = np.zeros(4, dtype=complex)
     minus = np.zeros(4, dtype=complex)
     isq2 = 1.0 / math.sqrt(2.0)
@@ -149,8 +148,8 @@ def assemble_density(s: SteadyState) -> TwoQubitDensity:
     rho = (
         s.alpha_plus * np.outer(plus, plus.conj())
         + s.alpha_minus * np.outer(minus, minus.conj())
-        + beta * np.outer(plus, minus.conj())
-        + np.conj(beta) * np.outer(minus, plus.conj())
+        + s.beta * np.outer(plus, minus.conj())
+        + np.conj(s.beta) * np.outer(minus, plus.conj())
     )
     rho[0, 0] += 1.0 - s.alpha_plus - s.alpha_minus
     return TwoQubitDensity(matrix=rho)
@@ -163,8 +162,6 @@ def concurrence_closed_form(s: SteadyState) -> float:
                 +- (1/2) sqrt([(a+ + a-)^2 - 4(Re b)^2][(a+ - a-)^2 + 4(Im b)^2])
     and C = sqrt(lambda_+) - sqrt(lambda_-), at every point of s.
     """
-    if s.beta is None:
-        raise ValueError("concurrence needs a definite beta")
     ap, am = np.asarray(s.alpha_plus, dtype=float), np.asarray(s.alpha_minus, dtype=float)
     beta = np.asarray(s.beta, dtype=complex)
     br, bi = beta.real, beta.imag

@@ -3,8 +3,9 @@
 Bessel functions come from mpmath half-integer Bessel calls at 40 digits,
 the free-space rates from the closed-form dyadic Green function, the
 Volterra amplitudes from the direct O(N^2) trapezoid-history quadrature and
-the stationary integrals from plain trapezoid quadrature on dense samples,
-and the resonance search's f, its derivative and its roots from mpmath
+the stationary integrals from plain trapezoid quadrature on dense samples
+and from 60-digit sums over the amplitudes' exponential modes, and the
+resonance search's f, its derivative and its roots from mpmath
 Bessel calls, mp.diff and mp.findroot: none of these goes through the
 package's recurrences.  The scalar resonance search oracle does: it takes
 its candidates one at a time through the package's ratio rows, forms j_l
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -35,7 +37,6 @@ from sphereqed.microsphere import (
     size_parameter,
 )
 from sphereqed.special import sph_jn_h1n_ratios
-from sphereqed.steady_state import SteadyState
 
 mp.mp.dps = 40
 
@@ -260,6 +261,51 @@ def trapezoid_steady_state(times, c_plus, c_minus, gamma32_pm):
     return float(alpha_p), float(alpha_m), complex(beta)
 
 
+def _mp_modes(p: CouplingParams, d: DriveSpec, branch: str):
+    """[(F(0)/q, lambda_1), (-F(0)/q, lambda_2)]: C(t) = sum c e^{lambda t}
+    of one branch of a one-point p and d, from the ODE coefficients formed
+    in mpmath at the working precision (q = lambda_1 - lambda_2 != 0)."""
+    s = 1 if branch == "+" else -1
+    delta, shift, dwc = (mp.mpf(x) for x in (p.detuning_delta, p.dipole_shift, p.delta_omega_c))
+    gamma32 = mp.mpf(p.gamma32_aa)
+    gamma31 = max(mp.mpf(p.gamma31_aa) + s * mp.mpf(p.gamma31_ab), 0)
+    a1 = 1j * (delta - s * shift) + dwc + gamma32 / 2
+    a2 = gamma31 * dwc / 2 + (delta - 1j * dwc) * (s * shift + 1j * gamma32 / 2)
+    q = mp.sqrt(a1 * a1 - 4 * a2)
+    f0 = mp.mpc(complex(d.f0(branch)))
+    return [(f0 / q, (q - a1) / 2), (-f0 / q, (-q - a1) / 2)]
+
+
+def mp_mode_amplitude(p: CouplingParams, d: DriveSpec, branch: str, times) -> np.ndarray:
+    """C_pm at each of the float times, summed over its two exponential
+    modes at 60 digits: next to a double root the two terms cancel to a
+    part in about |a1 / q|, which leaves dozens of digits at the
+    |q| ~ 1e-8 |a1| of a float critical coupling."""
+    with mp.workdps(60):
+        modes = _mp_modes(p, d, branch)
+        return np.array([complex(sum(c * mp.exp(rate * mp.mpf(t)) for c, rate in modes))
+                         for t in np.ravel(times)])
+
+
+def mp_mode_integrals(p: CouplingParams, d: DriveSpec) -> tuple[float, float, complex]:
+    """(alpha_+, alpha_-, beta) of a one-point p and d from the 60-digit
+    mode-pair sums: integral_0^inf c_a e^{lambda t} conj(c_b e^{mu t}) dt
+    = -c_a conj(c_b)/(lambda + conj(mu)) over the two modes of each branch."""
+    with mp.workdps(60):
+        plus, minus = _mp_modes(p, d, "+"), _mp_modes(p, d, "-")
+
+        def overlap(modes_a, modes_b):
+            return -sum(ca * mp.conj(cb) / (la + mp.conj(lb))
+                        for ca, la in modes_a for cb, lb in modes_b)
+
+        g32p, g32m = (mp.mpf(p.gamma32_aa) + s * mp.mpf(p.gamma32_ab) for s in (1, -1))
+        ipp, imm, ipm = overlap(plus, plus).real, overlap(minus, minus).real, overlap(plus, minus)
+        alpha_plus = (g32p * ipp + g32m * imm) / 2
+        alpha_minus = (g32m * ipp + g32p * imm) / 2
+        beta = (g32p * ipm + g32m * mp.conj(ipm)) / 2
+        return float(alpha_plus), float(alpha_minus), complex(beta)
+
+
 def direct_volterra_branch(p, d, branch: str, t_max: float, step: float):
     """(t, C) of one branch of the memory-kernel equation by explicit
     second-order stepping with the whole trapezoid history summed directly at
@@ -354,12 +400,21 @@ def regime_amplitude(
     return complex(out) if scalar else np.asarray(out)
 
 
+class RegimeState(NamedTuple):
+    """(alpha_+, alpha_-, beta) of a regime closed form; beta is None where
+    the form provides none (no dominant Rabi branch to expand around)."""
+
+    alpha_plus: float
+    alpha_minus: float
+    beta: complex | None
+
+
 def alpha_beta_regime(
     p: CouplingParams,
     d: DriveSpec,
     regime: str,
     dominance_min: float = 5.0,
-) -> SteadyState:
+) -> RegimeState:
     """Regime closed forms for the stationary state.
 
     The beta expressions hold only when one Rabi frequency clearly dominates
@@ -400,7 +455,7 @@ def alpha_beta_regime(
         beta = complex(cross * gaa / (2.0 * g_dom**4))
     else:
         beta = complex(cross / (gaa**2 * (dwc + g_dom**2 / gaa)))
-    return SteadyState(alpha_plus=float(alpha_p), alpha_minus=float(alpha_m), beta=beta)
+    return RegimeState(float(alpha_p), float(alpha_m), beta)
 
 def _denominator_terms(sys, l: int, omega):
     """t1 = eps j_l(z2) [z1 h_l(z1)]' and t2 = h_l(z1) [z2 j_l(z2)]' at each

@@ -461,20 +461,16 @@ class TestExitCodes:
     def _entangle_with_undecayed(tmp_path, monkeypatch, undecayed, drive=""):
         """Exit status and CSV path of a 4-point sphere-mode entangle sweep,
         with the drive.* lines drive, whose amplitude C_b(T_end) is 1 at the
-        point undecayed[b]: there its first mode is the constant 1 and its
-        second mode 0."""
-        amplitude_modes = steady_state.amplitude_modes
+        point undecayed[b]."""
+        amplitude_closed = steady_state.amplitude_closed
 
-        def alive_at(p, d, branch):
-            modes = [[np.array(x) for x in np.broadcast_arrays(*mode)]
-                     for mode in amplitude_modes(p, d, branch)]
-            (coeff, rate, power), (coeff_2, _, _) = modes
-            if undecayed.get(branch, coeff.size) < coeff.size:
-                k = undecayed[branch]
-                coeff[k], rate[k], power[k], coeff_2[k] = 1.0, 0.0, 0, 0.0
-            return modes
+        def alive_at(p, d, branch, t):
+            c = np.array(amplitude_closed(p, d, branch, t), ndmin=1)
+            if undecayed.get(branch, c.size) < c.size:
+                c[undecayed[branch]] = 1.0
+            return c
 
-        monkeypatch.setattr(steady_state, "amplitude_modes", alive_at)
+        monkeypatch.setattr(steady_state, "amplitude_closed", alive_at)
         cfg = tmp_path / "ent.cfg"
         cfg.write_text(
             SPHERE_ENTANGLE.replace("sweep.count = 2", "sweep.count = 4") + RESONANCE_WINDOW
@@ -985,7 +981,7 @@ class TestEntangle:
     @pytest.mark.parametrize("placement", ["site_of_a", "equidistant"])
     def test_row_equals_row_from_sampled_trajectory(self, placement):
         # the decay guard at t_end gives the row that a 2000-point closed-form
-        # trajectory, decayed at its last sample, and the mode integrals gave
+        # trajectory, decayed at its last sample, and the stationary integrals gave
         text = REGIME_A_EXPLICIT.replace("site_of_a", placement)
         if placement == "equidistant":
             text += "drive.gamma_ad = 9000.0\n"
@@ -1044,15 +1040,16 @@ class TestEntangle:
             assert [c[k].tobytes() for c in columns] == [
                 np.broadcast_to(c, (1,)).tobytes() for c in one]
         if rates == "explicit":
-            # the middle point is a double root of the + branch among generic
-            # points, and its amplitude is the degenerate limit
-            # F(0) t e^{-a1 t/2} (0 for a drive at the site of A, which
-            # leaves the uncoupled branch undriven)
+            # the middle point is an exact double root of the + branch
+            # (a1^2 == 4 a2) among generic points, and its amplitude is the
+            # degenerate limit F(0) t e^{-a1 t/2} (0 for a drive at the site
+            # of A, which leaves the uncoupled branch undriven)
             d = cli._drive_from_cfg(v, p)
-            assert list(dynamics.amplitude_modes(p, d, "+")[0][2]) == [0, 0, 1, 0, 0]
+            a1, a2 = dynamics.ode_coeffs(p, "+")
+            assert list(a1 * a1 == 4.0 * a2) == [False, False, True, False, False]
             t = np.linspace(0.0, 20.0, 41)
             c_plus = dynamics.amplitude_closed(p, d, "+", t[:, None])
-            a1 = dynamics.ode_coeffs(p, "+")[0][2]
+            a1 = a1[2]
             want = d.f_plus0[2] * t * np.exp(-a1 * t / 2.0)
             assert np.max(np.abs(c_plus[:, 2] - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -1163,10 +1160,10 @@ class TestEntangle:
         assert np.max(np.abs(decay / sphere - 1.0)) < 2e-4
 
     def test_demo_beta_is_exactly_real(self, tmp_path):
-        # the demo drives on resonance (Delta = 0) with a real drive, so each
-        # branch's two modes are complex conjugates and beta is real: the
-        # mode integral adds the conjugate terms in pairs, and every row
-        # prints beta_im 0, not rounding noise of 1e-17
+        # the demo drives on resonance (Delta = 0, no dipole shift) with a
+        # real drive, so the ODE coefficients and drives are real and beta
+        # is real: the stationary integrals come out with imaginary part 0,
+        # and every row prints beta_im 0, not rounding noise of 1e-17
         script = pathlib.Path(__file__).parents[1] / "scripts" / "make_figure_data.py"
         demo = re.search(r'ENTANGLE_DEMO = """\\\n(.*?)"""', script.read_text(), re.S).group(1)
         cfg = tmp_path / "demo.cfg"

@@ -17,7 +17,8 @@ from sphereqed.dynamics import (
     VOLTERRA_BLOCK,
 )
 
-from oracles import direct_volterra_branch, regime_amplitude, regime_classify
+from oracles import (direct_volterra_branch, mp_mode_amplitude, regime_amplitude,
+                     regime_classify)
 
 
 def generic_params(**overrides):
@@ -32,6 +33,18 @@ def generic_params(**overrides):
     )
     base.update(overrides)
     return CouplingParams(**base)
+
+
+def critical_params(delta):
+    """The + branch a relative delta from critical coupling (its two ODE
+    roots coincide at delta = 0), the - branch uncoupled: dwc = 3,
+    Gamma32_AA = 1, no detuning or dipole shift."""
+    dwc, gamma32 = 3.0, 1.0
+    gamma31_plus = (dwc - 0.5 * gamma32) ** 2 / (2.0 * dwc) * (1.0 + delta)
+    return CouplingParams(0.5 * gamma31_plus, 0.5 * gamma31_plus, gamma32, 0.98, dwc)
+
+
+CRITICAL_DRIVE = DriveSpec(-0.3, -0.2)
 
 
 def stepsize(p, frac=2e-3):
@@ -115,6 +128,17 @@ class TestAmplitudeClosed:
         t = 1.3
         exact_limit = 1.0 * t * np.exp(-ode_coeffs(p, "+")[0] * t / 2)
         assert amplitude_closed(p, d, "+", t) == pytest.approx(exact_limit, rel=1e-6)
+
+    def test_exact_next_to_critical_coupling(self):
+        # both sides of the double root, where the mode split F/q (e^{lambda_1 t}
+        # - e^{lambda_2 t}) cancels; the 60-digit mode sum absorbs that
+        t = np.linspace(0.0, 80.0, 161)
+        for delta in (1e-9, -1e-9, 1e-12, -1e-12, -1e-15):
+            p = critical_params(delta)
+            for branch in "+-":
+                want = mp_mode_amplitude(p, CRITICAL_DRIVE, branch, t)
+                got = amplitude_closed(p, CRITICAL_DRIVE, branch, t)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (delta, branch)
 
     def test_linearity_in_drive(self):
         p = generic_params()

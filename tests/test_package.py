@@ -51,12 +51,19 @@ GONE_FROM_DYNAMICS = ("AmplitudeTrajectory", "amplitude_volterra", "sample_close
                       "volterra_branch",
                       # the paper's regime forms, the reference side of
                       # acceptance criterion 5: now in tests/oracles.py
-                      "regime_classify", "regime_amplitude")
+                      "regime_classify", "regime_amplitude",
+                      # the exponential-mode split and its double-root branch:
+                      # amplitude_closed and the stationary integrals work
+                      # from the ODE coefficients
+                      "amplitude_modes", "_mode_sum")
 GONE_FROM_STEADY_STATE = ("entanglement_check",
                           # TwoQubitDensity's docstring states the basis order
                           "BASIS_LABELS",
                           # a regime form, now in tests/oracles.py
-                          "alpha_beta_regime")
+                          "alpha_beta_regime",
+                          # the mode-pair integrals: _overlap is the closed
+                          # form of a Sylvester solve in the ODE coefficients
+                          "_mode_overlap", "_steady_state")
 GONE_FROM_CLI = ("_given",
                  # the per-point entangle loop: a sweep is one array call
                  "_steady_row", "_rows",
@@ -87,9 +94,6 @@ def test_public_names_resolve_and_removed_names_stay_gone():
 LAYERS = ("special", "microsphere", "dynamics", "steady_state", "cli", "config")
 # public names that no pipeline step reads, kept for the tests
 KEPT_FOR_TESTS = (
-    # the stationary state without decayed_steady_state's horizon check,
-    # which acceptance criteria 6 and 8 read
-    "steady_state_from_params",
     # the Wootters construction of acceptance criterion 7, which the
     # benchmark's concurrence gate also reads
     "assemble_density", "concurrence_oracle",

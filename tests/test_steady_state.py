@@ -17,8 +17,9 @@ from sphereqed.steady_state import (
     steady_state_from_params,
 )
 
-from oracles import alpha_beta_regime, regime_classify, trapezoid_steady_state
-from test_dynamics import generic_params, regime_a_params
+from oracles import (alpha_beta_regime, mp_mode_integrals, regime_classify,
+                     trapezoid_steady_state)
+from test_dynamics import CRITICAL_DRIVE, critical_params, generic_params, regime_a_params
 
 
 def valid_states(draw):
@@ -104,6 +105,16 @@ class TestIntegrateAlphaBeta:
             s = steady_state_from_params(p, d)
             alphas.append(s.alpha_plus)
         assert all(a >= b - 1e-12 for a, b in zip(alphas, alphas[1:]))
+
+    def test_exact_at_critical_coupling(self):
+        # the + branch at and next to its double root, where mode-pair
+        # terms grow like 1/|q|^2 and cancel; the 60-digit sums absorb that
+        for delta in (1e-2, 1e-6, 1e-9, 1e-12, -1e-12, 1e-15, -1e-15, 0.0):
+            p = critical_params(delta)
+            s = steady_state_from_params(p, CRITICAL_DRIVE)
+            want = mp_mode_integrals(p, CRITICAL_DRIVE)
+            for got, exact in zip((s.alpha_plus, s.alpha_minus, s.beta), want):
+                assert abs(got - exact) <= 1e-14 * abs(exact), delta
 
     def test_population_bookkeeping(self):
         p = generic_params()
@@ -253,10 +264,6 @@ class TestConcurrence:
         flip = np.kron(sy, sy)
         evals = np.sort(np.abs(np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)))[::-1]
         assert evals[2] < 1e-14 and evals[3] < 1e-14
-
-    def test_beta_required(self):
-        with pytest.raises(ValueError):
-            concurrence_closed_form(SteadyState(0.5, 0.1, None))
 
 
 class TestEntanglementCheck:
